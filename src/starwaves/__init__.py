@@ -26,8 +26,7 @@ from .layers import (LayerField, QuarterPlaneProblem, boundary_flux,
                      evaluate_physical, qp_oracle_below_characteristic,
                      qp_solve, sample_physical)
 from .limit import (EdgeODESolution, G0Problem, simpson_weights,
-                    solve_cauchy_recursive, solve_degenerate_edge, solve_g0,
-                    vertex_trace)
+                    solve_cauchy_recursive, solve_degenerate_edge, solve_g0)
 
 __version__ = "0.1.0"
 
@@ -52,6 +51,5 @@ __all__ = [
     "sample_physical",
     "EdgeODESolution", "G0Problem", "simpson_weights",
     "solve_cauchy_recursive", "solve_degenerate_edge", "solve_g0",
-    "vertex_trace",
     "__version__",
 ]

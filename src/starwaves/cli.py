@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 failed check or failed verification, 2 bad
-configuration (message names the offending field), 3 numerical failure.
+configuration (message names the offending field or the failed
+compatibility condition), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -13,9 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from .direct import direct_solve
-from .errors import (CompatibilityError, ExpansionOrderError, ExprDomainError,
-                     ExprSyntaxError, GraphConfigError, KernelRangeError,
-                     StabilityError)
+from .errors import (ExpansionOrderError, ExprDomainError, ExprSyntaxError,
+                     GraphConfigError, KernelRangeError, StabilityError)
 from .expansion import build_expansion
 from .graph import check_compatibility_C1, check_compatibility_C2
 from .grid import make_direct_grid, make_expansion_grids
@@ -168,8 +168,8 @@ def main(argv=None) -> int:
     except (GraphConfigError, ExprSyntaxError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (StabilityError, CompatibilityError, KernelRangeError,
-            ExpansionOrderError, ExprDomainError) as exc:
+    except (StabilityError, KernelRangeError, ExpansionOrderError,
+            ExprDomainError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GraphConfigError
-from .graph import ProblemSpec, b_eps, check_compatibility_C1
-from .grid import Grid, check_cfl
+from .graph import ProblemSpec, b_eps, require_compatibility_C1
+from .grid import Grid, check_cfl, one_sided_diff, trapezoid_weights
 
 __all__ = ["Field", "direct_solve", "energy"]
 
@@ -39,9 +39,6 @@ class Field:
     def __post_init__(self) -> None:
         if not self.edge_ids:
             self.edge_ids = tuple(range(len(self.edges)))
-
-    def vertex_values(self) -> np.ndarray:
-        return self.sigma
 
 
 def _march(spec: ProblemSpec, grid: Grid, b: np.ndarray,
@@ -120,10 +117,7 @@ def direct_solve(spec: ProblemSpec, eps: float, grid: Grid, cfl: float = 1.0,
     to march anyway, e.g. for deliberately rough data).
     """
     if check:
-        report = check_compatibility_C1(spec)
-        if not report.passed:
-            names = ", ".join(it.name for it in report.failures())
-            raise GraphConfigError(f"C1 compatibility failed: {names}")
+        require_compatibility_C1(spec)
     check_cfl(spec, eps, grid, cfl)
     b = np.array([b_eps(spec, eps, e) for e in range(spec.graph.n_edges)])
     return _march(spec, grid, b, None)
@@ -147,14 +141,12 @@ def energy(fld: Field, spec: ProblemSpec, eps: float, n: int) -> float:
         b = b_eps(spec, eps, e)
         q = spec.q[e].evaluate(x, 0.0)
         if n == 0:
-            ut = (-3.0 * u[:, 0] + 4.0 * u[:, 1] - u[:, 2]) / (2.0 * grid.dt)
+            ut = one_sided_diff(u, grid.dt, axis=1)
         elif n == M:
-            ut = (3.0 * u[:, M] - 4.0 * u[:, M - 1] + u[:, M - 2]) / (2.0 * grid.dt)
+            ut = -one_sided_diff(u[:, ::-1], grid.dt, axis=1)
         else:
             ut = (u[:, n + 1] - u[:, n - 1]) / (2.0 * grid.dt)
         ux = np.gradient(u[:, n], h, edge_order=2)
         dens = ut * ut + b * ux * ux + q * u[:, n] ** 2
-        w = np.full(len(x), h)
-        w[0] = w[-1] = h / 2.0
-        total += float(w @ dens)
+        total += float(trapezoid_weights(grid.n_cells[e], h) @ dens)
     return 0.5 * total

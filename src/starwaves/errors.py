@@ -26,7 +26,7 @@ class GraphConfigError(StarwavesError):
     """Raised for an inconsistent graph or problem description."""
 
 
-class CompatibilityError(StarwavesError):
+class CompatibilityError(GraphConfigError):
     """Raised when initial and boundary data fail a required matching condition."""
 
 

@@ -17,16 +17,16 @@ corrections truncated at the requested order, for the same reason.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import RectBivariateSpline
 
 from .direct import Field
-from .errors import CompatibilityError, ExpansionOrderError, GraphConfigError
+from .errors import ExpansionOrderError, GraphConfigError
 from .expr import Const, Expr
-from .graph import ProblemSpec, check_compatibility_C1, restrict_to_g0
-from .grid import ExpansionGrids, Grid
+from .graph import ProblemSpec, require_compatibility_C1, restrict_to_g0
+from .grid import ExpansionGrids, Grid, SeparableSpline, one_sided_diff
 from .layers import (LayerField, QuarterPlaneProblem, boundary_flux, qp_solve,
                      sample_physical)
 from .limit import (EdgeODESolution, G0Problem, solve_cauchy_recursive,
@@ -76,7 +76,20 @@ class ExpansionSet:
     boundary_layers: dict[tuple[int, int], LayerField]
     powers: tuple[int, ...]
     build_log: tuple[tuple, ...]
-    _splines: dict = field(default_factory=dict, repr=False)
+
+    @cached_property
+    def term_splines(self) -> dict[tuple, SeparableSpline]:
+        """Interpolants of the nonzero terms, ("U", r, l, edge) and ("u", s, edge)."""
+        t = self.grids.times
+        out: dict[tuple, SeparableSpline] = {}
+        for loc, e in enumerate(self.g0_base.edge_ids):
+            xg = self.grids.g0.x_nodes(loc)
+            for (r, l), fld in [((0, 0), self.g0_base), *self.g0_corr.items()]:
+                out[("U", r, l, e)] = SeparableSpline(xg, t, fld.edges[loc])
+        for (s, e), term in self.edge_terms.items():
+            if not term.is_zero:
+                out[("u", s, e)] = SeparableSpline(term.x_nodes, t, term.values)
+        return out
 
     def layer_powers(self, e: int) -> tuple[int, ...]:
         return tuple(sorted(P for (P, ee) in self.vertex_layers if ee == e))
@@ -111,12 +124,6 @@ def _taylor_derivatives(q: Expr, x0: float, rmax: int) -> list[float]:
     return out
 
 
-def _edge_stencil_flux(term: EdgeODESolution) -> np.ndarray:
-    h = float(term.x_nodes[1] - term.x_nodes[0])
-    v = term.values
-    return (-3.0 * v[0, :] + 4.0 * v[1, :] - v[2, :]) / (2.0 * h)
-
-
 def _zero_g0_spec(spec_g0: ProblemSpec) -> ProblemSpec:
     z = Const(0.0)
     n = spec_g0.graph.n_edges
@@ -132,10 +139,7 @@ def build_expansion(spec: ProblemSpec, p: int, grids: ExpansionGrids) -> Expansi
     """
     if not (0 <= p <= MAX_ORDER):
         raise ExpansionOrderError(f"order must lie in 0..{MAX_ORDER}, got {p}")
-    report = check_compatibility_C1(spec)
-    if not report.passed:
-        names = ", ".join(it.name for it in report.failures())
-        raise CompatibilityError(f"C1 compatibility failed: {names}")
+    require_compatibility_C1(spec)
 
     g = spec.graph
     mlist = g.exponents[1:]
@@ -219,7 +223,8 @@ def build_expansion(spec: ProblemSpec, p: int, grids: ExpansionGrids) -> Expansi
             deps = []
             for e in g.edges_in(l):
                 if r >= 2:
-                    nu -= _edge_stencil_flux(edge_terms[(r - 2, e)])
+                    u = edge_terms[(r - 2, e)]
+                    nu -= one_sided_diff(u.values, float(u.x_nodes[1] - u.x_nodes[0]))
                     deps.append(("u", r - 2, e))
                 nu -= boundary_flux(vertex_layers[((r - 1) * mlist[l - 1], e)])
                 deps.append(("v", (r - 1) * mlist[l - 1], e))
@@ -262,41 +267,14 @@ def build_expansion(spec: ProblemSpec, p: int, grids: ExpansionGrids) -> Expansi
                         boundary_layers, p_plus, tuple(log))
 
 
-def _spline_of(es: ExpansionSet, kind: str, key, x_nodes: np.ndarray,
-               values: np.ndarray) -> RectBivariateSpline:
-    tag = (kind, key)
-    sp = es._splines.get(tag)
-    if sp is None:
-        sp = RectBivariateSpline(x_nodes, es.grids.times, values, kx=3, ky=3, s=0)
-        es._splines[tag] = sp
-    return sp
-
-
-class _Pow:
-    """Integer powers of eps, computed once each so weights stay bit-stable."""
-
-    def __init__(self, eps: float):
-        self.eps = eps
-        self.cache: dict[int, float] = {}
-
-    def __getitem__(self, P: int) -> float:
-        v = self.cache.get(P)
-        if v is None:
-            v = self.eps ** int(P)
-            self.cache[P] = v
-        return v
-
-
-def _powers_of(es: ExpansionSet, eps: float) -> _Pow:
-    return _Pow(eps)
-
-
 def assemble_partial_sum(es: ExpansionSet, eps: float, grid: Grid) -> Field:
     """Evaluate the truncated series on an evaluation grid as a Field.
 
-    The vertex trace and the Dirichlet rows agree with the per-edge values
-    at grid nodes to roundoff by construction (shared time grid plus spline
-    restriction identities); this is a node contract, not a continuum one.
+    Each term's SeparableSpline, built once per ExpansionSet or LayerField,
+    interpolates in x, and in t only when grid.times() is not the
+    expansion's time array.  The vertex trace and the Dirichlet rows agree
+    with the per-edge values at grid nodes to roundoff by construction; this
+    is a node contract, not a continuum one.
     """
     spec = es.spec
     g = spec.graph
@@ -313,50 +291,39 @@ def assemble_partial_sum(es: ExpansionSet, eps: float, grid: Grid) -> Field:
             raise GraphConfigError(
                 f"eps={eps} too large: layers overlap across edge {e}")
     t_eval = grid.times()
-    ew = _powers_of(es, eps)
+    splines = es.term_splines
+
+    def g0_sum(e: int, x: np.ndarray) -> np.ndarray:
+        V = splines[("U", 0, 0, e)](x, t_eval)
+        for r, l in sorted(es.g0_corr):
+            V = V + eps ** (r * g.exponents[l]) * splines[("U", r, l, e)](x, t_eval)
+        return V
 
     edges: list[np.ndarray] = []
     for e in range(g.n_edges):
         x_eval = grid.x_nodes(e)
         if g.edges[e].subgraph == 0:
-            loc = es.g0_base.edge_ids.index(e)
-            xg = es.grids.g0.x_nodes(loc)
-            V = _spline_of(es, "U", (0, 0, e), xg, es.g0_base.edges[loc])(
-                x_eval, t_eval, grid=True)
-            for (r, l), fld in sorted(es.g0_corr.items()):
-                V = V + ew[r * g.exponents[l]] * _spline_of(
-                    es, "U", (r, l, e), xg, fld.edges[loc])(x_eval, t_eval, grid=True)
-        else:
-            i = g.edges[e].subgraph
-            m = g.exponents[i]
-            L = g.edges[e].length
-            V = np.zeros((len(x_eval), len(t_eval)))
-            for s in range(0, es.order + 1):
-                term = es.edge_terms[(s, e)]
-                if term.is_zero:
-                    continue
-                V = V + ew[s * m] * _spline_of(es, "u", (s, e), term.x_nodes,
-                                               term.values)(x_eval, t_eval, grid=True)
-            for P in es.layer_powers(e):
-                fld = es.vertex_layers[(P, e)]
-                V = V + ew[P] * sample_physical(fld, eps, m, L, x_eval, t_eval)
-            for s in range(0, es.order + 1):
-                fld = es.boundary_layers[(s, e)]
-                if fld.is_zero:
-                    continue
-                V = V + ew[s * m] * sample_physical(fld, eps, m, L, x_eval, t_eval,
-                                                    folded=True)
+            edges.append(g0_sum(e, x_eval))
+            continue
+        m = g.m(e)
+        L = g.edges[e].length
+        V = np.zeros((len(x_eval), len(t_eval)))
+        for s in range(0, es.order + 1):
+            if es.edge_terms[(s, e)].is_zero:
+                continue
+            V = V + eps ** (s * m) * splines[("u", s, e)](x_eval, t_eval)
+        for P in es.layer_powers(e):
+            fld = es.vertex_layers[(P, e)]
+            V = V + eps ** P * sample_physical(fld, eps, m, L, x_eval, t_eval)
+        for s in range(0, es.order + 1):
+            fld = es.boundary_layers[(s, e)]
+            if fld.is_zero:
+                continue
+            V = V + eps ** (s * m) * sample_physical(fld, eps, m, L, x_eval, t_eval,
+                                                     folded=True)
         edges.append(V)
 
-    loc0 = 0
-    e0 = es.g0_base.edge_ids[loc0]
-    xg = es.grids.g0.x_nodes(loc0)
-    sigma = _spline_of(es, "U", (0, 0, e0), xg, es.g0_base.edges[loc0])(
-        np.array([0.0]), t_eval, grid=True)[0]
-    for (r, l), fld in sorted(es.g0_corr.items()):
-        sigma = sigma + ew[r * g.exponents[l]] * _spline_of(
-            es, "U", (r, l, e0), xg, fld.edges[loc0])(
-                np.array([0.0]), t_eval, grid=True)[0]
+    sigma = g0_sum(es.g0_base.edge_ids[0], np.array([0.0]))[0]
     return Field(grid, edges, sigma)
 
 
@@ -384,21 +351,16 @@ def residuals(es: ExpansionSet, eps: float,
     """
     spec = es.spec
     g = spec.graph
-    ew = _powers_of(es, eps)
-
-    def stencil(u: np.ndarray, h: float, stride: int) -> np.ndarray:
-        i = stride
-        return (-3.0 * u[0, :] + 4.0 * u[i, :] - u[2 * i, :]) / (2.0 * h * stride)
 
     def flux_sum(stride: int) -> np.ndarray:
         nu = np.zeros(len(es.grids.times))
         g0grid = es.grids.g0
         for loc in range(len(es.g0_base.edges)):
             h = g0grid.h(loc)
-            nu = nu + stencil(es.g0_base.edges[loc], h, stride)
+            nu = nu + one_sided_diff(es.g0_base.edges[loc], h, stride)
             for (r, l), fld in es.g0_corr.items():
-                w = ew[r * g.exponents[l]]
-                nu = nu + w * stencil(fld.edges[loc], h, stride)
+                w = eps ** (r * g.exponents[l])
+                nu = nu + w * one_sided_diff(fld.edges[loc], h, stride)
         for e in g.gstar_edges():
             m = g.m(e)
             for s in range(0, es.order + 1):
@@ -406,12 +368,12 @@ def residuals(es: ExpansionSet, eps: float,
                 if term.is_zero:
                     continue
                 h = float(term.x_nodes[1] - term.x_nodes[0])
-                nu = nu + ew[2 * m] * ew[s * m] * stencil(term.values, h, stride)
+                nu = nu + eps ** (2 * m) * eps ** (s * m) * one_sided_diff(term.values, h, stride)
             for P in es.layer_powers(e):
                 fld = es.vertex_layers[(P, e)]
                 if fld.is_zero:
                     continue
-                nu = nu + ew[m] * ew[P] * boundary_flux(fld, stride=stride)
+                nu = nu + eps ** m * eps ** P * boundary_flux(fld, stride=stride)
         return nu
 
     nu = flux_sum(1)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import GraphConfigError
+from .errors import CompatibilityError, GraphConfigError
 from .expr import Expr
 
 __all__ = [
@@ -23,6 +23,7 @@ __all__ = [
     "b_eps",
     "check_compatibility_C1",
     "check_compatibility_C2",
+    "require_compatibility_C1",
     "restrict_to_g0",
 ]
 
@@ -191,6 +192,14 @@ def check_compatibility_C1(spec: ProblemSpec, tol: float = DEFAULT_C_TOL) -> Com
         s = sum(float(spec.phi[e].diff("x").evaluate(0.0, 0.0)) for e in g.edges_in(i))
         items.append(CompatibilityItem(f"flux_sum[G_{i}]", s, tol))
     return CompatibilityReport(tuple(items))
+
+
+def require_compatibility_C1(spec: ProblemSpec) -> None:
+    """Raise CompatibilityError naming every failed first-order condition."""
+    report = check_compatibility_C1(spec)
+    if not report.passed:
+        names = ", ".join(it.name for it in report.failures())
+        raise CompatibilityError(f"C1 compatibility failed: {names}")
 
 
 def check_compatibility_C2(spec: ProblemSpec, tol: float = DEFAULT_C_TOL) -> CompatibilityReport:

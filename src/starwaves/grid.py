@@ -4,6 +4,9 @@ All solvers on one graph share a single time step.  Expansion terms
 additionally share the exact time array (the same float values), which is
 what lets vertex traces of different term families cancel to roundoff when
 the partial sum is assembled.
+
+SeparableSpline moves terms to other grids: in x always, in t only where
+the time arrays differ (they match at every reference-configuration eps).
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.interpolate import BSpline, make_interp_spline
 
 from .errors import GraphConfigError, StabilityError
 from .graph import ProblemSpec, b_eps
@@ -24,11 +28,15 @@ __all__ = [
     "coarsen",
     "make_expansion_grids",
     "check_cfl",
+    "SeparableSpline",
+    "one_sided_diff",
+    "trapezoid_weights",
 ]
 
 MIN_CELLS = 8
 MIN_EXPANSION_CELLS = 200
 LAYER_MARGIN = 2.0
+SPLINE_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -176,3 +184,43 @@ def make_expansion_grids(spec: ProblemSpec, n_per_edge: int, cfl: float) -> Expa
     n_xi = math.ceil((spec.T + LAYER_MARGIN) / dt)
     layer = LayerGrid(n_xi, dt, steps)
     return ExpansionGrids(spec, g0_grid, g0_ids, u_nodes, layer, dt * np.arange(steps + 1))
+
+
+class SeparableSpline:
+    """Cubic not-a-knot interpolant on (x_nodes, t_nodes), one axis at a time.
+
+    The x factor is built once; the t factor is applied only when the
+    requested times differ from t_nodes.  FITPACK with s=0 uses the same
+    knots, so this is the 2-D interpolating spline up to roundoff.
+    """
+
+    def __init__(self, x_nodes: np.ndarray, t_nodes: np.ndarray,
+                 values: np.ndarray):
+        self.t_nodes = t_nodes
+        # solved a block of columns at a time: the solver copies its
+        # right-hand side twice, and whole-array copies would raise peak RSS
+        coef = np.empty_like(values)
+        for j in range(0, values.shape[1], SPLINE_BLOCK):
+            sp = make_interp_spline(x_nodes, values[:, j:j + SPLINE_BLOCK], k=3, axis=0)
+            coef[:, j:j + SPLINE_BLOCK] = sp.c
+        self.x_factor = BSpline(sp.t, coef, 3)
+
+    def __call__(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Values at every (x[i], t[j]), shape (len(x), len(t))."""
+        rows = self.x_factor(x)
+        if np.array_equal(t, self.t_nodes):
+            return rows
+        return make_interp_spline(self.t_nodes, rows, k=3, axis=1)(t)
+
+
+def one_sided_diff(u: np.ndarray, h: float, stride: int = 1,
+                   axis: int = 0) -> np.ndarray:
+    """One-sided (-3 u_0 + 4 u_s - u_2s) / (2 s h) along axis, s = stride."""
+    v = np.moveaxis(u, axis, 0)
+    return (-3.0 * v[0] + 4.0 * v[stride] - v[2 * stride]) / (2.0 * h * stride)
+
+
+def trapezoid_weights(n: int, h: float) -> np.ndarray:
+    w = np.full(n + 1, h)
+    w[0] = w[-1] = h / 2.0
+    return w

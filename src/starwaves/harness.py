@@ -19,7 +19,8 @@ from .direct import Field, direct_solve
 from .errors import ExprSyntaxError, GraphConfigError
 from .expr import Expr, Var, parse
 from .graph import Edge, ProblemSpec, StarGraph
-from .grid import Grid, coarsen, make_direct_grid, make_expansion_grids
+from .grid import (Grid, coarsen, make_direct_grid, make_expansion_grids,
+                   trapezoid_weights)
 from .expansion import (ExpansionSet, ResidualReport, assemble_partial_sum,
                         build_expansion, residuals)
 
@@ -52,26 +53,20 @@ class NormTriple:
     h1x: float
 
 
-def _weights(n: int, h: float) -> np.ndarray:
-    w = np.full(n + 1, h)
-    w[0] = w[-1] = h / 2.0
-    return w
-
-
 def norms(f1: Field, f2: Field) -> NormTriple:
     """Trapezoid-weighted discrete norms of f1 - f2 over all edges and time."""
     g1, g2 = f1.grid, f2.grid
     if (g1.lengths != g2.lengths or g1.n_cells != g2.n_cells
             or g1.dt != g2.dt or g1.steps != g2.steps):
         raise ValueError("fields live on different grids")
-    wt = _weights(g1.steps, g1.dt)
+    wt = trapezoid_weights(g1.steps, g1.dt)
     linf = 0.0
     l2sq = 0.0
     h1sq = 0.0
     for e in range(len(g1.lengths)):
         d = f1.edges[e] - f2.edges[e]
         h = g1.h(e)
-        wx = _weights(g1.n_cells[e], h)
+        wx = trapezoid_weights(g1.n_cells[e], h)
         linf = max(linf, float(np.max(np.abs(d))))
         l2sq += float(np.einsum("x,t,xt->", wx, wt, d * d))
         dx = np.gradient(d, h, axis=0, edge_order=2)
@@ -121,6 +116,13 @@ class ConvergenceReport:
     note: str = NORM_NOTE
 
 
+def _cached_ref(entry: tuple[Grid, Field], want: Grid, name: str) -> Field:
+    if entry[0] != want or entry[1].grid != want:
+        raise GraphConfigError(f"{name}: cached solve is on another grid "
+                               "than this sweep asks for")
+    return entry[1]
+
+
 def convergence_sweep(spec: ProblemSpec, p: int, epsilons: tuple[float, ...],
                       n_per_edge: int = 640, cfl: float = 0.9,
                       margin: float = 0.3, cache: dict | None = None,
@@ -131,6 +133,9 @@ def convergence_sweep(spec: ProblemSpec, p: int, epsilons: tuple[float, ...],
     measurement: if the direct solver's own error is not well below the
     smallest asymptotic error, the sweep is declared inconclusive and the
     pass flag stays false regardless of the fitted order.
+
+    Cached solves and a passed-in expansion must sit on the grids that
+    n_per_edge and cfl give; stale ones raise GraphConfigError.
     """
     eps_list = tuple(float(x) for x in epsilons)
     if len(eps_list) < 3:
@@ -142,35 +147,38 @@ def convergence_sweep(spec: ProblemSpec, p: int, epsilons: tuple[float, ...],
             "graph has no degenerate subgraph: there is no rate to verify")
     if cache is None:
         cache = {}
+    grids = make_expansion_grids(spec, n_per_edge, cfl)
     if expansion is None or expansion.order != p:
-        grids = make_expansion_grids(spec, n_per_edge, cfl)
         expansion = build_expansion(spec, p, grids)
+    elif expansion.grids.g0 != grids.g0 or expansion.grids.layer != grids.layer:
+        raise GraphConfigError(
+            f"expansion: built on other grids than n_per_edge={n_per_edge}, "
+            f"cfl={cfl} give")
 
     triples: list[NormTriple] = []
     res_reports: list[ResidualReport] = []
     for eps in eps_list:
+        grid = make_direct_grid(spec, eps, n_per_edge, cfl)
         got = cache.get(eps)
         if got is None:
-            grid = make_direct_grid(spec, eps, n_per_edge, cfl)
             ref = direct_solve(spec, eps, grid, cfl=cfl)
             cache[eps] = (grid, ref)
         else:
-            grid, ref = got
+            ref = _cached_ref(got, grid, f"cache[{eps}]")
         asm = assemble_partial_sum(expansion, eps, grid)
         triples.append(norms(ref, asm))
         res_reports.append(residuals(expansion, eps, assembled=asm))
 
     eps_min = eps_list[-1]
     key = (eps_min, "coarse")
+    grid_f, ref_f = cache[eps_min]
+    grid_c = coarsen(grid_f)
     got = cache.get(key)
     if got is None:
-        grid_f, ref_f = cache[eps_min]
-        grid_c = coarsen(grid_f)
         ref_c = direct_solve(spec, eps_min, grid_c, cfl=cfl)
         cache[key] = (grid_c, ref_c)
     else:
-        grid_c, ref_c = got
-        grid_f, ref_f = cache[eps_min]
+        ref_c = _cached_ref(got, grid_c, f"cache[{key}]")
     sub = Field(grid_c, [u[::2, ::2] for u in ref_f.edges], ref_f.sigma[::2])
     refine_est = norms(sub, ref_c).l2 / 3.0
     conclusive = refine_est <= 0.1 * min(t.l2 for t in triples)

@@ -13,15 +13,15 @@ powers of the Taylor sources sign-flipped by the caller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.interpolate import RectBivariateSpline
 
 from .errors import GraphConfigError
-from .grid import LayerGrid
+from .grid import LayerGrid, SeparableSpline, one_sided_diff
 from .kernels import dt_kernel, phi_entire
 
 __all__ = [
@@ -60,13 +60,10 @@ class LayerField:
     values: np.ndarray  # (n_xi + 1, steps + 1)
     grid: LayerGrid
     label: str = ""
-    _spline: RectBivariateSpline | None = field(default=None, repr=False)
 
-    def spline(self) -> RectBivariateSpline:
-        if self._spline is None:
-            self._spline = RectBivariateSpline(
-                self.grid.xi_nodes(), self.grid.times(), self.values, kx=3, ky=3, s=0)
-        return self._spline
+    @cached_property
+    def interp(self) -> SeparableSpline:
+        return SeparableSpline(self.grid.xi_nodes(), self.grid.times(), self.values)
 
     @property
     def is_zero(self) -> bool:
@@ -156,9 +153,7 @@ def boundary_flux(fld: LayerField, stride: int = 1) -> np.ndarray:
     """
     if fld.values.shape[0] < 2 * stride + 1:
         raise ValueError("need at least 3 spatial nodes")
-    v = fld.values
-    return ((-3.0 * v[0, :] + 4.0 * v[stride, :] - v[2 * stride, :])
-            / (2.0 * fld.grid.dt * stride))
+    return one_sided_diff(fld.values, fld.grid.dt, stride)
 
 
 def qp_oracle_below_characteristic(theta: float, alpha: Callable[[float], float],
@@ -197,10 +192,8 @@ def evaluate_physical(fld: LayerField, eps: float, m: int, edge_length: float,
     """
     if not (0.0 <= tau <= edge_length):
         raise ValueError(f"tau={tau} outside [0, {edge_length}]")
-    xi = (edge_length - tau if folded else tau) / eps ** m
-    if xi > fld.grid.L:
-        return 0.0
-    return float(fld.spline()(xi, t, grid=False))
+    return float(sample_physical(fld, eps, m, edge_length, np.array([tau]),
+                                 np.array([t]), folded)[0, 0])
 
 
 def sample_physical(fld: LayerField, eps: float, m: int, edge_length: float,
@@ -211,13 +204,6 @@ def sample_physical(fld: LayerField, eps: float, m: int, edge_length: float,
     xi = (edge_length - taus if folded else taus) / eps ** m
     out = np.zeros((len(taus), len(times)))
     inside = xi <= fld.grid.L
-    if not inside.any():
-        return out
-    xin = xi[inside]
-    if folded:
-        # spline evaluation wants ascending coordinates
-        vals = fld.spline()(xin[::-1], times, grid=True)[::-1]
-    else:
-        vals = fld.spline()(xin, times, grid=True)
-    out[inside] = vals
+    if inside.any():
+        out[inside] = fld.interp(xi[inside], times)
     return out

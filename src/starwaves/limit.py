@@ -25,7 +25,6 @@ __all__ = [
     "solve_g0",
     "solve_degenerate_edge",
     "solve_cauchy_recursive",
-    "vertex_trace",
     "simpson_weights",
 ]
 
@@ -65,11 +64,6 @@ def solve_g0(prob: G0Problem, grid: Grid, cfl: float = 1.0, check: bool = True,
     if edge_ids:
         fld.edge_ids = edge_ids
     return fld
-
-
-def vertex_trace(fld: Field) -> np.ndarray:
-    """Restriction of the field to the central vertex (the shared array)."""
-    return fld.sigma
 
 
 @dataclass

@@ -2,6 +2,9 @@
 
 from pathlib import Path
 
+import numpy as np
+from scipy.interpolate import RectBivariateSpline
+
 from starwaves.expr import parse
 from starwaves.graph import Edge, ProblemSpec, StarGraph
 
@@ -31,3 +34,16 @@ def two_edge_g0_spec(q="0", f="0", phi="0", psi="0", mu="0", T=1.5) -> ProblemSp
     g = StarGraph((Edge(1.0, 0), Edge(1.0, 0)), (0,))
     return ProblemSpec(g, (parse(q),) * 2, (parse(f),) * 2, (parse(phi),) * 2,
                        (parse(psi),) * 2, (parse(mu),) * 2, T)
+
+
+def spline_oracle(x_nodes, t_nodes, values, x, t):
+    """2-D cubic interpolating spline (FITPACK, s=0) at every (x[i], t[j]).
+
+    x may come in any order; FITPACK wants it ascending.
+    """
+    sp = RectBivariateSpline(x_nodes, t_nodes, values, kx=3, ky=3, s=0)
+    x = np.asarray(x, dtype=float)
+    order = np.argsort(x)
+    out = np.empty((len(x), len(t)))
+    out[order] = sp(x[order], t, grid=True)
+    return out

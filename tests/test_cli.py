@@ -143,3 +143,16 @@ def test_usage_errors():
     assert "usage" in r.stderr
     r = run_cli("solve", "whatever.json")  # --eps is required
     assert r.returncode == 2
+
+
+@pytest.mark.parametrize("cmd", [("solve", "--eps", "0.1"), ("expand",),
+                                 ("verify",)])
+def test_compatibility_failure_exit_code(tmp_path, cmd):
+    # one C1 failure, one exception type and one exit code in every
+    # subcommand that refuses incompatible data
+    cfg = json.loads(REFERENCE_CONFIG.read_text())
+    cfg["mu"][0] = "0.5"
+    r = run_cli(cmd[0], write_cfg(tmp_path, cfg), *cmd[1:],
+                "--out", str(tmp_path / "out"))
+    assert r.returncode == 2
+    assert "config error: C1 compatibility failed: value_match[a_0]" in r.stderr

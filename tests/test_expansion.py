@@ -12,7 +12,7 @@ from starwaves.grid import Grid, make_direct_grid, make_expansion_grids
 from starwaves.layers import QuarterPlaneProblem, boundary_flux, qp_solve
 from starwaves.limit import G0Problem, solve_degenerate_edge, solve_g0
 
-from .helpers import star_spec, two_edge_g0_spec
+from .helpers import spline_oracle, star_spec, two_edge_g0_spec
 
 
 def test_lambda_set_examples():
@@ -171,10 +171,57 @@ def test_assembled_node_contracts():
             spec.mu[e].evaluate(0.0, grid.times()), dtype=float),
             fld.sigma.shape)
         assert np.max(np.abs(fld.edges[e][-1, :] - mu)) <= 1e-12
-    # the spline cache must not change values on a second pass
+    # the interpolant cache must not change values on a second pass
     again = assemble_partial_sum(es, 0.3, grid)
     for e in range(3):
         assert np.array_equal(fld.edges[e], again.edges[e])
+
+
+def test_assembly_matches_2d_spline_oracle():
+    # below MIN_EXPANSION_CELLS the direct grid has its own time steps, so
+    # every term passes through both interpolation factors; the oracle
+    # evaluates each term with the 2-D interpolating spline instead
+    spec = star_spec()
+    grids = make_expansion_grids(spec, 64, 0.9)
+    es = build_expansion(spec, 1, grids)
+    eps = 0.3
+    grid = make_direct_grid(spec, eps, 64, 0.9)
+    t, tn = grid.times(), grids.times
+    assert not np.array_equal(t, tn)
+    fld = assemble_partial_sum(es, eps, grid)
+    g = spec.graph
+
+    def g0_oracle(e, x):
+        loc = es.g0_base.edge_ids.index(e)
+        xg = grids.g0.x_nodes(loc)
+        out = spline_oracle(xg, tn, es.g0_base.edges[loc], x, t)
+        for (r, l), U in es.g0_corr.items():
+            out += eps ** (r * g.exponents[l]) * spline_oracle(
+                xg, tn, U.edges[loc], x, t)
+        return out
+
+    for e in range(g.n_edges):
+        x = grid.x_nodes(e)
+        if g.edges[e].subgraph == 0:
+            want = g0_oracle(e, x)
+        else:
+            m, L = g.m(e), g.edges[e].length
+            want = np.zeros((len(x), len(t)))
+            for (s, ee), u in es.edge_terms.items():
+                if ee == e:
+                    want += eps ** (s * m) * spline_oracle(u.x_nodes, tn,
+                                                           u.values, x, t)
+            layers = [(P, x / eps ** m, v) for (P, ee), v
+                      in es.vertex_layers.items() if ee == e]
+            layers += [(s * m, (L - x) / eps ** m, w) for (s, ee), w
+                       in es.boundary_layers.items() if ee == e]
+            for P, xi, v in layers:
+                inside = xi <= grids.layer.L
+                want[inside] += eps ** P * spline_oracle(
+                    grids.layer.xi_nodes(), tn, v.values, xi[inside], t)
+        assert np.max(np.abs(fld.edges[e] - want)) <= 1e-12
+    want = g0_oracle(es.g0_base.edge_ids[0], np.array([0.0]))[0]
+    assert np.max(np.abs(fld.sigma - want)) <= 1e-12
 
 
 def test_assemble_guards():

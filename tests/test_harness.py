@@ -7,8 +7,8 @@ import pytest
 
 from starwaves.direct import Field, direct_solve
 from starwaves.errors import GraphConfigError
-from starwaves.expansion import ResidualReport
-from starwaves.grid import Grid, make_direct_grid
+from starwaves.expansion import ResidualReport, build_expansion
+from starwaves.grid import Grid, make_direct_grid, make_expansion_grids
 from starwaves.harness import (NORM_NOTE, ConvergenceReport, NormTriple,
                                convergence_sweep, fit_order, load_config,
                                norms, validate_config, write_field_csvs,
@@ -106,10 +106,10 @@ def test_sweep_input_validation():
         convergence_sweep(flat, 0, (0.4, 0.2, 0.1))
 
 
-def small_sweep(cache=None):
+def small_sweep(cache=None, n_per_edge=48, cfl=0.9, expansion=None):
     spec = star_spec(exponents=(0, 1), subgraphs=(0, 1, 1))
-    return convergence_sweep(spec, 0, (0.6, 0.45, 0.3), n_per_edge=48,
-                             cfl=0.9, cache=cache)
+    return convergence_sweep(spec, 0, (0.6, 0.45, 0.3), n_per_edge=n_per_edge,
+                             cfl=cfl, cache=cache, expansion=expansion)
 
 
 def test_sweep_report_structure_and_determinism(tmp_path):
@@ -139,6 +139,28 @@ def test_sweep_cache_reuse():
     rep2 = small_sweep(cache)
     assert rep1.errors == rep2.errors
     assert rep1.refine_estimate == rep2.refine_estimate
+
+
+def test_sweep_rejects_stale_cache():
+    # the cache is keyed by eps only; entries solved on another grid must
+    # not be reused
+    cache: dict = {}
+    small_sweep(cache)
+    with pytest.raises(GraphConfigError, match=r"cache\[0.6\].*another grid"):
+        small_sweep(cache, n_per_edge=64)
+    coarse = cache[(0.3, "coarse")]
+    cache[(0.3, "coarse")] = cache[0.45]
+    with pytest.raises(GraphConfigError, match="coarse.*another grid"):
+        small_sweep(cache)
+    cache[(0.3, "coarse")] = coarse
+    small_sweep(cache)
+
+
+def test_sweep_rejects_expansion_on_other_grids():
+    spec = star_spec(exponents=(0, 1), subgraphs=(0, 1, 1))
+    es = build_expansion(spec, 0, make_expansion_grids(spec, 48, 0.8))
+    with pytest.raises(GraphConfigError, match="expansion: built on other grids"):
+        small_sweep(expansion=es)
 
 
 def synthetic_report() -> ConvergenceReport:

@@ -7,6 +7,8 @@ from starwaves.layers import (LayerField, QuarterPlaneProblem, boundary_flux,
                               evaluate_physical, qp_oracle_below_characteristic,
                               qp_solve, sample_physical)
 
+from .helpers import spline_oracle
+
 
 def wave_grid(dt: float, T: float, pad: float = 2.0) -> LayerGrid:
     steps = round(T / dt)
@@ -146,11 +148,12 @@ def test_scheme_matches_oracle_initial_mode():
     xi = grid.xi_nodes()
     fld = qp_solve(QuarterPlaneProblem(theta, None), grid,
                    initial=(np.sin(xi), 0.5 * np.cos(xi)))
-    sp = fld.spline()
     for s, t in [(1.0, 0.25), (2.0, 0.5), (3.0, 0.4)]:
         want = qp_oracle_below_characteristic(
             theta, np.sin, lambda y: 0.5 * np.cos(y), s, t)
-        assert float(sp(s, t, grid=False)) == pytest.approx(want, abs=1e-4)
+        # m = 0 makes the fast coordinate the arclength itself
+        got = evaluate_physical(fld, 0.5, 0, grid.L, s, t)
+        assert got == pytest.approx(want, abs=1e-4)
 
 
 def analytic_field() -> LayerField:
@@ -192,3 +195,25 @@ def test_sample_physical_all_outside():
     got = sample_physical(fld, 0.5, 2, 8.0, np.array([7.5, 8.0]),
                           np.array([0.5]), folded=False)
     assert np.array_equal(got, np.zeros((2, 1)))
+
+
+@pytest.mark.parametrize("folded", [False, True])
+@pytest.mark.parametrize("axis", ["shared", "differing"])
+def test_sample_physical_matches_2d_spline_oracle(folded, axis):
+    # a solved layer, sampled the way assembly samples it; the 2-D
+    # interpolating spline is the oracle for the separable evaluation
+    grid = wave_grid(0.02, 2.0)
+    g = np.sin(grid.times()) ** 2
+    fld = qp_solve(QuarterPlaneProblem(theta=2.0, trace=g), grid)
+    eps, m, length = 0.5, 1, 3.0
+    taus = np.linspace(0.0, length, 97)
+    times = grid.times() if axis == "shared" else np.linspace(0.0, 2.0, 37)
+    got = sample_physical(fld, eps, m, length, taus, times, folded=folded)
+    xi = (length - taus if folded else taus) / eps ** m
+    inside = xi <= grid.L
+    assert 0 < inside.sum() < len(taus)
+    want = np.zeros_like(got)
+    want[inside] = spline_oracle(grid.xi_nodes(), grid.times(), fld.values,
+                                 xi[inside], times)
+    assert np.max(np.abs(got - want)) <= 1e-12
+    assert np.max(np.abs(got)) > 0.1

@@ -7,7 +7,7 @@ from starwaves.expr import parse
 from starwaves.grid import make_direct_grid
 from starwaves.limit import (EdgeODESolution, G0Problem, simpson_weights,
                              solve_cauchy_recursive, solve_degenerate_edge,
-                             solve_g0, vertex_trace)
+                             solve_g0)
 
 from .helpers import two_edge_g0_spec
 
@@ -92,7 +92,7 @@ def test_g0_matches_direct_on_undegenerate_graph():
     g0 = solve_g0(G0Problem(spec, None), grid, cfl=0.9)
     for a, b in zip(ref.edges, g0.edges):
         assert np.array_equal(a, b)
-    assert np.array_equal(vertex_trace(g0), ref.sigma)
+    assert np.array_equal(g0.sigma, ref.sigma)
 
 
 def test_g0_kirchhoff_source_closed_form():
