@@ -16,17 +16,26 @@ import numpy as np
 from .direct import direct_solve
 from .errors import (ExpansionOrderError, ExprDomainError, ExprSyntaxError,
                      GraphConfigError, KernelRangeError, StabilityError)
-from .expansion import build_expansion
+from .expansion import ExpansionSet, build_expansion
 from .graph import check_compatibility_C1, check_compatibility_C2
 from .grid import make_direct_grid, make_expansion_grids
-from .harness import (NORM_NOTE, convergence_sweep, load_config,
-                      validate_config, write_field_csvs, write_plot_csv,
-                      write_report_csv, write_residuals_csv, write_trace_csv)
+from .harness import (NORM_NOTE, RunConfig, convergence_sweep, load_config,
+                      validate_config, write_field_csvs, write_grid_csv,
+                      write_plot_csv, write_report_csv, write_residuals_csv,
+                      write_trace_csv)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+
+
+def _run_config(args) -> RunConfig:
+    """The validated config, with a --p override checked like the config's p."""
+    cfg = load_config(args.config)
+    if args.p is not None:
+        cfg["p"] = args.p
+    return validate_config(cfg)
 
 
 def _cmd_check(args) -> int:
@@ -58,60 +67,45 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _term_csv(path: Path, x: np.ndarray, t: np.ndarray, u: np.ndarray,
-              xname: str) -> None:
-    sx = max(1, -((len(x) - 1) // -256))
-    st = max(1, -((len(t) - 1) // -256))
-    xs, ts, us = x[::sx], t[::st], u[::sx, ::st]
-    col_x = np.repeat(xs, len(ts))
-    col_t = np.tile(ts, len(xs))
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"{xname},t,value\n")
-        np.savetxt(fh, np.column_stack([col_x, col_t, us.ravel()]),
-                   fmt="%.17g", delimiter=",", newline="\n")
+def _term_tables(es: ExpansionSet) -> list[tuple[str, np.ndarray, np.ndarray, str]]:
+    """(file name, x nodes, values, x column name) for every series term."""
+    g0x = es.grids.g0.x_nodes
+    tables = [(f"term_U_s0_edge{e}.csv", g0x(loc), es.g0_base.edges[loc], "x")
+              for loc, e in enumerate(es.g0_base.edge_ids)]
+    for (r, l), fld in sorted(es.g0_corr.items()):
+        tables += [(f"term_U_s{r}_sub{l}_edge{e}.csv", g0x(loc), fld.edges[loc], "x")
+                   for loc, e in enumerate(fld.edge_ids)]
+    tables += [(f"term_u_s{s}_edge{e}.csv", term.x_nodes, term.values, "x")
+               for (s, e), term in sorted(es.edge_terms.items())]
+    tables += [(f"term_v_P{P}_edge{e}.csv", fld.grid.xi_nodes(), fld.values, "xi")
+               for (P, e), fld in sorted(es.vertex_layers.items())]
+    tables += [(f"term_w_s{s}_edge{e}.csv", fld.grid.xi_nodes(), fld.values, "xi")
+               for (s, e), fld in sorted(es.boundary_layers.items())]
+    return tables
 
 
 def _cmd_expand(args) -> int:
-    rc = validate_config(load_config(args.config))
-    p = rc.p if args.p is None else args.p
+    rc = _run_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     grids = make_expansion_grids(rc.spec, rc.n_per_edge, rc.cfl)
-    es = build_expansion(rc.spec, p, grids)
+    es = build_expansion(rc.spec, rc.p, grids)
     t = grids.times
-    n = 0
-    for loc, e in enumerate(es.g0_base.edge_ids):
-        _term_csv(out / f"term_U_s0_edge{e}.csv", grids.g0.x_nodes(loc), t,
-                  es.g0_base.edges[loc], "x")
-        n += 1
-    for (r, l), fld in sorted(es.g0_corr.items()):
-        for loc, e in enumerate(fld.edge_ids):
-            _term_csv(out / f"term_U_s{r}_sub{l}_edge{e}.csv",
-                      grids.g0.x_nodes(loc), t, fld.edges[loc], "x")
-            n += 1
-    for (s, e), term in sorted(es.edge_terms.items()):
-        _term_csv(out / f"term_u_s{s}_edge{e}.csv", term.x_nodes, t,
-                  term.values, "x")
-        n += 1
-    for (P, e), fld in sorted(es.vertex_layers.items()):
-        _term_csv(out / f"term_v_P{P}_edge{e}.csv", fld.grid.xi_nodes(), t,
-                  fld.values, "xi")
-        n += 1
-    for (s, e), fld in sorted(es.boundary_layers.items()):
-        _term_csv(out / f"term_w_s{s}_edge{e}.csv", fld.grid.xi_nodes(), t,
-                  fld.values, "xi")
-        n += 1
-    print(f"wrote {n} term CSVs to {out} (decimated to <=257 samples per axis)")
+    st = max(1, -((len(t) - 1) // -256))
+    tables = _term_tables(es)
+    for name, x, u, xname in tables:
+        sx = max(1, -((len(x) - 1) // -256))
+        write_grid_csv(out / name, f"{xname},t,value", x[::sx], t[::st], u[::sx, ::st])
+    print(f"wrote {len(tables)} term CSVs to {out} (decimated to <=257 samples per axis)")
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    rc = validate_config(load_config(args.config))
-    p = rc.p if args.p is None else args.p
+    rc = _run_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     print(f"note: {NORM_NOTE}")
-    rep = convergence_sweep(rc.spec, p, rc.epsilons, rc.n_per_edge, rc.cfl,
+    rep = convergence_sweep(rc.spec, rc.p, rc.epsilons, rc.n_per_edge, rc.cfl,
                             rc.margin)
     write_report_csv(out / "report.csv", rep)
     write_residuals_csv(out / "residuals.csv", rep.residual_reports)

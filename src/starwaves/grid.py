@@ -199,7 +199,7 @@ class SeparableSpline:
         self.t_nodes = t_nodes
         # solved a block of columns at a time: the solver copies its
         # right-hand side twice, and whole-array copies would raise peak RSS
-        coef = np.empty_like(values)
+        coef = np.empty(values.shape)
         for j in range(0, values.shape[1], SPLINE_BLOCK):
             sp = make_interp_spline(x_nodes, values[:, j:j + SPLINE_BLOCK], k=3, axis=0)
             coef[:, j:j + SPLINE_BLOCK] = sp.c

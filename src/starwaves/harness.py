@@ -21,8 +21,8 @@ from .expr import Expr, Var, parse
 from .graph import Edge, ProblemSpec, StarGraph
 from .grid import (Grid, coarsen, make_direct_grid, make_expansion_grids,
                    trapezoid_weights)
-from .expansion import (ExpansionSet, ResidualReport, assemble_partial_sum,
-                        build_expansion, residuals)
+from .expansion import (MAX_ORDER, ExpansionSet, ResidualReport,
+                        assemble_partial_sum, build_expansion, residuals)
 
 __all__ = [
     "NormTriple",
@@ -36,6 +36,7 @@ __all__ = [
     "validate_config",
     "write_report_csv",
     "write_residuals_csv",
+    "write_grid_csv",
     "write_field_csvs",
     "write_trace_csv",
     "write_plot_csv",
@@ -339,8 +340,8 @@ def validate_config(cfg: dict) -> RunConfig:
         eps.append(float(x))
 
     p = _int(cfg, "p", "", required=False, default=1)
-    if p < 0:
-        raise GraphConfigError("p: must be >= 0")
+    if not (0 <= p <= MAX_ORDER):
+        raise GraphConfigError(f"p: must be >= 0 and <= {MAX_ORDER}")
     grid_d = cfg.get("grid", {})
     if not isinstance(grid_d, dict):
         raise GraphConfigError("grid: expected an object")
@@ -390,20 +391,29 @@ def write_residuals_csv(path: str | Path, reports: tuple[ResidualReport, ...]) -
     _write_lines(Path(path), lines)
 
 
+def write_grid_csv(path: str | Path, header: str, x: np.ndarray,
+                   t: np.ndarray, u: np.ndarray) -> None:
+    """One row per node, x-major: ``x,t,u[i, j]``, every number as %.17g.
+
+    The bytes are those of np.savetxt(fmt="%.17g", delimiter=",") on the
+    stacked columns.  Each t is formatted once into a row template whose
+    value slots are filled by one %-operation per x row.
+    """
+    cells = [("%.17g," % v) + "%.17g\n" for v in t.tolist()]
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header + "\n")
+        for xv, row in zip(x.tolist(), u.tolist()):
+            xs = "%.17g," % xv
+            fh.write((xs + xs.join(cells)) % tuple(row))
+
+
 def write_field_csvs(outdir: str | Path, fld: Field) -> list[Path]:
     outdir = Path(outdir)
     paths = []
     times = fld.grid.times()
     for e in range(len(fld.grid.lengths)):
-        x = fld.grid.x_nodes(e)
-        u = fld.edges[e]
-        tau = np.repeat(x, len(times))
-        tt = np.tile(times, len(x))
-        data = np.column_stack([tau, tt, u.ravel()])
         path = outdir / f"field_{e}.csv"
-        with open(path, "w", newline="\n") as fh:
-            fh.write("tau,t,u\n")
-            np.savetxt(fh, data, fmt="%.17g", delimiter=",", newline="\n")
+        write_grid_csv(path, "tau,t,u", fld.grid.x_nodes(e), times, fld.edges[e])
         paths.append(path)
     return paths
 

@@ -6,6 +6,10 @@ buys two exact properties: the zero-order-free scheme reproduces
 d'Alembert solutions to roundoff, and the numerical support never runs
 ahead of the physical front, so values stay identically zero for xi > t.
 
+The same support bounds the work: the march is time-major and each step
+updates only the nodes that can be nonzero yet (see qp_solve), which gives
+the full-width march to the bit.  Storage is still the full rectangle.
+
 Both layer families use this module; the family attached to the far
 vertices is solved in the folded coordinate xi = -z >= 0, with the odd
 powers of the Taylor sources sign-flipped by the caller.
@@ -71,10 +75,11 @@ class LayerField:
 
 
 def _source_matrix(prob: QuarterPlaneProblem, grid: LayerGrid) -> np.ndarray | None:
+    """sum_r c_r xi^r rho_r, time-major: shape (steps + 1, n_xi + 1)."""
     if not prob.sources:
         return None
     xi = grid.xi_nodes()
-    S = np.zeros((grid.n_xi + 1, grid.steps + 1))
+    S = np.zeros((grid.steps + 1, grid.n_xi + 1))
     for c, r, rho in prob.sources:
         if rho.grid is not grid and (rho.grid.n_xi != grid.n_xi
                                      or rho.grid.dt != grid.dt
@@ -84,8 +89,15 @@ def _source_matrix(prob: QuarterPlaneProblem, grid: LayerGrid) -> np.ndarray | N
             raise GraphConfigError("Taylor source powers start at 1")
         if c == 0.0 or rho.is_zero:
             continue
-        S += (c * xi ** r)[:, None] * rho.values
+        S += (c * xi ** r) * rho.values.T
     return S if S.any() else None
+
+
+def _last_nonzero(rows: np.ndarray) -> np.ndarray:
+    """Index of the last nonzero entry of each row, 0 for an all-zero row."""
+    nz = rows != 0.0
+    last = rows.shape[1] - 1 - np.argmax(nz[:, ::-1], axis=1)
+    return np.where(nz.any(axis=1), last, 0)
 
 
 def qp_solve(prob: QuarterPlaneProblem, grid: LayerGrid,
@@ -99,6 +111,16 @@ def qp_solve(prob: QuarterPlaneProblem, grid: LayerGrid,
     without shrinking the step; a negative part stays explicit (growth is
     then physical).
 
+    The march runs time-major, in a (steps + 1, n_xi + 1) array whose rows
+    are time levels, so every step reads and writes contiguous memory.  A
+    step updates only the nodes 1..reach.  reach starts at the last nonzero
+    node of the two start levels and grows by at least one node per step,
+    and to the last nonzero node of the step's source; it never shrinks.
+    Every node past it has zero neighbours and zero source, so the full
+    update would write +0.0 there, which the array already holds: the result
+    is the full-width march to the bit.  values is the transposed view,
+    (n_xi + 1, steps + 1) like every other layer array.
+
     initial is a test-only mode: rows (v(., 0), v_t(., 0)) for comparison
     against the integral-representation oracle.
     """
@@ -106,7 +128,7 @@ def qp_solve(prob: QuarterPlaneProblem, grid: LayerGrid,
         raise GraphConfigError("layer grid too short: support could reach the far end")
     n, M = grid.n_xi, grid.steps
     dt = grid.dt
-    V = np.zeros((n + 1, M + 1))
+    W = np.zeros((M + 1, n + 1))
     g = prob.trace
     if g is not None:
         g = np.asarray(g, dtype=float)
@@ -123,27 +145,31 @@ def qp_solve(prob: QuarterPlaneProblem, grid: LayerGrid,
 
     if initial is not None:
         alpha, beta = (np.asarray(r, dtype=float) for r in initial)
-        V[:, 0] = alpha
+        W[0] = alpha
         lap = np.zeros_like(alpha)
         lap[1:-1] = (alpha[2:] - 2.0 * alpha[1:-1] + alpha[:-2]) / (dt * dt)
-        s0 = S[:, 0] if S is not None else 0.0
-        V[1:-1, 1] = (alpha + dt * beta + 0.5 * dt * dt * (
+        s0 = S[0] if S is not None else 0.0
+        W[1, 1:-1] = (alpha + dt * beta + 0.5 * dt * dt * (
             lap - prob.theta * alpha + s0))[1:-1]
     elif S is not None:
-        V[1:-1, 1] = 0.5 * dt * dt * S[1:-1, 0]
+        W[1, 1:-1] = 0.5 * dt * dt * S[0, 1:-1]
     if g is not None:
-        V[0, 0] = g[0]
-        V[0, 1] = g[1]
+        W[0, 0] = g[0]
+        W[1, 0] = g[1]
 
+    reach = int(_last_nonzero(W[:2]).max())
+    src_reach = _last_nonzero(S).tolist() if S is not None else [0] * (M + 1)
     for m in range(1, M):
-        rhs = V[2:, m] + V[:-2, m] - (1.0 + a) * V[1:-1, m - 1] \
-            - dt * dt * th_m * V[1:-1, m]
+        reach = min(max(reach + 1, src_reach[m]), n - 1)
+        k = reach + 1
+        rhs = W[m, 2:k + 1] + W[m, :k - 1] - (1.0 + a) * W[m - 1, 1:k] \
+            - dt * dt * th_m * W[m, 1:k]
         if S is not None:
-            rhs = rhs + dt * dt * S[1:-1, m]
-        V[1:-1, m + 1] = rhs / (1.0 + a)
+            rhs = rhs + dt * dt * S[m, 1:k]
+        W[m + 1, 1:k] = rhs / (1.0 + a)
         if g is not None:
-            V[0, m + 1] = g[m + 1]
-    return LayerField(V, grid, prob.label)
+            W[m + 1, 0] = g[m + 1]
+    return LayerField(W.T, grid, prob.label)
 
 
 def boundary_flux(fld: LayerField, stride: int = 1) -> np.ndarray:

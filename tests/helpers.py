@@ -47,3 +47,56 @@ def spline_oracle(x_nodes, t_nodes, values, x, t):
     out = np.empty((len(x), len(t)))
     out[order] = sp(x[order], t, grid=True)
     return out
+
+
+def qp_march_reference(prob, grid, initial=None):
+    """Full-width, x-major leapfrog: the reference for layers.qp_solve.
+
+    Same scheme and the same floating-point expressions, node for node, but
+    every step updates every interior node of a (n_xi + 1, steps + 1)
+    array.  Input checks are left to qp_solve.
+    """
+    n, M, dt = grid.n_xi, grid.steps, grid.dt
+    xi = grid.xi_nodes()
+    S = np.zeros((n + 1, M + 1))
+    for c, r, rho in prob.sources:
+        if c != 0.0 and rho.values.any():
+            S += (c * xi ** r)[:, None] * rho.values
+    if not S.any():
+        S = None
+    g = None if prob.trace is None else np.asarray(prob.trace, dtype=float)
+    th_p = max(prob.theta, 0.0)
+    th_m = min(prob.theta, 0.0)
+    a = 0.5 * dt * dt * th_p
+    V = np.zeros((n + 1, M + 1))
+    if initial is not None:
+        alpha, beta = (np.asarray(r, dtype=float) for r in initial)
+        V[:, 0] = alpha
+        lap = np.zeros_like(alpha)
+        lap[1:-1] = (alpha[2:] - 2.0 * alpha[1:-1] + alpha[:-2]) / (dt * dt)
+        s0 = S[:, 0] if S is not None else 0.0
+        V[1:-1, 1] = (alpha + dt * beta + 0.5 * dt * dt * (
+            lap - prob.theta * alpha + s0))[1:-1]
+    elif S is not None:
+        V[1:-1, 1] = 0.5 * dt * dt * S[1:-1, 0]
+    if g is not None:
+        V[0, 0] = g[0]
+        V[0, 1] = g[1]
+    for m in range(1, M):
+        rhs = V[2:, m] + V[:-2, m] - (1.0 + a) * V[1:-1, m - 1] \
+            - dt * dt * th_m * V[1:-1, m]
+        if S is not None:
+            rhs = rhs + dt * dt * S[1:-1, m]
+        V[1:-1, m + 1] = rhs / (1.0 + a)
+        if g is not None:
+            V[0, m + 1] = g[m + 1]
+    return V
+
+
+def savetxt_grid_csv(path, header, x, t, u):
+    """The grid CSV as np.savetxt writes it: the byte reference for
+    harness.write_grid_csv."""
+    data = np.column_stack([np.repeat(x, len(t)), np.tile(t, len(x)), u.ravel()])
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header + "\n")
+        np.savetxt(fh, data, fmt="%.17g", delimiter=",", newline="\n")

@@ -104,8 +104,21 @@ def test_expand_writes_terms(tmp_path):
 def test_expand_order_too_high(tmp_path):
     cfg = write_cfg(tmp_path, small_cfg())
     r = run_cli("expand", cfg, "--p", "9", "--out", str(tmp_path))
-    assert r.returncode == 3
-    assert "numerical failure" in r.stderr
+    assert r.returncode == 2
+    assert "config error" in r.stderr
+
+
+@pytest.mark.parametrize("cmd", ["expand", "verify"])
+@pytest.mark.parametrize("flag,p", [(True, -1), (False, 7)])
+def test_order_out_of_range_exit_code(tmp_path, cmd, flag, p):
+    # one check of the order, whether it comes from --p or from the config
+    cfg = json.loads(REFERENCE_CONFIG.read_text())
+    if not flag:
+        cfg["p"] = p
+    r = run_cli(cmd, write_cfg(tmp_path, cfg), *(["--p", str(p)] if flag else []),
+                "--out", str(tmp_path / "out"))
+    assert r.returncode == 2
+    assert "config error: p: must be >= 0 and <= 4" in r.stderr
 
 
 def test_verify_small_sweep(tmp_path):

@@ -12,10 +12,11 @@ from starwaves.grid import Grid, make_direct_grid, make_expansion_grids
 from starwaves.harness import (NORM_NOTE, ConvergenceReport, NormTriple,
                                convergence_sweep, fit_order, load_config,
                                norms, validate_config, write_field_csvs,
-                               write_plot_csv, write_report_csv,
+                               write_grid_csv, write_plot_csv, write_report_csv,
                                write_residuals_csv, write_trace_csv)
 
-from .helpers import REFERENCE_CONFIG, star_spec, two_edge_g0_spec
+from .helpers import (REFERENCE_CONFIG, savetxt_grid_csv, star_spec,
+                      two_edge_g0_spec)
 
 
 def flat_field(lengths, n, dt, steps, value=0.0):
@@ -215,6 +216,39 @@ def test_field_and_trace_csvs(tmp_path):
     assert len(tl) == grid.steps + 2
 
 
+def test_grid_csv_matches_savetxt_bytes(tmp_path):
+    # a layer-sized array decimated the way expand writes it, with values
+    # whose %.17g forms are unusual
+    rng = np.random.default_rng(3)
+    x = np.linspace(0.0, 4.5, 1070)
+    t = np.linspace(0.0, 1.5, 2494)
+    u = rng.standard_normal((len(x), len(t)))
+    u *= 10.0 ** rng.integers(-300, 300, u.shape)
+    special = [-0.0, 5e-324, 1.0, 1e300, np.nan, -np.inf]
+    u[0, 0:60:10] = special
+    u[:, 70] = 0.0
+    xs, ts, us = x[::5], t[::10], u[::5, ::10]
+    write_grid_csv(tmp_path / "new.csv", "xi,t,value", xs, ts, us)
+    savetxt_grid_csv(tmp_path / "old.csv", "xi,t,value", xs, ts, us)
+    got = (tmp_path / "new.csv").read_bytes()
+    assert got == (tmp_path / "old.csv").read_bytes()
+    lines = got.split(b"\n")
+    assert lines[:2] == [b"xi,t,value", b"0,0,-0"]
+    np.testing.assert_array_equal([float(ln.split(b",")[2]) for ln in lines[1:7]],
+                                  special)
+
+
+def test_field_csv_matches_savetxt_bytes(tmp_path):
+    # a full direct-solve field, as solve writes it
+    spec = two_edge_g0_spec(q="1", phi="cos(pi*x/2)")
+    grid = make_direct_grid(spec, 0.5, 16, 0.9)
+    fld = direct_solve(spec, 0.5, grid, cfl=0.9)
+    for e, path in enumerate(write_field_csvs(tmp_path, fld)):
+        savetxt_grid_csv(tmp_path / "old.csv", "tau,t,u", grid.x_nodes(e),
+                         grid.times(), fld.edges[e])
+        assert path.read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
 def test_reference_config_loads_and_validates():
     cfg = load_config(REFERENCE_CONFIG)
     run = validate_config(cfg)
@@ -273,6 +307,7 @@ def test_validate_config_rejections(base_cfg):
          r"epsilons\[1\]: must lie in \(0,1\)"),
         (lambda c: c.__setitem__("epsilons", "0.4"), "epsilons: expected"),
         (lambda c: c.__setitem__("p", -1), "p: must be >= 0"),
+        (lambda c: c.__setitem__("p", 5), "p: must be >= 0 and <= 4"),
         (lambda c: c.__setitem__("p", 1.5), "p: expected an integer"),
         (lambda c: c["grid"].__setitem__("n_per_edge", 4),
          r"n_per_edge: must be >= 8"),

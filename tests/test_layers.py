@@ -7,7 +7,7 @@ from starwaves.layers import (LayerField, QuarterPlaneProblem, boundary_flux,
                               evaluate_physical, qp_oracle_below_characteristic,
                               qp_solve, sample_physical)
 
-from .helpers import spline_oracle
+from .helpers import qp_march_reference, spline_oracle
 
 
 def wave_grid(dt: float, T: float, pad: float = 2.0) -> LayerGrid:
@@ -49,6 +49,52 @@ def test_source_term_closed_form():
     # its own domain of influence; compare outside it
     mask = grid.xi_nodes()[:, None] + grid.times()[None, :] <= grid.L - 1e-9
     assert np.max(np.abs((fld.values - exact)[mask])) < 1e-12
+
+
+def _march_case(name):
+    grid = wave_grid(0.02, 2.0)
+    t, xi = grid.times(), grid.xi_nodes()
+    g = np.sin(t) ** 2
+    if name == "trace":
+        return QuarterPlaneProblem(3.0, g), grid, None
+    if name == "negative-theta":
+        return QuarterPlaneProblem(-2.5, -g), grid, None
+    if name == "taylor-sources":
+        # solved lower-order layers as Taylor sources, chained the way
+        # build_expansion chains them
+        v0 = qp_solve(QuarterPlaneProblem(1.0, g), grid)
+        v1 = qp_solve(QuarterPlaneProblem(1.0, np.sin(t) * t,
+                                          sources=((-0.5, 1, v0),)), grid)
+        prob = QuarterPlaneProblem(1.0, None, sources=((-1.0, 1, v1), (0.25, 2, v0),
+                                                        (0.0, 3, v0)))
+        return prob, grid, None
+    if name == "global-source":
+        ones = LayerField(np.ones((grid.n_xi + 1, grid.steps + 1)), grid)
+        return QuarterPlaneProblem(0.0, None, sources=((1.0, 1, ones),)), grid, None
+    if name == "initial":
+        return QuarterPlaneProblem(4.0, None), grid, (np.sin(xi), 0.5 * np.cos(xi))
+    if name == "source-ahead":
+        # nonzero far ahead of the front, and only for the first steps: the
+        # updated width has to jump out to it and must not shrink back
+        far = np.zeros((grid.n_xi + 1, grid.steps + 1))
+        far[(xi > 2.0) & (xi < 2.5), 1:6] = -1.0
+        rho = LayerField(far, grid)
+        return QuarterPlaneProblem(-1.0, g, sources=((1.0, 1, rho),)), grid, None
+    raise ValueError(name)
+
+
+@pytest.mark.parametrize("name", ["trace", "negative-theta", "taylor-sources",
+                                  "global-source", "initial", "source-ahead"])
+def test_march_matches_full_width_reference(name):
+    # the support-bounded, time-major march gives the full-width x-major
+    # march to the bit, signs of zeros included
+    prob, grid, initial = _march_case(name)
+    got = qp_solve(prob, grid, initial=initial).values
+    want = qp_march_reference(prob, grid, initial=initial)
+    assert got.shape == want.shape == (grid.n_xi + 1, grid.steps + 1)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert np.any(want != 0.0)
 
 
 def test_source_validation():
