@@ -70,11 +70,12 @@ def _cmd_solve(args) -> int:
 def _term_tables(es: ExpansionSet) -> list[tuple[str, np.ndarray, np.ndarray, str]]:
     """(file name, x nodes, values, x column name) for every series term."""
     g0x = es.grids.g0.x_nodes
+    ids = es.grids.g0_edge_ids
     tables = [(f"term_U_s0_edge{e}.csv", g0x(loc), es.g0_base.edges[loc], "x")
-              for loc, e in enumerate(es.g0_base.edge_ids)]
+              for loc, e in enumerate(ids)]
     for (r, l), fld in sorted(es.g0_corr.items()):
         tables += [(f"term_U_s{r}_sub{l}_edge{e}.csv", g0x(loc), fld.edges[loc], "x")
-                   for loc, e in enumerate(fld.edge_ids)]
+                   for loc, e in enumerate(ids)]
     tables += [(f"term_u_s{s}_edge{e}.csv", term.x_nodes, term.values, "x")
                for (s, e), term in sorted(es.edge_terms.items())]
     tables += [(f"term_v_P{P}_edge{e}.csv", fld.grid.xi_nodes(), fld.values, "xi")

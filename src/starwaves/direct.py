@@ -11,7 +11,7 @@ source), which keeps the two paths machine-identical where they overlap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,18 +27,11 @@ class Field:
     """Per-edge space-time values with a shared vertex trace.
 
     edges[e] has shape (n_cells[e] + 1, steps + 1); row 0 mirrors sigma.
-    edge_ids maps local edge positions to ids in the originating graph
-    (identity for whole-graph solves).
     """
 
     grid: Grid
     edges: list[np.ndarray]
     sigma: np.ndarray
-    edge_ids: tuple[int, ...] = field(default=())
-
-    def __post_init__(self) -> None:
-        if not self.edge_ids:
-            self.edge_ids = tuple(range(len(self.edges)))
 
 
 def _march(spec: ProblemSpec, grid: Grid, b: np.ndarray,

@@ -25,7 +25,7 @@ import numpy as np
 from .direct import Field
 from .errors import ExpansionOrderError, GraphConfigError
 from .expr import Const, Expr
-from .graph import ProblemSpec, require_compatibility_C1, restrict_to_g0
+from .graph import ProblemSpec, b_eps, require_compatibility_C1, restrict_to_g0
 from .grid import ExpansionGrids, Grid, SeparableSpline, one_sided_diff
 from .layers import (LayerField, QuarterPlaneProblem, boundary_flux, qp_solve,
                      sample_physical)
@@ -33,7 +33,6 @@ from .limit import (EdgeODESolution, G0Problem, solve_cauchy_recursive,
                     solve_degenerate_edge, solve_g0)
 
 __all__ = [
-    "LambdaSet",
     "lambda_set",
     "ExpansionSet",
     "build_expansion",
@@ -46,20 +45,11 @@ __all__ = [
 MAX_ORDER = 4
 
 
-@dataclass(frozen=True)
-class LambdaSet:
-    """Pairs (n, i) with n * m_i = power, i = 1..k, ordered by i."""
-
-    power: int
-    pairs: tuple[tuple[int, int], ...]
-
-
-def lambda_set(m: tuple[int, ...], p: int) -> LambdaSet:
-    """Exact integer solutions of n * m_i = p for the exponent list m_1..m_k."""
+def lambda_set(m: tuple[int, ...], p: int) -> tuple[tuple[int, int], ...]:
+    """Pairs (n, i) with n * m_i = p for the exponent list m_1..m_k, ordered by i."""
     if p < 1:
         raise ValueError(f"power must be >= 1, got {p}")
-    pairs = tuple((p // mi, i) for i, mi in enumerate(m, start=1) if p % mi == 0)
-    return LambdaSet(p, pairs)
+    return tuple((p // mi, i) for i, mi in enumerate(m, start=1) if p % mi == 0)
 
 
 @dataclass
@@ -82,7 +72,7 @@ class ExpansionSet:
         """Interpolants of the nonzero terms, ("U", r, l, edge) and ("u", s, edge)."""
         t = self.grids.times
         out: dict[tuple, SeparableSpline] = {}
-        for loc, e in enumerate(self.g0_base.edge_ids):
+        for loc, e in enumerate(self.grids.g0_edge_ids):
             xg = self.grids.g0.x_nodes(loc)
             for (r, l), fld in [((0, 0), self.g0_base), *self.g0_corr.items()]:
                 out[("U", r, l, e)] = SeparableSpline(xg, t, fld.edges[loc])
@@ -107,21 +97,28 @@ def verify_schedule(log: tuple[tuple, ...]) -> None:
         seen.add(key)
 
 
-def _taylor_derivatives(q: Expr, x0: float, rmax: int) -> list[float]:
-    """q^(r)(x0) for r = 1..rmax, stopping early once the derivative dies."""
-    out: list[float] = []
+def _taylor_sources(q: Expr, x0: float, lower: list, folded: bool
+                    ) -> tuple[tuple, list[tuple]]:
+    """Layer sources from the Taylor series of q around the vertex x0.
+
+    lower[r - 1] is the layer r steps down the chain as (build_log key,
+    LayerField), or None where none was built.  Returns the sources
+    (c_r, r, layer) with c_r = -(+-1)^r q^(r)(x0) / r!, the sign being -1
+    on the folded family, and the dep keys of the layers used.
+    """
+    sign = -1.0 if folded else 1.0
+    sources: list[tuple] = []
+    deps: list[tuple] = []
     dq = q
-    for _ in range(rmax):
-        if isinstance(dq, Const) and dq.value == 0.0:
-            out.append(0.0)
-            continue
-        try:
-            dq = dq.diff("x")
-        except ValueError as exc:
-            raise ExpansionOrderError(
-                "Taylor depth of q exceeds the supported differentiation order") from exc
-        out.append(float(dq.evaluate(x0, 0.0)))
-    return out
+    fac = 1.0
+    for r, low in enumerate(lower, start=1):
+        dq = dq.diff("x")
+        d = float(dq.evaluate(x0, 0.0))
+        fac *= r
+        if low is not None:
+            sources.append((-(sign ** r) * d / fac, r, low[1]))
+            deps.append(low[0])
+    return tuple(sources), deps
 
 
 def _zero_g0_spec(spec_g0: ProblemSpec) -> ProblemSpec:
@@ -146,8 +143,8 @@ def build_expansion(spec: ProblemSpec, p: int, grids: ExpansionGrids) -> Expansi
     times = grids.times
     log: list[tuple] = []
 
-    spec_g0, g0_ids = restrict_to_g0(spec)
-    U0 = solve_g0(G0Problem(spec_g0, None), grids.g0, edge_ids=g0_ids)
+    spec_g0, _ = restrict_to_g0(spec)
+    U0 = solve_g0(G0Problem(spec_g0, None), grids.g0)
     log.append((("U", 0, 0), ()))
     corr_spec = _zero_g0_spec(spec_g0)
 
@@ -166,17 +163,6 @@ def build_expansion(spec: ProblemSpec, p: int, grids: ExpansionGrids) -> Expansi
             log.append((("u", s, e), ((("u", s - 2, e),) if s >= 2 else ())))
 
     p_plus = tuple(sorted({r * mi for r in range(1, p + 1) for mi in mlist}))
-    p_max = p_plus[-1] if p_plus else 0
-    layer_pows: dict[int, tuple[int, ...]] = {}
-    for e in g.gstar_edges():
-        m = g.m(e)
-        base = set(p_plus) | {0}
-        # upward closure under +m so source chains stay inside the built set
-        grown: set[int] = set()
-        for P in range(p_max + 1):
-            if P in base or (P - m) in grown:
-                grown.add(P)
-        layer_pows[e] = tuple(sorted(grown))
 
     g0_corr: dict[tuple[int, int], Field] = {}
     vertex_layers: dict[tuple[int, int], LayerField] = {}
@@ -189,26 +175,20 @@ def build_expansion(spec: ProblemSpec, p: int, grids: ExpansionGrids) -> Expansi
             trace = U0.sigma - edge_terms[(0, e)].values[0, :]
             deps += [("U", 0, 0), ("u", 0, e)]
         else:
-            for r, l in lambda_set(mlist, P).pairs:
+            for r, l in lambda_set(mlist, P):
                 if r <= p:
                     trace = trace + g0_corr[(r, l)].sigma
                     deps.append(("U", r, l))
             if P % m == 0 and P // m <= p:
                 trace = trace - edge_terms[(P // m, e)].values[0, :]
                 deps.append(("u", P // m, e))
-        rmax = P // m
-        dq = _taylor_derivatives(spec.q[e], 0.0, rmax)
-        sources = []
-        fac = 1.0
-        for r in range(1, rmax + 1):
-            fac *= r
-            prev = vertex_layers.get((P - r * m, e))
-            if prev is None:
-                continue
-            sources.append((-dq[r - 1] / fac, r, prev))
-            deps.append(("v", P - r * m, e))
+        below = [(P - r * m, e) for r in range(1, P // m + 1)]
+        lower = [(("v", *k), vertex_layers[k]) if k in vertex_layers else None
+                 for k in below]
+        sources, sdeps = _taylor_sources(spec.q[e], 0.0, lower, folded=False)
+        deps += sdeps
         theta = float(spec.q[e].evaluate(0.0, 0.0))
-        prob = QuarterPlaneProblem(theta, trace, tuple(sources), f"v[P={P},e={e}]")
+        prob = QuarterPlaneProblem(theta, trace, sources, f"v[P={P},e={e}]")
         vertex_layers[(P, e)] = qp_solve(prob, grids.layer)
         log.append((("v", P, e), tuple(deps)))
 
@@ -216,7 +196,7 @@ def build_expansion(spec: ProblemSpec, p: int, grids: ExpansionGrids) -> Expansi
         build_vertex_layer(0, e)
 
     for P in p_plus:
-        for r, l in lambda_set(mlist, P).pairs:
+        for r, l in lambda_set(mlist, P):
             if r > p:
                 continue
             nu = np.zeros(len(times))
@@ -228,12 +208,10 @@ def build_expansion(spec: ProblemSpec, p: int, grids: ExpansionGrids) -> Expansi
                     deps.append(("u", r - 2, e))
                 nu -= boundary_flux(vertex_layers[((r - 1) * mlist[l - 1], e)])
                 deps.append(("v", (r - 1) * mlist[l - 1], e))
-            g0_corr[(r, l)] = solve_g0(G0Problem(corr_spec, nu), grids.g0,
-                                       edge_ids=g0_ids)
+            g0_corr[(r, l)] = solve_g0(G0Problem(corr_spec, nu), grids.g0)
             log.append((("U", r, l), tuple(deps)))
         for e in g.gstar_edges():
-            if P in layer_pows[e] and P > 0:
-                build_vertex_layer(P, e)
+            build_vertex_layer(P, e)
 
     boundary_layers: dict[tuple[int, int], LayerField] = {}
     for e in g.gstar_edges():
@@ -246,21 +224,12 @@ def build_expansion(spec: ProblemSpec, p: int, grids: ExpansionGrids) -> Expansi
                 trace = mu_row - edge_terms[(0, e)].values[-1, :]
             else:
                 trace = -edge_terms[(s, e)].values[-1, :]
-            deps = [("u", s, e)]
-            dq = _taylor_derivatives(spec.q[e], L, s)
-            sources = []
-            fac = 1.0
-            for r in range(1, s + 1):
-                fac *= r
-                prev = boundary_layers.get((s - r, e))
-                if prev is None or prev.is_zero:
-                    continue
-                csign = -1.0 if r % 2 == 0 else 1.0
-                sources.append((csign * dq[r - 1] / fac, r, prev))
-                deps.append(("w", s - r, e))
-            prob = QuarterPlaneProblem(theta, trace, tuple(sources), f"w[s={s},e={e}]")
+            lower = [(("w", s - r, e), boundary_layers[(s - r, e)])
+                     for r in range(1, s + 1)]
+            sources, sdeps = _taylor_sources(spec.q[e], L, lower, folded=True)
+            prob = QuarterPlaneProblem(theta, trace, sources, f"w[s={s},e={e}]")
             boundary_layers[(s, e)] = qp_solve(prob, grids.layer)
-            log.append((("w", s, e), tuple(deps)))
+            log.append((("w", s, e), (("u", s, e), *sdeps)))
 
     verify_schedule(tuple(log))
     return ExpansionSet(spec, p, grids, U0, g0_corr, edge_terms, vertex_layers,
@@ -323,7 +292,7 @@ def assemble_partial_sum(es: ExpansionSet, eps: float, grid: Grid) -> Field:
                                                      folded=True)
         edges.append(V)
 
-    sigma = g0_sum(es.g0_base.edge_ids[0], np.array([0.0]))[0]
+    sigma = g0_sum(es.grids.g0_edge_ids[0], np.array([0.0]))[0]
     return Field(grid, edges, sigma)
 
 
@@ -393,8 +362,6 @@ def residuals(es: ExpansionSet, eps: float,
 
 
 def _pde_defect(spec: ProblemSpec, eps: float, fld: Field) -> tuple[float, float]:
-    from .graph import b_eps
-
     grid = fld.grid
     dt = grid.dt
     worst = 0.0

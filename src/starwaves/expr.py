@@ -88,6 +88,11 @@ class Expr:
     def is_zero(self) -> bool:
         return isinstance(self, Const) and self.value == 0.0
 
+    def free_vars(self) -> frozenset[str]:
+        """Names of the variables in the tree; structural, so t - t uses t."""
+        kids = [c for c in vars(self).values() if isinstance(c, Expr)]
+        return frozenset().union(*(c.free_vars() for c in kids))
+
     def __call__(self, x, t):
         return self.evaluate(x, t)
 
@@ -122,6 +127,9 @@ class Var(Expr):
 
     def diff(self, wrt: str) -> Expr:
         return Const(1.0 if wrt == self.name else 0.0)
+
+    def free_vars(self) -> frozenset[str]:
+        return frozenset({self.name})
 
     def __str__(self) -> str:
         return self.name

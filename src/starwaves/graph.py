@@ -147,7 +147,7 @@ def restrict_to_g0(spec: ProblemSpec) -> tuple[ProblemSpec, tuple[int, ...]]:
 class CompatibilityItem:
     name: str
     residual: float
-    tol: float
+    tol: float = DEFAULT_C_TOL
 
     @property
     def passed(self) -> bool:
@@ -173,7 +173,7 @@ class CompatibilityReport:
         return out
 
 
-def check_compatibility_C1(spec: ProblemSpec, tol: float = DEFAULT_C_TOL) -> CompatibilityReport:
+def check_compatibility_C1(spec: ProblemSpec) -> CompatibilityReport:
     """First-order matching of initial and boundary data.
 
     Checks phi(a_j) = mu_j(0) and psi(a_j) = mu_j'(0) at every boundary
@@ -185,12 +185,12 @@ def check_compatibility_C1(spec: ProblemSpec, tol: float = DEFAULT_C_TOL) -> Com
     for e in range(g.n_edges):
         L = g.edges[e].length
         r = float(spec.phi[e].evaluate(L, 0.0)) - float(spec.mu[e].evaluate(0.0, 0.0))
-        items.append(CompatibilityItem(f"value_match[a_{e}]", r, tol))
+        items.append(CompatibilityItem(f"value_match[a_{e}]", r))
         r = float(spec.psi[e].evaluate(L, 0.0)) - float(spec.mu[e].diff("t").evaluate(0.0, 0.0))
-        items.append(CompatibilityItem(f"velocity_match[a_{e}]", r, tol))
+        items.append(CompatibilityItem(f"velocity_match[a_{e}]", r))
     for i in range(g.k + 1):
         s = sum(float(spec.phi[e].diff("x").evaluate(0.0, 0.0)) for e in g.edges_in(i))
-        items.append(CompatibilityItem(f"flux_sum[G_{i}]", s, tol))
+        items.append(CompatibilityItem(f"flux_sum[G_{i}]", s))
     return CompatibilityReport(tuple(items))
 
 
@@ -202,7 +202,7 @@ def require_compatibility_C1(spec: ProblemSpec) -> None:
         raise CompatibilityError(f"C1 compatibility failed: {names}")
 
 
-def check_compatibility_C2(spec: ProblemSpec, tol: float = DEFAULT_C_TOL) -> CompatibilityReport:
+def check_compatibility_C2(spec: ProblemSpec) -> CompatibilityReport:
     """Second-order matching conditions. Informational; the solvers need C1 only."""
     g = spec.graph
     items: list[CompatibilityItem] = []
@@ -215,19 +215,19 @@ def check_compatibility_C2(spec: ProblemSpec, tol: float = DEFAULT_C_TOL) -> Com
         f_v = float(spec.f[e].evaluate(L, 0.0))
         if g.edges[e].subgraph == 0:
             r = mu_tt - phi_dd + q_v * phi_v - f_v
-            items.append(CompatibilityItem(f"accel_match[a_{e}]", r, tol))
+            items.append(CompatibilityItem(f"accel_match[a_{e}]", r))
         else:
             r = mu_tt + q_v * phi_v - f_v
-            items.append(CompatibilityItem(f"accel_match[a_{e}]", r, tol))
-            items.append(CompatibilityItem(f"phi_dd_boundary[a_{e}]", phi_dd, tol))
+            items.append(CompatibilityItem(f"accel_match[a_{e}]", r))
+            items.append(CompatibilityItem(f"phi_dd_boundary[a_{e}]", phi_dd))
     for i in range(g.k + 1):
         s = sum(float(spec.psi[e].diff("x").evaluate(0.0, 0.0)) for e in g.edges_in(i))
-        items.append(CompatibilityItem(f"psi_flux_sum[G_{i}]", s, tol))
+        items.append(CompatibilityItem(f"psi_flux_sum[G_{i}]", s))
     for e in range(g.n_edges):
         phi_dd0 = float(spec.phi[e].diff_n("x", 2).evaluate(0.0, 0.0))
-        items.append(CompatibilityItem(f"phi_dd_vertex[e_{e}]", phi_dd0, tol))
+        items.append(CompatibilityItem(f"phi_dd_vertex[e_{e}]", phi_dd0))
     vals = [float(spec.q[e].evaluate(0.0, 0.0)) * float(spec.phi[e].evaluate(0.0, 0.0))
             - float(spec.f[e].evaluate(0.0, 0.0)) for e in range(g.n_edges)]
     spread = max(vals) - min(vals) if vals else 0.0
-    items.append(CompatibilityItem("qphi_f_continuity[a]", spread, tol))
+    items.append(CompatibilityItem("qphi_f_continuity[a]", spread))
     return CompatibilityReport(tuple(items))

@@ -149,16 +149,11 @@ class ExpansionGrids:
     leapfrog exactly on characteristics; its time axis is the master one.
     """
 
-    spec: ProblemSpec
     g0: Grid
     g0_edge_ids: tuple[int, ...]
     u_nodes: dict[int, np.ndarray]
     layer: LayerGrid
     times: np.ndarray = field(repr=False)
-
-    @property
-    def dt(self) -> float:
-        return self.g0.dt
 
 
 def make_expansion_grids(spec: ProblemSpec, n_per_edge: int, cfl: float) -> ExpansionGrids:
@@ -183,7 +178,7 @@ def make_expansion_grids(spec: ProblemSpec, n_per_edge: int, cfl: float) -> Expa
 
     n_xi = math.ceil((spec.T + LAYER_MARGIN) / dt)
     layer = LayerGrid(n_xi, dt, steps)
-    return ExpansionGrids(spec, g0_grid, g0_ids, u_nodes, layer, dt * np.arange(steps + 1))
+    return ExpansionGrids(g0_grid, g0_ids, u_nodes, layer, dt * np.arange(steps + 1))
 
 
 class SeparableSpline:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from .direct import Field, direct_solve
 from .errors import ExprSyntaxError, GraphConfigError
-from .expr import Expr, Var, parse
+from .expr import Expr, parse
 from .graph import Edge, ProblemSpec, StarGraph
 from .grid import (Grid, coarsen, make_direct_grid, make_expansion_grids,
                    trapezoid_weights)
@@ -182,10 +183,17 @@ def convergence_sweep(spec: ProblemSpec, p: int, epsilons: tuple[float, ...],
         ref_c = _cached_ref(got, grid_c, f"cache[{key}]")
     sub = Field(grid_c, [u[::2, ::2] for u in ref_f.edges], ref_f.sigma[::2])
     refine_est = norms(sub, ref_c).l2 / 3.0
-    conclusive = refine_est <= 0.1 * min(t.l2 for t in triples)
+    l2 = tuple(t.l2 for t in triples)
+    conclusive = refine_est <= 0.1 * min(l2)
 
-    fit = fit_order(eps_list, tuple(t.l2 for t in triples))
-    nu_fit = fit_order(eps_list, tuple(r.sup_nu for r in res_reports))
+    sup_nu = tuple(r.sup_nu for r in res_reports)
+    for name, vals in (("L2 error", l2), ("flux remainder", sup_nu)):
+        for eps, v in zip(eps_list, vals):
+            if not v > 0:
+                raise GraphConfigError(f"{name} at eps={eps:g} is {v:g}, not "
+                                       "positive: there is no rate to verify")
+    fit = fit_order(eps_list, l2)
+    nu_fit = fit_order(eps_list, sup_nu)
     m1 = spec.graph.exponents[1]
     theo = (p + 0.5) * m1
     passed = conclusive and fit.order >= theo - margin
@@ -242,6 +250,8 @@ def _num(d: dict, key: str, path: str, required: bool = True, default=None):
     v = d[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise GraphConfigError(f"{path}{key}: expected a number")
+    if not abs(v) <= sys.float_info.max:  # nan, +-inf, or an int beyond float
+        raise GraphConfigError(f"{path}{key}: expected a finite number")
     return float(v)
 
 
@@ -254,13 +264,6 @@ def _int(d: dict, key: str, path: str, required: bool = True, default=None):
     if isinstance(v, bool) or not isinstance(v, int):
         raise GraphConfigError(f"{path}{key}: expected an integer")
     return v
-
-
-def _uses(ast: Expr, name: str) -> bool:
-    if isinstance(ast, Var):
-        return ast.name == name
-    return any(_uses(c, name) for c in getattr(ast, "__dict__", {}).values()
-               if isinstance(c, Expr))
 
 
 def _expr_list(cfg: dict, key: str, n: int, path: str,
@@ -278,7 +281,7 @@ def _expr_list(cfg: dict, key: str, n: int, path: str,
             ast = parse(s)
         except ExprSyntaxError as exc:
             raise GraphConfigError(f"{path}{key}[{i}]: {exc}") from exc
-        if forbid and _uses(ast, forbid):
+        if forbid in ast.free_vars():
             raise GraphConfigError(
                 f"{path}{key}[{i}]: must not depend on {forbid}")
         out.append(ast)

@@ -43,27 +43,21 @@ class G0Problem:
     nu: np.ndarray | None = None
 
 
-def solve_g0(prob: G0Problem, grid: Grid, cfl: float = 1.0, check: bool = True,
-             edge_ids: tuple[int, ...] = ()) -> Field:
+def solve_g0(prob: G0Problem, grid: Grid, cfl: float = 1.0) -> Field:
     """March the unit-speed subgraph; the vertex equation carries nu.
 
     With nu = None this is the same code path as direct_solve at b = 1,
     producing machine-identical values.
     """
     spec = prob.spec
-    if check:
-        slopes = sum(float(spec.phi[e].diff("x").evaluate(0.0, 0.0))
-                     for e in range(spec.graph.n_edges))
-        nu0 = 0.0 if prob.nu is None else float(prob.nu[0])
-        if abs(slopes - nu0) > KIRCHHOFF_C1_TOL:
-            raise CompatibilityError(
-                f"slope sum {slopes:.3e} does not match nu(0)={nu0:.3e}")
+    slopes = sum(float(spec.phi[e].diff("x").evaluate(0.0, 0.0))
+                 for e in range(spec.graph.n_edges))
+    nu0 = 0.0 if prob.nu is None else float(prob.nu[0])
+    if abs(slopes - nu0) > KIRCHHOFF_C1_TOL:
+        raise CompatibilityError(
+            f"slope sum {slopes:.3e} does not match nu(0)={nu0:.3e}")
     check_cfl(spec, 0.5, grid, cfl)  # eps is irrelevant at b = 1
-    b = np.ones(spec.graph.n_edges)
-    fld = _march(spec, grid, b, prob.nu)
-    if edge_ids:
-        fld.edge_ids = edge_ids
-    return fld
+    return _march(spec, grid, np.ones(spec.graph.n_edges), prob.nu)
 
 
 @dataclass

@@ -149,6 +149,19 @@ def test_config_error_paths(tmp_path):
     r = run_cli("check", write_cfg(tmp_path, cfg))
     assert r.returncode == 2 and "grid.bogus: unknown key" in r.stderr
 
+    cfg = small_cfg(T=float("inf"))  # json writes Infinity
+    r = run_cli("solve", write_cfg(tmp_path, cfg), "--eps", "0.2",
+                "--out", str(tmp_path / "out"))
+    assert r.returncode == 2 and "config error: T:" in r.stderr
+
+
+def test_verify_zero_data_exit_code(tmp_path):
+    zero = ["0", "0"]
+    cfg = write_cfg(tmp_path, small_cfg(f=zero, phi=zero, psi=zero, mu=zero))
+    r = run_cli("verify", cfg, "--out", str(tmp_path / "rep"))
+    assert r.returncode == 2
+    assert "config error: L2 error at eps=0.6 is 0" in r.stderr
+
 
 def test_usage_errors():
     r = run_cli()

@@ -1,8 +1,11 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, reject
+from hypothesis import strategies as st
 
 from starwaves.errors import ExprDomainError, ExprSyntaxError
 from starwaves.expr import Const, parse
@@ -168,3 +171,60 @@ def test_derivative_of_reference_mu_shape():
     assert mu.diff("t").evaluate(0.0, 0.7) == 0.0
     ramp = parse("t^2/2")
     assert ramp.diff("t").evaluate(0.0, 0.7) == pytest.approx(0.7)
+
+
+# Strings from the whole grammar; domain errors (and the OverflowError of a
+# Python float power) are part of the language, so such draws are skipped.
+_ATOMS = st.sampled_from(["x", "t", "pi", "e", "0", "1", "2.5", "1e-3", "7"])
+
+
+def _extend(kids):
+    return st.one_of(
+        st.tuples(kids, st.sampled_from("+-*/"), kids).map(
+            lambda a: f"({a[0]} {a[1]} {a[2]})"),
+        st.tuples(st.sampled_from(FUNCS), kids).map(lambda a: f"{a[0]}({a[1]})"),
+        kids.map(lambda a: f"-{a}"),
+        st.tuples(kids, st.integers(-3, 3)).map(lambda a: f"({a[0]})^{a[1]}"),
+    )
+
+
+EXPR_STRINGS = st.recursive(_ATOMS, _extend, max_leaves=10)
+POINTS = st.floats(-2.0, 2.0)
+
+
+def _parse_or_skip(src):
+    try:
+        with np.errstate(all="ignore"):
+            return parse(src)
+    except (ExprDomainError, OverflowError):
+        reject()
+
+
+def _eval_or_skip(ast, x, t):
+    try:
+        with np.errstate(all="ignore"):
+            return np.asarray(ast.evaluate(x, t), dtype=float).tobytes()
+    except (ExprDomainError, OverflowError):
+        reject()
+
+
+@given(EXPR_STRINGS)
+def test_free_vars_are_variable_tokens_property(src):
+    tokens = set(re.findall(r"[A-Za-z_]\w*", src))
+    assert _parse_or_skip(src).free_vars() <= tokens & {"x", "t"}
+
+
+@given(EXPR_STRINGS, POINTS, POINTS, POINTS)
+def test_value_ignores_absent_variable_property(src, a, b, c):
+    ast = _parse_or_skip(src)
+    free = ast.free_vars()
+    if "t" not in free:
+        assert _eval_or_skip(ast, a, b) == _eval_or_skip(ast, a, c)
+    if "x" not in free:
+        assert _eval_or_skip(ast, b, a) == _eval_or_skip(ast, c, a)
+
+
+def test_free_vars_structural():
+    assert parse("t - t").free_vars() == {"t"}
+    assert parse("sin(x) * exp(t)").free_vars() == {"x", "t"}
+    assert parse("2*pi + e").free_vars() == frozenset()

@@ -157,6 +157,14 @@ def test_sweep_rejects_stale_cache():
     small_sweep(cache)
 
 
+def test_sweep_rejects_vanishing_errors():
+    # all-zero data: series and reference agree exactly, so no rate exists
+    spec = star_spec(f="0", phi="0", exponents=(0, 1), subgraphs=(0, 1, 1))
+    with pytest.raises(GraphConfigError,
+                       match="L2 error at eps=0.6 is 0.*no rate to verify"):
+        convergence_sweep(spec, 0, (0.6, 0.45, 0.3), n_per_edge=48)
+
+
 def test_sweep_rejects_expansion_on_other_grids():
     spec = star_spec(exponents=(0, 1), subgraphs=(0, 1, 1))
     es = build_expansion(spec, 0, make_expansion_grids(spec, 48, 0.8))
@@ -302,6 +310,12 @@ def test_validate_config_rejections(base_cfg):
         (lambda c: c["mu"].__setitem__(2, "x"), r"mu\[2\]: must not depend on x"),
         (lambda c: c.__setitem__("mu", ["0", "0"]), r"mu: expected a list of 3"),
         (lambda c: c.__setitem__("T", -1.0), "T: must be positive"),
+        (lambda c: c.__setitem__("T", math.inf), "T: expected a finite number"),
+        (lambda c: c.__setitem__("T", 10 ** 400), "T: expected a finite number"),
+        (lambda c: c["graph"]["edges"][1].__setitem__("length", math.inf),
+         r"graph\.edges\[1\]\.length: expected a finite number"),
+        (lambda c: c.__setitem__("margin", math.nan),
+         "margin: expected a finite number"),
         (lambda c: c.pop("T"), "T: missing"),
         (lambda c: c.__setitem__("epsilons", [0.4, 1.5, 0.1]),
          r"epsilons\[1\]: must lie in \(0,1\)"),

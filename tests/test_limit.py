@@ -127,10 +127,3 @@ def test_g0_slope_sum_consistency_guard():
     nu = np.ones(grid.steps + 1)
     with pytest.raises(CompatibilityError):
         solve_g0(G0Problem(spec, nu), grid, cfl=0.9)
-
-
-def test_g0_edge_ids_recorded():
-    spec = two_edge_g0_spec()
-    grid = make_direct_grid(spec, 0.5, 32, 0.9)
-    fld = solve_g0(G0Problem(spec, None), grid, edge_ids=(0, 1))
-    assert fld.edge_ids == (0, 1)
