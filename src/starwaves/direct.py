@@ -7,6 +7,8 @@ array sigma, and the boundary row is written from mu up front.
 
 The same marcher serves the limit solver (unit stiffness plus a Kirchhoff
 source), which keeps the two paths machine-identical where they overlap.
+It stores each edge time-major, (steps + 1, n_cells + 1), so a step touches
+contiguous rows only; Field.edges[e] is the transposed view.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ class Field:
     """Per-edge space-time values with a shared vertex trace.
 
     edges[e] has shape (n_cells[e] + 1, steps + 1); row 0 mirrors sigma.
+    Solver fields hold transposed views of time-major arrays, so edges[e]
+    is F-contiguous there; other fields may be laid out either way.
     """
 
     grid: Grid
@@ -43,6 +47,10 @@ def _march(spec: ProblemSpec, grid: Grid, b: np.ndarray,
     with M_a = sum_e h_e/2 and q_a, f_a lumped the same way.  The first
     step is a Taylor start built from the discrete spatial operator, which
     keeps the march self-consistent.
+
+    Each edge is marched time-major, in a (steps + 1, n_cells + 1) array,
+    so every step reads and writes contiguous rows; the Field holds the
+    transposed views.
     """
     g = spec.graph
     ne = g.n_edges
@@ -53,8 +61,8 @@ def _march(spec: ProblemSpec, grid: Grid, b: np.ndarray,
     xs = [grid.x_nodes(e) for e in range(ne)]
     hs = [grid.h(e) for e in range(ne)]
     Q = [spec.q[e].evaluate(xs[e], 0.0) for e in range(ne)]
-    F = [spec.f[e].evaluate(xs[e][:, None], times[None, :]) for e in range(ne)]
-    U = [np.empty((grid.n_cells[e] + 1, M + 1)) for e in range(ne)]
+    F = [spec.f[e].evaluate(xs[e][None, :], times[:, None]) for e in range(ne)]
+    U = [np.empty((M + 1, grid.n_cells[e] + 1)) for e in range(ne)]
 
     phi = [spec.phi[e].evaluate(xs[e], 0.0) for e in range(ne)]
     psi = [spec.psi[e].evaluate(xs[e], 0.0) for e in range(ne)]
@@ -63,7 +71,7 @@ def _march(spec: ProblemSpec, grid: Grid, b: np.ndarray,
 
     mass_a = sum(hs[e] / 2.0 for e in range(ne))
     q_a = sum(hs[e] / 2.0 * Q[e][0] for e in range(ne))
-    f_a = sum(hs[e] / 2.0 * F[e][0, :] for e in range(ne))
+    f_a = sum(hs[e] / 2.0 * F[e][:, 0] for e in range(ne))
     nu_arr = np.zeros(M + 1) if nu is None else np.asarray(nu, dtype=float)
     if nu_arr.shape != (M + 1,):
         raise GraphConfigError("Kirchhoff source must be sampled on the time grid")
@@ -72,34 +80,34 @@ def _march(spec: ProblemSpec, grid: Grid, b: np.ndarray,
     sigma[0] = phi[0][0]
 
     def vertex_accel(n: int) -> float:
-        flux = sum(b[e] * (U[e][1, n] - sigma[n]) / hs[e] for e in range(ne))
+        flux = sum(b[e] * (U[e][n, 1] - sigma[n]) / hs[e] for e in range(ne))
         return (flux - q_a * sigma[n] + f_a[n] - nu_arr[n]) / mass_a
 
     # t = 0 rows and the Taylor start
     for e in range(ne):
-        U[e][:, 0] = phi[e]
-        U[e][-1, :] = mu[e]
+        U[e][0, :] = phi[e]
+        U[e][:, -1] = mu[e]
         lap = np.empty_like(phi[e])
         lap[1:-1] = (phi[e][2:] - 2.0 * phi[e][1:-1] + phi[e][:-2]) / hs[e] ** 2
         lap[0] = lap[-1] = 0.0  # vertex and boundary rows are overwritten below
         interior = phi[e] + dt * psi[e] + 0.5 * dt * dt * (
-            b[e] * lap - Q[e] * phi[e] + F[e][:, 0])
-        U[e][1:-1, 1] = interior[1:-1]
+            b[e] * lap - Q[e] * phi[e] + F[e][0, :])
+        U[e][1, 1:-1] = interior[1:-1]
     sigma[1] = sigma[0] + dt * psi[0][0] + 0.5 * dt * dt * vertex_accel(0)
     for e in range(ne):
         U[e][0, 0] = sigma[0]
-        U[e][0, 1] = sigma[1]
-        U[e][-1, 1] = mu[e][1]
+        U[e][1, 0] = sigma[1]
+        U[e][1, -1] = mu[e][1]
 
     for n in range(1, M):
         sigma[n + 1] = 2.0 * sigma[n] - sigma[n - 1] + dt * dt * vertex_accel(n)
         for e in range(ne):
             u = U[e]
-            lap = (u[2:, n] - 2.0 * u[1:-1, n] + u[:-2, n]) / hs[e] ** 2
-            u[1:-1, n + 1] = (2.0 * u[1:-1, n] - u[1:-1, n - 1] + dt * dt * (
-                b[e] * lap - Q[e][1:-1] * u[1:-1, n] + F[e][1:-1, n]))
-            u[0, n + 1] = sigma[n + 1]
-    return Field(grid, U, sigma)
+            lap = (u[n, 2:] - 2.0 * u[n, 1:-1] + u[n, :-2]) / hs[e] ** 2
+            u[n + 1, 1:-1] = (2.0 * u[n, 1:-1] - u[n - 1, 1:-1] + dt * dt * (
+                b[e] * lap - Q[e][1:-1] * u[n, 1:-1] + F[e][n, 1:-1]))
+            u[n + 1, 0] = sigma[n + 1]
+    return Field(grid, [u.T for u in U], sigma)
 
 
 def direct_solve(spec: ProblemSpec, eps: float, grid: Grid, cfl: float = 1.0,

@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 MAX_ORDER = 4
+DEFECT_SLAB = 32  # fine time columns per slab of the PDE defect; even
 
 
 def lambda_set(m: tuple[int, ...], p: int) -> tuple[tuple[int, int], ...]:
@@ -265,7 +266,7 @@ def assemble_partial_sum(es: ExpansionSet, eps: float, grid: Grid) -> Field:
     def g0_sum(e: int, x: np.ndarray) -> np.ndarray:
         V = splines[("U", 0, 0, e)](x, t_eval)
         for r, l in sorted(es.g0_corr):
-            V = V + eps ** (r * g.exponents[l]) * splines[("U", r, l, e)](x, t_eval)
+            V += eps ** (r * g.exponents[l]) * splines[("U", r, l, e)](x, t_eval)
         return V
 
     edges: list[np.ndarray] = []
@@ -280,16 +281,16 @@ def assemble_partial_sum(es: ExpansionSet, eps: float, grid: Grid) -> Field:
         for s in range(0, es.order + 1):
             if es.edge_terms[(s, e)].is_zero:
                 continue
-            V = V + eps ** (s * m) * splines[("u", s, e)](x_eval, t_eval)
+            V += eps ** (s * m) * splines[("u", s, e)](x_eval, t_eval)
         for P in es.layer_powers(e):
             fld = es.vertex_layers[(P, e)]
-            V = V + eps ** P * sample_physical(fld, eps, m, L, x_eval, t_eval)
+            V += eps ** P * sample_physical(fld, eps, m, L, x_eval, t_eval)
         for s in range(0, es.order + 1):
             fld = es.boundary_layers[(s, e)]
             if fld.is_zero:
                 continue
-            V = V + eps ** (s * m) * sample_physical(fld, eps, m, L, x_eval, t_eval,
-                                                     folded=True)
+            V += eps ** (s * m) * sample_physical(fld, eps, m, L, x_eval, t_eval,
+                                                  folded=True)
         edges.append(V)
 
     sigma = g0_sum(es.grids.g0_edge_ids[0], np.array([0.0]))[0]
@@ -362,8 +363,17 @@ def residuals(es: ExpansionSet, eps: float,
 
 
 def _pde_defect(spec: ProblemSpec, eps: float, fld: Field) -> tuple[float, float]:
+    """Sup of the PDE defect and its stride-2 floor, one time slab at a time.
+
+    A slab holds the defect at the fine columns a .. a + DEFECT_SLAB - 1, a
+    odd, and reads the columns a - 1 .. a + DEFECT_SLAB + 1, so its even
+    columns carry the coarse stencils centred in the slab.  Slab maxima are
+    reduced with np.max, so each edge's maximum, a nan included, is that of
+    the whole-array computation, bit for bit.
+    """
     grid = fld.grid
     dt = grid.dt
+    M = grid.steps
     worst = 0.0
     floor = 0.0
     times = grid.times()
@@ -381,10 +391,20 @@ def _pde_defect(spec: ProblemSpec, eps: float, fld: Field) -> tuple[float, float
         x = grid.x_nodes(e)
         b = b_eps(spec, eps, e)
         qx = np.asarray(spec.q[e].evaluate(x, 0.0))
-        r = defect(u, h, dt, x, times, b, qx, spec.f[e])
-        worst = max(worst, float(np.max(np.abs(r))))
-        if grid.n_cells[e] % 2 == 0 and grid.steps % 2 == 0:
-            rc = defect(u[::2, ::2], 2 * h, 2 * dt, x[::2], times[::2], b,
-                        qx[::2], spec.f[e])
-            floor = max(floor, float(np.max(np.abs(rc - r[1::2, 1::2]))) / 3.0)
+        coarse = grid.n_cells[e] % 2 == 0 and M % 2 == 0
+        slab_worst = []
+        slab_floor = []
+        for a in range(1, M, DEFECT_SLAB):
+            end = min(a + DEFECT_SLAB, M)  # one past the last fine centre
+            r = defect(u[:, a - 1:end + 1], h, dt, x, times[a - 1:end + 1], b,
+                       qx, spec.f[e])
+            slab_worst.append(np.max(np.abs(r)))
+            if coarse and end - a >= 2:
+                stop = min(end + 2, M + 1)
+                rc = defect(u[::2, a - 1:stop:2], 2 * h, 2 * dt, x[::2],
+                            times[a - 1:stop:2], b, qx[::2], spec.f[e])
+                slab_floor.append(np.max(np.abs(rc - r[1::2, 1::2])))
+        worst = max(worst, float(np.max(slab_worst)))
+        if coarse:
+            floor = max(floor, float(np.max(slab_floor)) / 3.0)
     return worst, floor

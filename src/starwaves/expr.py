@@ -208,7 +208,10 @@ class Pow(Expr):
         b = self.base.evaluate(x, t)
         if self.exponent < 0 and np.any(np.asarray(b) == 0.0):
             raise ExprDomainError(f"zero raised to negative power in {self}")
-        return b ** self.exponent
+        try:
+            return b ** self.exponent
+        except OverflowError:  # a Python float power; arrays give inf
+            raise ExprDomainError(f"overflow in {self}") from None
 
     def diff(self, wrt: str) -> Expr:
         # d(b^n) = n * b^(n-1) * b'
@@ -343,7 +346,10 @@ def pow_int(base: Expr, exponent: int) -> Expr:
     if isinstance(base, Const):
         if base.value == 0.0 and exponent < 0:
             raise ExprDomainError("zero raised to negative power")
-        return Const(base.value ** exponent)
+        try:
+            return Const(base.value ** exponent)
+        except OverflowError:
+            raise ExprDomainError(f"overflow in {base}^{exponent}") from None
     return Pow(base, exponent)
 
 
@@ -362,7 +368,11 @@ def call(func: str, arg: Expr) -> Expr:
         v = arg.value
         if func == "sqrt" and v < 0.0:
             raise ExprDomainError("sqrt of negative constant")
-        return Const(float(_NUMPY_FUNCS[func](v)))
+        with np.errstate(over="ignore"):
+            folded = float(_NUMPY_FUNCS[func](v))
+        if math.isfinite(v) and not math.isfinite(folded):
+            raise ExprDomainError(f"overflow in {func}({v!r})")
+        return Const(folded)
     return Call(func, arg)
 
 

@@ -66,7 +66,8 @@ def norms(f1: Field, f2: Field) -> NormTriple:
     l2sq = 0.0
     h1sq = 0.0
     for e in range(len(g1.lengths)):
-        d = f1.edges[e] - f2.edges[e]
+        # C order whatever the operands' layouts: the einsum sums follow it
+        d = np.subtract(f1.edges[e], f2.edges[e], order="C")
         h = g1.h(e)
         wx = trapezoid_weights(g1.n_cells[e], h)
         linf = max(linf, float(np.max(np.abs(d))))

@@ -5,8 +5,9 @@ from pathlib import Path
 import numpy as np
 from scipy.interpolate import RectBivariateSpline
 
+from starwaves.direct import Field
 from starwaves.expr import parse
-from starwaves.graph import Edge, ProblemSpec, StarGraph
+from starwaves.graph import Edge, ProblemSpec, StarGraph, b_eps
 
 REPO = Path(__file__).resolve().parent.parent
 REFERENCE_CONFIG = REPO / "configs" / "reference.json"
@@ -91,6 +92,98 @@ def qp_march_reference(prob, grid, initial=None):
         if g is not None:
             V[0, m + 1] = g[m + 1]
     return V
+
+
+def direct_march_reference(spec, grid, b, nu):
+    """x-major leapfrog: the reference for direct._march.
+
+    Same scheme and the same floating-point expressions, node for node, but
+    each edge lives in a (n_cells + 1, steps + 1) array and every step
+    reads and writes its columns.  Input checks are left to _march.
+    """
+    ne = spec.graph.n_edges
+    M = grid.steps
+    dt = grid.dt
+    times = grid.times()
+
+    xs = [grid.x_nodes(e) for e in range(ne)]
+    hs = [grid.h(e) for e in range(ne)]
+    Q = [spec.q[e].evaluate(xs[e], 0.0) for e in range(ne)]
+    F = [spec.f[e].evaluate(xs[e][:, None], times[None, :]) for e in range(ne)]
+    U = [np.empty((grid.n_cells[e] + 1, M + 1)) for e in range(ne)]
+
+    phi = [spec.phi[e].evaluate(xs[e], 0.0) for e in range(ne)]
+    psi = [spec.psi[e].evaluate(xs[e], 0.0) for e in range(ne)]
+    mu = [np.broadcast_to(np.asarray(spec.mu[e].evaluate(0.0, times), dtype=float),
+                          times.shape) for e in range(ne)]
+
+    mass_a = sum(hs[e] / 2.0 for e in range(ne))
+    q_a = sum(hs[e] / 2.0 * Q[e][0] for e in range(ne))
+    f_a = sum(hs[e] / 2.0 * F[e][0, :] for e in range(ne))
+    nu_arr = np.zeros(M + 1) if nu is None else np.asarray(nu, dtype=float)
+
+    sigma = np.empty(M + 1)
+    sigma[0] = phi[0][0]
+
+    def vertex_accel(n):
+        flux = sum(b[e] * (U[e][1, n] - sigma[n]) / hs[e] for e in range(ne))
+        return (flux - q_a * sigma[n] + f_a[n] - nu_arr[n]) / mass_a
+
+    for e in range(ne):
+        U[e][:, 0] = phi[e]
+        U[e][-1, :] = mu[e]
+        lap = np.empty_like(phi[e])
+        lap[1:-1] = (phi[e][2:] - 2.0 * phi[e][1:-1] + phi[e][:-2]) / hs[e] ** 2
+        lap[0] = lap[-1] = 0.0
+        interior = phi[e] + dt * psi[e] + 0.5 * dt * dt * (
+            b[e] * lap - Q[e] * phi[e] + F[e][:, 0])
+        U[e][1:-1, 1] = interior[1:-1]
+    sigma[1] = sigma[0] + dt * psi[0][0] + 0.5 * dt * dt * vertex_accel(0)
+    for e in range(ne):
+        U[e][0, 0] = sigma[0]
+        U[e][0, 1] = sigma[1]
+        U[e][-1, 1] = mu[e][1]
+
+    for n in range(1, M):
+        sigma[n + 1] = 2.0 * sigma[n] - sigma[n - 1] + dt * dt * vertex_accel(n)
+        for e in range(ne):
+            u = U[e]
+            lap = (u[2:, n] - 2.0 * u[1:-1, n] + u[:-2, n]) / hs[e] ** 2
+            u[1:-1, n + 1] = (2.0 * u[1:-1, n] - u[1:-1, n - 1] + dt * dt * (
+                b[e] * lap - Q[e][1:-1] * u[1:-1, n] + F[e][1:-1, n]))
+            u[0, n + 1] = sigma[n + 1]
+    return Field(grid, U, sigma)
+
+
+def pde_defect_reference(spec, eps, fld):
+    """Whole-array PDE defect and its stride-2 floor: the reference for
+    expansion._pde_defect."""
+    grid = fld.grid
+    dt = grid.dt
+    worst = 0.0
+    floor = 0.0
+    times = grid.times()
+
+    def defect(u, h, dtv, x, ts, b, qx, fe):
+        q = qx[1:-1, None]
+        f = np.asarray(fe.evaluate(x[1:-1, None], ts[None, 1:-1]))
+        utt = (u[1:-1, 2:] - 2.0 * u[1:-1, 1:-1] + u[1:-1, :-2]) / (dtv * dtv)
+        uxx = (u[2:, 1:-1] - 2.0 * u[1:-1, 1:-1] + u[:-2, 1:-1]) / (h * h)
+        return utt - b * uxx + q * u[1:-1, 1:-1] - f
+
+    for e in range(spec.graph.n_edges):
+        u = fld.edges[e]
+        h = grid.h(e)
+        x = grid.x_nodes(e)
+        b = b_eps(spec, eps, e)
+        qx = np.asarray(spec.q[e].evaluate(x, 0.0))
+        r = defect(u, h, dt, x, times, b, qx, spec.f[e])
+        worst = max(worst, float(np.max(np.abs(r))))
+        if grid.n_cells[e] % 2 == 0 and grid.steps % 2 == 0:
+            rc = defect(u[::2, ::2], 2 * h, 2 * dt, x[::2], times[::2], b,
+                        qx[::2], spec.f[e])
+            floor = max(floor, float(np.max(np.abs(rc - r[1::2, 1::2]))) / 3.0)
+    return worst, floor
 
 
 def savetxt_grid_csv(path, header, x, t, u):

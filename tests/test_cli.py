@@ -182,3 +182,15 @@ def test_compatibility_failure_exit_code(tmp_path, cmd):
                 "--out", str(tmp_path / "out"))
     assert r.returncode == 2
     assert "config error: C1 compatibility failed: value_match[a_0]" in r.stderr
+
+
+@pytest.mark.parametrize("q", ["1e200^2 + x", "cosh(1000) + x", "1/0 + x"])
+@pytest.mark.parametrize("cmd", [("check",), ("solve", "--eps", "0.1")])
+def test_expression_overflow_exit_code(tmp_path, cmd, q):
+    # an overflowing constant is a domain error like a division by zero
+    cfg = json.loads(REFERENCE_CONFIG.read_text())
+    cfg["q"][2] = q
+    out = ["--out", str(tmp_path / "out")] if cmd[0] == "solve" else []
+    r = run_cli(cmd[0], write_cfg(tmp_path, cfg), *cmd[1:], *out)
+    assert r.returncode == 3
+    assert "numerical failure: " in r.stderr

@@ -4,10 +4,13 @@ import pytest
 from starwaves.direct import direct_solve, energy
 from starwaves.errors import GraphConfigError, StabilityError
 from starwaves.expr import parse
-from starwaves.graph import Edge, ProblemSpec, StarGraph
+from starwaves.graph import Edge, ProblemSpec, StarGraph, b_eps
 from starwaves.grid import make_direct_grid
+from starwaves.harness import load_config, validate_config
+from starwaves.limit import G0Problem, solve_g0
 
-from .helpers import single_edge_spec, star_spec, two_edge_g0_spec
+from .helpers import (REFERENCE_CONFIG, direct_march_reference,
+                      single_edge_spec, star_spec, two_edge_g0_spec)
 
 
 def test_zero_data_stays_zero():
@@ -132,3 +135,41 @@ def test_solution_independent_of_eps_on_g0_only_graph():
     b = direct_solve(spec, 0.7, grid, cfl=0.9)
     for ua, ub in zip(a.edges, b.edges):
         assert np.array_equal(ua, ub)
+
+
+def _direct_case(spec, eps, n_per_edge, cfl):
+    grid = make_direct_grid(spec, eps, n_per_edge, cfl)
+    b = [b_eps(spec, eps, e) for e in range(spec.graph.n_edges)]
+    return (direct_solve(spec, eps, grid, cfl=cfl),
+            direct_march_reference(spec, grid, b, None))
+
+
+def _g0_case():
+    spec = two_edge_g0_spec(q="1 + x", f="sin(t)*(1 + x)", phi="cos(pi*x/2)")
+    grid = make_direct_grid(spec, 0.5, 64, 0.9)
+    nu = 0.3 * np.sin(3.0 * grid.times())
+    return (solve_g0(G0Problem(spec, nu), grid),
+            direct_march_reference(spec, grid, [1.0, 1.0], nu))
+
+
+@pytest.mark.parametrize("case", ["reference", "coarse_cfl1", "g0_nu",
+                                  "psi_const_f"])
+def test_march_matches_x_major_reference(case):
+    if case == "reference":
+        spec = validate_config(load_config(REFERENCE_CONFIG)).spec
+        fld, ref = _direct_case(spec, 0.2, 640, 0.9)
+    elif case == "coarse_cfl1":
+        fld, ref = _direct_case(star_spec(), 0.3, 48, 1.0)
+    elif case == "g0_nu":
+        fld, ref = _g0_case()
+    else:
+        spec = star_spec(f="0.5", psi="sin(pi*x)", mu="0")
+        fld, ref = _direct_case(spec, 0.4, 64, 0.9)
+    grid = fld.grid
+    assert np.any(ref.sigma != 0.0)
+    assert np.array_equal(fld.sigma, ref.sigma)
+    assert np.array_equal(np.signbit(fld.sigma), np.signbit(ref.sigma))
+    for e, (u, v) in enumerate(zip(fld.edges, ref.edges)):
+        assert u.shape == (grid.n_cells[e] + 1, grid.steps + 1)
+        assert np.array_equal(u, v)
+        assert np.array_equal(np.signbit(u), np.signbit(v))

@@ -1,18 +1,20 @@
 import numpy as np
 import pytest
 
-from starwaves.direct import direct_solve
+from starwaves.direct import Field, direct_solve
 from starwaves.errors import (CompatibilityError, ExpansionOrderError,
                               GraphConfigError)
-from starwaves.expansion import (assemble_partial_sum, build_expansion,
-                                 lambda_set, residuals, verify_schedule)
+from starwaves.expansion import (DEFECT_SLAB, _pde_defect, assemble_partial_sum,
+                                 build_expansion, lambda_set, residuals,
+                                 verify_schedule)
 from starwaves.expr import parse
 from starwaves.graph import ProblemSpec, restrict_to_g0
 from starwaves.grid import Grid, make_direct_grid, make_expansion_grids
 from starwaves.layers import QuarterPlaneProblem, boundary_flux, qp_solve
 from starwaves.limit import G0Problem, solve_degenerate_edge, solve_g0
 
-from .helpers import spline_oracle, star_spec, two_edge_g0_spec
+from .helpers import (pde_defect_reference, spline_oracle, star_spec,
+                      two_edge_g0_spec)
 
 
 def test_lambda_set_examples():
@@ -275,3 +277,26 @@ def test_residual_report_fields():
     assert full.sup_h >= 0.0 and full.h_floor >= 0.0
     assert np.array_equal(full.nu_samples, rep.nu_samples)
     assert "floor" in full.note
+
+
+@pytest.mark.parametrize("n_cells, steps, nan", [
+    ((40, 40, 40), DEFECT_SLAB + 1, False),      # odd steps: no floor
+    ((40, 41, 40), 3 * DEFECT_SLAB + 4, False),  # odd cells on one edge
+    ((40, 40, 40), DEFECT_SLAB - 12, False),     # fewer steps than a slab
+    ((40, 40, 40), 2 * DEFECT_SLAB + 2, False),  # last slab one column wide
+    ((40, 40, 40), 2 * DEFECT_SLAB, False),
+    ((40, 40, 40), 2 * DEFECT_SLAB, True),       # a nan in one slab
+])
+def test_pde_defect_matches_whole_array_reference(n_cells, steps, nan):
+    spec = star_spec()
+    grid = Grid((1.0, 1.0, 1.0), n_cells, 1.5 / steps, steps)
+    rng = np.random.default_rng(steps)
+    edges = [rng.standard_normal((n + 1, steps + 1)) for n in n_cells]
+    if nan:  # the whole-array max skips edge 1, the largest, entirely
+        edges[1] *= 10.0
+        edges[1][5, DEFECT_SLAB + 3] = np.nan
+    fld = Field(grid, edges, edges[0][0])
+    got = _pde_defect(spec, 0.3, fld)
+    assert got == pde_defect_reference(spec, 0.3, fld)
+    assert got[0] > 0.0
+    assert (got[1] > 0.0) == (steps % 2 == 0)

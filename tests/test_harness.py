@@ -83,6 +83,18 @@ def test_norms_see_gradient_content():
     assert t.h1x ** 2 - t.l2 ** 2 == pytest.approx(0.25 * T, rel=1e-12)
 
 
+def test_norms_ignore_memory_layout():
+    # solver fields are transposed views of time-major arrays; the norms
+    # must not depend on that, bit for bit
+    grid = Grid((1.0, 1.0), (40, 40), 0.025, 60)
+    rng = np.random.default_rng(3)
+    a, b = ([rng.standard_normal((41, 61)) for _ in range(2)] for _ in range(2))
+    c_order = norms(Field(grid, a, a[0][0]), Field(grid, b, b[0][0]))
+    f_order = norms(Field(grid, [np.asfortranarray(u) for u in a], a[0][0]),
+                    Field(grid, [np.asfortranarray(u) for u in b], b[0][0]))
+    assert f_order == c_order
+
+
 def test_fit_order_exact_power_law():
     eps = (0.4, 0.2, 0.1, 0.05)
     err = tuple(2.0 * x ** 1.5 for x in eps)
