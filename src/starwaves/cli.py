@@ -30,6 +30,16 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
+def _out_dir(arg: str) -> Path:
+    """The --out directory, made if missing; a path that cannot be one is a config error."""
+    out = Path(arg)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise GraphConfigError(f"--out: {exc}") from exc
+    return out
+
+
 def _run_config(args) -> RunConfig:
     """The validated config, with a --p override checked like the config's p."""
     cfg = load_config(args.config)
@@ -55,8 +65,7 @@ def _cmd_solve(args) -> int:
     rc = validate_config(load_config(args.config))
     if not (0.0 < args.eps < 1.0):
         raise GraphConfigError("eps: must lie in (0,1)")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     grid = make_direct_grid(rc.spec, args.eps, rc.n_per_edge, rc.cfl)
     fld = direct_solve(rc.spec, args.eps, grid, cfl=rc.cfl)
     paths = write_field_csvs(out, fld)
@@ -87,8 +96,7 @@ def _term_tables(es: ExpansionSet) -> list[tuple[str, np.ndarray, np.ndarray, st
 
 def _cmd_expand(args) -> int:
     rc = _run_config(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     grids = make_expansion_grids(rc.spec, rc.n_per_edge, rc.cfl)
     es = build_expansion(rc.spec, rc.p, grids)
     t = grids.times
@@ -103,8 +111,7 @@ def _cmd_expand(args) -> int:
 
 def _cmd_verify(args) -> int:
     rc = _run_config(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     print(f"note: {NORM_NOTE}")
     rep = convergence_sweep(rc.spec, rc.p, rc.epsilons, rc.n_per_edge, rc.cfl,
                             rc.margin)

@@ -66,8 +66,7 @@ def _march(spec: ProblemSpec, grid: Grid, b: np.ndarray,
 
     phi = [spec.phi[e].evaluate(xs[e], 0.0) for e in range(ne)]
     psi = [spec.psi[e].evaluate(xs[e], 0.0) for e in range(ne)]
-    mu = [np.broadcast_to(np.asarray(spec.mu[e].evaluate(0.0, times), dtype=float),
-                          times.shape) for e in range(ne)]
+    mu = [spec.mu[e].evaluate(0.0, times) for e in range(ne)]
 
     mass_a = sum(hs[e] / 2.0 for e in range(ne))
     q_a = sum(hs[e] / 2.0 * Q[e][0] for e in range(ne))
@@ -110,15 +109,12 @@ def _march(spec: ProblemSpec, grid: Grid, b: np.ndarray,
     return Field(grid, [u.T for u in U], sigma)
 
 
-def direct_solve(spec: ProblemSpec, eps: float, grid: Grid, cfl: float = 1.0,
-                 check: bool = True) -> Field:
+def direct_solve(spec: ProblemSpec, eps: float, grid: Grid, cfl: float = 1.0) -> Field:
     """Solve the perturbed problem at fixed eps on the given grid.
 
-    Refuses to run when the C1 compatibility check fails (pass check=False
-    to march anyway, e.g. for deliberately rough data).
+    Refuses to run when the C1 compatibility check fails.
     """
-    if check:
-        require_compatibility_C1(spec)
+    require_compatibility_C1(spec)
     check_cfl(spec, eps, grid, cfl)
     b = np.array([b_eps(spec, eps, e) for e in range(spec.graph.n_edges)])
     return _march(spec, grid, b, None)

@@ -114,7 +114,7 @@ def _taylor_sources(q: Expr, x0: float, lower: list, folded: bool
     fac = 1.0
     for r, low in enumerate(lower, start=1):
         dq = dq.diff("x")
-        d = float(dq.evaluate(x0, 0.0))
+        d = dq.evaluate(x0, 0.0)
         fac *= r
         if low is not None:
             sources.append((-(sign ** r) * d / fac, r, low[1]))
@@ -188,7 +188,7 @@ def build_expansion(spec: ProblemSpec, p: int, grids: ExpansionGrids) -> Expansi
                  for k in below]
         sources, sdeps = _taylor_sources(spec.q[e], 0.0, lower, folded=False)
         deps += sdeps
-        theta = float(spec.q[e].evaluate(0.0, 0.0))
+        theta = spec.q[e].evaluate(0.0, 0.0)
         prob = QuarterPlaneProblem(theta, trace, sources, f"v[P={P},e={e}]")
         vertex_layers[(P, e)] = qp_solve(prob, grids.layer)
         log.append((("v", P, e), tuple(deps)))
@@ -217,12 +217,10 @@ def build_expansion(spec: ProblemSpec, p: int, grids: ExpansionGrids) -> Expansi
     boundary_layers: dict[tuple[int, int], LayerField] = {}
     for e in g.gstar_edges():
         L = g.edges[e].length
-        mu_row = np.broadcast_to(
-            np.asarray(spec.mu[e].evaluate(0.0, times), dtype=float), times.shape)
-        theta = float(spec.q[e].evaluate(L, 0.0))
+        theta = spec.q[e].evaluate(L, 0.0)
         for s in range(0, p + 1):
             if s == 0:
-                trace = mu_row - edge_terms[(0, e)].values[-1, :]
+                trace = spec.mu[e].evaluate(0.0, times) - edge_terms[(0, e)].values[-1, :]
             else:
                 trace = -edge_terms[(s, e)].values[-1, :]
             lower = [(("w", s - r, e), boundary_layers[(s - r, e)])
@@ -380,7 +378,7 @@ def _pde_defect(spec: ProblemSpec, eps: float, fld: Field) -> tuple[float, float
 
     def defect(u, h, dtv, x, ts, b, qx, fe):
         q = qx[1:-1, None]
-        f = np.asarray(fe.evaluate(x[1:-1, None], ts[None, 1:-1]))
+        f = fe.evaluate(x[1:-1, None], ts[None, 1:-1])
         utt = (u[1:-1, 2:] - 2.0 * u[1:-1, 1:-1] + u[1:-1, :-2]) / (dtv * dtv)
         uxx = (u[2:, 1:-1] - 2.0 * u[1:-1, 1:-1] + u[:-2, 1:-1]) / (h * h)
         return utt - b * uxx + q * u[1:-1, 1:-1] - f

@@ -17,6 +17,10 @@ Grammar accepted by :func:`parse`::
 
 Exponents are restricted to integer literals so that repeated
 differentiation stays inside the language.
+
+:meth:`Expr.evaluate` alone fixes the type and shape of a value: a Python
+float from two scalars, else a fresh float array of the broadcast shape of
+``x`` and ``t``.  Callers use it as it comes.
 """
 
 from __future__ import annotations
@@ -53,16 +57,8 @@ __all__ = [
 
 MAX_DIFF_ORDER = 12
 
-_FUNCTIONS = ("sin", "cos", "exp", "sqrt", "cosh", "sinh")
-
-_NUMPY_FUNCS = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "exp": np.exp,
-    "sqrt": np.sqrt,
-    "cosh": np.cosh,
-    "sinh": np.sinh,
-}
+_NUMPY_FUNCS = {name: getattr(np, name)
+                for name in ("sin", "cos", "exp", "sqrt", "cosh", "sinh")}
 
 
 @dataclass(frozen=True)
@@ -70,7 +66,24 @@ class Expr:
     """Base node.  Subclasses are immutable and hashable."""
 
     def evaluate(self, x, t):
-        """Evaluate with numpy broadcasting over ``x`` and ``t``."""
+        """Value at ``(x, t)``: a Python float from two scalars, computed in
+        Python floats so that an overflowing power raises; else a new writeable
+        float array of the broadcast shape that shares no memory with x or t.
+        Nodes broadcast their children and the result is expanded once, at the
+        end; the domain checks see the same values either way."""
+        if np.ndim(x) == 0 and np.ndim(t) == 0:
+            return float(self._eval(float(x), float(t)))
+        x, t = np.asarray(x, dtype=float), np.asarray(t, dtype=float)
+        shape = np.broadcast_shapes(x.shape, t.shape)
+        if 0 in shape:  # no values, so no domain error
+            return np.zeros(shape)
+        v = self._eval(x, t)
+        if np.shape(v) == shape and v is not x and v is not t:
+            return v
+        return np.broadcast_to(v, shape).copy()
+
+    def _eval(self, x, t):
+        """This node's value from its children's, by numpy broadcasting."""
         raise NotImplementedError
 
     def diff(self, wrt: str) -> "Expr":
@@ -93,19 +106,13 @@ class Expr:
         kids = [c for c in vars(self).values() if isinstance(c, Expr)]
         return frozenset().union(*(c.free_vars() for c in kids))
 
-    def __call__(self, x, t):
-        return self.evaluate(x, t)
-
 
 @dataclass(frozen=True)
 class Const(Expr):
     value: float
 
-    def evaluate(self, x, t):
-        shape = np.broadcast(np.asarray(x), np.asarray(t)).shape
-        if shape == ():
-            return float(self.value)
-        return np.full(shape, self.value)
+    def _eval(self, x, t):
+        return self.value
 
     def diff(self, wrt: str) -> Expr:
         return Const(0.0)
@@ -118,12 +125,8 @@ class Const(Expr):
 class Var(Expr):
     name: str  # 'x' or 't'
 
-    def evaluate(self, x, t):
-        base = x if self.name == "x" else t
-        shape = np.broadcast(np.asarray(x), np.asarray(t)).shape
-        if shape == ():
-            return float(base)
-        return np.broadcast_to(np.asarray(base, dtype=float), shape).copy()
+    def _eval(self, x, t):
+        return x if self.name == "x" else t
 
     def diff(self, wrt: str) -> Expr:
         return Const(1.0 if wrt == self.name else 0.0)
@@ -140,8 +143,8 @@ class Add(Expr):
     a: Expr
     b: Expr
 
-    def evaluate(self, x, t):
-        return self.a.evaluate(x, t) + self.b.evaluate(x, t)
+    def _eval(self, x, t):
+        return self.a._eval(x, t) + self.b._eval(x, t)
 
     def diff(self, wrt: str) -> Expr:
         return add(self.a.diff(wrt), self.b.diff(wrt))
@@ -155,8 +158,8 @@ class Sub(Expr):
     a: Expr
     b: Expr
 
-    def evaluate(self, x, t):
-        return self.a.evaluate(x, t) - self.b.evaluate(x, t)
+    def _eval(self, x, t):
+        return self.a._eval(x, t) - self.b._eval(x, t)
 
     def diff(self, wrt: str) -> Expr:
         return sub(self.a.diff(wrt), self.b.diff(wrt))
@@ -170,8 +173,8 @@ class Mul(Expr):
     a: Expr
     b: Expr
 
-    def evaluate(self, x, t):
-        return self.a.evaluate(x, t) * self.b.evaluate(x, t)
+    def _eval(self, x, t):
+        return self.a._eval(x, t) * self.b._eval(x, t)
 
     def diff(self, wrt: str) -> Expr:
         return add(mul(self.a.diff(wrt), self.b), mul(self.a, self.b.diff(wrt)))
@@ -185,11 +188,11 @@ class Div(Expr):
     a: Expr
     b: Expr
 
-    def evaluate(self, x, t):
-        denom = self.b.evaluate(x, t)
-        if np.any(np.asarray(denom) == 0.0):
+    def _eval(self, x, t):
+        denom = self.b._eval(x, t)
+        if np.any(denom == 0.0):
             raise ExprDomainError(f"division by zero in {self}")
-        return self.a.evaluate(x, t) / denom
+        return self.a._eval(x, t) / denom
 
     def diff(self, wrt: str) -> Expr:
         num = sub(mul(self.a.diff(wrt), self.b), mul(self.a, self.b.diff(wrt)))
@@ -204,9 +207,9 @@ class Pow(Expr):
     base: Expr
     exponent: int
 
-    def evaluate(self, x, t):
-        b = self.base.evaluate(x, t)
-        if self.exponent < 0 and np.any(np.asarray(b) == 0.0):
+    def _eval(self, x, t):
+        b = self.base._eval(x, t)
+        if self.exponent < 0 and np.any(b == 0.0):
             raise ExprDomainError(f"zero raised to negative power in {self}")
         try:
             return b ** self.exponent
@@ -228,8 +231,8 @@ class Pow(Expr):
 class Neg(Expr):
     a: Expr
 
-    def evaluate(self, x, t):
-        return -self.a.evaluate(x, t)
+    def _eval(self, x, t):
+        return -self.a._eval(x, t)
 
     def diff(self, wrt: str) -> Expr:
         return neg(self.a.diff(wrt))
@@ -243,9 +246,9 @@ class Call(Expr):
     func: str
     arg: Expr
 
-    def evaluate(self, x, t):
-        v = self.arg.evaluate(x, t)
-        if self.func == "sqrt" and np.any(np.asarray(v) < 0.0):
+    def _eval(self, x, t):
+        v = self.arg._eval(x, t)
+        if self.func == "sqrt" and np.any(v < 0.0):
             raise ExprDomainError(f"sqrt of negative value in {self}")
         return _NUMPY_FUNCS[self.func](v)
 
@@ -362,7 +365,7 @@ def neg(a: Expr) -> Expr:
 
 
 def call(func: str, arg: Expr) -> Expr:
-    if func not in _FUNCTIONS:
+    if func not in _NUMPY_FUNCS:
         raise ValueError(f"unknown function {func!r}")
     if isinstance(arg, Const):
         v = arg.value
@@ -526,7 +529,7 @@ class _Parser:
                 return const(math.e)
             if t.text in ("x", "t"):
                 return var(t.text)
-            if t.text in _FUNCTIONS:
+            if t.text in _NUMPY_FUNCS:
                 self.expect_op("(")
                 arg = self.parse_expr()
                 self.expect_op(")")

@@ -123,7 +123,7 @@ class ProblemSpec:
         if not (self.T > 0):
             raise GraphConfigError(f"horizon T must be positive, got {self.T}")
         for name, seq in (("phi", self.phi), ("psi", self.psi)):
-            vals = [float(seq[e].evaluate(0.0, 0.0)) for e in range(n)]
+            vals = [seq[e].evaluate(0.0, 0.0) for e in range(n)]
             spread = max(vals) - min(vals)
             if spread > VERTEX_CONTINUITY_TOL * (1.0 + max(abs(v) for v in vals)):
                 raise GraphConfigError(
@@ -184,12 +184,12 @@ def check_compatibility_C1(spec: ProblemSpec) -> CompatibilityReport:
     items: list[CompatibilityItem] = []
     for e in range(g.n_edges):
         L = g.edges[e].length
-        r = float(spec.phi[e].evaluate(L, 0.0)) - float(spec.mu[e].evaluate(0.0, 0.0))
+        r = spec.phi[e].evaluate(L, 0.0) - spec.mu[e].evaluate(0.0, 0.0)
         items.append(CompatibilityItem(f"value_match[a_{e}]", r))
-        r = float(spec.psi[e].evaluate(L, 0.0)) - float(spec.mu[e].diff("t").evaluate(0.0, 0.0))
+        r = spec.psi[e].evaluate(L, 0.0) - spec.mu[e].diff("t").evaluate(0.0, 0.0)
         items.append(CompatibilityItem(f"velocity_match[a_{e}]", r))
     for i in range(g.k + 1):
-        s = sum(float(spec.phi[e].diff("x").evaluate(0.0, 0.0)) for e in g.edges_in(i))
+        s = sum(spec.phi[e].diff("x").evaluate(0.0, 0.0) for e in g.edges_in(i))
         items.append(CompatibilityItem(f"flux_sum[G_{i}]", s))
     return CompatibilityReport(tuple(items))
 
@@ -208,11 +208,11 @@ def check_compatibility_C2(spec: ProblemSpec) -> CompatibilityReport:
     items: list[CompatibilityItem] = []
     for e in range(g.n_edges):
         L = g.edges[e].length
-        mu_tt = float(spec.mu[e].diff_n("t", 2).evaluate(0.0, 0.0))
-        phi_v = float(spec.phi[e].evaluate(L, 0.0))
-        phi_dd = float(spec.phi[e].diff_n("x", 2).evaluate(L, 0.0))
-        q_v = float(spec.q[e].evaluate(L, 0.0))
-        f_v = float(spec.f[e].evaluate(L, 0.0))
+        mu_tt = spec.mu[e].diff_n("t", 2).evaluate(0.0, 0.0)
+        phi_v = spec.phi[e].evaluate(L, 0.0)
+        phi_dd = spec.phi[e].diff_n("x", 2).evaluate(L, 0.0)
+        q_v = spec.q[e].evaluate(L, 0.0)
+        f_v = spec.f[e].evaluate(L, 0.0)
         if g.edges[e].subgraph == 0:
             r = mu_tt - phi_dd + q_v * phi_v - f_v
             items.append(CompatibilityItem(f"accel_match[a_{e}]", r))
@@ -221,13 +221,13 @@ def check_compatibility_C2(spec: ProblemSpec) -> CompatibilityReport:
             items.append(CompatibilityItem(f"accel_match[a_{e}]", r))
             items.append(CompatibilityItem(f"phi_dd_boundary[a_{e}]", phi_dd))
     for i in range(g.k + 1):
-        s = sum(float(spec.psi[e].diff("x").evaluate(0.0, 0.0)) for e in g.edges_in(i))
+        s = sum(spec.psi[e].diff("x").evaluate(0.0, 0.0) for e in g.edges_in(i))
         items.append(CompatibilityItem(f"psi_flux_sum[G_{i}]", s))
     for e in range(g.n_edges):
-        phi_dd0 = float(spec.phi[e].diff_n("x", 2).evaluate(0.0, 0.0))
+        phi_dd0 = spec.phi[e].diff_n("x", 2).evaluate(0.0, 0.0)
         items.append(CompatibilityItem(f"phi_dd_vertex[e_{e}]", phi_dd0))
-    vals = [float(spec.q[e].evaluate(0.0, 0.0)) * float(spec.phi[e].evaluate(0.0, 0.0))
-            - float(spec.f[e].evaluate(0.0, 0.0)) for e in range(g.n_edges)]
+    vals = [spec.q[e].evaluate(0.0, 0.0) * spec.phi[e].evaluate(0.0, 0.0)
+            - spec.f[e].evaluate(0.0, 0.0) for e in range(g.n_edges)]
     spread = max(vals) - min(vals) if vals else 0.0
     items.append(CompatibilityItem("qphi_f_continuity[a]", spread))
     return CompatibilityReport(tuple(items))

@@ -248,11 +248,14 @@ def _num(d: dict, key: str, path: str, required: bool = True, default=None):
         if required:
             raise GraphConfigError(f"{path}{key}: missing")
         return default
-    v = d[key]
+    return _finite(d[key], f"{path}{key}")
+
+
+def _finite(v, name: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise GraphConfigError(f"{path}{key}: expected a number")
+        raise GraphConfigError(f"{name}: expected a number")
     if not abs(v) <= sys.float_info.max:  # nan, +-inf, or an int beyond float
-        raise GraphConfigError(f"{path}{key}: expected a finite number")
+        raise GraphConfigError(f"{name}: expected a finite number")
     return float(v)
 
 
@@ -337,11 +340,10 @@ def validate_config(cfg: dict) -> RunConfig:
         raise GraphConfigError("epsilons: expected a non-empty list")
     eps = []
     for i, x in enumerate(eps_raw):
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise GraphConfigError(f"epsilons[{i}]: expected a number")
-        if not (0.0 < float(x) < 1.0):
+        x = _finite(x, f"epsilons[{i}]")
+        if not (0.0 < x < 1.0):
             raise GraphConfigError(f"epsilons[{i}]: must lie in (0,1)")
-        eps.append(float(x))
+        eps.append(x)
 
     p = _int(cfg, "p", "", required=False, default=1)
     if not (0 <= p <= MAX_ORDER):
@@ -388,10 +390,12 @@ def write_report_csv(path: str | Path, rep: ConvergenceReport) -> None:
 
 
 def write_residuals_csv(path: str | Path, reports: tuple[ResidualReport, ...]) -> None:
-    lines = ["epsilon,sup_h,sup_nu"]
+    lines = ["epsilon,sup_h,sup_nu,h_floor,nu_floor"]
+    nan = float("nan")  # no assembled field, so no PDE defect
     for r in reports:
-        sup_h = r.sup_h if r.sup_h is not None else float("nan")
-        lines.append(",".join([_fmt(r.eps), _fmt(sup_h), _fmt(r.sup_nu)]))
+        cols = (r.eps, nan if r.sup_h is None else r.sup_h, r.sup_nu,
+                nan if r.h_floor is None else r.h_floor, r.nu_floor)
+        lines.append(",".join(map(_fmt, cols)))
     _write_lines(Path(path), lines)
 
 

@@ -34,7 +34,6 @@ __all__ = [
     "qp_solve",
     "qp_oracle_below_characteristic",
     "boundary_flux",
-    "evaluate_physical",
     "sample_physical",
 ]
 
@@ -208,24 +207,15 @@ def qp_oracle_below_characteristic(theta: float, alpha: Callable[[float], float]
     return half + 0.5 * val
 
 
-def evaluate_physical(fld: LayerField, eps: float, m: int, edge_length: float,
-                      tau: float, t: float, folded: bool = False) -> float:
-    """Layer value at arclength tau and time t on an edge of exponent m.
+def sample_physical(fld: LayerField, eps: float, m: int, edge_length: float,
+                    taus: np.ndarray, times: np.ndarray,
+                    folded: bool = False) -> np.ndarray:
+    """Layer values at every (taus[i], times[j]) on an edge of exponent m.
 
     The fast coordinate is eps^-m tau for center layers and
     eps^-m (edge_length - tau) for folded (far-vertex) layers; points past
     the grid are zero by the support property.
     """
-    if not (0.0 <= tau <= edge_length):
-        raise ValueError(f"tau={tau} outside [0, {edge_length}]")
-    return float(sample_physical(fld, eps, m, edge_length, np.array([tau]),
-                                 np.array([t]), folded)[0, 0])
-
-
-def sample_physical(fld: LayerField, eps: float, m: int, edge_length: float,
-                    taus: np.ndarray, times: np.ndarray,
-                    folded: bool = False) -> np.ndarray:
-    """Grid of layer values at physical coordinates, zero beyond support."""
     taus = np.asarray(taus, dtype=float)
     xi = (edge_length - taus if folded else taus) / eps ** m
     out = np.zeros((len(taus), len(times)))

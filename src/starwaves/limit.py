@@ -43,20 +43,19 @@ class G0Problem:
     nu: np.ndarray | None = None
 
 
-def solve_g0(prob: G0Problem, grid: Grid, cfl: float = 1.0) -> Field:
+def solve_g0(prob: G0Problem, grid: Grid) -> Field:
     """March the unit-speed subgraph; the vertex equation carries nu.
 
     With nu = None this is the same code path as direct_solve at b = 1,
     producing machine-identical values.
     """
     spec = prob.spec
-    slopes = sum(float(spec.phi[e].diff("x").evaluate(0.0, 0.0))
-                 for e in range(spec.graph.n_edges))
+    slopes = sum(spec.phi[e].diff("x").evaluate(0.0, 0.0) for e in range(spec.graph.n_edges))
     nu0 = 0.0 if prob.nu is None else float(prob.nu[0])
     if abs(slopes - nu0) > KIRCHHOFF_C1_TOL:
         raise CompatibilityError(
             f"slope sum {slopes:.3e} does not match nu(0)={nu0:.3e}")
-    check_cfl(spec, 0.5, grid, cfl)  # eps is irrelevant at b = 1
+    check_cfl(spec, 0.5, grid)  # eps is irrelevant at b = 1
     return _march(spec, grid, np.ones(spec.graph.n_edges), prob.nu)
 
 
@@ -128,11 +127,11 @@ def solve_degenerate_edge(q: Expr, f: Expr, phi: Expr, psi: Expr,
     u0 = phi cs(q, t) + psi sn(q, t) + int_0^t f(x, tau) sn(q, t - tau) dtau.
     """
     dt = float(times[1] - times[0])
-    Q = np.asarray(q.evaluate(x_nodes, 0.0), dtype=float)[:, None]
+    Q = q.evaluate(x_nodes, 0.0)[:, None]
     tt = np.asarray(times, dtype=float)[None, :]
-    vals = (np.asarray(phi.evaluate(x_nodes, 0.0), dtype=float)[:, None] * cs(Q, tt)
-            + np.asarray(psi.evaluate(x_nodes, 0.0), dtype=float)[:, None] * sn(Q, tt))
-    F = np.asarray(f.evaluate(x_nodes[:, None], times[None, :]), dtype=float)
+    vals = (phi.evaluate(x_nodes, 0.0)[:, None] * cs(Q, tt)
+            + psi.evaluate(x_nodes, 0.0)[:, None] * sn(Q, tt))
+    F = f.evaluate(x_nodes[:, None], times[None, :])
     if F.any():
         vals = vals + _convolve_sn(F, sn(Q, tt), dt)
     return EdgeODESolution(vals, 0, np.asarray(x_nodes, dtype=float),
@@ -162,7 +161,7 @@ def solve_cauchy_recursive(q: Expr, prev: EdgeODESolution) -> EdgeODESolution:
         return EdgeODESolution.zero(s, prev.x_nodes, prev.times, prev.edge)
     dt = float(prev.times[1] - prev.times[0])
     h = float(prev.x_nodes[1] - prev.x_nodes[0])
-    Q = np.asarray(q.evaluate(prev.x_nodes, 0.0), dtype=float)[:, None]
+    Q = q.evaluate(prev.x_nodes, 0.0)[:, None]
     SN = sn(Q, prev.times[None, :])
     src = _dxx(prev.values, h)
     vals = _convolve_sn(src, SN, dt)

@@ -194,3 +194,16 @@ def test_expression_overflow_exit_code(tmp_path, cmd, q):
     r = run_cli(cmd[0], write_cfg(tmp_path, cfg), *cmd[1:], *out)
     assert r.returncode == 3
     assert "numerical failure: " in r.stderr
+
+
+@pytest.mark.parametrize("cmd", [("solve", "--eps", "0.5"), ("expand",),
+                                 ("verify",)])
+def test_out_not_a_directory_exit_code(tmp_path, cmd):
+    # a bad output path is bad configuration, not a failed check
+    cfg = write_cfg(tmp_path, small_cfg())
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    r = run_cli(cmd[0], cfg, *cmd[1:], "--out", str(taken))
+    assert r.returncode == 2
+    assert "config error: --out: " in r.stderr
+    assert "Traceback" not in r.stderr

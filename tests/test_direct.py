@@ -123,9 +123,6 @@ def test_incompatible_data_refused():
     with pytest.raises(GraphConfigError) as ei:
         direct_solve(spec, 0.3, grid, cfl=0.9)
     assert "value_match" in str(ei.value)
-    # escape hatch for deliberately rough data
-    fld = direct_solve(spec, 0.3, grid, cfl=0.9, check=False)
-    assert np.isfinite(fld.sigma).all()
 
 
 def test_solution_independent_of_eps_on_g0_only_graph():

@@ -95,6 +95,28 @@ def test_numpy_broadcasting():
     assert c.shape == (5, 7) and np.all(c == 3.0)
 
 
+def test_leaves_on_arrays():
+    x = np.array([0.5, 1.5])[:, None]
+    t = np.array([0.0, 1.0, 2.0])[None, :]
+    for src, want in (("x", np.broadcast_to(x, (2, 3))),
+                      ("t", np.broadcast_to(t, (2, 3))),
+                      ("3", np.full((2, 3), 3.0))):
+        got = parse(src).evaluate(x, t)
+        assert got.shape == (2, 3) and got.dtype == np.float64, src
+        assert got.flags.writeable and np.array_equal(got, want), src
+        assert not np.shares_memory(got, x) and not np.shares_memory(got, t), src
+    # a bare variable already of the full shape is still a copy
+    xs = np.linspace(0.0, 1.0, 4)
+    got = parse("x").evaluate(xs, 0.0)
+    assert np.array_equal(got, xs) and not np.shares_memory(got, xs)
+    assert parse("x").evaluate(np.arange(3), 0).dtype == np.float64
+    # scalars in, a Python float out
+    assert type(parse("sin(x)").evaluate(1.0, 0.0)) is float
+    assert type(parse("x").evaluate(np.float64(2.0), np.array(1.0))) is float
+    # an empty grid holds no value, so there is no domain error to raise
+    assert parse("1/t").evaluate(np.empty(0), 0.0).shape == (0,)
+
+
 def test_differentiation():
     f = parse("x^2*sin(t)")
     fx = f.diff("x")
@@ -236,3 +258,33 @@ def test_free_vars_structural():
     assert parse("t - t").free_vars() == {"t"}
     assert parse("sin(x) * exp(t)").free_vars() == {"x", "t"}
     assert parse("2*pi + e").free_vars() == frozenset()
+
+
+def _eval_or_none(ast, x, t):
+    try:
+        with np.errstate(all="ignore"):
+            return ast.evaluate(x, t)
+    except ExprDomainError:
+        return None
+
+
+GRID_AXIS = st.lists(POINTS, min_size=1, max_size=4)
+
+
+@given(EXPR_STRINGS, GRID_AXIS, GRID_AXIS)
+def test_grid_axes_match_full_arrays_property(src, xs, ts):
+    """(x[:, None], t[None, :]) gives the bytes of the full broadcast grids."""
+    ast = _parse_or_skip(src)
+    x = np.array(xs)[:, None]
+    t = np.array(ts)[None, :]
+    full = [a.copy() for a in np.broadcast_arrays(x, t)]
+    got = _eval_or_none(ast, x, t)
+    want = _eval_or_none(ast, *full)
+    assert (got is None) == (want is None)  # the same domain verdict
+    if got is None:
+        return
+    for v, inputs in ((got, (x, t)), (want, full)):
+        assert v.shape == (len(xs), len(ts)) and v.dtype == np.float64
+        assert v.flags.writeable
+        assert not any(np.shares_memory(v, a) for a in inputs)
+    assert got.tobytes() == want.tobytes()

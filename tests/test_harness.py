@@ -214,8 +214,10 @@ def test_residuals_csv_nan_for_missing_defect(tmp_path):
     path = tmp_path / "residuals.csv"
     write_residuals_csv(path, rep.residual_reports)
     lines = path.read_text().splitlines()
-    assert lines[0] == "epsilon,sup_h,sup_nu"
-    assert lines[1].split(",")[1] == "nan"
+    assert lines[0] == "epsilon,sup_h,sup_nu,h_floor,nu_floor"
+    cells = lines[1].split(",")
+    assert cells[1] == "nan" and cells[3] == "nan"  # no defect, no floor
+    assert float(cells[4]) == 0.4 / 30
 
 
 def test_field_and_trace_csvs(tmp_path):
@@ -332,6 +334,10 @@ def test_validate_config_rejections(base_cfg):
         (lambda c: c.__setitem__("epsilons", [0.4, 1.5, 0.1]),
          r"epsilons\[1\]: must lie in \(0,1\)"),
         (lambda c: c.__setitem__("epsilons", "0.4"), "epsilons: expected"),
+        (lambda c: c.__setitem__("epsilons", [0.4, 10 ** 400, 0.1]),
+         r"epsilons\[1\]: expected a finite number"),
+        (lambda c: c.__setitem__("epsilons", [0.4, "0.2", 0.1]),
+         r"epsilons\[1\]: expected a number"),
         (lambda c: c.__setitem__("p", -1), "p: must be >= 0"),
         (lambda c: c.__setitem__("p", 5), "p: must be >= 0 and <= 4"),
         (lambda c: c.__setitem__("p", 1.5), "p: expected an integer"),

@@ -4,8 +4,8 @@ import pytest
 from starwaves.errors import GraphConfigError
 from starwaves.grid import LayerGrid
 from starwaves.layers import (LayerField, QuarterPlaneProblem, boundary_flux,
-                              evaluate_physical, qp_oracle_below_characteristic,
-                              qp_solve, sample_physical)
+                              qp_oracle_below_characteristic, qp_solve,
+                              sample_physical)
 
 from .helpers import qp_march_reference, spline_oracle
 
@@ -198,7 +198,7 @@ def test_scheme_matches_oracle_initial_mode():
         want = qp_oracle_below_characteristic(
             theta, np.sin, lambda y: 0.5 * np.cos(y), s, t)
         # m = 0 makes the fast coordinate the arclength itself
-        got = evaluate_physical(fld, 0.5, 0, grid.L, s, t)
+        got = sample_physical(fld, 0.5, 0, grid.L, [s], [t])[0, 0]
         assert got == pytest.approx(want, abs=1e-4)
 
 
@@ -208,18 +208,14 @@ def analytic_field() -> LayerField:
     return LayerField(vals, grid)
 
 
-def test_evaluate_physical_center_and_folded():
+def test_sample_physical_center_and_folded():
     fld = analytic_field()
-    got = evaluate_physical(fld, eps=0.5, m=1, edge_length=1.0, tau=0.3, t=0.77)
-    assert got == pytest.approx(np.exp(-0.6) * np.sin(0.77), abs=1e-5)
-    got = evaluate_physical(fld, 0.5, 1, 1.0, 0.3, 0.77, folded=True)
-    assert got == pytest.approx(np.exp(-1.4) * np.sin(0.77), abs=1e-5)
+    got = sample_physical(fld, eps=0.5, m=1, edge_length=1.0, taus=[0.3], times=[0.77])
+    assert got[0, 0] == pytest.approx(np.exp(-0.6) * np.sin(0.77), abs=1e-5)
+    got = sample_physical(fld, 0.5, 1, 1.0, [0.3], [0.77], folded=True)
+    assert got[0, 0] == pytest.approx(np.exp(-1.4) * np.sin(0.77), abs=1e-5)
     # eps^-m stretches past the grid: support property gives zero
-    assert evaluate_physical(fld, 0.5, 2, 2.0, 1.5, 0.5) == 0.0
-    with pytest.raises(ValueError, match="outside"):
-        evaluate_physical(fld, 0.5, 1, 1.0, -0.1, 0.5)
-    with pytest.raises(ValueError, match="outside"):
-        evaluate_physical(fld, 0.5, 1, 1.0, 2.5, 0.5)
+    assert sample_physical(fld, 0.5, 2, 2.0, [1.5], [0.5])[0, 0] == 0.0
 
 
 def test_sample_physical_matches_pointwise():
@@ -228,7 +224,7 @@ def test_sample_physical_matches_pointwise():
     times = np.array([0.3, 0.9, 1.4])
     for folded in (False, True):
         got = sample_physical(fld, 0.5, 2, 2.0, taus, times, folded=folded)
-        want = np.array([[evaluate_physical(fld, 0.5, 2, 2.0, tau, t, folded)
+        want = np.array([[sample_physical(fld, 0.5, 2, 2.0, [tau], [t], folded)[0, 0]
                           for t in times] for tau in taus])
         np.testing.assert_allclose(got, want, atol=1e-12)
     # folded: taus near the center map past L and must come back zero
