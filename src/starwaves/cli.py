@@ -77,7 +77,10 @@ def _cmd_solve(args) -> int:
 
 
 def _term_tables(es: ExpansionSet) -> list[tuple[str, np.ndarray, np.ndarray, str]]:
-    """(file name, x nodes, values, x column name) for every series term."""
+    """(file name, x nodes, values, x column name) for every series term.
+
+    A layer's values may stop short of its x nodes; the rest are zero.
+    """
     g0x = es.grids.g0.x_nodes
     ids = es.grids.g0_edge_ids
     tables = [(f"term_U_s0_edge{e}.csv", g0x(loc), es.g0_base.edges[loc], "x")
@@ -104,7 +107,11 @@ def _cmd_expand(args) -> int:
     tables = _term_tables(es)
     for name, x, u, xname in tables:
         sx = max(1, -((len(x) - 1) // -256))
-        write_grid_csv(out / name, f"{xname},t,value", x[::sx], t[::st], u[::sx, ::st])
+        xs, us = x[::sx], u[::sx, ::st]
+        if len(us) < len(xs):
+            # a layer stored up to its band: the nodes past it are zero
+            us = np.vstack([us, np.zeros((len(xs) - len(us), us.shape[1]))])
+        write_grid_csv(out / name, f"{xname},t,value", xs, t[::st], us)
     print(f"wrote {len(tables)} term CSVs to {out} (decimated to <=257 samples per axis)")
     return EXIT_OK
 

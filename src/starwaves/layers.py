@@ -6,9 +6,10 @@ buys two exact properties: the zero-order-free scheme reproduces
 d'Alembert solutions to roundoff, and the numerical support never runs
 ahead of the physical front, so values stay identically zero for xi > t.
 
-The same support bounds the work: the march is time-major and each step
-updates only the nodes that can be nonzero yet (see qp_solve), which gives
-the full-width march to the bit.  Storage is still the full rectangle.
+The same support bounds the work and the storage: the march is time-major
+and each step updates only the nodes that can be nonzero yet, and a layer
+keeps only the xi-nodes out to its widest reach plus BAND_PAD (see
+qp_solve).  Zero-padded to the grid, that is the full-width march to the bit.
 
 Both layer families use this module; the family attached to the far
 vertices is solved in the folded coordinate xi = -z >= 0, with the odd
@@ -25,7 +26,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import GraphConfigError
-from .grid import LayerGrid, SeparableSpline, one_sided_diff
+from .grid import LAYER_MARGIN, LayerGrid, SeparableSpline, one_sided_diff
 from .kernels import dt_kernel, phi_entire
 
 __all__ = [
@@ -38,6 +39,10 @@ __all__ = [
 ]
 
 TRACE_START_TOL = 1e-6
+# Zero xi-nodes kept past a layer's widest reach.  A cubic spline's response
+# to a jump decays by 2 - sqrt(3) per node, so 64 nodes leave about 1e-36 of
+# it at the cut: the spline on the band is the spline on the whole grid.
+BAND_PAD = 64
 
 
 @dataclass(frozen=True)
@@ -58,15 +63,20 @@ class QuarterPlaneProblem:
 
 @dataclass
 class LayerField:
-    """Layer values on [0, L] x [0, T] in fast coordinates."""
+    """Layer values on [0, L] x [0, T] in fast coordinates.
 
-    values: np.ndarray  # (n_xi + 1, steps + 1)
+    values holds the xi-nodes 0..band, band <= n_xi; the layer is zero at
+    every node past them.
+    """
+
+    values: np.ndarray  # (band + 1, steps + 1)
     grid: LayerGrid
     label: str = ""
 
     @cached_property
     def interp(self) -> SeparableSpline:
-        return SeparableSpline(self.grid.xi_nodes(), self.grid.times(), self.values)
+        xi = self.grid.xi_nodes()[:len(self.values)]
+        return SeparableSpline(xi, self.grid.times(), self.values)
 
     @property
     def is_zero(self) -> bool:
@@ -74,11 +84,9 @@ class LayerField:
 
 
 def _source_matrix(prob: QuarterPlaneProblem, grid: LayerGrid) -> np.ndarray | None:
-    """sum_r c_r xi^r rho_r, time-major: shape (steps + 1, n_xi + 1)."""
-    if not prob.sources:
-        return None
-    xi = grid.xi_nodes()
-    S = np.zeros((grid.steps + 1, grid.n_xi + 1))
+    """sum_r c_r xi^r rho_r, time-major: shape (steps + 1, rows), where rows
+    is the widest source's; the sum is zero past it."""
+    terms = []
     for c, r, rho in prob.sources:
         if rho.grid is not grid and (rho.grid.n_xi != grid.n_xi
                                      or rho.grid.dt != grid.dt
@@ -86,9 +94,14 @@ def _source_matrix(prob: QuarterPlaneProblem, grid: LayerGrid) -> np.ndarray | N
             raise GraphConfigError("source layers must share the target grid")
         if r < 1:
             raise GraphConfigError("Taylor source powers start at 1")
-        if c == 0.0 or rho.is_zero:
-            continue
-        S += (c * xi ** r) * rho.values.T
+        if c != 0.0 and not rho.is_zero:
+            terms.append((c, r, rho.values))
+    if not terms:
+        return None
+    xi = grid.xi_nodes()
+    S = np.zeros((grid.steps + 1, max(len(v) for _, _, v in terms)))
+    for c, r, v in terms:
+        S[:, :len(v)] += (c * xi[:len(v)] ** r) * v.T
     return S if S.any() else None
 
 
@@ -110,24 +123,25 @@ def qp_solve(prob: QuarterPlaneProblem, grid: LayerGrid,
     without shrinking the step; a negative part stays explicit (growth is
     then physical).
 
-    The march runs time-major, in a (steps + 1, n_xi + 1) array whose rows
-    are time levels, so every step reads and writes contiguous memory.  A
-    step updates only the nodes 1..reach.  reach starts at the last nonzero
-    node of the two start levels and grows by at least one node per step,
-    and to the last nonzero node of the step's source; it never shrinks.
-    Every node past it has zero neighbours and zero source, so the full
-    update would write +0.0 there, which the array already holds: the result
-    is the full-width march to the bit.  values is the transposed view,
-    (n_xi + 1, steps + 1) like every other layer array.
+    The march runs time-major, in an array whose rows are time levels, so
+    every step reads and writes contiguous memory.  A step updates only the
+    nodes 1..reach.  reach starts at the last nonzero node of the two start
+    levels and grows by at least one node per step, and to the last nonzero
+    node of the step's source; it never shrinks.  Every node past it has zero
+    neighbours and zero source, so the full update would write +0.0 there,
+    which the array already holds.  The reaches are worked out before the
+    march, and the array stores only the nodes 0..band, band = widest reach
+    + 1 + BAND_PAD (at most n_xi): zero-padded to the grid, the result is the
+    full-width march to the bit.  values is the transposed view,
+    (band + 1, steps + 1) like every other layer array.
 
     initial is a test-only mode: rows (v(., 0), v_t(., 0)) for comparison
     against the integral-representation oracle.
     """
-    if grid.L + 1e-9 < grid.steps * grid.dt + 2.0:
+    if grid.L + 1e-9 < grid.steps * grid.dt + LAYER_MARGIN:
         raise GraphConfigError("layer grid too short: support could reach the far end")
     n, M = grid.n_xi, grid.steps
     dt = grid.dt
-    W = np.zeros((M + 1, n + 1))
     g = prob.trace
     if g is not None:
         g = np.asarray(g, dtype=float)
@@ -137,30 +151,40 @@ def qp_solve(prob: QuarterPlaneProblem, grid: LayerGrid,
             raise GraphConfigError(
                 f"layer trace {prob.label or '?'} does not vanish at t=0: {g[0]:.3e}")
     S = _source_matrix(prob, grid)
+    s0 = np.zeros(n + 1)
+    if S is not None:
+        s0[:S.shape[1]] = S[0]
 
     th_p = max(prob.theta, 0.0)
     th_m = min(prob.theta, 0.0)
     a = 0.5 * dt * dt * th_p
 
+    start = np.zeros((2, n + 1))
     if initial is not None:
         alpha, beta = (np.asarray(r, dtype=float) for r in initial)
-        W[0] = alpha
+        start[0] = alpha
         lap = np.zeros_like(alpha)
         lap[1:-1] = (alpha[2:] - 2.0 * alpha[1:-1] + alpha[:-2]) / (dt * dt)
-        s0 = S[0] if S is not None else 0.0
-        W[1, 1:-1] = (alpha + dt * beta + 0.5 * dt * dt * (
+        start[1, 1:-1] = (alpha + dt * beta + 0.5 * dt * dt * (
             lap - prob.theta * alpha + s0))[1:-1]
     elif S is not None:
-        W[1, 1:-1] = 0.5 * dt * dt * S[0, 1:-1]
+        start[1, 1:-1] = 0.5 * dt * dt * s0[1:-1]
     if g is not None:
-        W[0, 0] = g[0]
-        W[1, 0] = g[1]
+        start[:, 0] = g[:2]
 
-    reach = int(_last_nonzero(W[:2]).max())
+    reach = [int(_last_nonzero(start).max())]
     src_reach = _last_nonzero(S).tolist() if S is not None else [0] * (M + 1)
     for m in range(1, M):
-        reach = min(max(reach + 1, src_reach[m]), n - 1)
-        k = reach + 1
+        reach.append(min(max(reach[-1] + 1, src_reach[m]), n - 1))
+    band = min(n, max(reach) + 1 + BAND_PAD)
+    W = np.zeros((M + 1, band + 1))
+    W[:2] = start[:, :band + 1]
+    if S is not None and S.shape[1] < band + 1:
+        # the march can outrun a source's stored band, where it reads zero
+        S = np.pad(S, ((0, 0), (0, band + 1 - S.shape[1])))
+
+    for m in range(1, M):
+        k = reach[m] + 1
         rhs = W[m, 2:k + 1] + W[m, :k - 1] - (1.0 + a) * W[m - 1, 1:k] \
             - dt * dt * th_m * W[m, 1:k]
         if S is not None:
@@ -214,12 +238,22 @@ def sample_physical(fld: LayerField, eps: float, m: int, edge_length: float,
 
     The fast coordinate is eps^-m tau for center layers and
     eps^-m (edge_length - tau) for folded (far-vertex) layers; points past
-    the grid are zero by the support property.
+    the stored band are zero by the support property.  A fast coordinate
+    below 0 (a tau off the edge on the layer's side) or a time outside the
+    layer grid's [0, T] raises ValueError, beyond a roundoff tolerance.
     """
     taus = np.asarray(taus, dtype=float)
+    times = np.asarray(times, dtype=float)
+    grid = fld.grid
     xi = (edge_length - taus if folded else taus) / eps ** m
+    tol = 1e-9 * grid.dt
+    if not np.all(xi >= -tol):
+        raise ValueError(f"taus off the edge: fast coordinate down to {np.min(xi):.6g}")
+    if not np.all((times >= -tol) & (times <= grid.steps * grid.dt + tol)):
+        raise ValueError(f"times must lie in [0, {grid.steps * grid.dt:.6g}], "
+                         f"got [{np.min(times):.6g}, {np.max(times):.6g}]")
     out = np.zeros((len(taus), len(times)))
-    inside = xi <= fld.grid.L
+    inside = xi <= grid.dt * (len(fld.values) - 1)
     if inside.any():
         out[inside] = fld.interp(xi[inside], times)
     return out

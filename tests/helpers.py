@@ -50,19 +50,28 @@ def spline_oracle(x_nodes, t_nodes, values, x, t):
     return out
 
 
+def zero_padded(fld):
+    """A layer's values on its whole grid, (n_xi + 1, steps + 1): the stored
+    band, then zero rows."""
+    out = np.zeros((fld.grid.n_xi + 1, fld.grid.steps + 1))
+    out[:len(fld.values)] = fld.values
+    return out
+
+
 def qp_march_reference(prob, grid, initial=None):
     """Full-width, x-major leapfrog: the reference for layers.qp_solve.
 
     Same scheme and the same floating-point expressions, node for node, but
     every step updates every interior node of a (n_xi + 1, steps + 1)
-    array.  Input checks are left to qp_solve.
+    array, and reads its source layers zero-padded to the grid.  Input
+    checks are left to qp_solve.
     """
     n, M, dt = grid.n_xi, grid.steps, grid.dt
     xi = grid.xi_nodes()
     S = np.zeros((n + 1, M + 1))
     for c, r, rho in prob.sources:
         if c != 0.0 and rho.values.any():
-            S += (c * xi ** r)[:, None] * rho.values
+            S += (c * xi ** r)[:, None] * zero_padded(rho)
     if not S.any():
         S = None
     g = None if prob.trace is None else np.asarray(prob.trace, dtype=float)

@@ -4,7 +4,12 @@ import sys
 
 import pytest
 
-from .helpers import REFERENCE_CONFIG
+from starwaves import cli
+from starwaves.expansion import build_expansion
+from starwaves.grid import make_expansion_grids
+from starwaves.harness import load_config, validate_config, write_grid_csv
+
+from .helpers import REFERENCE_CONFIG, zero_padded
 
 
 def run_cli(*args):
@@ -99,6 +104,37 @@ def test_expand_writes_terms(tmp_path):
     assert lines[0] == "x,t,value"
     assert len(lines) <= 1 + 257 * 257
     assert "wrote 8 term CSVs" in r.stdout
+
+
+def test_expand_layer_csvs_cover_the_grid(tmp_path):
+    # layers are stored up to their band; their CSVs still run over the
+    # whole decimated xi axis, zero rows past the band, with the bytes of a
+    # full-width rendering of the same term
+    cfg = write_cfg(tmp_path, small_cfg(p=1,
+                                        graph={"edges": [{"length": 1.0, "subgraph": 0},
+                                                         {"length": 1.0, "subgraph": 1}],
+                                               "exponents": [0, 2]}))
+    out = tmp_path / "terms"
+    assert cli.main(["expand", cfg, "--out", str(out)]) == 0
+    rc = validate_config(load_config(cfg))
+    grids = make_expansion_grids(rc.spec, rc.n_per_edge, rc.cfl)
+    es = build_expansion(rc.spec, rc.p, grids)
+    xi, t = grids.layer.xi_nodes(), grids.times
+    sx = -((len(xi) - 1) // -256)
+    st = -((len(t) - 1) // -256)
+    layers = {f"term_v_P{P}_edge{e}.csv": fld for (P, e), fld in es.vertex_layers.items()}
+    layers.update({f"term_w_s{s}_edge{e}.csv": fld
+                   for (s, e), fld in es.boundary_layers.items()})
+    assert len(layers) == 4
+    for name, fld in layers.items():
+        assert len(fld.values) < len(xi)
+        lines = (out / name).read_text().splitlines()
+        assert len(lines) - 1 == len(xi[::sx]) * len(t[::st])
+        assert all(float(line.rsplit(",", 1)[1]) == 0.0 for line in lines[-len(t[::st]):])
+        full = tmp_path / "full.csv"
+        write_grid_csv(full, "xi,t,value", xi[::sx], t[::st],
+                       zero_padded(fld)[::sx, ::st])
+        assert (out / name).read_bytes() == full.read_bytes(), name
 
 
 def test_expand_order_too_high(tmp_path):

@@ -4,17 +4,18 @@ import pytest
 from starwaves.direct import Field, direct_solve
 from starwaves.errors import (CompatibilityError, ExpansionOrderError,
                               GraphConfigError)
+from starwaves import expansion
 from starwaves.expansion import (DEFECT_SLAB, _pde_defect, assemble_partial_sum,
                                  build_expansion, lambda_set, residuals,
                                  verify_schedule)
 from starwaves.expr import parse
 from starwaves.graph import ProblemSpec, restrict_to_g0
 from starwaves.grid import Grid, make_direct_grid, make_expansion_grids
-from starwaves.layers import QuarterPlaneProblem, boundary_flux, qp_solve
+from starwaves.layers import BAND_PAD, QuarterPlaneProblem, boundary_flux, qp_solve
 from starwaves.limit import G0Problem, solve_degenerate_edge, solve_g0
 
-from .helpers import (pde_defect_reference, spline_oracle, star_spec,
-                      two_edge_g0_spec)
+from .helpers import (pde_defect_reference, qp_march_reference, spline_oracle,
+                      star_spec, two_edge_g0_spec, zero_padded)
 
 
 def test_lambda_set_examples():
@@ -84,6 +85,33 @@ def test_vertex_layer_trace_is_correction_trace():
     for e in (1, 2):
         assert np.array_equal(es.vertex_layers[(1, e)].values[0, :],
                               es.g0_corr[(1, 1)].sigma)
+
+
+def test_layers_stored_to_band_match_full_width_march(monkeypatch):
+    # every layer of a build stores at most steps + BAND_PAD + 2 xi-nodes,
+    # not the whole grid; zero-padded to the grid it is the full-width march
+    # of its own problem, Taylor sources included, to the bit
+    solved = []
+
+    def recording_qp_solve(prob, grid):
+        fld = qp_solve(prob, grid)
+        solved.append((prob, fld))
+        return fld
+
+    monkeypatch.setattr(expansion, "qp_solve", recording_qp_solve)
+    spec = star_spec()
+    grids = make_expansion_grids(spec, 64, 0.9)
+    es = build_expansion(spec, 2, grids)
+    layers = [*es.vertex_layers.values(), *es.boundary_layers.values()]
+    assert sorted(map(id, layers)) == sorted(id(fld) for _, fld in solved)
+    assert any(prob.sources for prob, _ in solved)
+    lg = grids.layer
+    for prob, fld in solved:
+        assert len(fld.values) <= lg.steps + BAND_PAD + 2 < lg.n_xi + 1
+        got = zero_padded(fld)
+        want = qp_march_reference(prob, lg)
+        assert np.array_equal(got, want), prob.label
+        assert np.array_equal(np.signbit(got), np.signbit(want)), prob.label
 
 
 def test_schedule_tampering_detected():
@@ -221,7 +249,7 @@ def test_assembly_matches_2d_spline_oracle():
             for P, xi, v in layers:
                 inside = xi <= grids.layer.L
                 want[inside] += eps ** P * spline_oracle(
-                    grids.layer.xi_nodes(), tn, v.values, xi[inside], t)
+                    grids.layer.xi_nodes(), tn, zero_padded(v), xi[inside], t)
         assert np.max(np.abs(fld.edges[e] - want)) <= 1e-12
     want = g0_oracle(grids.g0_edge_ids[0], np.array([0.0]))[0]
     assert np.max(np.abs(fld.sigma - want)) <= 1e-12

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from starwaves.errors import GraphConfigError
-from starwaves.grid import LayerGrid
-from starwaves.layers import (LayerField, QuarterPlaneProblem, boundary_flux,
-                              qp_oracle_below_characteristic, qp_solve,
-                              sample_physical)
+from starwaves.grid import LayerGrid, SeparableSpline
+from starwaves.layers import (BAND_PAD, LayerField, QuarterPlaneProblem,
+                              boundary_flux, qp_oracle_below_characteristic,
+                              qp_solve, sample_physical)
 
-from .helpers import qp_march_reference, spline_oracle
+from .helpers import qp_march_reference, spline_oracle, zero_padded
 
 
 def wave_grid(dt: float, T: float, pad: float = 2.0) -> LayerGrid:
@@ -19,7 +19,7 @@ def test_zero_problem_gives_zero_field():
     grid = wave_grid(0.05, 1.0)
     fld = qp_solve(QuarterPlaneProblem(theta=3.0, trace=None), grid)
     assert fld.is_zero
-    assert fld.values.shape == (grid.n_xi + 1, grid.steps + 1)
+    assert zero_padded(fld).shape == (grid.n_xi + 1, grid.steps + 1)
 
 
 def test_unit_courant_transport_is_exact():
@@ -32,9 +32,10 @@ def test_unit_courant_transport_is_exact():
     n, M = grid.n_xi, grid.steps
     diff = np.arange(M + 1)[None, :] - np.arange(n + 1)[:, None]
     exact = np.where(diff >= 0, g[diff.clip(0, M)], 0.0)
-    assert np.max(np.abs(fld.values - exact)) < 1e-13
+    vals = zero_padded(fld)
+    assert np.max(np.abs(vals - exact)) < 1e-13
     ahead = diff < 0
-    assert np.all(fld.values[ahead] == 0.0)
+    assert np.all(vals[ahead] == 0.0)
 
 
 def test_source_term_closed_form():
@@ -80,16 +81,34 @@ def _march_case(name):
         far[(xi > 2.0) & (xi < 2.5), 1:6] = -1.0
         rho = LayerField(far, grid)
         return QuarterPlaneProblem(-1.0, g, sources=((1.0, 1, rho),)), grid, None
+    if name == "narrow-source":
+        # a source stored on 11 xi-nodes only: the front of the trace runs
+        # past its stored band, and the source must read as zero there
+        near = np.zeros((11, grid.steps + 1))
+        near[1:10, 1:] = np.cos(t[1:])
+        rho = LayerField(near, grid)
+        return QuarterPlaneProblem(1.0, g, sources=((0.5, 1, rho),)), grid, None
     raise ValueError(name)
 
 
 @pytest.mark.parametrize("name", ["trace", "negative-theta", "taylor-sources",
-                                  "global-source", "initial", "source-ahead"])
+                                  "global-source", "initial", "source-ahead",
+                                  "narrow-source"])
 def test_march_matches_full_width_reference(name):
     # the support-bounded, time-major march gives the full-width x-major
-    # march to the bit, signs of zeros included
+    # march to the bit, signs of zeros included, once its band is
+    # zero-padded to the grid
     prob, grid, initial = _march_case(name)
-    got = qp_solve(prob, grid, initial=initial).values
+    fld = qp_solve(prob, grid, initial=initial)
+    if name in ("global-source", "initial", "source-ahead"):
+        # data nonzero across the grid, or a source far ahead of the front
+        # whose own front then runs on: the band is the whole grid
+        assert len(fld.values) == grid.n_xi + 1
+    elif name == "narrow-source":
+        assert len(prob.sources[0][2].values) < len(fld.values) < grid.n_xi + 1
+    else:
+        assert len(fld.values) <= grid.steps + BAND_PAD + 2 < grid.n_xi + 1
+    got = zero_padded(fld)
     want = qp_march_reference(prob, grid, initial=initial)
     assert got.shape == want.shape == (grid.n_xi + 1, grid.steps + 1)
     assert np.array_equal(got, want)
@@ -140,7 +159,7 @@ def test_self_convergence_second_order():
         dt = 0.01 / 2 ** k
         grid = wave_grid(dt, 1.0)
         g = np.sin(grid.times()) ** 2
-        solves.append(qp_solve(QuarterPlaneProblem(2.0, g), grid).values)
+        solves.append(zero_padded(qp_solve(QuarterPlaneProblem(2.0, g), grid)))
     # successive differences on the common coarse nodes drop ~4x
     for k in range(2):
         a, b = solves[k], solves[k + 1]
@@ -218,6 +237,25 @@ def test_sample_physical_center_and_folded():
     assert sample_physical(fld, 0.5, 2, 2.0, [1.5], [0.5])[0, 0] == 0.0
 
 
+def test_sample_physical_out_of_range_raises():
+    # a tau off the edge on the layer's side, or a time outside [0, T], used
+    # to come back as a spline extrapolation (0.850 and -1.463 here)
+    fld = analytic_field()  # T = 2
+    with pytest.raises(ValueError, match="off the edge"):
+        sample_physical(fld, 0.5, 1, 1.0, [-0.1], [0.77])
+    with pytest.raises(ValueError, match="off the edge"):
+        sample_physical(fld, 0.5, 1, 1.0, [1.1], [0.77], folded=True)
+    with pytest.raises(ValueError, match="off the edge"):
+        sample_physical(fld, 0.5, 1, 1.0, [0.3, np.nan], [0.77])
+    for t in (5.0, -0.01, np.nan):
+        with pytest.raises(ValueError, match="times must lie in"):
+            sample_physical(fld, 0.5, 1, 1.0, [0.3], [0.77, t])
+    # roundoff at the ends is not misuse
+    T = fld.grid.steps * fld.grid.dt
+    got = sample_physical(fld, 0.5, 1, 1.0, [-1e-14, 0.0], [0.0, T * (1 + 1e-15)])
+    assert np.all(np.isfinite(got))
+
+
 def test_sample_physical_matches_pointwise():
     fld = analytic_field()
     taus = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
@@ -255,7 +293,39 @@ def test_sample_physical_matches_2d_spline_oracle(folded, axis):
     inside = xi <= grid.L
     assert 0 < inside.sum() < len(taus)
     want = np.zeros_like(got)
-    want[inside] = spline_oracle(grid.xi_nodes(), grid.times(), fld.values,
+    want[inside] = spline_oracle(grid.xi_nodes(), grid.times(), zero_padded(fld),
                                  xi[inside], times)
     assert np.max(np.abs(got - want)) <= 1e-12
     assert np.max(np.abs(got)) > 0.1
+
+
+@pytest.mark.parametrize("axis", ["shared", "differing"])
+def test_band_spline_matches_whole_grid_spline(axis):
+    """The spline on a layer's band is the spline on the whole layer grid.
+
+    Past its front a layer is zero, and a cubic spline's response to the
+    jump at the front decays by 2 - sqrt(3) per node (de Boor, A Practical
+    Guide to Splines, 1978).  So where the band is cut, BAND_PAD nodes past
+    the widest reach, the whole-grid spline is down to about 1e-36 of the
+    layer's scale, and cutting there moves nothing within half a pad of the
+    front: those samples are the same bits.  Further out both splines are
+    below 1e-30 of the scale, and past the band the sample is exactly zero.
+    """
+    grid = wave_grid(0.02, 2.0)
+    g = np.sin(grid.times()) ** 2
+    fld = qp_solve(QuarterPlaneProblem(theta=2.0, trace=g), grid)
+    rows = len(fld.values)
+    assert rows < grid.n_xi + 1
+    whole = SeparableSpline(grid.xi_nodes(), grid.times(), zero_padded(fld))
+    eps = 0.5
+    xi = np.linspace(0.0, grid.L, 1601)
+    times = grid.times() if axis == "shared" else np.linspace(0.0, 2.0, 37)
+    got = sample_physical(fld, eps, 1, 0.0, eps * xi, times)
+    want = whole(xi, times)
+    near = xi <= grid.steps * grid.dt + BAND_PAD // 2 * grid.dt
+    assert np.array_equal(got[near], want[near])
+    assert np.array_equal(np.signbit(got[near]), np.signbit(want[near]))
+    scale = np.max(np.abs(want))
+    assert scale > 0.1
+    assert np.max(np.abs(got - want)) <= 1e-30 * scale
+    assert not got[xi > grid.dt * (rows - 1)].any()
