@@ -81,19 +81,14 @@ def _term_tables(es: ExpansionSet) -> list[tuple[str, np.ndarray, np.ndarray, st
 
     A layer's values may stop short of its x nodes; the rest are zero.
     """
-    g0x = es.grids.g0.x_nodes
-    ids = es.grids.g0_edge_ids
-    tables = [(f"term_U_s0_edge{e}.csv", g0x(loc), es.g0_base.edges[loc], "x")
-              for loc, e in enumerate(ids)]
-    for (r, l), fld in sorted(es.g0_corr.items()):
-        tables += [(f"term_U_s{r}_sub{l}_edge{e}.csv", g0x(loc), fld.edges[loc], "x")
-                   for loc, e in enumerate(ids)]
-    tables += [(f"term_u_s{s}_edge{e}.csv", term.x_nodes, term.values, "x")
-               for (s, e), term in sorted(es.edge_terms.items())]
-    tables += [(f"term_v_P{P}_edge{e}.csv", fld.grid.xi_nodes(), fld.values, "xi")
-               for (P, e), fld in sorted(es.vertex_layers.items())]
-    tables += [(f"term_w_s{s}_edge{e}.csv", fld.grid.xi_nodes(), fld.values, "xi")
-               for (s, e), fld in sorted(es.boundary_layers.items())]
+    U = [("s0", es.g0_base),
+         *((f"s{r}_sub{l}", fld) for (r, l), fld in sorted(es.g0_corr.items()))]
+    tables = [(f"term_U_{name}_edge{e}.csv", es.grids.g0.x_nodes(loc), fld.edges[loc], "x")
+              for name, fld in U for loc, e in enumerate(es.grids.g0_edge_ids)]
+    for name, terms, xname in (("u_s", es.edge_terms, "x"), ("v_P", es.vertex_layers, "xi"),
+                               ("w_s", es.boundary_layers, "xi")):
+        tables += [(f"term_{name}{k}_edge{e}.csv", terms[(k, e)].x_nodes,
+                    terms[(k, e)].values, xname) for k, e in sorted(terms)]
     return tables
 
 

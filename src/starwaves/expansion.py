@@ -13,6 +13,10 @@ power-indexed layer with the matching trace is built on each degenerate
 edge for every such power, so the assembled sum stays continuous at the
 central vertex to roundoff instead of only asymptotically.  Traces sum the
 corrections truncated at the requested order, for the same reason.
+
+Every term is a grid.Term, and each edge's series is one list of them
+(ExpansionSet.series): assembly samples each with layers.sample_physical,
+and the flux remainder takes each one's Term.flux.
 """
 
 from __future__ import annotations
@@ -26,11 +30,10 @@ from .direct import Field
 from .errors import ExpansionOrderError, GraphConfigError
 from .expr import Const, Expr
 from .graph import ProblemSpec, b_eps, require_compatibility_C1, restrict_to_g0
-from .grid import ExpansionGrids, Grid, SeparableSpline, one_sided_diff
-from .layers import (LayerField, QuarterPlaneProblem, boundary_flux, qp_solve,
-                     sample_physical)
-from .limit import (EdgeODESolution, G0Problem, solve_cauchy_recursive,
-                    solve_degenerate_edge, solve_g0)
+from .grid import ExpansionGrids, Grid, Term
+from .layers import QuarterPlaneProblem, qp_solve, sample_physical
+from .limit import (G0Problem, solve_cauchy_recursive, solve_degenerate_edge,
+                    solve_g0)
 
 __all__ = [
     "lambda_set",
@@ -62,28 +65,35 @@ class ExpansionSet:
     grids: ExpansionGrids
     g0_base: Field
     g0_corr: dict[tuple[int, int], Field]
-    edge_terms: dict[tuple[int, int], EdgeODESolution]
-    vertex_layers: dict[tuple[int, int], LayerField]
-    boundary_layers: dict[tuple[int, int], LayerField]
+    edge_terms: dict[tuple[int, int], Term]
+    vertex_layers: dict[tuple[int, int], Term]
+    boundary_layers: dict[tuple[int, int], Term]
     powers: tuple[int, ...]
     build_log: tuple[tuple, ...]
 
     @cached_property
-    def term_splines(self) -> dict[tuple, SeparableSpline]:
-        """Interpolants of the nonzero terms, ("U", r, l, edge) and ("u", s, edge)."""
-        t = self.grids.times
-        out: dict[tuple, SeparableSpline] = {}
-        for loc, e in enumerate(self.grids.g0_edge_ids):
-            xg = self.grids.g0.x_nodes(loc)
-            for (r, l), fld in [((0, 0), self.g0_base), *self.g0_corr.items()]:
-                out[("U", r, l, e)] = SeparableSpline(xg, t, fld.edges[loc])
-        for (s, e), term in self.edge_terms.items():
-            if not term.is_zero:
-                out[("u", s, e)] = SeparableSpline(term.x_nodes, t, term.values)
-        return out
+    def series(self) -> dict[int, list[tuple[int, int, bool, Term]]]:
+        """Each edge's nonzero terms (P, k, folded, term), in summation order.
 
-    def layer_powers(self, e: int) -> tuple[int, ...]:
-        return tuple(sorted(P for (P, ee) in self.vertex_layers if ee == e))
+        A term carries eps^P and is sampled in x / eps^k, or (L - x) / eps^k
+        when folded: k = 0 for U and u terms, the edge's m for layers.
+        Unit-speed edges come first with U_0, then the corrections by key;
+        degenerate edges list u_s, then v_P by P, then w_s.
+        """
+        g = self.spec.graph
+        t, s_range = self.grids.times, range(self.order + 1)
+        out: dict[int, list[tuple[int, int, bool, Term]]] = {}
+        for loc, e in enumerate(self.grids.g0_edge_ids):
+            x = self.grids.g0.x_nodes(loc)
+            out[e] = [(r * g.exponents[l], 0, False, Term(fld.edges[loc], x, t))
+                      for (r, l), fld in [((0, 0), self.g0_base), *sorted(self.g0_corr.items())]]
+        for e in g.gstar_edges():
+            m = g.m(e)
+            out[e] = ([(s * m, 0, False, self.edge_terms[(s, e)]) for s in s_range]
+                      + [(P, m, False, v) for (P, ee), v in sorted(self.vertex_layers.items())
+                         if ee == e]
+                      + [(s * m, m, True, self.boundary_layers[(s, e)]) for s in s_range])
+        return {e: [tm for tm in terms if not tm[3].is_zero] for e, terms in out.items()}
 
 
 def verify_schedule(log: tuple[tuple, ...]) -> None:
@@ -103,7 +113,7 @@ def _taylor_sources(q: Expr, x0: float, lower: list, folded: bool
     """Layer sources from the Taylor series of q around the vertex x0.
 
     lower[r - 1] is the layer r steps down the chain as (build_log key,
-    LayerField), or None where none was built.  Returns the sources
+    Term), or None where none was built.  Returns the sources
     (c_r, r, layer) with c_r = -(+-1)^r q^(r)(x0) / r!, the sign being -1
     on the folded family, and the dep keys of the layers used.
     """
@@ -149,15 +159,15 @@ def build_expansion(spec: ProblemSpec, p: int, grids: ExpansionGrids) -> Expansi
     log.append((("U", 0, 0), ()))
     corr_spec = _zero_g0_spec(spec_g0)
 
-    edge_terms: dict[tuple[int, int], EdgeODESolution] = {}
+    edge_terms: dict[tuple[int, int], Term] = {}
     for e in g.gstar_edges():
         u0 = solve_degenerate_edge(spec.q[e], spec.f[e], spec.phi[e], spec.psi[e],
-                                   grids.u_nodes[e], times, e)
+                                   grids.u_nodes[e], times)
         edge_terms[(0, e)] = u0
         log.append((("u", 0, e), ()))
         for s in range(1, p + 1):
             if s % 2:
-                edge_terms[(s, e)] = EdgeODESolution.zero(s, u0.x_nodes, times, e)
+                edge_terms[(s, e)] = Term(np.zeros(u0.values.shape), u0.x_nodes, times)
             else:
                 edge_terms[(s, e)] = solve_cauchy_recursive(spec.q[e],
                                                             edge_terms[(s - 2, e)])
@@ -166,7 +176,7 @@ def build_expansion(spec: ProblemSpec, p: int, grids: ExpansionGrids) -> Expansi
     p_plus = tuple(sorted({r * mi for r in range(1, p + 1) for mi in mlist}))
 
     g0_corr: dict[tuple[int, int], Field] = {}
-    vertex_layers: dict[tuple[int, int], LayerField] = {}
+    vertex_layers: dict[tuple[int, int], Term] = {}
 
     def build_vertex_layer(P: int, e: int) -> None:
         m = g.m(e)
@@ -204,17 +214,16 @@ def build_expansion(spec: ProblemSpec, p: int, grids: ExpansionGrids) -> Expansi
             deps = []
             for e in g.edges_in(l):
                 if r >= 2:
-                    u = edge_terms[(r - 2, e)]
-                    nu -= one_sided_diff(u.values, float(u.x_nodes[1] - u.x_nodes[0]))
+                    nu -= edge_terms[(r - 2, e)].flux()
                     deps.append(("u", r - 2, e))
-                nu -= boundary_flux(vertex_layers[((r - 1) * mlist[l - 1], e)])
+                nu -= vertex_layers[((r - 1) * mlist[l - 1], e)].flux()
                 deps.append(("v", (r - 1) * mlist[l - 1], e))
             g0_corr[(r, l)] = solve_g0(G0Problem(corr_spec, nu), grids.g0)
             log.append((("U", r, l), tuple(deps)))
         for e in g.gstar_edges():
             build_vertex_layer(P, e)
 
-    boundary_layers: dict[tuple[int, int], LayerField] = {}
+    boundary_layers: dict[tuple[int, int], Term] = {}
     for e in g.gstar_edges():
         L = g.edges[e].length
         theta = spec.q[e].evaluate(L, 0.0)
@@ -238,11 +247,12 @@ def build_expansion(spec: ProblemSpec, p: int, grids: ExpansionGrids) -> Expansi
 def assemble_partial_sum(es: ExpansionSet, eps: float, grid: Grid) -> Field:
     """Evaluate the truncated series on an evaluation grid as a Field.
 
-    Each term's SeparableSpline, built once per ExpansionSet or LayerField,
-    interpolates in x, and in t only when grid.times() is not the
-    expansion's time array.  The vertex trace and the Dirichlet rows agree
-    with the per-edge values at grid nodes to roundoff by construction; this
-    is a node contract, not a continuum one.
+    Each edge sums its series, every term added on the rows that
+    sample_physical gives it; the term's spline interpolates in x, and in
+    t only when grid.times() is not the expansion's time array.  The
+    vertex trace and the Dirichlet rows agree with the per-edge values at
+    grid nodes to roundoff by construction; this is a node contract, not a
+    continuum one.
     """
     spec = es.spec
     g = spec.graph
@@ -259,39 +269,18 @@ def assemble_partial_sum(es: ExpansionSet, eps: float, grid: Grid) -> Field:
             raise GraphConfigError(
                 f"eps={eps} too large: layers overlap across edge {e}")
     t_eval = grid.times()
-    splines = es.term_splines
 
-    def g0_sum(e: int, x: np.ndarray) -> np.ndarray:
-        V = splines[("U", 0, 0, e)](x, t_eval)
-        for r, l in sorted(es.g0_corr):
-            V += eps ** (r * g.exponents[l]) * splines[("U", r, l, e)](x, t_eval)
+    def edge_sum(e: int, x: np.ndarray) -> np.ndarray:
+        V = np.zeros((len(x), len(t_eval)))
+        for P, k, folded, term in es.series[e]:
+            rows, vals = sample_physical(term, eps, k, g.edges[e].length, x,
+                                         t_eval, folded)
+            vals *= eps ** P
+            V[rows] += vals
         return V
 
-    edges: list[np.ndarray] = []
-    for e in range(g.n_edges):
-        x_eval = grid.x_nodes(e)
-        if g.edges[e].subgraph == 0:
-            edges.append(g0_sum(e, x_eval))
-            continue
-        m = g.m(e)
-        L = g.edges[e].length
-        V = np.zeros((len(x_eval), len(t_eval)))
-        for s in range(0, es.order + 1):
-            if es.edge_terms[(s, e)].is_zero:
-                continue
-            V += eps ** (s * m) * splines[("u", s, e)](x_eval, t_eval)
-        for P in es.layer_powers(e):
-            fld = es.vertex_layers[(P, e)]
-            V += eps ** P * sample_physical(fld, eps, m, L, x_eval, t_eval)
-        for s in range(0, es.order + 1):
-            fld = es.boundary_layers[(s, e)]
-            if fld.is_zero:
-                continue
-            V += eps ** (s * m) * sample_physical(fld, eps, m, L, x_eval, t_eval,
-                                                  folded=True)
-        edges.append(V)
-
-    sigma = g0_sum(es.grids.g0_edge_ids[0], np.array([0.0]))[0]
+    edges = [edge_sum(e, grid.x_nodes(e)) for e in range(g.n_edges)]
+    sigma = edge_sum(es.grids.g0_edge_ids[0], np.array([0.0]))[0]
     return Field(grid, edges, sigma)
 
 
@@ -321,27 +310,14 @@ def residuals(es: ExpansionSet, eps: float,
     g = spec.graph
 
     def flux_sum(stride: int) -> np.ndarray:
+        # eps^(2m) d_x on edge e, and d_x = eps^-k d_xi for a term sampled
+        # in x / eps^k; folded layers sit at the far vertex
         nu = np.zeros(len(es.grids.times))
-        g0grid = es.grids.g0
-        for loc in range(len(es.g0_base.edges)):
-            h = g0grid.h(loc)
-            nu = nu + one_sided_diff(es.g0_base.edges[loc], h, stride)
-            for (r, l), fld in es.g0_corr.items():
-                w = eps ** (r * g.exponents[l])
-                nu = nu + w * one_sided_diff(fld.edges[loc], h, stride)
-        for e in g.gstar_edges():
+        for e, terms in es.series.items():
             m = g.m(e)
-            for s in range(0, es.order + 1):
-                term = es.edge_terms[(s, e)]
-                if term.is_zero:
-                    continue
-                h = float(term.x_nodes[1] - term.x_nodes[0])
-                nu = nu + eps ** (2 * m) * eps ** (s * m) * one_sided_diff(term.values, h, stride)
-            for P in es.layer_powers(e):
-                fld = es.vertex_layers[(P, e)]
-                if fld.is_zero:
-                    continue
-                nu = nu + eps ** m * eps ** P * boundary_flux(fld, stride=stride)
+            for P, k, folded, term in terms:
+                if not folded:
+                    nu = nu + eps ** (2 * m - k) * eps ** P * term.flux(stride)
         return nu
 
     nu = flux_sum(1)

@@ -5,14 +5,17 @@ additionally share the exact time array (the same float values), which is
 what lets vertex traces of different term families cancel to roundoff when
 the partial sum is assembled.
 
-SeparableSpline moves terms to other grids: in x always, in t only where
-the time arrays differ (they match at every reference-configuration eps).
+Every term of the series is one Term: values on uniform nodes from 0,
+zero past its stored rows.  Its SeparableSpline moves it to other grids:
+in x always, in t only where the time arrays differ (they match at every
+reference-configuration eps).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import BSpline, make_interp_spline
@@ -29,6 +32,7 @@ __all__ = [
     "make_expansion_grids",
     "check_cfl",
     "SeparableSpline",
+    "Term",
     "one_sided_diff",
     "trapezoid_weights",
 ]
@@ -213,6 +217,34 @@ def one_sided_diff(u: np.ndarray, h: float, stride: int = 1,
     """One-sided (-3 u_0 + 4 u_s - u_2s) / (2 s h) along axis, s = stride."""
     v = np.moveaxis(u, axis, 0)
     return (-3.0 * v[0] + 4.0 * v[stride] - v[2 * stride]) / (2.0 * h * stride)
+
+
+@dataclass
+class Term:
+    """One series term on uniform x_nodes from 0 and times.
+
+    values holds the nodes x_nodes[:len(values)], and the term is zero at
+    every node past them: U and u terms store every node, layers their band.
+    """
+
+    values: np.ndarray  # (rows <= len(x_nodes), len(times))
+    x_nodes: np.ndarray
+    times: np.ndarray
+    label: str = ""
+
+    @cached_property
+    def interp(self) -> SeparableSpline:
+        return SeparableSpline(self.x_nodes[:len(self.values)], self.times, self.values)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.values.any()
+
+    def flux(self, stride: int = 1) -> np.ndarray:
+        """One-sided d_x at x = 0 per time level; stride widens the stencil."""
+        if len(self.values) < 2 * stride + 1:
+            raise ValueError("need at least 3 spatial nodes")
+        return one_sided_diff(self.values, self.x_nodes[1], stride)
 
 
 def trapezoid_weights(n: int, h: float) -> np.ndarray:

@@ -119,11 +119,15 @@ class ConvergenceReport:
     note: str = NORM_NOTE
 
 
-def _cached_ref(entry: tuple[Grid, Field], want: Grid, name: str) -> Field:
-    if entry[0] != want or entry[1].grid != want:
+def _cached_ref(entry: tuple[ProblemSpec, Grid, Field], spec: ProblemSpec,
+                want: Grid, name: str) -> Field:
+    solved, grid, ref = entry
+    if solved != spec:
+        raise GraphConfigError(f"{name}: cached solve is of another problem than this sweep's")
+    if grid != want or ref.grid != want:
         raise GraphConfigError(f"{name}: cached solve is on another grid "
                                "than this sweep asks for")
-    return entry[1]
+    return ref
 
 
 def convergence_sweep(spec: ProblemSpec, p: int, epsilons: tuple[float, ...],
@@ -137,8 +141,9 @@ def convergence_sweep(spec: ProblemSpec, p: int, epsilons: tuple[float, ...],
     smallest asymptotic error, the sweep is declared inconclusive and the
     pass flag stays false regardless of the fitted order.
 
-    Cached solves and a passed-in expansion must sit on the grids that
-    n_per_edge and cfl give; stale ones raise GraphConfigError.
+    Cache entries are (spec, grid, field).  Cached solves and a passed-in
+    expansion must be of this spec and on the grids that n_per_edge and cfl
+    give, the expansion of order p; stale ones raise GraphConfigError.
     """
     eps_list = tuple(float(x) for x in epsilons)
     if len(eps_list) < 3:
@@ -151,8 +156,13 @@ def convergence_sweep(spec: ProblemSpec, p: int, epsilons: tuple[float, ...],
     if cache is None:
         cache = {}
     grids = make_expansion_grids(spec, n_per_edge, cfl)
-    if expansion is None or expansion.order != p:
+    if expansion is None:
         expansion = build_expansion(spec, p, grids)
+    elif expansion.spec != spec:
+        raise GraphConfigError("expansion: built for another problem than this sweep's")
+    elif expansion.order != p:
+        raise GraphConfigError(
+            f"expansion: built to order {expansion.order}, this sweep asks for p={p}")
     elif expansion.grids.g0 != grids.g0 or expansion.grids.layer != grids.layer:
         raise GraphConfigError(
             f"expansion: built on other grids than n_per_edge={n_per_edge}, "
@@ -165,23 +175,23 @@ def convergence_sweep(spec: ProblemSpec, p: int, epsilons: tuple[float, ...],
         got = cache.get(eps)
         if got is None:
             ref = direct_solve(spec, eps, grid, cfl=cfl)
-            cache[eps] = (grid, ref)
+            cache[eps] = (spec, grid, ref)
         else:
-            ref = _cached_ref(got, grid, f"cache[{eps}]")
+            ref = _cached_ref(got, spec, grid, f"cache[{eps}]")
         asm = assemble_partial_sum(expansion, eps, grid)
         triples.append(norms(ref, asm))
         res_reports.append(residuals(expansion, eps, assembled=asm))
 
     eps_min = eps_list[-1]
     key = (eps_min, "coarse")
-    grid_f, ref_f = cache[eps_min]
+    _, grid_f, ref_f = cache[eps_min]
     grid_c = coarsen(grid_f)
     got = cache.get(key)
     if got is None:
         ref_c = direct_solve(spec, eps_min, grid_c, cfl=cfl)
-        cache[key] = (grid_c, ref_c)
+        cache[key] = (spec, grid_c, ref_c)
     else:
-        ref_c = _cached_ref(got, grid_c, f"cache[{key}]")
+        ref_c = _cached_ref(got, spec, grid_c, f"cache[{key}]")
     sub = Field(grid_c, [u[::2, ::2] for u in ref_f.edges], ref_f.sigma[::2])
     refine_est = norms(sub, ref_c).l2 / 3.0
     l2 = tuple(t.l2 for t in triples)
@@ -405,8 +415,12 @@ def write_grid_csv(path: str | Path, header: str, x: np.ndarray,
 
     The bytes are those of np.savetxt(fmt="%.17g", delimiter=",") on the
     stacked columns.  Each t is formatted once into a row template whose
-    value slots are filled by one %-operation per x row.
+    value slots are filled by one %-operation per x row.  u must be
+    (len(x), len(t)): a banded term is zero-padded by the caller.
     """
+    if u.shape != (len(x), len(t)):
+        raise ValueError(f"values of shape {u.shape} do not match "
+                         f"{len(x)} x nodes and {len(t)} times")
     cells = [("%.17g," % v) + "%.17g\n" for v in t.tolist()]
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")

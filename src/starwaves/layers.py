@@ -8,33 +8,34 @@ ahead of the physical front, so values stay identically zero for xi > t.
 
 The same support bounds the work and the storage: the march is time-major
 and each step updates only the nodes that can be nonzero yet, and a layer
-keeps only the xi-nodes out to its widest reach plus BAND_PAD (see
-qp_solve).  Zero-padded to the grid, that is the full-width march to the bit.
+is a grid.Term that keeps only the xi-nodes out to its widest reach plus
+BAND_PAD (see qp_solve).  Zero-padded to the grid, that is the full-width
+march to the bit.
 
 Both layer families use this module; the family attached to the far
 vertices is solved in the folded coordinate xi = -z >= 0, with the odd
 powers of the Taylor sources sign-flipped by the caller.
+
+sample_physical is the one sampler of every series term on an edge: a
+layer in its fast coordinate, and a U or u term, with m = 0, in its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
 
 from .errors import GraphConfigError
-from .grid import LAYER_MARGIN, LayerGrid, SeparableSpline, one_sided_diff
+from .grid import LAYER_MARGIN, LayerGrid, Term
 from .kernels import dt_kernel, phi_entire
 
 __all__ = [
     "QuarterPlaneProblem",
-    "LayerField",
     "qp_solve",
     "qp_oracle_below_characteristic",
-    "boundary_flux",
     "sample_physical",
 ]
 
@@ -57,40 +58,17 @@ class QuarterPlaneProblem:
 
     theta: float
     trace: np.ndarray | None
-    sources: tuple[tuple[float, int, "LayerField"], ...] = ()
+    sources: tuple[tuple[float, int, Term], ...] = ()
     label: str = ""
-
-
-@dataclass
-class LayerField:
-    """Layer values on [0, L] x [0, T] in fast coordinates.
-
-    values holds the xi-nodes 0..band, band <= n_xi; the layer is zero at
-    every node past them.
-    """
-
-    values: np.ndarray  # (band + 1, steps + 1)
-    grid: LayerGrid
-    label: str = ""
-
-    @cached_property
-    def interp(self) -> SeparableSpline:
-        xi = self.grid.xi_nodes()[:len(self.values)]
-        return SeparableSpline(xi, self.grid.times(), self.values)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.values.any()
 
 
 def _source_matrix(prob: QuarterPlaneProblem, grid: LayerGrid) -> np.ndarray | None:
     """sum_r c_r xi^r rho_r, time-major: shape (steps + 1, rows), where rows
     is the widest source's; the sum is zero past it."""
+    xi, times = grid.xi_nodes(), grid.times()
     terms = []
     for c, r, rho in prob.sources:
-        if rho.grid is not grid and (rho.grid.n_xi != grid.n_xi
-                                     or rho.grid.dt != grid.dt
-                                     or rho.grid.steps != grid.steps):
+        if not (np.array_equal(rho.x_nodes, xi) and np.array_equal(rho.times, times)):
             raise GraphConfigError("source layers must share the target grid")
         if r < 1:
             raise GraphConfigError("Taylor source powers start at 1")
@@ -98,8 +76,7 @@ def _source_matrix(prob: QuarterPlaneProblem, grid: LayerGrid) -> np.ndarray | N
             terms.append((c, r, rho.values))
     if not terms:
         return None
-    xi = grid.xi_nodes()
-    S = np.zeros((grid.steps + 1, max(len(v) for _, _, v in terms)))
+    S = np.zeros((len(times), max(len(v) for _, _, v in terms)))
     for c, r, v in terms:
         S[:, :len(v)] += (c * xi[:len(v)] ** r) * v.T
     return S if S.any() else None
@@ -113,7 +90,7 @@ def _last_nonzero(rows: np.ndarray) -> np.ndarray:
 
 
 def qp_solve(prob: QuarterPlaneProblem, grid: LayerGrid,
-             initial: tuple[np.ndarray, np.ndarray] | None = None) -> LayerField:
+             initial: tuple[np.ndarray, np.ndarray] | None = None) -> Term:
     """Leapfrog at unit Courant number with Dirichlet trace at xi = 0.
 
     The far boundary carries homogeneous Dirichlet data; the true solution
@@ -192,17 +169,7 @@ def qp_solve(prob: QuarterPlaneProblem, grid: LayerGrid,
         W[m + 1, 1:k] = rhs / (1.0 + a)
         if g is not None:
             W[m + 1, 0] = g[m + 1]
-    return LayerField(W.T, grid, prob.label)
-
-
-def boundary_flux(fld: LayerField, stride: int = 1) -> np.ndarray:
-    """One-sided second-order d_xi v(0, t) per time level.
-
-    stride widens the stencil to stride*h for floor estimation.
-    """
-    if fld.values.shape[0] < 2 * stride + 1:
-        raise ValueError("need at least 3 spatial nodes")
-    return one_sided_diff(fld.values, fld.grid.dt, stride)
+    return Term(W.T, grid.xi_nodes(), grid.times(), prob.label)
 
 
 def qp_oracle_below_characteristic(theta: float, alpha: Callable[[float], float],
@@ -231,29 +198,31 @@ def qp_oracle_below_characteristic(theta: float, alpha: Callable[[float], float]
     return half + 0.5 * val
 
 
-def sample_physical(fld: LayerField, eps: float, m: int, edge_length: float,
+def sample_physical(term: Term, eps: float, m: int, edge_length: float,
                     taus: np.ndarray, times: np.ndarray,
-                    folded: bool = False) -> np.ndarray:
-    """Layer values at every (taus[i], times[j]) on an edge of exponent m.
+                    folded: bool = False) -> tuple[slice, np.ndarray]:
+    """A term's values at (taus[rows], times) on an edge of exponent m.
 
-    The fast coordinate is eps^-m tau for center layers and
-    eps^-m (edge_length - tau) for folded (far-vertex) layers; points past
-    the stored band are zero by the support property.  A fast coordinate
-    below 0 (a tau off the edge on the layer's side) or a time outside the
-    layer grid's [0, T] raises ValueError, beyond a roundoff tolerance.
+    The coordinate is eps^-m tau, or eps^-m (edge_length - tau) for folded
+    (far-vertex) layers; m = 0 samples a U or u term in its own.  taus must
+    be ascending, so the points within the stored rows are a prefix of
+    them, or a suffix when folded: rows is that slice, and the term is zero
+    at every other tau.  A coordinate below 0 (a tau off the edge on the
+    term's side) or a time outside the term's [0, T] raises ValueError,
+    beyond a roundoff tolerance.
     """
     taus = np.asarray(taus, dtype=float)
     times = np.asarray(times, dtype=float)
-    grid = fld.grid
+    if np.any(taus[1:] < taus[:-1]):
+        raise ValueError("taus must be ascending")
     xi = (edge_length - taus if folded else taus) / eps ** m
-    tol = 1e-9 * grid.dt
+    dt, T = term.times[1], term.times[-1]
+    tol = 1e-9 * dt
     if not np.all(xi >= -tol):
-        raise ValueError(f"taus off the edge: fast coordinate down to {np.min(xi):.6g}")
-    if not np.all((times >= -tol) & (times <= grid.steps * grid.dt + tol)):
-        raise ValueError(f"times must lie in [0, {grid.steps * grid.dt:.6g}], "
+        raise ValueError(f"taus off the edge: coordinate down to {np.min(xi):.6g}")
+    if not np.all((times >= -tol) & (times <= T + tol)):
+        raise ValueError(f"times must lie in [0, {T:.6g}], "
                          f"got [{np.min(times):.6g}, {np.max(times):.6g}]")
-    out = np.zeros((len(taus), len(times)))
-    inside = xi <= grid.dt * (len(fld.values) - 1)
-    if inside.any():
-        out[inside] = fld.interp(xi[inside], times)
-    return out
+    k = int(np.count_nonzero(xi <= term.x_nodes[len(term.values) - 1]))
+    rows = slice(len(taus) - k, len(taus)) if folded else slice(0, k)
+    return rows, term.interp(xi[rows], times)

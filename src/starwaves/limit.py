@@ -4,6 +4,7 @@ Two families: the hyperbolic problem on the unit-speed subgraph with an
 optional Kirchhoff source (shared marcher with the reference solver), and
 the per-edge ODE hierarchy on the degenerate edges, solved in closed form
 through the extended trigonometric kernels plus a Simpson convolution.
+Each term of the hierarchy is a grid.Term on the edge's nodes.
 """
 
 from __future__ import annotations
@@ -16,12 +17,11 @@ from .direct import Field, _march
 from .errors import CompatibilityError
 from .expr import Expr
 from .graph import ProblemSpec
-from .grid import Grid, check_cfl
+from .grid import Grid, Term, check_cfl
 from .kernels import cs, sn
 
 __all__ = [
     "G0Problem",
-    "EdgeODESolution",
     "solve_g0",
     "solve_degenerate_edge",
     "solve_cauchy_recursive",
@@ -57,26 +57,6 @@ def solve_g0(prob: G0Problem, grid: Grid) -> Field:
             f"slope sum {slopes:.3e} does not match nu(0)={nu0:.3e}")
     check_cfl(spec, 0.5, grid)  # eps is irrelevant at b = 1
     return _march(spec, grid, np.ones(spec.graph.n_edges), prob.nu)
-
-
-@dataclass
-class EdgeODESolution:
-    """Grid values of one term of the degenerate-edge hierarchy."""
-
-    values: np.ndarray  # (len(x_nodes), len(times))
-    order: int
-    x_nodes: np.ndarray
-    times: np.ndarray
-    edge: int
-
-    @classmethod
-    def zero(cls, order: int, x_nodes: np.ndarray, times: np.ndarray,
-             edge: int) -> "EdgeODESolution":
-        return cls(np.zeros((len(x_nodes), len(times))), order, x_nodes, times, edge)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.values.any()
 
 
 def simpson_weights(n: int, dt: float) -> np.ndarray:
@@ -120,8 +100,7 @@ def _convolve_sn(src: np.ndarray, SN: np.ndarray, dt: float) -> np.ndarray:
 
 
 def solve_degenerate_edge(q: Expr, f: Expr, phi: Expr, psi: Expr,
-                          x_nodes: np.ndarray, times: np.ndarray,
-                          edge: int = 0) -> EdgeODESolution:
+                          x_nodes: np.ndarray, times: np.ndarray) -> Term:
     """Leading term on a degenerate edge, pointwise in x.
 
     u0 = phi cs(q, t) + psi sn(q, t) + int_0^t f(x, tau) sn(q, t - tau) dtau.
@@ -134,8 +113,7 @@ def solve_degenerate_edge(q: Expr, f: Expr, phi: Expr, psi: Expr,
     F = f.evaluate(x_nodes[:, None], times[None, :])
     if F.any():
         vals = vals + _convolve_sn(F, sn(Q, tt), dt)
-    return EdgeODESolution(vals, 0, np.asarray(x_nodes, dtype=float),
-                           np.asarray(times, dtype=float), edge)
+    return Term(vals, x_nodes, times)
 
 
 def _dxx(values: np.ndarray, h: float) -> np.ndarray:
@@ -150,19 +128,17 @@ def _dxx(values: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def solve_cauchy_recursive(q: Expr, prev: EdgeODESolution) -> EdgeODESolution:
-    """Term of order prev.order + 2 from the source d^2_x of the previous one.
+def solve_cauchy_recursive(q: Expr, prev: Term) -> Term:
+    """Term two orders above prev, from the source d^2_x prev.
 
-    Odd orders are identically zero and their successors inherit the zero
-    without computation.
+    A zero prev gives a zero term without computation.  Odd orders are
+    identically zero, and the caller makes them without a call.
     """
-    s = prev.order + 2
-    if prev.order % 2 or prev.is_zero:
-        return EdgeODESolution.zero(s, prev.x_nodes, prev.times, prev.edge)
+    if prev.is_zero:
+        return Term(np.zeros(prev.values.shape), prev.x_nodes, prev.times)
     dt = float(prev.times[1] - prev.times[0])
     h = float(prev.x_nodes[1] - prev.x_nodes[0])
     Q = q.evaluate(prev.x_nodes, 0.0)[:, None]
     SN = sn(Q, prev.times[None, :])
     src = _dxx(prev.values, h)
-    vals = _convolve_sn(src, SN, dt)
-    return EdgeODESolution(vals, s, prev.x_nodes, prev.times, prev.edge)
+    return Term(_convolve_sn(src, SN, dt), prev.x_nodes, prev.times)

@@ -8,6 +8,8 @@ from scipy.interpolate import RectBivariateSpline
 from starwaves.direct import Field
 from starwaves.expr import parse
 from starwaves.graph import Edge, ProblemSpec, StarGraph, b_eps
+from starwaves.grid import SeparableSpline, one_sided_diff
+from starwaves.layers import sample_physical
 
 REPO = Path(__file__).resolve().parent.parent
 REFERENCE_CONFIG = REPO / "configs" / "reference.json"
@@ -51,11 +53,99 @@ def spline_oracle(x_nodes, t_nodes, values, x, t):
 
 
 def zero_padded(fld):
-    """A layer's values on its whole grid, (n_xi + 1, steps + 1): the stored
-    band, then zero rows."""
-    out = np.zeros((fld.grid.n_xi + 1, fld.grid.steps + 1))
+    """A term's values on its whole grid, (len(x_nodes), len(times)): the
+    stored rows, then zero rows."""
+    out = np.zeros((len(fld.x_nodes), len(fld.times)))
     out[:len(fld.values)] = fld.values
     return out
+
+
+def sampled(term, eps, m, edge_length, taus, times, folded=False):
+    """layers.sample_physical scattered onto every tau: zero off its rows."""
+    rows, vals = sample_physical(term, eps, m, edge_length, taus, times, folded)
+    out = np.zeros((len(taus), len(times)))
+    out[rows] = vals
+    return out
+
+
+def assemble_reference(es, eps, grid):
+    """Three-family assembly, (edges, sigma): the reference for
+    expansion.assemble_partial_sum.
+
+    The U terms on each unit-speed edge, then u_s, v_P and w_s on each
+    degenerate edge, every term through a SeparableSpline of its own and
+    added over the whole edge; a layer is zero past its stored band.
+    """
+    g = es.spec.graph
+    tn, t = es.grids.times, grid.times()
+
+    def spline(x_nodes, values, x):
+        return SeparableSpline(x_nodes[:len(values)], tn, values)(x, t)
+
+    def layer(fld, xi):
+        out = np.zeros((len(xi), len(t)))
+        inside = xi <= fld.x_nodes[len(fld.values) - 1]
+        if inside.any():
+            out[inside] = spline(fld.x_nodes, fld.values, xi[inside])
+        return out
+
+    def g0_sum(e, x):
+        loc = es.grids.g0_edge_ids.index(e)
+        xg = es.grids.g0.x_nodes(loc)
+        V = spline(xg, es.g0_base.edges[loc], x)
+        for r, l in sorted(es.g0_corr):
+            V += eps ** (r * g.exponents[l]) * spline(xg, es.g0_corr[(r, l)].edges[loc], x)
+        return V
+
+    edges = []
+    for e in range(g.n_edges):
+        x = grid.x_nodes(e)
+        if g.edges[e].subgraph == 0:
+            edges.append(g0_sum(e, x))
+            continue
+        m, L = g.m(e), g.edges[e].length
+        V = np.zeros((len(x), len(t)))
+        for s in range(es.order + 1):
+            u = es.edge_terms[(s, e)]
+            if u.values.any():
+                V += eps ** (s * m) * spline(u.x_nodes, u.values, x)
+        for P in sorted(P for P, ee in es.vertex_layers if ee == e):
+            V += eps ** P * layer(es.vertex_layers[(P, e)], x / eps ** m)
+        for s in range(es.order + 1):
+            w = es.boundary_layers[(s, e)]
+            if w.values.any():
+                V += eps ** (s * m) * layer(w, (L - x) / eps ** m)
+        edges.append(V)
+    return edges, g0_sum(es.grids.g0_edge_ids[0], np.array([0.0]))[0]
+
+
+def flux_sum_reference(es, eps, stride):
+    """Three-family Kirchhoff remainder: the reference for the flux sum of
+    expansion.residuals.
+
+    The U terms of each unit-speed edge in build order, then u_s and v_P on
+    each degenerate edge, each through one_sided_diff with its own h.
+    """
+    g = es.spec.graph
+    nu = np.zeros(len(es.grids.times))
+    for loc in range(len(es.g0_base.edges)):
+        h = es.grids.g0.h(loc)
+        nu = nu + one_sided_diff(es.g0_base.edges[loc], h, stride)
+        for (r, l), fld in es.g0_corr.items():
+            nu = nu + eps ** (r * g.exponents[l]) * one_sided_diff(fld.edges[loc], h, stride)
+    for e in g.gstar_edges():
+        m = g.m(e)
+        for s in range(es.order + 1):
+            u = es.edge_terms[(s, e)]
+            if u.values.any():
+                h = float(u.x_nodes[1] - u.x_nodes[0])
+                nu = nu + eps ** (2 * m) * eps ** (s * m) * one_sided_diff(u.values, h, stride)
+        for P in sorted(P for P, ee in es.vertex_layers if ee == e):
+            v = es.vertex_layers[(P, e)]
+            if v.values.any():
+                nu = nu + eps ** m * eps ** P * one_sided_diff(v.values, es.grids.layer.dt,
+                                                              stride)
+    return nu
 
 
 def qp_march_reference(prob, grid, initial=None):

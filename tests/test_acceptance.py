@@ -82,9 +82,9 @@ def test_criterion_2_flux_remainder_rate(reference_run, announce):
 def _support_excess(es) -> float:
     worst = 0.0
     for fld in list(es.vertex_layers.values()) + list(es.boundary_layers.values()):
-        xi = fld.grid.xi_nodes()
-        t = fld.grid.times()
-        mask = xi[:, None] > t[None, :] + 2.0 * fld.grid.dt
+        xi = fld.x_nodes
+        t = fld.times
+        mask = xi[:, None] > t[None, :] + 2.0 * t[1]
         if mask.any():
             worst = max(worst, float(np.max(np.abs(zero_padded(fld)[mask]))))
     return worst
@@ -149,7 +149,7 @@ def test_criterion_6_node_constraints(reference_run, announce):
     worst = 0.0
     for p in (0, 1):
         for eps in (0.4, 0.05):
-            grid, _ = cache[eps]
+            _, grid, _ = cache[eps]
             fld = assemble_partial_sum(expansions[p], eps, grid)
             t = grid.times()
             for e in range(run.spec.graph.n_edges):

@@ -11,11 +11,12 @@ from starwaves.expansion import (DEFECT_SLAB, _pde_defect, assemble_partial_sum,
 from starwaves.expr import parse
 from starwaves.graph import ProblemSpec, restrict_to_g0
 from starwaves.grid import Grid, make_direct_grid, make_expansion_grids
-from starwaves.layers import BAND_PAD, QuarterPlaneProblem, boundary_flux, qp_solve
+from starwaves.layers import BAND_PAD, QuarterPlaneProblem, qp_solve, sample_physical
 from starwaves.limit import G0Problem, solve_degenerate_edge, solve_g0
 
-from .helpers import (pde_defect_reference, qp_march_reference, spline_oracle,
-                      star_spec, two_edge_g0_spec, zero_padded)
+from .helpers import (assemble_reference, flux_sum_reference, pde_defect_reference,
+                      qp_march_reference, spline_oracle, star_spec, two_edge_g0_spec,
+                      zero_padded)
 
 
 def test_lambda_set_examples():
@@ -57,8 +58,7 @@ def test_term_inventory_p0_and_p1():
     assert es1.powers == (1, 2)
     assert set(es1.edge_terms) == {(s, e) for s in (0, 1) for e in (1, 2)}
     assert set(es1.g0_corr) == {(1, 1), (1, 2)}
-    assert es1.layer_powers(1) == (0, 1, 2)
-    assert es1.layer_powers(2) == (0, 1, 2)
+    assert set(es1.vertex_layers) == {(P, e) for P in (0, 1, 2) for e in (1, 2)}
     assert set(es1.boundary_layers) == {(s, e) for s in (0, 1) for e in (1, 2)}
     # the replayable log covers every term exactly once
     verify_schedule(es1.build_log)
@@ -151,7 +151,7 @@ def test_manual_chain_two_edge_single_exponent():
     grids = make_expansion_grids(spec, 64, 0.9)
     es = build_expansion(spec, 1, grids)
     assert es.powers == (2,)
-    assert es.layer_powers(1) == (0, 2)
+    assert set(es.vertex_layers) == {(0, 1), (2, 1)}
 
     spec0, ids = restrict_to_g0(spec)
     assert grids.g0_edge_ids == ids
@@ -160,7 +160,7 @@ def test_manual_chain_two_edge_single_exponent():
     assert np.array_equal(es.g0_base.edges[0], U0.edges[0])
 
     u0 = solve_degenerate_edge(spec.q[1], spec.f[1], spec.phi[1], spec.psi[1],
-                               grids.u_nodes[1], grids.times, 1)
+                               grids.u_nodes[1], grids.times)
     assert np.array_equal(es.edge_terms[(0, 1)].values, u0.values)
     assert es.edge_terms[(1, 1)].is_zero
 
@@ -172,7 +172,7 @@ def test_manual_chain_two_edge_single_exponent():
     zero = parse("0")
     zspec = ProblemSpec(spec0.graph, spec0.q, (zero,), (zero,), (zero,),
                         (zero,), spec0.T)
-    U1 = solve_g0(G0Problem(zspec, -boundary_flux(v0)), grids.g0)
+    U1 = solve_g0(G0Problem(zspec, -v0.flux()), grids.g0)
     assert np.array_equal(es.g0_corr[(1, 1)].sigma, U1.sigma)
 
     # q = 1 + x: theta = q(0), the single Taylor source carries -q'(0) = -1
@@ -253,6 +253,56 @@ def test_assembly_matches_2d_spline_oracle():
         assert np.max(np.abs(fld.edges[e] - want)) <= 1e-12
     want = g0_oracle(grids.g0_edge_ids[0], np.array([0.0]))[0]
     assert np.max(np.abs(fld.sigma - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("p", [0, 1, 2])
+def test_series_loops_match_three_family_reference(p):
+    # one loop over each edge's series gives the bits of the per-family
+    # loops, sign bits included.  At p = 2 the flux sum adds the U
+    # corrections by key where the family loop added them in build order,
+    # (1,1), (2,1), (1,2), (2,2); that moves only the last bits
+    spec = star_spec()
+    es = build_expansion(spec, p, make_expansion_grids(spec, 64, 0.9))
+    for eps in (0.3, 0.2):
+        grid = make_direct_grid(spec, eps, 64, 0.9)
+        fld = assemble_partial_sum(es, eps, grid)
+        edges, sigma = assemble_reference(es, eps, grid)
+        for got, want in [*zip(fld.edges, edges), (fld.sigma, sigma)]:
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+        rep = residuals(es, eps)
+        nu = flux_sum_reference(es, eps, 1)
+        if p < 2:
+            assert np.array_equal(rep.nu_samples, nu)
+            assert np.array_equal(np.signbit(rep.nu_samples), np.signbit(nu))
+            floor = float(np.max(np.abs(flux_sum_reference(es, eps, 2) - nu))) / 3.0
+            assert rep.nu_floor == floor
+        else:
+            assert np.max(np.abs(rep.nu_samples - nu)) <= 1e-13 * np.max(np.abs(nu))
+
+
+def test_sampler_rows_of_series_terms():
+    # U and u terms cover their whole edge; at eps = 0.05 the layers on the
+    # m = 2 edge reach only the first rows (v) or the last rows (w, folded)
+    spec = star_spec()
+    es = build_expansion(spec, 0, make_expansion_grids(spec, 64, 0.9))
+    eps = 0.05
+    grid = make_direct_grid(spec, eps, 64, 0.9)
+    t = grid.times()
+    layers = []
+    for e, terms in es.series.items():
+        x = grid.x_nodes(e)
+        for P, k, folded, term in terms:
+            rows, vals = sample_physical(term, eps, k, 1.0, x, t, folded)
+            assert vals.shape == (rows.stop - rows.start, len(t))
+            if k == 0:
+                assert rows == slice(0, len(x))
+            elif e == 2:
+                layers.append((folded, rows, len(x)))
+    assert sorted(f for f, _, _ in layers) == [False, True]
+    for folded, rows, n in layers:
+        assert 0 < rows.stop - rows.start < 20 < n
+        assert (rows.stop == n) if folded else (rows.start == 0)
 
 
 def test_assemble_guards():

@@ -169,6 +169,24 @@ def test_sweep_rejects_stale_cache():
     small_sweep(cache)
 
 
+def test_sweep_rejects_cache_and_expansion_of_another_problem():
+    # a cache entry or an expansion carries the spec it solved; one solved
+    # for another f, or an expansion of another order, must not be reused
+    eps = (0.6, 0.45, 0.3)
+    a = star_spec(exponents=(0, 1), subgraphs=(0, 1, 1))
+    b = star_spec(f="cos(t)*(1 + x)", exponents=(0, 1), subgraphs=(0, 1, 1))
+    cache: dict = {}
+    convergence_sweep(a, 0, eps, n_per_edge=48, cache=cache)
+    assert all(entry[0] == a for entry in cache.values())
+    with pytest.raises(GraphConfigError, match=r"cache\[0.6\].*another problem"):
+        convergence_sweep(b, 0, eps, n_per_edge=48, cache=cache)
+    es = build_expansion(a, 0, make_expansion_grids(a, 48, 0.9))
+    with pytest.raises(GraphConfigError, match="expansion: built for another problem"):
+        convergence_sweep(b, 0, eps, n_per_edge=48, expansion=es)
+    with pytest.raises(GraphConfigError, match="expansion: built to order 0.*p=1"):
+        convergence_sweep(a, 1, eps, n_per_edge=48, expansion=es)
+
+
 def test_sweep_rejects_vanishing_errors():
     # all-zero data: series and reference agree exactly, so no rate exists
     spec = star_spec(f="0", phi="0", exponents=(0, 1), subgraphs=(0, 1, 1))
@@ -236,6 +254,17 @@ def test_field_and_trace_csvs(tmp_path):
     tl = trace.read_text().splitlines()
     assert tl[0] == "t,sigma"
     assert len(tl) == grid.steps + 2
+
+
+def test_grid_csv_rejects_mismatched_shapes(tmp_path):
+    # rows are zipped with x, so a short or long u, or one with another
+    # number of times, would write a truncated or misaligned CSV
+    x, t = np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 3)
+    for shape in ((3, 3), (7, 3), (5, 2), (5, 4)):
+        with pytest.raises(ValueError, match="do not match"):
+            write_grid_csv(tmp_path / "g.csv", "x,t,u", x, t, np.zeros(shape))
+    write_grid_csv(tmp_path / "g.csv", "x,t,u", x, t, np.zeros((5, 3)))
+    assert len((tmp_path / "g.csv").read_text().splitlines()) == 1 + 15
 
 
 def test_grid_csv_matches_savetxt_bytes(tmp_path):

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from starwaves.errors import GraphConfigError
-from starwaves.grid import LayerGrid, SeparableSpline
-from starwaves.layers import (BAND_PAD, LayerField, QuarterPlaneProblem,
-                              boundary_flux, qp_oracle_below_characteristic,
-                              qp_solve, sample_physical)
+from starwaves.grid import LayerGrid, SeparableSpline, Term
+from starwaves.layers import (BAND_PAD, QuarterPlaneProblem,
+                              qp_oracle_below_characteristic, qp_solve,
+                              sample_physical)
 
-from .helpers import qp_march_reference, spline_oracle, zero_padded
+from .helpers import qp_march_reference, sampled, spline_oracle, zero_padded
 
 
 def wave_grid(dt: float, T: float, pad: float = 2.0) -> LayerGrid:
@@ -42,7 +42,7 @@ def test_source_term_closed_form():
     # S = xi with theta = 0 and rest data: v = xi t^2 / 2, exact for the
     # scheme including its startup half-step
     grid = wave_grid(0.02, 2.0)
-    ones = LayerField(np.ones((grid.n_xi + 1, grid.steps + 1)), grid)
+    ones = Term(np.ones((grid.n_xi + 1, grid.steps + 1)), grid.xi_nodes(), grid.times())
     prob = QuarterPlaneProblem(theta=0.0, trace=None, sources=((1.0, 1, ones),))
     fld = qp_solve(prob, grid)
     exact = grid.xi_nodes()[:, None] * grid.times()[None, :] ** 2 / 2
@@ -70,7 +70,7 @@ def _march_case(name):
                                                         (0.0, 3, v0)))
         return prob, grid, None
     if name == "global-source":
-        ones = LayerField(np.ones((grid.n_xi + 1, grid.steps + 1)), grid)
+        ones = Term(np.ones((grid.n_xi + 1, grid.steps + 1)), grid.xi_nodes(), grid.times())
         return QuarterPlaneProblem(0.0, None, sources=((1.0, 1, ones),)), grid, None
     if name == "initial":
         return QuarterPlaneProblem(4.0, None), grid, (np.sin(xi), 0.5 * np.cos(xi))
@@ -79,14 +79,14 @@ def _march_case(name):
         # updated width has to jump out to it and must not shrink back
         far = np.zeros((grid.n_xi + 1, grid.steps + 1))
         far[(xi > 2.0) & (xi < 2.5), 1:6] = -1.0
-        rho = LayerField(far, grid)
+        rho = Term(far, grid.xi_nodes(), grid.times())
         return QuarterPlaneProblem(-1.0, g, sources=((1.0, 1, rho),)), grid, None
     if name == "narrow-source":
         # a source stored on 11 xi-nodes only: the front of the trace runs
         # past its stored band, and the source must read as zero there
         near = np.zeros((11, grid.steps + 1))
         near[1:10, 1:] = np.cos(t[1:])
-        rho = LayerField(near, grid)
+        rho = Term(near, grid.xi_nodes(), grid.times())
         return QuarterPlaneProblem(1.0, g, sources=((0.5, 1, rho),)), grid, None
     raise ValueError(name)
 
@@ -119,10 +119,10 @@ def test_march_matches_full_width_reference(name):
 def test_source_validation():
     grid = wave_grid(0.05, 1.0)
     other = wave_grid(0.025, 1.0)
-    ones = LayerField(np.ones((other.n_xi + 1, other.steps + 1)), other)
+    ones = Term(np.ones((other.n_xi + 1, other.steps + 1)), other.xi_nodes(), other.times())
     with pytest.raises(GraphConfigError, match="share the target grid"):
         qp_solve(QuarterPlaneProblem(0.0, None, sources=((1.0, 1, ones),)), grid)
-    ok = LayerField(np.ones((grid.n_xi + 1, grid.steps + 1)), grid)
+    ok = Term(np.ones((grid.n_xi + 1, grid.steps + 1)), grid.xi_nodes(), grid.times())
     with pytest.raises(GraphConfigError, match="powers start at 1"):
         qp_solve(QuarterPlaneProblem(0.0, None, sources=((1.0, 0, ok),)), grid)
 
@@ -171,18 +171,19 @@ def test_boundary_flux_quadratic_exact():
     grid = wave_grid(0.02, 2.0)
     xi = grid.xi_nodes()[:, None]
     t = grid.times()[None, :]
-    fld = LayerField(np.maximum(t - xi, 0.0) ** 2, grid)
-    flux = boundary_flux(fld)
+    fld = Term(np.maximum(t - xi, 0.0) ** 2, grid.xi_nodes(), grid.times())
+    flux = fld.flux()
     tv = grid.times()
     # the stencil spans [0, 2h]; exact once the kink has cleared it
     sl = tv >= 2 * grid.dt
     assert np.max(np.abs(flux[sl] + 2 * tv[sl])) < 1e-10
-    flux2 = boundary_flux(fld, stride=2)
+    flux2 = fld.flux(stride=2)
     sl2 = tv >= 4 * grid.dt
     assert np.max(np.abs(flux2[sl2] + 2 * tv[sl2])) < 1e-10
-    tiny = LayerField(np.zeros((3, 4)), LayerGrid(n_xi=2, dt=0.1, steps=3))
+    tiny_grid = LayerGrid(n_xi=2, dt=0.1, steps=3)
+    tiny = Term(np.zeros((3, 4)), tiny_grid.xi_nodes(), tiny_grid.times())
     with pytest.raises(ValueError):
-        boundary_flux(tiny, stride=2)
+        tiny.flux(stride=2)
 
 
 def test_oracle_closed_forms():
@@ -217,24 +218,24 @@ def test_scheme_matches_oracle_initial_mode():
         want = qp_oracle_below_characteristic(
             theta, np.sin, lambda y: 0.5 * np.cos(y), s, t)
         # m = 0 makes the fast coordinate the arclength itself
-        got = sample_physical(fld, 0.5, 0, grid.L, [s], [t])[0, 0]
+        got = sampled(fld, 0.5, 0, grid.L, [s], [t])[0, 0]
         assert got == pytest.approx(want, abs=1e-4)
 
 
-def analytic_field() -> LayerField:
+def analytic_field() -> Term:
     grid = LayerGrid(n_xi=200, dt=0.02, steps=100)  # L = 4, T = 2
     vals = np.exp(-grid.xi_nodes())[:, None] * np.sin(grid.times())[None, :]
-    return LayerField(vals, grid)
+    return Term(vals, grid.xi_nodes(), grid.times())
 
 
 def test_sample_physical_center_and_folded():
     fld = analytic_field()
-    got = sample_physical(fld, eps=0.5, m=1, edge_length=1.0, taus=[0.3], times=[0.77])
+    got = sampled(fld, eps=0.5, m=1, edge_length=1.0, taus=[0.3], times=[0.77])
     assert got[0, 0] == pytest.approx(np.exp(-0.6) * np.sin(0.77), abs=1e-5)
-    got = sample_physical(fld, 0.5, 1, 1.0, [0.3], [0.77], folded=True)
+    got = sampled(fld, 0.5, 1, 1.0, [0.3], [0.77], folded=True)
     assert got[0, 0] == pytest.approx(np.exp(-1.4) * np.sin(0.77), abs=1e-5)
     # eps^-m stretches past the grid: support property gives zero
-    assert sample_physical(fld, 0.5, 2, 2.0, [1.5], [0.5])[0, 0] == 0.0
+    assert sampled(fld, 0.5, 2, 2.0, [1.5], [0.5])[0, 0] == 0.0
 
 
 def test_sample_physical_out_of_range_raises():
@@ -251,9 +252,20 @@ def test_sample_physical_out_of_range_raises():
         with pytest.raises(ValueError, match="times must lie in"):
             sample_physical(fld, 0.5, 1, 1.0, [0.3], [0.77, t])
     # roundoff at the ends is not misuse
-    T = fld.grid.steps * fld.grid.dt
-    got = sample_physical(fld, 0.5, 1, 1.0, [-1e-14, 0.0], [0.0, T * (1 + 1e-15)])
-    assert np.all(np.isfinite(got))
+    T = fld.times[-1]
+    rows, got = sample_physical(fld, 0.5, 1, 1.0, [-1e-14, 0.0], [0.0, T * (1 + 1e-15)])
+    assert rows == slice(0, 2) and np.all(np.isfinite(got))
+
+
+def test_sample_physical_rejects_descending_taus():
+    # the points within a term's rows are a prefix of ascending taus, or a
+    # suffix when folded; any other order has no such slice
+    fld = analytic_field()
+    for folded in (False, True):
+        with pytest.raises(ValueError, match="ascending"):
+            sample_physical(fld, 0.5, 1, 1.0, [0.5, 0.3], [0.77], folded)
+    rows, got = sample_physical(fld, 0.5, 1, 1.0, [0.3, 0.3, 0.5], [0.77])
+    assert rows == slice(0, 3) and got[0, 0] == got[1, 0]
 
 
 def test_sample_physical_matches_pointwise():
@@ -261,20 +273,20 @@ def test_sample_physical_matches_pointwise():
     taus = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
     times = np.array([0.3, 0.9, 1.4])
     for folded in (False, True):
-        got = sample_physical(fld, 0.5, 2, 2.0, taus, times, folded=folded)
-        want = np.array([[sample_physical(fld, 0.5, 2, 2.0, [tau], [t], folded)[0, 0]
+        got = sampled(fld, 0.5, 2, 2.0, taus, times, folded=folded)
+        want = np.array([[sampled(fld, 0.5, 2, 2.0, [tau], [t], folded)[0, 0]
                           for t in times] for tau in taus])
         np.testing.assert_allclose(got, want, atol=1e-12)
     # folded: taus near the center map past L and must come back zero
-    got = sample_physical(fld, 0.5, 2, 2.0, taus, times, folded=True)
-    assert np.all(got[:2] == 0.0) and np.all(got[2:] != 0.0)
+    rows, got = sample_physical(fld, 0.5, 2, 2.0, taus, times, folded=True)
+    assert rows == slice(2, 5) and np.all(got != 0.0)
 
 
 def test_sample_physical_all_outside():
     fld = analytic_field()
-    got = sample_physical(fld, 0.5, 2, 8.0, np.array([7.5, 8.0]),
-                          np.array([0.5]), folded=False)
-    assert np.array_equal(got, np.zeros((2, 1)))
+    rows, got = sample_physical(fld, 0.5, 2, 8.0, np.array([7.5, 8.0]),
+                                np.array([0.5]), folded=False)
+    assert rows == slice(0, 0) and got.shape == (0, 1)
 
 
 @pytest.mark.parametrize("folded", [False, True])
@@ -288,7 +300,7 @@ def test_sample_physical_matches_2d_spline_oracle(folded, axis):
     eps, m, length = 0.5, 1, 3.0
     taus = np.linspace(0.0, length, 97)
     times = grid.times() if axis == "shared" else np.linspace(0.0, 2.0, 37)
-    got = sample_physical(fld, eps, m, length, taus, times, folded=folded)
+    got = sampled(fld, eps, m, length, taus, times, folded=folded)
     xi = (length - taus if folded else taus) / eps ** m
     inside = xi <= grid.L
     assert 0 < inside.sum() < len(taus)
@@ -320,7 +332,7 @@ def test_band_spline_matches_whole_grid_spline(axis):
     eps = 0.5
     xi = np.linspace(0.0, grid.L, 1601)
     times = grid.times() if axis == "shared" else np.linspace(0.0, 2.0, 37)
-    got = sample_physical(fld, eps, 1, 0.0, eps * xi, times)
+    got = sampled(fld, eps, 1, 0.0, eps * xi, times)
     want = whole(xi, times)
     near = xi <= grid.steps * grid.dt + BAND_PAD // 2 * grid.dt
     assert np.array_equal(got[near], want[near])

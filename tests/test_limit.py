@@ -4,10 +4,9 @@ import pytest
 from starwaves.direct import direct_solve
 from starwaves.errors import CompatibilityError
 from starwaves.expr import parse
-from starwaves.grid import make_direct_grid
-from starwaves.limit import (EdgeODESolution, G0Problem, simpson_weights,
-                             solve_cauchy_recursive, solve_degenerate_edge,
-                             solve_g0)
+from starwaves.grid import Term, make_direct_grid
+from starwaves.limit import (G0Problem, simpson_weights, solve_cauchy_recursive,
+                             solve_degenerate_edge, solve_g0)
 
 from .helpers import two_edge_g0_spec
 
@@ -64,7 +63,6 @@ def test_recursion_oracle_t4_over_6():
     # u0 = x^2 t^2 from f = 2x^2; then u2 = int sn(0,t-s) * 2s^2 ds = t^4/6
     u0 = solve_degenerate_edge(ZERO, parse("2*x^2"), ZERO, ZERO, X, T)
     u2 = solve_cauchy_recursive(ZERO, u0)
-    assert u2.order == 2
     assert np.max(np.abs(u2.values - T[None, :] ** 4 / 6)) < 1e-8
 
 
@@ -78,10 +76,12 @@ def test_recursion_zero_for_flat_profile():
     assert np.max(np.abs(u2.values)) < 1e-9
 
 
-def test_edge_solution_zero_constructor():
-    z = EdgeODESolution.zero(3, X, T, edge=1)
-    assert z.is_zero and z.order == 3 and z.edge == 1
-    assert z.values.shape == (len(X), len(T))
+def test_recursion_of_zero_term_is_zero():
+    # a zero predecessor gives a zero term on the same node and time arrays
+    z = Term(np.zeros((len(X), len(T))), X, T)
+    u = solve_cauchy_recursive(parse("1 + x"), z)
+    assert u.is_zero and u.values.shape == (len(X), len(T))
+    assert u.x_nodes is X and u.times is T
 
 
 def test_g0_matches_direct_on_undegenerate_graph():
