@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import GraphConfigError
 from .graph import ProblemSpec, b_eps, require_compatibility_C1
-from .grid import Grid, check_cfl, one_sided_diff, trapezoid_weights
+from .grid import TIME_SLAB, Grid, check_cfl, one_sided_diff, trapezoid_weights
 
 __all__ = ["Field", "direct_solve", "energy"]
 
@@ -50,7 +50,9 @@ def _march(spec: ProblemSpec, grid: Grid, b: np.ndarray,
 
     Each edge is marched time-major, in a (steps + 1, n_cells + 1) array,
     so every step reads and writes contiguous rows; the Field holds the
-    transposed views.
+    transposed views.  f is evaluated one block of TIME_SLAB time rows at
+    a time: step n reads row n % TIME_SLAB of its block.  The lumped f_a
+    needs f(0, t) at every time, so it reads f on the vertex node alone.
     """
     g = spec.graph
     ne = g.n_edges
@@ -61,7 +63,12 @@ def _march(spec: ProblemSpec, grid: Grid, b: np.ndarray,
     xs = [grid.x_nodes(e) for e in range(ne)]
     hs = [grid.h(e) for e in range(ne)]
     Q = [spec.q[e].evaluate(xs[e], 0.0) for e in range(ne)]
-    F = [spec.f[e].evaluate(xs[e][None, :], times[:, None]) for e in range(ne)]
+
+    def f_block(n0: int) -> list[np.ndarray]:
+        return [spec.f[e].evaluate(xs[e][None, :], times[n0:n0 + TIME_SLAB, None])
+                for e in range(ne)]
+
+    F = f_block(0)
     U = [np.empty((M + 1, grid.n_cells[e] + 1)) for e in range(ne)]
 
     phi = [spec.phi[e].evaluate(xs[e], 0.0) for e in range(ne)]
@@ -70,7 +77,8 @@ def _march(spec: ProblemSpec, grid: Grid, b: np.ndarray,
 
     mass_a = sum(hs[e] / 2.0 for e in range(ne))
     q_a = sum(hs[e] / 2.0 * Q[e][0] for e in range(ne))
-    f_a = sum(hs[e] / 2.0 * F[e][:, 0] for e in range(ne))
+    f_a = sum(hs[e] / 2.0 * spec.f[e].evaluate(xs[e][None, :1], times[:, None])[:, 0]
+              for e in range(ne))
     nu_arr = np.zeros(M + 1) if nu is None else np.asarray(nu, dtype=float)
     if nu_arr.shape != (M + 1,):
         raise GraphConfigError("Kirchhoff source must be sampled on the time grid")
@@ -99,12 +107,14 @@ def _march(spec: ProblemSpec, grid: Grid, b: np.ndarray,
         U[e][1, -1] = mu[e][1]
 
     for n in range(1, M):
+        if n % TIME_SLAB == 0:
+            F = f_block(n)
         sigma[n + 1] = 2.0 * sigma[n] - sigma[n - 1] + dt * dt * vertex_accel(n)
         for e in range(ne):
             u = U[e]
             lap = (u[n, 2:] - 2.0 * u[n, 1:-1] + u[n, :-2]) / hs[e] ** 2
             u[n + 1, 1:-1] = (2.0 * u[n, 1:-1] - u[n - 1, 1:-1] + dt * dt * (
-                b[e] * lap - Q[e][1:-1] * u[n, 1:-1] + F[e][n, 1:-1]))
+                b[e] * lap - Q[e][1:-1] * u[n, 1:-1] + F[e][n % TIME_SLAB, 1:-1]))
             u[n + 1, 0] = sigma[n + 1]
     return Field(grid, [u.T for u in U], sigma)
 

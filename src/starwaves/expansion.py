@@ -17,12 +17,19 @@ corrections truncated at the requested order, for the same reason.
 Every term is a grid.Term, and each edge's series is one list of them
 (ExpansionSet.series): assembly samples each with layers.sample_physical,
 and the flux remainder takes each one's Term.flux.
+
+The partial sum on an evaluation grid is produced one time slab at a time
+(partial_sum_columns), and the PDE defect consumes it the same way
+(EdgeDefect), so a sweep never holds an assembled field whole;
+assemble_partial_sum and residuals(..., assembled=) loop the same code
+over a whole field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -30,7 +37,7 @@ from .direct import Field
 from .errors import ExpansionOrderError, GraphConfigError
 from .expr import Const, Expr
 from .graph import ProblemSpec, b_eps, require_compatibility_C1, restrict_to_g0
-from .grid import ExpansionGrids, Grid, Term
+from .grid import ExpansionGrids, Grid, Slab, Term, time_slabs
 from .layers import QuarterPlaneProblem, qp_solve, sample_physical
 from .limit import (G0Problem, solve_cauchy_recursive, solve_degenerate_edge,
                     solve_g0)
@@ -39,14 +46,20 @@ __all__ = [
     "lambda_set",
     "ExpansionSet",
     "build_expansion",
+    "partial_sum_columns",
     "assemble_partial_sum",
     "residuals",
     "ResidualReport",
+    "EdgeDefect",
+    "sup_over_edges",
     "verify_schedule",
 ]
 
 MAX_ORDER = 4
-DEFECT_SLAB = 32  # fine time columns per slab of the PDE defect; even
+FLUX_NOTE = "flux residual only; pass an assembled field for the PDE defect"
+DEFECT_NOTE = ("PDE defect computed with second-order stencils on the "
+               "evaluation grid; the floor column estimates the stencils' "
+               "own truncation error from a stride-2 recomputation")
 
 
 def lambda_set(m: tuple[int, ...], p: int) -> tuple[tuple[int, int], ...]:
@@ -244,15 +257,16 @@ def build_expansion(spec: ProblemSpec, p: int, grids: ExpansionGrids) -> Expansi
                         boundary_layers, p_plus, tuple(log))
 
 
-def assemble_partial_sum(es: ExpansionSet, eps: float, grid: Grid) -> Field:
-    """Evaluate the truncated series on an evaluation grid as a Field.
+def partial_sum_columns(es: ExpansionSet, eps: float, grid: Grid
+                        ) -> list[Callable[[slice], np.ndarray]]:
+    """The truncated series on an evaluation grid, one function per edge.
 
-    Each edge sums its series, every term added on the rows that
-    sample_physical gives it; the term's spline interpolates in x, and in
-    t only when grid.times() is not the expansion's time array.  The
-    vertex trace and the Dirichlet rows agree with the per-edge values at
-    grid nodes to roundoff by construction; this is a node contract, not a
-    continuum one.
+    columns(cols) is edge e's partial sum at (grid.x_nodes(e),
+    grid.times()[cols]).  Each term is sampled once here (sample_physical
+    does its checks, rows and x basis) and a call only adds the terms'
+    column products, every term on the rows it reaches; the spline
+    interpolates in x, and in t only when grid.times() is not the
+    expansion's time array.
     """
     spec = es.spec
     g = spec.graph
@@ -269,19 +283,46 @@ def assemble_partial_sum(es: ExpansionSet, eps: float, grid: Grid) -> Field:
             raise GraphConfigError(
                 f"eps={eps} too large: layers overlap across edge {e}")
     t_eval = grid.times()
+    return [_edge_columns(es, eps, e, grid.x_nodes(e), t_eval)
+            for e in range(g.n_edges)]
 
-    def edge_sum(e: int, x: np.ndarray) -> np.ndarray:
-        V = np.zeros((len(x), len(t_eval)))
-        for P, k, folded, term in es.series[e]:
-            rows, vals = sample_physical(term, eps, k, g.edges[e].length, x,
-                                         t_eval, folded)
-            vals *= eps ** P
+
+def _edge_columns(es: ExpansionSet, eps: float, e: int, x: np.ndarray,
+                  t_eval: np.ndarray) -> Callable[[slice], np.ndarray]:
+    L = es.spec.graph.edges[e].length
+    parts = [(*sample_physical(term, eps, k, L, x, t_eval, folded), eps ** P)
+             for P, k, folded, term in es.series[e]]
+
+    def columns(cols: slice) -> np.ndarray:
+        V = np.zeros((len(x), len(t_eval[cols])))
+        for rows, at, scale in parts:
+            vals = at(cols)
+            vals *= scale
             V[rows] += vals
         return V
+    return columns
 
-    edges = [edge_sum(e, grid.x_nodes(e)) for e in range(g.n_edges)]
-    sigma = edge_sum(es.grids.g0_edge_ids[0], np.array([0.0]))[0]
-    return Field(grid, edges, sigma)
+
+def _whole(columns: Callable[[slice], np.ndarray], n: int, steps: int) -> np.ndarray:
+    V = np.empty((n, steps + 1))
+    for s in time_slabs(steps):
+        V[:, s.own] = columns(s.own)
+    return V
+
+
+def assemble_partial_sum(es: ExpansionSet, eps: float, grid: Grid) -> Field:
+    """The truncated series on an evaluation grid as a whole Field.
+
+    Every edge is filled a time slab at a time from partial_sum_columns.
+    The vertex trace and the Dirichlet rows agree with the per-edge values
+    at grid nodes to roundoff by construction; this is a node contract,
+    not a continuum one.
+    """
+    M = grid.steps
+    edges = [_whole(columns, n + 1, M)
+             for columns, n in zip(partial_sum_columns(es, eps, grid), grid.n_cells)]
+    vertex = _edge_columns(es, eps, es.grids.g0_edge_ids[0], np.array([0.0]), grid.times())
+    return Field(grid, edges, _whole(vertex, 1, M)[0])
 
 
 @dataclass(frozen=True)
@@ -294,6 +335,10 @@ class ResidualReport:
     sup_h: float | None
     h_floor: float | None
     note: str
+
+    def with_defect(self, sup_h: float, h_floor: float) -> ResidualReport:
+        """This report with the PDE defect and its floor filled in."""
+        return replace(self, sup_h=sup_h, h_floor=h_floor, note=DEFECT_NOTE)
 
 
 def residuals(es: ExpansionSet, eps: float,
@@ -323,62 +368,72 @@ def residuals(es: ExpansionSet, eps: float,
     nu = flux_sum(1)
     sup_nu = float(np.max(np.abs(nu)))
     nu_floor = float(np.max(np.abs(flux_sum(2) - nu))) / 3.0
-
-    sup_h = None
-    h_floor = None
-    note = "flux residual only; pass an assembled field for the PDE defect"
+    rep = ResidualReport(eps, es.order, nu, sup_nu, nu_floor, None, None, FLUX_NOTE)
     if assembled is not None:
-        sup_h, h_floor = _pde_defect(spec, eps, assembled)
-        note = ("PDE defect computed with second-order stencils on the "
-                "evaluation grid; the floor column estimates the stencils' "
-                "own truncation error from a stride-2 recomputation")
-    return ResidualReport(eps, es.order, nu, sup_nu, nu_floor, sup_h, h_floor,
-                          note)
+        rep = rep.with_defect(*_pde_defect(spec, eps, assembled))
+    return rep
+
+
+class EdgeDefect:
+    """Sup of the PDE defect on one edge and of its stride-2 floor.
+
+    It is fed the window of every slab of time_slabs(grid.steps), in order,
+    and keeps each slab's maxima; sup_over_edges reduces them.  A slab
+    holds the defect at its fine centres a .. end - 1, and its even columns
+    carry the coarse stencils centred in it.  Slab maxima are reduced with
+    np.max, so each edge's maximum, a nan included, is that of the
+    whole-array computation, bit for bit.
+    """
+
+    def __init__(self, spec: ProblemSpec, eps: float, grid: Grid, e: int):
+        self.h = grid.h(e)
+        self.dt = grid.dt
+        self.x = grid.x_nodes(e)
+        self.times = grid.times()
+        self.b = b_eps(spec, eps, e)
+        self.qx = spec.q[e].evaluate(self.x, 0.0)
+        self.f = spec.f[e]
+        self.coarse = grid.n_cells[e] % 2 == 0 and grid.steps % 2 == 0
+        self.worst: list = []
+        self.floor: list = []
+
+    def _defect(self, u, h, dtv, x, ts, qx):
+        q = qx[1:-1, None]
+        f = self.f.evaluate(x[1:-1, None], ts[None, 1:-1])
+        utt = (u[1:-1, 2:] - 2.0 * u[1:-1, 1:-1] + u[1:-1, :-2]) / (dtv * dtv)
+        uxx = (u[2:, 1:-1] - 2.0 * u[1:-1, 1:-1] + u[:-2, 1:-1]) / (h * h)
+        return utt - self.b * uxx + q * u[1:-1, 1:-1] - f
+
+    def add(self, s: Slab, w: np.ndarray) -> None:
+        """w holds the edge's columns s.window."""
+        n = s.end - s.a + 2  # the columns a - 1 .. end the fine stencils read
+        ts = self.times[s.window]
+        r = self._defect(w[:, :n], self.h, self.dt, self.x, ts[:n], self.qx)
+        self.worst.append(np.max(np.abs(r)))
+        if self.coarse and s.end - s.a >= 2:
+            rc = self._defect(w[::2, ::2], 2 * self.h, 2 * self.dt, self.x[::2],
+                              ts[::2], self.qx[::2])
+            self.floor.append(np.max(np.abs(rc - r[1::2, 1::2])))
+
+
+def sup_over_edges(edges: list[EdgeDefect]) -> tuple[float, float]:
+    """The PDE defect and its floor over a field, fed every edge's slabs."""
+    worst = 0.0
+    floor = 0.0
+    for d in edges:
+        worst = max(worst, float(np.max(d.worst)))
+        if d.coarse:
+            floor = max(floor, float(np.max(d.floor)) / 3.0)
+    return worst, floor
 
 
 def _pde_defect(spec: ProblemSpec, eps: float, fld: Field) -> tuple[float, float]:
-    """Sup of the PDE defect and its stride-2 floor, one time slab at a time.
-
-    A slab holds the defect at the fine columns a .. a + DEFECT_SLAB - 1, a
-    odd, and reads the columns a - 1 .. a + DEFECT_SLAB + 1, so its even
-    columns carry the coarse stencils centred in the slab.  Slab maxima are
-    reduced with np.max, so each edge's maximum, a nan included, is that of
-    the whole-array computation, bit for bit.
-    """
+    """Sup of the PDE defect of a whole field and its stride-2 floor."""
     grid = fld.grid
-    dt = grid.dt
-    M = grid.steps
-    worst = 0.0
-    floor = 0.0
-    times = grid.times()
-
-    def defect(u, h, dtv, x, ts, b, qx, fe):
-        q = qx[1:-1, None]
-        f = fe.evaluate(x[1:-1, None], ts[None, 1:-1])
-        utt = (u[1:-1, 2:] - 2.0 * u[1:-1, 1:-1] + u[1:-1, :-2]) / (dtv * dtv)
-        uxx = (u[2:, 1:-1] - 2.0 * u[1:-1, 1:-1] + u[:-2, 1:-1]) / (h * h)
-        return utt - b * uxx + q * u[1:-1, 1:-1] - f
-
-    for e in range(spec.graph.n_edges):
-        u = fld.edges[e]
-        h = grid.h(e)
-        x = grid.x_nodes(e)
-        b = b_eps(spec, eps, e)
-        qx = np.asarray(spec.q[e].evaluate(x, 0.0))
-        coarse = grid.n_cells[e] % 2 == 0 and M % 2 == 0
-        slab_worst = []
-        slab_floor = []
-        for a in range(1, M, DEFECT_SLAB):
-            end = min(a + DEFECT_SLAB, M)  # one past the last fine centre
-            r = defect(u[:, a - 1:end + 1], h, dt, x, times[a - 1:end + 1], b,
-                       qx, spec.f[e])
-            slab_worst.append(np.max(np.abs(r)))
-            if coarse and end - a >= 2:
-                stop = min(end + 2, M + 1)
-                rc = defect(u[::2, a - 1:stop:2], 2 * h, 2 * dt, x[::2],
-                            times[a - 1:stop:2], b, qx[::2], spec.f[e])
-                slab_floor.append(np.max(np.abs(rc - r[1::2, 1::2])))
-        worst = max(worst, float(np.max(slab_worst)))
-        if coarse:
-            floor = max(floor, float(np.max(slab_floor)) / 3.0)
-    return worst, floor
+    parts = []
+    for e, u in enumerate(fld.edges):
+        d = EdgeDefect(spec, eps, grid, e)
+        for s in time_slabs(grid.steps):
+            d.add(s, u[:, s.window])
+        parts.append(d)
+    return sup_over_edges(parts)

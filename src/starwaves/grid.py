@@ -9,6 +9,11 @@ Every term of the series is one Term: values on uniform nodes from 0,
 zero past its stored rows.  Its SeparableSpline moves it to other grids:
 in x always, in t only where the time arrays differ (they match at every
 reference-configuration eps).
+
+Work over a whole space-time grid runs one time slab of TIME_SLAB columns
+at a time (time_slabs): the direct march evaluates f a slab of time rows
+at a time, and the sweep assembles, measures and differences the series
+slab by slab.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 from scipy.interpolate import BSpline, make_interp_spline
@@ -33,6 +39,8 @@ __all__ = [
     "check_cfl",
     "SeparableSpline",
     "Term",
+    "Slab",
+    "time_slabs",
     "one_sided_diff",
     "trapezoid_weights",
 ]
@@ -41,6 +49,7 @@ MIN_CELLS = 8
 MIN_EXPANSION_CELLS = 200
 LAYER_MARGIN = 2.0
 SPLINE_BLOCK = 64
+TIME_SLAB = 64  # time columns per slab; even, so slabs keep the stride-2 parity
 
 
 @dataclass(frozen=True)
@@ -188,9 +197,11 @@ def make_expansion_grids(spec: ProblemSpec, n_per_edge: int, cfl: float) -> Expa
 class SeparableSpline:
     """Cubic not-a-knot interpolant on (x_nodes, t_nodes), one axis at a time.
 
-    The x factor is built once; the t factor is applied only when the
-    requested times differ from t_nodes.  FITPACK with s=0 uses the same
-    knots, so this is the 2-D interpolating spline up to roundoff.
+    The x factor is built once.  Its coefficients at a contiguous run of
+    t_nodes are the matching coefficient columns; at other times they come
+    from t_factor, the t factor applied to the coefficients.  FITPACK with
+    s=0 uses the same knots, so this is the 2-D interpolating spline up to
+    roundoff.
     """
 
     def __init__(self, x_nodes: np.ndarray, t_nodes: np.ndarray,
@@ -204,12 +215,33 @@ class SeparableSpline:
             coef[:, j:j + SPLINE_BLOCK] = sp.c
         self.x_factor = BSpline(sp.t, coef, 3)
 
+    @cached_property
+    def t_factor(self) -> BSpline:
+        """x coefficients as a spline in t: t_factor(t)[:, j] belong to t[j]."""
+        return make_interp_spline(self.t_nodes, self.x_factor.c, k=3, axis=1)
+
+    def _coefficients(self, t: np.ndarray) -> np.ndarray:
+        j0 = int(np.searchsorted(self.t_nodes, t[0])) if len(t) else 0
+        if np.array_equal(self.t_nodes[j0:j0 + len(t)], t):
+            return self.x_factor.c[:, j0:j0 + len(t)]
+        return self.t_factor(t)
+
+    def at(self, x: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """Values at (x[i], t[j]) for any t, shape (len(x), len(t)).
+
+        The x basis is found once; each call is one product with the
+        coefficient columns of t.  A column does not depend on the other
+        times asked for, so a slab of times gives the columns of the whole
+        evaluation, bit for bit.
+        """
+        if len(x) == 0:
+            return lambda t: np.zeros((0, len(t)))
+        basis = BSpline.design_matrix(x, self.x_factor.t, 3, extrapolate=True)
+        return lambda t: basis @ self._coefficients(t)
+
     def __call__(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Values at every (x[i], t[j]), shape (len(x), len(t))."""
-        rows = self.x_factor(x)
-        if np.array_equal(t, self.t_nodes):
-            return rows
-        return make_interp_spline(self.t_nodes, rows, k=3, axis=1)(t)
+        return self.at(x)(t)
 
 
 def one_sided_diff(u: np.ndarray, h: float, stride: int = 1,
@@ -245,6 +277,36 @@ class Term:
         if len(self.values) < 2 * stride + 1:
             raise ValueError("need at least 3 spatial nodes")
         return one_sided_diff(self.values, self.x_nodes[1], stride)
+
+
+@dataclass(frozen=True)
+class Slab:
+    """One time slab of a grid with steps steps.
+
+    The slab holds the fine defect centres a .. end - 1, a odd.  window is
+    every column a stencil centred there reads, the coarse stride-2 one
+    included: a - 1 .. min(end + 1, steps).  own is the columns the slab
+    counts in a sum over time: a - 1 .. end - 2, and through steps for the
+    last slab, so the slabs count every column once.
+    """
+
+    a: int
+    end: int
+    steps: int
+
+    @property
+    def window(self) -> slice:
+        return slice(self.a - 1, min(self.end + 2, self.steps + 1))
+
+    @property
+    def own(self) -> slice:
+        return slice(self.a - 1, self.end - 1 if self.end < self.steps else self.steps + 1)
+
+
+def time_slabs(steps: int) -> list[Slab]:
+    """The slabs of TIME_SLAB fine centres, a = 1, 1 + TIME_SLAB, ..."""
+    return [Slab(a, min(a + TIME_SLAB, steps), steps)
+            for a in range(1, steps, TIME_SLAB)]
 
 
 def trapezoid_weights(n: int, h: float) -> np.ndarray:

@@ -4,6 +4,12 @@ The sweep measures L-infinity, L2 over the space-time cylinder, and an
 H1-in-x surrogate.  The underlying estimate controls a stronger norm whose
 second derivatives are only locally bounded for weak solutions, so the
 report header states the surrogate explicitly.
+
+For each eps the sweep keeps the direct field whole (a solve cache may
+share it) and streams the series against it: one loop over time slabs
+assembles the partial sum on a slab's columns, adds the slab's share to
+the norm sums, and feeds the PDE defect.  The assembled field never
+exists whole; norms() runs the same slab sums over two whole fields.
 """
 
 from __future__ import annotations
@@ -21,9 +27,12 @@ from .errors import ExprSyntaxError, GraphConfigError
 from .expr import Expr, parse
 from .graph import Edge, ProblemSpec, StarGraph
 from .grid import (Grid, coarsen, make_direct_grid, make_expansion_grids,
-                   trapezoid_weights)
-from .expansion import (MAX_ORDER, ExpansionSet, ResidualReport,
-                        assemble_partial_sum, build_expansion, residuals)
+                   time_slabs, trapezoid_weights)
+from .expansion import (MAX_ORDER, EdgeDefect, ExpansionSet, ResidualReport,
+                        build_expansion, partial_sum_columns, residuals,
+                        sup_over_edges)
+# not called here: benchmark/tracing.py wraps this name in this namespace
+from .expansion import assemble_partial_sum  # noqa: F401
 
 __all__ = [
     "NormTriple",
@@ -55,26 +64,80 @@ class NormTriple:
     h1x: float
 
 
+class _EdgeNorms:
+    """Trapezoid-weighted norm sums of u1 - u2 on one edge of a grid.
+
+    It is fed the columns s.own of every slab s of time_slabs(grid.steps),
+    so it counts each column once.  The maximum is reduced with np.max, a
+    nan included; the L2 and H1 sums are per-slab einsums added up.
+    """
+
+    def __init__(self, grid: Grid, e: int):
+        self.h = grid.h(e)
+        self.wx = trapezoid_weights(grid.n_cells[e], self.h)
+        self.wt = trapezoid_weights(grid.steps, grid.dt)
+        self.linf: list = []
+        self.l2sq = 0.0
+        self.h1sq = 0.0
+
+    def add(self, u1: np.ndarray, u2: np.ndarray, cols: slice) -> None:
+        # C order whatever the operands' layouts: the einsum sums follow it
+        d = np.subtract(u1, u2, order="C")
+        wt = self.wt[cols]
+        self.linf.append(np.max(np.abs(d)))
+        self.l2sq += float(np.einsum("x,t,xt->", self.wx, wt, d * d))
+        dx = np.gradient(d, self.h, axis=0, edge_order=2)
+        self.h1sq += float(np.einsum("x,t,xt->", self.wx, wt, dx * dx))
+
+
+def _norm_triple(parts: list[_EdgeNorms]) -> NormTriple:
+    linf = 0.0
+    l2sq = 0.0
+    h1sq = 0.0
+    for p in parts:
+        linf = max(linf, float(np.max(p.linf)))
+        l2sq += p.l2sq
+        h1sq += p.h1sq
+    return NormTriple(linf, math.sqrt(l2sq), math.sqrt(l2sq + h1sq))
+
+
 def norms(f1: Field, f2: Field) -> NormTriple:
     """Trapezoid-weighted discrete norms of f1 - f2 over all edges and time."""
     g1, g2 = f1.grid, f2.grid
     if (g1.lengths != g2.lengths or g1.n_cells != g2.n_cells
             or g1.dt != g2.dt or g1.steps != g2.steps):
         raise ValueError("fields live on different grids")
-    wt = trapezoid_weights(g1.steps, g1.dt)
-    linf = 0.0
-    l2sq = 0.0
-    h1sq = 0.0
-    for e in range(len(g1.lengths)):
-        # C order whatever the operands' layouts: the einsum sums follow it
-        d = np.subtract(f1.edges[e], f2.edges[e], order="C")
-        h = g1.h(e)
-        wx = trapezoid_weights(g1.n_cells[e], h)
-        linf = max(linf, float(np.max(np.abs(d))))
-        l2sq += float(np.einsum("x,t,xt->", wx, wt, d * d))
-        dx = np.gradient(d, h, axis=0, edge_order=2)
-        h1sq += float(np.einsum("x,t,xt->", wx, wt, dx * dx))
-    return NormTriple(linf, math.sqrt(l2sq), math.sqrt(l2sq + h1sq))
+    parts = []
+    for e, (u1, u2) in enumerate(zip(f1.edges, f2.edges)):
+        acc = _EdgeNorms(g1, e)
+        for s in time_slabs(g1.steps):
+            acc.add(u1[:, s.own], u2[:, s.own], s.own)
+        parts.append(acc)
+    return _norm_triple(parts)
+
+
+def _series_errors(es: ExpansionSet, eps: float, ref: Field
+                   ) -> tuple[NormTriple, ResidualReport]:
+    """norms(ref, asm) and residuals(es, eps, assembled=asm), for asm the
+    series assembled on ref's grid, one edge's time slab at a time.
+
+    A slab's window is assembled once and serves both: its own columns go
+    to the norm sums, the whole window to the PDE defect.
+    """
+    grid = ref.grid
+    norm_parts = []
+    defect_parts = []
+    for e, columns in enumerate(partial_sum_columns(es, eps, grid)):
+        acc = _EdgeNorms(grid, e)
+        defect = EdgeDefect(es.spec, eps, grid, e)
+        for s in time_slabs(grid.steps):
+            w = columns(s.window)
+            acc.add(ref.edges[e][:, s.own], w[:, :s.own.stop - s.own.start], s.own)
+            defect.add(s, w)
+        norm_parts.append(acc)
+        defect_parts.append(defect)
+    rep = residuals(es, eps).with_defect(*sup_over_edges(defect_parts))
+    return _norm_triple(norm_parts), rep
 
 
 @dataclass(frozen=True)
@@ -139,7 +202,10 @@ def convergence_sweep(spec: ProblemSpec, p: int, epsilons: tuple[float, ...],
     A nested-grid refinement estimate at the smallest eps guards the
     measurement: if the direct solver's own error is not well below the
     smallest asymptotic error, the sweep is declared inconclusive and the
-    pass flag stays false regardless of the fitted order.
+    pass flag stays false regardless of the fitted order.  Its coarse grid
+    is built first, so an n_per_edge too small for it fails before any
+    solve.  Each eps's series is streamed against the direct field one time
+    slab at a time (_series_errors).
 
     Cache entries are (spec, grid, field).  Cached solves and a passed-in
     expansion must be of this spec and on the grids that n_per_edge and cfl
@@ -153,6 +219,16 @@ def convergence_sweep(spec: ProblemSpec, p: int, epsilons: tuple[float, ...],
     if len(spec.graph.exponents) < 2:
         raise GraphConfigError(
             "graph has no degenerate subgraph: there is no rate to verify")
+    # the refinement estimate's coarse grid, checked before any solve
+    eps_min = eps_list[-1]
+    grid_min = make_direct_grid(spec, eps_min, n_per_edge, cfl)
+    try:
+        grid_c = coarsen(grid_min)
+    except GraphConfigError as exc:
+        raise GraphConfigError(
+            f"grid.n_per_edge: {n_per_edge} is too small for the 2x-coarse grid "
+            f"of the refinement estimate at eps={eps_min:g} ({exc}); 15 or "
+            "more works") from exc
     if cache is None:
         cache = {}
     grids = make_expansion_grids(spec, n_per_edge, cfl)
@@ -178,14 +254,12 @@ def convergence_sweep(spec: ProblemSpec, p: int, epsilons: tuple[float, ...],
             cache[eps] = (spec, grid, ref)
         else:
             ref = _cached_ref(got, spec, grid, f"cache[{eps}]")
-        asm = assemble_partial_sum(expansion, eps, grid)
-        triples.append(norms(ref, asm))
-        res_reports.append(residuals(expansion, eps, assembled=asm))
+        triple, rep = _series_errors(expansion, eps, ref)
+        triples.append(triple)
+        res_reports.append(rep)
 
-    eps_min = eps_list[-1]
     key = (eps_min, "coarse")
-    _, grid_f, ref_f = cache[eps_min]
-    grid_c = coarsen(grid_f)
+    ref_f = cache[eps_min][2]
     got = cache.get(key)
     if got is None:
         ref_c = direct_solve(spec, eps_min, grid_c, cfl=cfl)

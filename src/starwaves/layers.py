@@ -18,6 +18,8 @@ powers of the Taylor sources sign-flipped by the caller.
 
 sample_physical is the one sampler of every series term on an edge: a
 layer in its fast coordinate, and a U or u term, with m = 0, in its own.
+It does the per-term work once and hands back a column evaluator, so a
+caller that walks the time axis slab by slab pays only the products.
 """
 
 from __future__ import annotations
@@ -199,9 +201,9 @@ def qp_oracle_below_characteristic(theta: float, alpha: Callable[[float], float]
 
 
 def sample_physical(term: Term, eps: float, m: int, edge_length: float,
-                    taus: np.ndarray, times: np.ndarray,
-                    folded: bool = False) -> tuple[slice, np.ndarray]:
-    """A term's values at (taus[rows], times) on an edge of exponent m.
+                    taus: np.ndarray, times: np.ndarray, folded: bool = False
+                    ) -> tuple[slice, Callable[[slice], np.ndarray]]:
+    """A term's values at (taus[rows], times[cols]) on an edge of exponent m.
 
     The coordinate is eps^-m tau, or eps^-m (edge_length - tau) for folded
     (far-vertex) layers; m = 0 samples a U or u term in its own.  taus must
@@ -210,6 +212,10 @@ def sample_physical(term: Term, eps: float, m: int, edge_length: float,
     at every other tau.  A coordinate below 0 (a tau off the edge on the
     term's side) or a time outside the term's [0, T] raises ValueError,
     beyond a roundoff tolerance.
+
+    The checks, the rows and the spline's x basis are worked out here, once;
+    the returned columns(cols) is then one product per slice cols of times,
+    and columns(slice(None)) is every time.
     """
     taus = np.asarray(taus, dtype=float)
     times = np.asarray(times, dtype=float)
@@ -225,4 +231,5 @@ def sample_physical(term: Term, eps: float, m: int, edge_length: float,
                          f"got [{np.min(times):.6g}, {np.max(times):.6g}]")
     k = int(np.count_nonzero(xi <= term.x_nodes[len(term.values) - 1]))
     rows = slice(len(taus) - k, len(taus)) if folded else slice(0, k)
-    return rows, term.interp(xi[rows], times)
+    at = term.interp.at(xi[rows])
+    return rows, lambda cols: at(times[cols])

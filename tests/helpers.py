@@ -1,5 +1,6 @@
 """Shared builders for the test suite."""
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,8 @@ from scipy.interpolate import RectBivariateSpline
 from starwaves.direct import Field
 from starwaves.expr import parse
 from starwaves.graph import Edge, ProblemSpec, StarGraph, b_eps
-from starwaves.grid import SeparableSpline, one_sided_diff
+from starwaves.harness import NormTriple
+from starwaves.grid import TIME_SLAB, Grid, SeparableSpline, one_sided_diff, trapezoid_weights
 from starwaves.layers import sample_physical
 
 REPO = Path(__file__).resolve().parent.parent
@@ -62,9 +64,9 @@ def zero_padded(fld):
 
 def sampled(term, eps, m, edge_length, taus, times, folded=False):
     """layers.sample_physical scattered onto every tau: zero off its rows."""
-    rows, vals = sample_physical(term, eps, m, edge_length, taus, times, folded)
+    rows, at = sample_physical(term, eps, m, edge_length, taus, times, folded)
     out = np.zeros((len(taus), len(times)))
-    out[rows] = vals
+    out[rows] = at(slice(None))
     return out
 
 
@@ -283,6 +285,50 @@ def pde_defect_reference(spec, eps, fld):
                         qx[::2], spec.f[e])
             floor = max(floor, float(np.max(np.abs(rc - r[1::2, 1::2]))) / 3.0)
     return worst, floor
+
+
+# (n_cells, steps, nan) of fields that meet the slab partition's edge cases;
+# at TIME_SLAB = 64 the literal step counts are the cases named
+SLAB_CASES = [
+    ((40, 40, 40), TIME_SLAB // 2 + 1, False),  # odd steps: no floor
+    ((40, 41, 40), 100, False),                 # odd cells on one edge
+    ((40, 40, 40), 20, False),                  # fewer steps than a slab
+    ((40, 40, 40), TIME_SLAB + 2, False),       # last slab one column wide
+    ((40, 40, 40), TIME_SLAB, False),           # one whole slab
+    ((40, 40, 40), TIME_SLAB, True),            # a nan in one slab
+]
+
+
+def slab_case_field(n_cells, steps, nan, lengths=(1.0, 1.0, 1.0), T=1.5):
+    """Random field on a grid of one SLAB_CASES case; seeded by steps."""
+    grid = Grid(tuple(lengths), tuple(n_cells), T / steps, steps)
+    rng = np.random.default_rng(steps)
+    edges = [rng.standard_normal((n + 1, steps + 1)) for n in n_cells]
+    if nan:  # the whole-array max skips edge 1, the largest, entirely
+        edges[1] *= 10.0
+        edges[1][5, TIME_SLAB // 2 + 3] = np.nan
+    return Field(grid, edges, edges[0][0])
+
+
+def norms_reference(f1, f2):
+    """Whole-field norms of f1 - f2: the reference for harness.norms.
+
+    One C-ordered difference per edge, one einsum per sum.
+    """
+    grid = f1.grid
+    wt = trapezoid_weights(grid.steps, grid.dt)
+    linf = 0.0
+    l2sq = 0.0
+    h1sq = 0.0
+    for e in range(len(grid.lengths)):
+        d = np.subtract(f1.edges[e], f2.edges[e], order="C")
+        h = grid.h(e)
+        wx = trapezoid_weights(grid.n_cells[e], h)
+        linf = max(linf, float(np.max(np.abs(d))))
+        l2sq += float(np.einsum("x,t,xt->", wx, wt, d * d))
+        dx = np.gradient(d, h, axis=0, edge_order=2)
+        h1sq += float(np.einsum("x,t,xt->", wx, wt, dx * dx))
+    return NormTriple(linf, math.sqrt(l2sq), math.sqrt(l2sq + h1sq))
 
 
 def savetxt_grid_csv(path, header, x, t, u):

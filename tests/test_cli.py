@@ -191,6 +191,17 @@ def test_config_error_paths(tmp_path):
     assert r.returncode == 2 and "config error: T:" in r.stderr
 
 
+def test_verify_too_few_cells_for_the_refinement_grid(tmp_path):
+    # 10 cells give a 2x-coarse grid of 5, below the 8 a grid needs
+    cfg = json.loads(REFERENCE_CONFIG.read_text())
+    cfg["grid"]["n_per_edge"] = 10
+    cfg["epsilons"] = [0.4, 0.3, 0.2]
+    r = run_cli("verify", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "rep"))
+    assert r.returncode == 2
+    assert "config error: grid.n_per_edge: 10 is too small" in r.stderr
+    assert "15 or more works" in r.stderr
+
+
 def test_verify_zero_data_exit_code(tmp_path):
     zero = ["0", "0"]
     cfg = write_cfg(tmp_path, small_cfg(f=zero, phi=zero, psi=zero, mu=zero))

@@ -3,9 +3,9 @@ import pytest
 
 from starwaves.direct import direct_solve, energy
 from starwaves.errors import GraphConfigError, StabilityError
-from starwaves.expr import parse
+from starwaves.expr import Expr, parse
 from starwaves.graph import Edge, ProblemSpec, StarGraph, b_eps
-from starwaves.grid import make_direct_grid
+from starwaves.grid import TIME_SLAB, make_direct_grid
 from starwaves.harness import load_config, validate_config
 from starwaves.limit import G0Problem, solve_g0
 
@@ -150,9 +150,14 @@ def _g0_case():
 
 
 @pytest.mark.parametrize("case", ["reference", "coarse_cfl1", "g0_nu",
-                                  "psi_const_f"])
+                                  "psi_const_f", "one_block"])
 def test_march_matches_x_major_reference(case):
-    if case == "reference":
+    # the reference evaluates f on the whole space-time rectangle, the
+    # march one block of time rows at a time
+    if case == "one_block":
+        fld, ref = _direct_case(star_spec(T=0.3), 0.3, 64, 0.9)
+        assert fld.grid.steps < TIME_SLAB
+    elif case == "reference":
         spec = validate_config(load_config(REFERENCE_CONFIG)).spec
         fld, ref = _direct_case(spec, 0.2, 640, 0.9)
     elif case == "coarse_cfl1":
@@ -170,3 +175,24 @@ def test_march_matches_x_major_reference(case):
         assert u.shape == (grid.n_cells[e] + 1, grid.steps + 1)
         assert np.array_equal(u, v)
         assert np.array_equal(np.signbit(u), np.signbit(v))
+
+
+def test_march_asks_f_for_one_slab_of_time_rows_at_a_time(monkeypatch):
+    spec = star_spec(f="sin(t)*(1 + x)")
+    grid = make_direct_grid(spec, 0.3, 96, 0.9)
+    assert grid.steps > 2 * TIME_SLAB
+    shapes = []
+    evaluate = Expr.evaluate
+
+    def recording(self, x, t):
+        if self is spec.f[0]:  # star_spec gives every edge the same f
+            shapes.append(np.broadcast_shapes(np.shape(x), np.shape(t)))
+        return evaluate(self, x, t)
+    monkeypatch.setattr(Expr, "evaluate", recording)
+    direct_solve(spec, 0.3, grid, cfl=0.9)
+    widths = {n + 1 for n in grid.n_cells}
+    rows = [s[0] for s in shapes if len(s) == 2 and s[1] in widths]
+    assert max(rows) == TIME_SLAB
+    assert sum(rows) == spec.graph.n_edges * (grid.steps + 1)
+    # the lumped vertex source reads f(0, t) on the vertex node alone
+    assert all(s[1] == 1 for s in shapes if len(s) == 2 and s[1] not in widths)

@@ -5,18 +5,18 @@ from starwaves.direct import Field, direct_solve
 from starwaves.errors import (CompatibilityError, ExpansionOrderError,
                               GraphConfigError)
 from starwaves import expansion
-from starwaves.expansion import (DEFECT_SLAB, _pde_defect, assemble_partial_sum,
+from starwaves.expansion import (_pde_defect, assemble_partial_sum,
                                  build_expansion, lambda_set, residuals,
                                  verify_schedule)
 from starwaves.expr import parse
 from starwaves.graph import ProblemSpec, restrict_to_g0
-from starwaves.grid import Grid, make_direct_grid, make_expansion_grids
+from starwaves.grid import TIME_SLAB, Grid, make_direct_grid, make_expansion_grids
 from starwaves.layers import BAND_PAD, QuarterPlaneProblem, qp_solve, sample_physical
 from starwaves.limit import G0Problem, solve_degenerate_edge, solve_g0
 
-from .helpers import (assemble_reference, flux_sum_reference, pde_defect_reference,
-                      qp_march_reference, spline_oracle, star_spec, two_edge_g0_spec,
-                      zero_padded)
+from .helpers import (SLAB_CASES, assemble_reference, flux_sum_reference,
+                      pde_defect_reference, qp_march_reference, slab_case_field,
+                      spline_oracle, star_spec, two_edge_g0_spec, zero_padded)
 
 
 def test_lambda_set_examples():
@@ -293,7 +293,8 @@ def test_sampler_rows_of_series_terms():
     for e, terms in es.series.items():
         x = grid.x_nodes(e)
         for P, k, folded, term in terms:
-            rows, vals = sample_physical(term, eps, k, 1.0, x, t, folded)
+            rows, at = sample_physical(term, eps, k, 1.0, x, t, folded)
+            vals = at(slice(None))
             assert vals.shape == (rows.stop - rows.start, len(t))
             if k == 0:
                 assert rows == slice(0, len(x))
@@ -357,23 +358,10 @@ def test_residual_report_fields():
     assert "floor" in full.note
 
 
-@pytest.mark.parametrize("n_cells, steps, nan", [
-    ((40, 40, 40), DEFECT_SLAB + 1, False),      # odd steps: no floor
-    ((40, 41, 40), 3 * DEFECT_SLAB + 4, False),  # odd cells on one edge
-    ((40, 40, 40), DEFECT_SLAB - 12, False),     # fewer steps than a slab
-    ((40, 40, 40), 2 * DEFECT_SLAB + 2, False),  # last slab one column wide
-    ((40, 40, 40), 2 * DEFECT_SLAB, False),
-    ((40, 40, 40), 2 * DEFECT_SLAB, True),       # a nan in one slab
-])
+@pytest.mark.parametrize("n_cells, steps, nan", SLAB_CASES)
 def test_pde_defect_matches_whole_array_reference(n_cells, steps, nan):
     spec = star_spec()
-    grid = Grid((1.0, 1.0, 1.0), n_cells, 1.5 / steps, steps)
-    rng = np.random.default_rng(steps)
-    edges = [rng.standard_normal((n + 1, steps + 1)) for n in n_cells]
-    if nan:  # the whole-array max skips edge 1, the largest, entirely
-        edges[1] *= 10.0
-        edges[1][5, DEFECT_SLAB + 3] = np.nan
-    fld = Field(grid, edges, edges[0][0])
+    fld = slab_case_field(n_cells, steps, nan)
     got = _pde_defect(spec, 0.3, fld)
     assert got == pde_defect_reference(spec, 0.3, fld)
     assert got[0] > 0.0

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from starwaves.errors import GraphConfigError, StabilityError
-from starwaves.grid import (LayerGrid, check_cfl, coarsen, make_direct_grid,
-                            make_expansion_grids)
+from starwaves.grid import (TIME_SLAB, LayerGrid, SeparableSpline, check_cfl, coarsen,
+                            make_direct_grid, make_expansion_grids, time_slabs)
 
-from .helpers import single_edge_spec, star_spec
+from .helpers import single_edge_spec, spline_oracle, star_spec
 
 
 def test_direct_grid_even_and_cfl():
@@ -69,3 +69,56 @@ def test_expansion_grids_share_master_time_axis():
     for e in spec.graph.gstar_edges():
         x = grids.u_nodes[e]
         assert x[0] == 0.0 and x[-1] == pytest.approx(spec.graph.edges[e].length)
+
+
+def _spline_case():
+    # a smooth part, and a layer-like block of exact zeros
+    x_nodes = np.linspace(0.0, 1.0, 41)
+    t_nodes = 0.0125 * np.arange(TIME_SLAB * 2 + 11)
+    values = np.sin(3.0 * x_nodes)[:, None] * np.cos(t_nodes)[None, :]
+    values[25:, :40] = 0.0
+    x = np.concatenate([x_nodes[::3], np.linspace(0.0, 1.0, 57)[1:-1]])
+    return SeparableSpline(x_nodes, t_nodes, values), x_nodes, t_nodes, values, np.sort(x)
+
+
+def test_spline_contiguous_time_runs_give_the_whole_columns():
+    sp, _, t_nodes, _, x = _spline_case()
+    whole = sp.x_factor(x)  # the x factor alone: every time node
+    at = sp.at(x)
+    assert np.array_equal(at(t_nodes), whole)
+    for j0, n in [(0, 1), (0, TIME_SLAB), (5, 3), (TIME_SLAB - 1, TIME_SLAB + 3),
+                  (len(t_nodes) - 2, 2)]:
+        got = at(t_nodes[j0:j0 + n])
+        assert np.array_equal(got, whole[:, j0:j0 + n])
+        assert np.array_equal(np.signbit(got), np.signbit(whole[:, j0:j0 + n]))
+    assert (whole == 0.0).any() and (whole < 0.0).any()
+
+
+def test_spline_off_node_slabs_match_whole_and_fitpack():
+    sp, x_nodes, t_nodes, values, x = _spline_case()
+    t = np.linspace(0.0, t_nodes[-1], 150)
+    assert not np.isin(t[1:-1], t_nodes).all()
+    whole = sp(x, t)
+    at = sp.at(x)
+    for s in time_slabs(len(t) - 1):
+        got = at(t[s.window])
+        assert np.array_equal(got, whole[:, s.window])
+        assert np.array_equal(np.signbit(got), np.signbit(whole[:, s.window]))
+    assert np.max(np.abs(whole - spline_oracle(x_nodes, t_nodes, values, x, t))) <= 1e-12
+
+
+@pytest.mark.parametrize("steps", [2, 3, 20, TIME_SLAB - 1, TIME_SLAB, TIME_SLAB + 1,
+                                   TIME_SLAB + 2, 3 * TIME_SLAB + 7])
+def test_time_slabs_partition_the_columns(steps):
+    slabs = time_slabs(steps)
+    counted = np.zeros(steps + 1, dtype=int)
+    centres = np.zeros(steps + 1, dtype=int)
+    for s in slabs:
+        assert s.a % 2 == 1 and s.end - s.a <= TIME_SLAB
+        counted[s.own] += 1
+        centres[s.a:s.end] += 1
+        # the window reads every column the fine and the coarse stencils do
+        assert s.window.start == s.a - 1 == s.own.start
+        assert s.window.stop == min(s.end + 2, steps + 1) >= s.own.stop
+    assert np.all(counted == 1)
+    assert np.all(centres[1:steps] == 1)

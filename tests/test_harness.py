@@ -5,17 +5,21 @@ import math
 import numpy as np
 import pytest
 
+from starwaves import expansion, harness
 from starwaves.direct import Field, direct_solve
 from starwaves.errors import GraphConfigError
 from starwaves.expansion import ResidualReport, build_expansion
-from starwaves.grid import Grid, make_direct_grid, make_expansion_grids
+from starwaves.grid import TIME_SLAB, Grid, make_direct_grid, make_expansion_grids
 from starwaves.harness import (NORM_NOTE, ConvergenceReport, NormTriple,
-                               convergence_sweep, fit_order, load_config,
-                               norms, validate_config, write_field_csvs,
-                               write_grid_csv, write_plot_csv, write_report_csv,
-                               write_residuals_csv, write_trace_csv)
+                               _series_errors, convergence_sweep, fit_order,
+                               load_config, norms, validate_config,
+                               write_field_csvs, write_grid_csv, write_plot_csv,
+                               write_report_csv, write_residuals_csv,
+                               write_trace_csv)
 
-from .helpers import (REFERENCE_CONFIG, savetxt_grid_csv, star_spec,
+from .helpers import (REFERENCE_CONFIG, SLAB_CASES, assemble_reference,
+                      flux_sum_reference, norms_reference, pde_defect_reference,
+                      savetxt_grid_csv, slab_case_field, star_spec,
                       two_edge_g0_spec)
 
 
@@ -93,6 +97,29 @@ def test_norms_ignore_memory_layout():
     f_order = norms(Field(grid, [np.asfortranarray(u) for u in a], a[0][0]),
                     Field(grid, [np.asfortranarray(u) for u in b], b[0][0]))
     assert f_order == c_order
+
+
+def assert_norms_match(got: NormTriple, want: NormTriple) -> None:
+    """Maxima bit for bit; the slab-summed L2 and H1 sums to 1e-13."""
+    assert got.linf == want.linf
+    for a, b in ((got.l2, want.l2), (got.h1x, want.h1x)):
+        if math.isnan(b):
+            assert math.isnan(a)
+        else:
+            assert a == pytest.approx(b, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("n_cells, steps, nan", SLAB_CASES)
+def test_norms_match_whole_field_reference(n_cells, steps, nan):
+    f1 = slab_case_field(n_cells, steps, nan)
+    rng = np.random.default_rng(steps + 1)
+    # F-ordered, like the solver fields
+    other = [np.asfortranarray(rng.standard_normal(u.shape)) for u in f1.edges]
+    f2 = Field(f1.grid, other, other[0][0])
+    got = norms(f1, f2)
+    want = norms_reference(f1, f2)
+    assert_norms_match(got, want)
+    assert math.isnan(want.l2) == nan
 
 
 def test_fit_order_exact_power_law():
@@ -200,6 +227,99 @@ def test_sweep_rejects_expansion_on_other_grids():
     es = build_expansion(spec, 0, make_expansion_grids(spec, 48, 0.8))
     with pytest.raises(GraphConfigError, match="expansion: built on other grids"):
         small_sweep(expansion=es)
+
+
+def test_sweep_never_assembles_a_whole_field(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sweep assembled a whole field")
+    monkeypatch.setattr(expansion, "assemble_partial_sum", refuse)
+    monkeypatch.setattr(harness, "assemble_partial_sum", refuse)
+    rep = small_sweep()
+    assert rep.refine_estimate > 0.0
+    assert all(r.sup_h > 0.0 and r.h_floor > 0.0 for r in rep.residual_reports)
+
+
+class Reached(Exception):
+    pass
+
+
+@pytest.mark.parametrize("n_per_edge", [8, 10, 14, 15])
+def test_sweep_checks_the_coarse_grid_before_any_solve(monkeypatch, n_per_edge):
+    # the refinement estimate halves the smallest eps's grid; below 15 cells
+    # on the unit-speed edge its half has fewer than 8, and that must fail
+    # before the first solve, naming the field to change
+    def reached(*args, **kwargs):
+        raise Reached
+    monkeypatch.setattr(harness, "direct_solve", reached)
+    monkeypatch.setattr(harness, "build_expansion", reached)
+    # parity makes 15 into 16 cells, and 8 after halving
+    want = (GraphConfigError, r"^grid\.n_per_edge: .*15 or more") if n_per_edge < 15 \
+        else (Reached, None)
+    with pytest.raises(want[0], match=want[1]):
+        convergence_sweep(star_spec(), 0, (0.4, 0.3, 0.2), n_per_edge=n_per_edge)
+
+
+def _assert_streamed_sweep_matches_oracles(spec, eps_list, n_per_edge, matched):
+    es = build_expansion(spec, 1, make_expansion_grids(spec, n_per_edge, 0.9))
+    cache: dict = {}
+    rep = convergence_sweep(spec, 1, eps_list, n_per_edge, cache=cache, expansion=es)
+    for eps, triple, res in zip(eps_list, rep.errors, rep.residual_reports):
+        _, grid, ref = cache[eps]
+        assert np.array_equal(grid.times(), es.grids.times) == matched
+        edges, sigma = assemble_reference(es, eps, grid)
+        asm = Field(grid, edges, sigma)
+        assert_norms_match(triple, norms_reference(ref, asm))
+        assert (res.sup_h, res.h_floor) == pde_defect_reference(spec, eps, asm)
+        nu = flux_sum_reference(es, eps, 1)
+        assert res.sup_nu == float(np.max(np.abs(nu)))
+        assert res.nu_floor == float(np.max(np.abs(flux_sum_reference(es, eps, 2) - nu))) / 3.0
+    _, grid_c, ref_c = cache[(eps_list[-1], "coarse")]
+    ref_f = cache[eps_list[-1]][2]
+    sub = Field(grid_c, [u[::2, ::2] for u in ref_f.edges], ref_f.sigma[::2])
+    assert rep.refine_estimate == pytest.approx(norms_reference(sub, ref_c).l2 / 3.0,
+                                                rel=1e-13, abs=0.0)
+    return rep
+
+
+@pytest.mark.parametrize("T, n_per_edge, last", [
+    (1.5, 200, 14),  # six slabs, the last one 13 centres wide
+    (0.25, 200, 56),  # fewer steps than a slab
+    (0.5, 231, 2),    # last slab one column wide
+], ids=["several-slabs", "short", "last-one-column"])
+def test_streamed_sweep_matches_whole_field_oracles_on_matched_times(T, n_per_edge, last):
+    # from 200 cells per edge on, the direct grids share the expansion's
+    # time array, so the terms need no t factor
+    spec = star_spec(T=T)
+    steps = make_expansion_grids(spec, n_per_edge, 0.9).g0.steps
+    assert steps % TIME_SLAB == last
+    _assert_streamed_sweep_matches_oracles(spec, (0.5, 0.4, 0.3), n_per_edge, True)
+
+
+def test_streamed_sweep_matches_whole_field_oracles_on_other_times():
+    rep = _assert_streamed_sweep_matches_oracles(star_spec(), (0.5, 0.4, 0.3), 64, False)
+    assert rep.conclusive
+
+
+@pytest.fixture(scope="module")
+def series_64():
+    spec = star_spec()
+    return build_expansion(spec, 1, make_expansion_grids(spec, 64, 0.9))
+
+
+@pytest.mark.parametrize("n_cells, steps, nan", SLAB_CASES)
+def test_streamed_errors_match_whole_field_oracles_on_slab_cases(series_64, n_cells,
+                                                                   steps, nan):
+    # the slab partition's edge cases, on grids whose times differ from the
+    # expansion's; the reference is random, with a nan in one case
+    es, eps = series_64, 0.6
+    ref = slab_case_field(n_cells, steps, nan)
+    triple, res = _series_errors(es, eps, ref)
+    edges, sigma = assemble_reference(es, eps, ref.grid)
+    asm = Field(ref.grid, edges, sigma)
+    assert_norms_match(triple, norms_reference(ref, asm))
+    assert (res.sup_h, res.h_floor) == pde_defect_reference(es.spec, eps, asm)
+    assert (res.h_floor > 0.0) == (steps % 2 == 0)
+    assert "floor" in res.note
 
 
 def synthetic_report() -> ConvergenceReport:

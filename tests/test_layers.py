@@ -253,7 +253,8 @@ def test_sample_physical_out_of_range_raises():
             sample_physical(fld, 0.5, 1, 1.0, [0.3], [0.77, t])
     # roundoff at the ends is not misuse
     T = fld.times[-1]
-    rows, got = sample_physical(fld, 0.5, 1, 1.0, [-1e-14, 0.0], [0.0, T * (1 + 1e-15)])
+    rows, at = sample_physical(fld, 0.5, 1, 1.0, [-1e-14, 0.0], [0.0, T * (1 + 1e-15)])
+    got = at(slice(None))
     assert rows == slice(0, 2) and np.all(np.isfinite(got))
 
 
@@ -264,7 +265,8 @@ def test_sample_physical_rejects_descending_taus():
     for folded in (False, True):
         with pytest.raises(ValueError, match="ascending"):
             sample_physical(fld, 0.5, 1, 1.0, [0.5, 0.3], [0.77], folded)
-    rows, got = sample_physical(fld, 0.5, 1, 1.0, [0.3, 0.3, 0.5], [0.77])
+    rows, at = sample_physical(fld, 0.5, 1, 1.0, [0.3, 0.3, 0.5], [0.77])
+    got = at(slice(None))
     assert rows == slice(0, 3) and got[0, 0] == got[1, 0]
 
 
@@ -278,14 +280,16 @@ def test_sample_physical_matches_pointwise():
                           for t in times] for tau in taus])
         np.testing.assert_allclose(got, want, atol=1e-12)
     # folded: taus near the center map past L and must come back zero
-    rows, got = sample_physical(fld, 0.5, 2, 2.0, taus, times, folded=True)
+    rows, at = sample_physical(fld, 0.5, 2, 2.0, taus, times, folded=True)
+    got = at(slice(None))
     assert rows == slice(2, 5) and np.all(got != 0.0)
 
 
 def test_sample_physical_all_outside():
     fld = analytic_field()
-    rows, got = sample_physical(fld, 0.5, 2, 8.0, np.array([7.5, 8.0]),
-                                np.array([0.5]), folded=False)
+    rows, at = sample_physical(fld, 0.5, 2, 8.0, np.array([7.5, 8.0]),
+                               np.array([0.5]), folded=False)
+    got = at(slice(None))
     assert rows == slice(0, 0) and got.shape == (0, 1)
 
 
