@@ -18,16 +18,14 @@ Every term is a grid.Term, and each edge's series is one list of them
 (ExpansionSet.series): assembly samples each with layers.sample_physical,
 and the flux remainder takes each one's Term.flux.
 
-The partial sum on an evaluation grid is produced one time slab at a time
-(partial_sum_columns), and the PDE defect consumes it the same way
-(EdgeDefect), so a sweep never holds an assembled field whole;
-assemble_partial_sum and residuals(..., assembled=) loop the same code
-over a whole field.
+This module builds the series and samples it: partial_sum_columns at any
+run of an evaluation grid's time columns, residuals at the vertex.
+harness measures the sum against a direct solve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -36,11 +34,10 @@ import numpy as np
 from .direct import Field
 from .errors import ExpansionOrderError, GraphConfigError
 from .expr import Const, Expr
-from .graph import ProblemSpec, b_eps, require_compatibility_C1, restrict_to_g0
-from .grid import ExpansionGrids, Grid, Slab, Term, time_slabs
+from .graph import ProblemSpec, require_compatibility_C1, restrict_to_g0
+from .grid import ExpansionGrids, Grid, Term
 from .layers import QuarterPlaneProblem, qp_solve, sample_physical
-from .limit import (G0Problem, solve_cauchy_recursive, solve_degenerate_edge,
-                    solve_g0)
+from .limit import solve_cauchy_recursive, solve_degenerate_edge, solve_g0
 
 __all__ = [
     "lambda_set",
@@ -49,17 +46,10 @@ __all__ = [
     "partial_sum_columns",
     "assemble_partial_sum",
     "residuals",
-    "ResidualReport",
-    "EdgeDefect",
-    "sup_over_edges",
     "verify_schedule",
 ]
 
 MAX_ORDER = 4
-FLUX_NOTE = "flux residual only; pass an assembled field for the PDE defect"
-DEFECT_NOTE = ("PDE defect computed with second-order stencils on the "
-               "evaluation grid; the floor column estimates the stencils' "
-               "own truncation error from a stride-2 recomputation")
 
 
 def lambda_set(m: tuple[int, ...], p: int) -> tuple[tuple[int, int], ...]:
@@ -167,8 +157,8 @@ def build_expansion(spec: ProblemSpec, p: int, grids: ExpansionGrids) -> Expansi
     times = grids.times
     log: list[tuple] = []
 
-    spec_g0, _ = restrict_to_g0(spec)
-    U0 = solve_g0(G0Problem(spec_g0, None), grids.g0)
+    spec_g0 = restrict_to_g0(spec)
+    U0 = solve_g0(spec_g0, grids.g0)
     log.append((("U", 0, 0), ()))
     corr_spec = _zero_g0_spec(spec_g0)
 
@@ -231,7 +221,7 @@ def build_expansion(spec: ProblemSpec, p: int, grids: ExpansionGrids) -> Expansi
                     deps.append(("u", r - 2, e))
                 nu -= vertex_layers[((r - 1) * mlist[l - 1], e)].flux()
                 deps.append(("v", (r - 1) * mlist[l - 1], e))
-            g0_corr[(r, l)] = solve_g0(G0Problem(corr_spec, nu), grids.g0)
+            g0_corr[(r, l)] = solve_g0(corr_spec, grids.g0, nu)
             log.append((("U", r, l), tuple(deps)))
         for e in g.gstar_edges():
             build_vertex_layer(P, e)
@@ -303,56 +293,31 @@ def _edge_columns(es: ExpansionSet, eps: float, e: int, x: np.ndarray,
     return columns
 
 
-def _whole(columns: Callable[[slice], np.ndarray], n: int, steps: int) -> np.ndarray:
-    V = np.empty((n, steps + 1))
-    for s in time_slabs(steps):
-        V[:, s.own] = columns(s.own)
-    return V
-
-
 def assemble_partial_sum(es: ExpansionSet, eps: float, grid: Grid) -> Field:
     """The truncated series on an evaluation grid as a whole Field.
 
-    Every edge is filled a time slab at a time from partial_sum_columns.
-    The vertex trace and the Dirichlet rows agree with the per-edge values
-    at grid nodes to roundoff by construction; this is a node contract,
-    not a continuum one.
+    Every edge is partial_sum_columns at all of its time columns.  The
+    vertex trace and the Dirichlet rows agree with the per-edge values at
+    grid nodes to roundoff by construction; this is a node contract, not a
+    continuum one.
     """
-    M = grid.steps
-    edges = [_whole(columns, n + 1, M)
-             for columns, n in zip(partial_sum_columns(es, eps, grid), grid.n_cells)]
+    every = slice(None)
+    edges = [columns(every) for columns in partial_sum_columns(es, eps, grid)]
     vertex = _edge_columns(es, eps, es.grids.g0_edge_ids[0], np.array([0.0]), grid.times())
-    return Field(grid, edges, _whole(vertex, 1, M)[0])
+    return Field(grid, edges, vertex(every)[0])
 
 
-@dataclass(frozen=True)
-class ResidualReport:
-    eps: float
-    order: int
-    nu_samples: np.ndarray
-    sup_nu: float
-    nu_floor: float
-    sup_h: float | None
-    h_floor: float | None
-    note: str
+def residuals(es: ExpansionSet, eps: float) -> tuple[np.ndarray, float, float]:
+    """Defect of the truncated series in the vertex flux balance.
 
-    def with_defect(self, sup_h: float, h_floor: float) -> ResidualReport:
-        """This report with the PDE defect and its floor filled in."""
-        return replace(self, sup_h=sup_h, h_floor=h_floor, note=DEFECT_NOTE)
-
-
-def residuals(es: ExpansionSet, eps: float,
-              assembled: Field | None = None) -> ResidualReport:
-    """Defect of the truncated series in the vertex flux balance and the PDE.
-
-    The flux remainder is measured semi-analytically: each stored term
-    contributes through a one-sided stencil on its own grid, weighted by
-    its eps power, so the measurement floor is set by the term solvers and
-    not by an extra interpolation step.  The PDE defect needs an assembled
-    field and is reported together with its discretization floor caveat.
+    Returns the remainder at every time of the expansion, its sup, and the
+    sup of its change under a stride-2 stencil over 3, the measurement's
+    floor.  It is measured semi-analytically: each stored term contributes
+    through a one-sided stencil on its own grid, weighted by its eps power,
+    so the floor is set by the term solvers and not by an extra
+    interpolation step.
     """
-    spec = es.spec
-    g = spec.graph
+    g = es.spec.graph
 
     def flux_sum(stride: int) -> np.ndarray:
         # eps^(2m) d_x on edge e, and d_x = eps^-k d_xi for a term sampled
@@ -368,72 +333,4 @@ def residuals(es: ExpansionSet, eps: float,
     nu = flux_sum(1)
     sup_nu = float(np.max(np.abs(nu)))
     nu_floor = float(np.max(np.abs(flux_sum(2) - nu))) / 3.0
-    rep = ResidualReport(eps, es.order, nu, sup_nu, nu_floor, None, None, FLUX_NOTE)
-    if assembled is not None:
-        rep = rep.with_defect(*_pde_defect(spec, eps, assembled))
-    return rep
-
-
-class EdgeDefect:
-    """Sup of the PDE defect on one edge and of its stride-2 floor.
-
-    It is fed the window of every slab of time_slabs(grid.steps), in order,
-    and keeps each slab's maxima; sup_over_edges reduces them.  A slab
-    holds the defect at its fine centres a .. end - 1, and its even columns
-    carry the coarse stencils centred in it.  Slab maxima are reduced with
-    np.max, so each edge's maximum, a nan included, is that of the
-    whole-array computation, bit for bit.
-    """
-
-    def __init__(self, spec: ProblemSpec, eps: float, grid: Grid, e: int):
-        self.h = grid.h(e)
-        self.dt = grid.dt
-        self.x = grid.x_nodes(e)
-        self.times = grid.times()
-        self.b = b_eps(spec, eps, e)
-        self.qx = spec.q[e].evaluate(self.x, 0.0)
-        self.f = spec.f[e]
-        self.coarse = grid.n_cells[e] % 2 == 0 and grid.steps % 2 == 0
-        self.worst: list = []
-        self.floor: list = []
-
-    def _defect(self, u, h, dtv, x, ts, qx):
-        q = qx[1:-1, None]
-        f = self.f.evaluate(x[1:-1, None], ts[None, 1:-1])
-        utt = (u[1:-1, 2:] - 2.0 * u[1:-1, 1:-1] + u[1:-1, :-2]) / (dtv * dtv)
-        uxx = (u[2:, 1:-1] - 2.0 * u[1:-1, 1:-1] + u[:-2, 1:-1]) / (h * h)
-        return utt - self.b * uxx + q * u[1:-1, 1:-1] - f
-
-    def add(self, s: Slab, w: np.ndarray) -> None:
-        """w holds the edge's columns s.window."""
-        n = s.end - s.a + 2  # the columns a - 1 .. end the fine stencils read
-        ts = self.times[s.window]
-        r = self._defect(w[:, :n], self.h, self.dt, self.x, ts[:n], self.qx)
-        self.worst.append(np.max(np.abs(r)))
-        if self.coarse and s.end - s.a >= 2:
-            rc = self._defect(w[::2, ::2], 2 * self.h, 2 * self.dt, self.x[::2],
-                              ts[::2], self.qx[::2])
-            self.floor.append(np.max(np.abs(rc - r[1::2, 1::2])))
-
-
-def sup_over_edges(edges: list[EdgeDefect]) -> tuple[float, float]:
-    """The PDE defect and its floor over a field, fed every edge's slabs."""
-    worst = 0.0
-    floor = 0.0
-    for d in edges:
-        worst = max(worst, float(np.max(d.worst)))
-        if d.coarse:
-            floor = max(floor, float(np.max(d.floor)) / 3.0)
-    return worst, floor
-
-
-def _pde_defect(spec: ProblemSpec, eps: float, fld: Field) -> tuple[float, float]:
-    """Sup of the PDE defect of a whole field and its stride-2 floor."""
-    grid = fld.grid
-    parts = []
-    for e, u in enumerate(fld.edges):
-        d = EdgeDefect(spec, eps, grid, e)
-        for s in time_slabs(grid.steps):
-            d.add(s, u[:, s.window])
-        parts.append(d)
-    return sup_over_edges(parts)
+    return nu, sup_nu, nu_floor

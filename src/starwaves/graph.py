@@ -130,17 +130,16 @@ class ProblemSpec:
                     f"{name} is discontinuous at the central vertex (spread {spread:.3e})")
 
 
-def restrict_to_g0(spec: ProblemSpec) -> tuple[ProblemSpec, tuple[int, ...]]:
-    """ProblemSpec over the unit-speed subgraph only, plus the global edge ids."""
+def restrict_to_g0(spec: ProblemSpec) -> ProblemSpec:
+    """ProblemSpec over the unit-speed subgraph only, its edges in g0_edges() order."""
     ids = spec.graph.g0_edges()
     graph = StarGraph(tuple(Edge(spec.graph.edges[e].length, 0) for e in ids), (0,))
 
     def pick(seq):
         return tuple(seq[e] for e in ids)
 
-    sub = ProblemSpec(graph, pick(spec.q), pick(spec.f), pick(spec.phi),
-                      pick(spec.psi), pick(spec.mu), spec.T)
-    return sub, ids
+    return ProblemSpec(graph, pick(spec.q), pick(spec.f), pick(spec.phi),
+                       pick(spec.psi), pick(spec.mu), spec.T)
 
 
 @dataclass(frozen=True)

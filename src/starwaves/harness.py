@@ -5,11 +5,13 @@ H1-in-x surrogate.  The underlying estimate controls a stronger norm whose
 second derivatives are only locally bounded for weak solutions, so the
 report header states the surrogate explicitly.
 
+expansion builds the series and samples it; this module measures it.
 For each eps the sweep keeps the direct field whole (a solve cache may
 share it) and streams the series against it: one loop over time slabs
 assembles the partial sum on a slab's columns, adds the slab's share to
-the norm sums, and feeds the PDE defect.  The assembled field never
-exists whole; norms() runs the same slab sums over two whole fields.
+the norm sums (_EdgeNorms) and feeds the PDE defect (_EdgeDefect).  The
+assembled field never exists whole; norms() runs the same slab sums over
+two whole fields.
 """
 
 from __future__ import annotations
@@ -25,18 +27,18 @@ import numpy as np
 from .direct import Field, direct_solve
 from .errors import ExprSyntaxError, GraphConfigError
 from .expr import Expr, parse
-from .graph import Edge, ProblemSpec, StarGraph
-from .grid import (Grid, coarsen, make_direct_grid, make_expansion_grids,
+from .graph import Edge, ProblemSpec, StarGraph, b_eps
+from .grid import (Grid, Slab, coarsen, make_direct_grid, make_expansion_grids,
                    time_slabs, trapezoid_weights)
-from .expansion import (MAX_ORDER, EdgeDefect, ExpansionSet, ResidualReport,
-                        build_expansion, partial_sum_columns, residuals,
-                        sup_over_edges)
+from .expansion import (MAX_ORDER, ExpansionSet, build_expansion,
+                        partial_sum_columns, residuals)
 # not called here: benchmark/tracing.py wraps this name in this namespace
 from .expansion import assemble_partial_sum  # noqa: F401
 
 __all__ = [
     "NormTriple",
     "norms",
+    "ResidualReport",
     "FitResult",
     "fit_order",
     "ConvergenceReport",
@@ -55,6 +57,9 @@ __all__ = [
 NORM_NOTE = ("norms are L-infinity, L2 and an H1-in-x surrogate over the "
              "space-time cylinder; the underlying estimate bounds a stronger "
              "norm that is not grid-measurable for weak solutions")
+DEFECT_NOTE = ("PDE defect computed with second-order stencils on the "
+               "evaluation grid; the floor column estimates the stencils' "
+               "own truncation error from a stride-2 recomputation")
 
 
 @dataclass(frozen=True)
@@ -116,28 +121,93 @@ def norms(f1: Field, f2: Field) -> NormTriple:
     return _norm_triple(parts)
 
 
+class _EdgeDefect:
+    """Sup of the PDE defect on one edge and of its stride-2 floor.
+
+    It is fed the window of every slab of time_slabs(grid.steps), in order,
+    and keeps each slab's maxima; sups() reduces them.  A slab holds the
+    defect at its fine centres a .. end - 1, and its even columns carry the
+    coarse stencils centred in it.  Slab maxima are reduced with np.max, so
+    the edge's maximum, a nan included, is that of the whole-array
+    computation, bit for bit.
+    """
+
+    def __init__(self, spec: ProblemSpec, eps: float, grid: Grid, e: int):
+        self.h = grid.h(e)
+        self.dt = grid.dt
+        self.x = grid.x_nodes(e)
+        self.times = grid.times()
+        self.b = b_eps(spec, eps, e)
+        self.qx = spec.q[e].evaluate(self.x, 0.0)
+        self.f = spec.f[e]
+        self.coarse = grid.n_cells[e] % 2 == 0 and grid.steps % 2 == 0
+        self.worst: list = []
+        self.floor: list = []
+
+    def _defect(self, u, h, dtv, x, ts, qx):
+        q = qx[1:-1, None]
+        f = self.f.evaluate(x[1:-1, None], ts[None, 1:-1])
+        utt = (u[1:-1, 2:] - 2.0 * u[1:-1, 1:-1] + u[1:-1, :-2]) / (dtv * dtv)
+        uxx = (u[2:, 1:-1] - 2.0 * u[1:-1, 1:-1] + u[:-2, 1:-1]) / (h * h)
+        return utt - self.b * uxx + q * u[1:-1, 1:-1] - f
+
+    def add(self, s: Slab, w: np.ndarray) -> None:
+        """w holds the edge's columns s.window."""
+        n = s.end - s.a + 2  # the columns a - 1 .. end the fine stencils read
+        ts = self.times[s.window]
+        r = self._defect(w[:, :n], self.h, self.dt, self.x, ts[:n], self.qx)
+        self.worst.append(np.max(np.abs(r)))
+        if self.coarse and s.end - s.a >= 2:
+            rc = self._defect(w[::2, ::2], 2 * self.h, 2 * self.dt, self.x[::2],
+                              ts[::2], self.qx[::2])
+            self.floor.append(np.max(np.abs(rc - r[1::2, 1::2])))
+
+    def sups(self) -> tuple[float, float]:
+        """The edge's defect and floor; the floor is 0 without a coarse grid."""
+        floor = float(np.max(self.floor)) / 3.0 if self.coarse else 0.0
+        return float(np.max(self.worst)), floor
+
+
+@dataclass(frozen=True)
+class ResidualReport:
+    """The PDE defect and the flux remainder at one eps, each with its floor."""
+
+    eps: float
+    order: int
+    nu_samples: np.ndarray
+    sup_nu: float
+    nu_floor: float
+    sup_h: float
+    h_floor: float
+    note: str = DEFECT_NOTE
+
+
 def _series_errors(es: ExpansionSet, eps: float, ref: Field
                    ) -> tuple[NormTriple, ResidualReport]:
-    """norms(ref, asm) and residuals(es, eps, assembled=asm), for asm the
-    series assembled on ref's grid, one edge's time slab at a time.
+    """The norms of ref minus the series and the series' ResidualReport,
+    the series assembled on ref's grid one edge's time slab at a time.
 
     A slab's window is assembled once and serves both: its own columns go
-    to the norm sums, the whole window to the PDE defect.
+    to the norm sums, the whole window to the PDE defect.  Edge maxima are
+    reduced with max, so a nan edge maximum is passed over.
     """
     grid = ref.grid
     norm_parts = []
-    defect_parts = []
+    sup_h = h_floor = 0.0
     for e, columns in enumerate(partial_sum_columns(es, eps, grid)):
         acc = _EdgeNorms(grid, e)
-        defect = EdgeDefect(es.spec, eps, grid, e)
+        defect = _EdgeDefect(es.spec, eps, grid, e)
         for s in time_slabs(grid.steps):
             w = columns(s.window)
             acc.add(ref.edges[e][:, s.own], w[:, :s.own.stop - s.own.start], s.own)
             defect.add(s, w)
         norm_parts.append(acc)
-        defect_parts.append(defect)
-    rep = residuals(es, eps).with_defect(*sup_over_edges(defect_parts))
-    return _norm_triple(norm_parts), rep
+        worst, floor = defect.sups()
+        sup_h = max(sup_h, worst)
+        h_floor = max(h_floor, floor)
+    nu, sup_nu, nu_floor = residuals(es, eps)
+    return (_norm_triple(norm_parts),
+            ResidualReport(eps, es.order, nu, sup_nu, nu_floor, sup_h, h_floor))
 
 
 @dataclass(frozen=True)
@@ -475,10 +545,8 @@ def write_report_csv(path: str | Path, rep: ConvergenceReport) -> None:
 
 def write_residuals_csv(path: str | Path, reports: tuple[ResidualReport, ...]) -> None:
     lines = ["epsilon,sup_h,sup_nu,h_floor,nu_floor"]
-    nan = float("nan")  # no assembled field, so no PDE defect
     for r in reports:
-        cols = (r.eps, nan if r.sup_h is None else r.sup_h, r.sup_nu,
-                nan if r.h_floor is None else r.h_floor, r.nu_floor)
+        cols = (r.eps, r.sup_h, r.sup_nu, r.h_floor, r.nu_floor)
         lines.append(",".join(map(_fmt, cols)))
     _write_lines(Path(path), lines)
 

@@ -9,8 +9,6 @@ Each term of the hierarchy is a grid.Term on the edge's nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .direct import Field, _march
@@ -21,7 +19,6 @@ from .grid import Grid, Term, check_cfl
 from .kernels import cs, sn
 
 __all__ = [
-    "G0Problem",
     "solve_g0",
     "solve_degenerate_edge",
     "solve_cauchy_recursive",
@@ -31,32 +28,21 @@ __all__ = [
 KIRCHHOFF_C1_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class G0Problem:
-    """Problem on the unit-speed subgraph with Kirchhoff right-hand side nu.
-
-    spec must already be restricted to that subgraph (see restrict_to_g0).
-    nu is sampled on the time grid; None means the homogeneous condition.
-    """
-
-    spec: ProblemSpec
-    nu: np.ndarray | None = None
-
-
-def solve_g0(prob: G0Problem, grid: Grid) -> Field:
+def solve_g0(spec: ProblemSpec, grid: Grid, nu: np.ndarray | None = None) -> Field:
     """March the unit-speed subgraph; the vertex equation carries nu.
 
-    With nu = None this is the same code path as direct_solve at b = 1,
-    producing machine-identical values.
+    spec must already be restricted to that subgraph (see restrict_to_g0).
+    nu is the Kirchhoff right-hand side sampled on the time grid; None
+    means the homogeneous condition, the same code path as direct_solve at
+    b = 1, producing machine-identical values.
     """
-    spec = prob.spec
     slopes = sum(spec.phi[e].diff("x").evaluate(0.0, 0.0) for e in range(spec.graph.n_edges))
-    nu0 = 0.0 if prob.nu is None else float(prob.nu[0])
+    nu0 = 0.0 if nu is None else float(nu[0])
     if abs(slopes - nu0) > KIRCHHOFF_C1_TOL:
         raise CompatibilityError(
             f"slope sum {slopes:.3e} does not match nu(0)={nu0:.3e}")
     check_cfl(spec, 0.5, grid)  # eps is irrelevant at b = 1
-    return _march(spec, grid, np.ones(spec.graph.n_edges), prob.nu)
+    return _march(spec, grid, np.ones(spec.graph.n_edges), nu)
 
 
 def simpson_weights(n: int, dt: float) -> np.ndarray:

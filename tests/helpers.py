@@ -258,7 +258,7 @@ def direct_march_reference(spec, grid, b, nu):
 
 def pde_defect_reference(spec, eps, fld):
     """Whole-array PDE defect and its stride-2 floor: the reference for
-    expansion._pde_defect."""
+    harness._EdgeDefect."""
     grid = fld.grid
     dt = grid.dt
     worst = 0.0

@@ -7,7 +7,7 @@ from starwaves.expr import Expr, parse
 from starwaves.graph import Edge, ProblemSpec, StarGraph, b_eps
 from starwaves.grid import TIME_SLAB, make_direct_grid
 from starwaves.harness import load_config, validate_config
-from starwaves.limit import G0Problem, solve_g0
+from starwaves.limit import solve_g0
 
 from .helpers import (REFERENCE_CONFIG, direct_march_reference,
                       single_edge_spec, star_spec, two_edge_g0_spec)
@@ -145,7 +145,7 @@ def _g0_case():
     spec = two_edge_g0_spec(q="1 + x", f="sin(t)*(1 + x)", phi="cos(pi*x/2)")
     grid = make_direct_grid(spec, 0.5, 64, 0.9)
     nu = 0.3 * np.sin(3.0 * grid.times())
-    return (solve_g0(G0Problem(spec, nu), grid),
+    return (solve_g0(spec, grid, nu),
             direct_march_reference(spec, grid, [1.0, 1.0], nu))
 
 

@@ -5,14 +5,15 @@ from starwaves.direct import Field, direct_solve
 from starwaves.errors import (CompatibilityError, ExpansionOrderError,
                               GraphConfigError)
 from starwaves import expansion
-from starwaves.expansion import (_pde_defect, assemble_partial_sum,
-                                 build_expansion, lambda_set, residuals,
-                                 verify_schedule)
+from starwaves.expansion import (assemble_partial_sum, build_expansion,
+                                 lambda_set, residuals, verify_schedule)
 from starwaves.expr import parse
 from starwaves.graph import ProblemSpec, restrict_to_g0
-from starwaves.grid import TIME_SLAB, Grid, make_direct_grid, make_expansion_grids
+from starwaves.grid import (TIME_SLAB, Grid, make_direct_grid, make_expansion_grids,
+                            time_slabs)
 from starwaves.layers import BAND_PAD, QuarterPlaneProblem, qp_solve, sample_physical
-from starwaves.limit import G0Problem, solve_degenerate_edge, solve_g0
+from starwaves.harness import DEFECT_NOTE, _EdgeDefect, convergence_sweep
+from starwaves.limit import solve_degenerate_edge, solve_g0
 
 from .helpers import (SLAB_CASES, assemble_reference, flux_sum_reference,
                       pde_defect_reference, qp_march_reference, slab_case_field,
@@ -136,8 +137,8 @@ def test_homogeneous_data_gives_zero_expansion():
     fld = assemble_partial_sum(es, 0.3, make_direct_grid(spec, 0.3, 64, 0.9))
     assert not fld.sigma.any()
     assert all(not u.any() for u in fld.edges)
-    rep = residuals(es, 0.3, assembled=fld)
-    assert rep.sup_nu == 0.0
+    nu, sup_nu, nu_floor = residuals(es, 0.3)
+    assert not nu.any() and sup_nu == 0.0 and nu_floor == 0.0
 
 
 def test_manual_chain_two_edge_single_exponent():
@@ -153,9 +154,10 @@ def test_manual_chain_two_edge_single_exponent():
     assert es.powers == (2,)
     assert set(es.vertex_layers) == {(0, 1), (2, 1)}
 
-    spec0, ids = restrict_to_g0(spec)
-    assert grids.g0_edge_ids == ids
-    U0 = solve_g0(G0Problem(spec0, None), grids.g0)
+    spec0 = restrict_to_g0(spec)
+    assert grids.g0_edge_ids == spec.graph.g0_edges() == (0,)
+    assert spec0.graph.n_edges == 1 and spec0.q[0] is spec.q[0]
+    U0 = solve_g0(spec0, grids.g0)
     assert np.array_equal(es.g0_base.sigma, U0.sigma)
     assert np.array_equal(es.g0_base.edges[0], U0.edges[0])
 
@@ -172,7 +174,7 @@ def test_manual_chain_two_edge_single_exponent():
     zero = parse("0")
     zspec = ProblemSpec(spec0.graph, spec0.q, (zero,), (zero,), (zero,),
                         (zero,), spec0.T)
-    U1 = solve_g0(G0Problem(zspec, -v0.flux()), grids.g0)
+    U1 = solve_g0(zspec, grids.g0, -v0.flux())
     assert np.array_equal(es.g0_corr[(1, 1)].sigma, U1.sigma)
 
     # q = 1 + x: theta = q(0), the single Taylor source carries -q'(0) = -1
@@ -270,15 +272,15 @@ def test_series_loops_match_three_family_reference(p):
         for got, want in [*zip(fld.edges, edges), (fld.sigma, sigma)]:
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
-        rep = residuals(es, eps)
+        nu_samples, _, nu_floor = residuals(es, eps)
         nu = flux_sum_reference(es, eps, 1)
         if p < 2:
-            assert np.array_equal(rep.nu_samples, nu)
-            assert np.array_equal(np.signbit(rep.nu_samples), np.signbit(nu))
+            assert np.array_equal(nu_samples, nu)
+            assert np.array_equal(np.signbit(nu_samples), np.signbit(nu))
             floor = float(np.max(np.abs(flux_sum_reference(es, eps, 2) - nu))) / 3.0
-            assert rep.nu_floor == floor
+            assert nu_floor == floor
         else:
-            assert np.max(np.abs(rep.nu_samples - nu)) <= 1e-13 * np.max(np.abs(nu))
+            assert np.max(np.abs(nu_samples - nu)) <= 1e-13 * np.max(np.abs(nu))
 
 
 def test_sampler_rows_of_series_terms():
@@ -344,25 +346,35 @@ def test_residual_report_fields():
     spec = star_spec()
     grids = make_expansion_grids(spec, 64, 0.9)
     es = build_expansion(spec, 1, grids)
-    rep = residuals(es, 0.2)
-    assert rep.eps == 0.2 and rep.order == 1
-    assert rep.nu_samples.shape == grids.times.shape
-    assert rep.sup_nu == np.max(np.abs(rep.nu_samples))
-    assert rep.sup_nu >= 0.0 and rep.nu_floor >= 0.0
-    # the PDE defect needs an assembled field
-    assert rep.sup_h is None and rep.h_floor is None
-    fld = assemble_partial_sum(es, 0.2, make_direct_grid(spec, 0.2, 64, 0.9))
-    full = residuals(es, 0.2, assembled=fld)
-    assert full.sup_h >= 0.0 and full.h_floor >= 0.0
-    assert np.array_equal(full.nu_samples, rep.nu_samples)
-    assert "floor" in full.note
+    nu, sup_nu, nu_floor = residuals(es, 0.2)
+    assert nu.shape == grids.times.shape
+    assert type(sup_nu) is float and sup_nu == np.max(np.abs(nu))
+    assert type(nu_floor) is float and sup_nu > 0.0 and nu_floor >= 0.0
+    # a sweep's reports carry the flux remainder and the PDE defect
+    eps = (0.5, 0.4, 0.3)
+    rep = convergence_sweep(spec, 1, eps, n_per_edge=64, expansion=es)
+    for x, r in zip(eps, rep.residual_reports):
+        assert r.eps == x and r.order == 1
+        nu, sup_nu, nu_floor = residuals(es, x)
+        assert np.array_equal(r.nu_samples, nu)
+        assert (r.sup_nu, r.nu_floor) == (sup_nu, nu_floor)
+        assert type(r.sup_h) is float and type(r.h_floor) is float
+        assert r.sup_h > 0.0 and r.h_floor > 0.0
+        assert r.note == DEFECT_NOTE and "floor" in r.note
 
 
 @pytest.mark.parametrize("n_cells, steps, nan", SLAB_CASES)
 def test_pde_defect_matches_whole_array_reference(n_cells, steps, nan):
+    # harness._EdgeDefect fed slab by slab, its edge maxima reduced the way
+    # the sweep reduces them
     spec = star_spec()
     fld = slab_case_field(n_cells, steps, nan)
-    got = _pde_defect(spec, 0.3, fld)
+    got = (0.0, 0.0)
+    for e, u in enumerate(fld.edges):
+        d = _EdgeDefect(spec, 0.3, fld.grid, e)
+        for s in time_slabs(steps):
+            d.add(s, u[:, s.window])
+        got = tuple(max(a, b) for a, b in zip(got, d.sups()))
     assert got == pde_defect_reference(spec, 0.3, fld)
     assert got[0] > 0.0
     assert (got[1] > 0.0) == (steps % 2 == 0)

@@ -67,8 +67,8 @@ def test_problem_spec_validation():
 
 def test_restrict_to_g0():
     spec = star_spec()
-    sub, ids = restrict_to_g0(spec)
-    assert ids == (0,)
+    sub = restrict_to_g0(spec)
+    assert spec.graph.g0_edges() == (0,)
     assert sub.graph.n_edges == 1
     assert sub.graph.exponents == (0,)
     assert sub.q[0] is spec.q[0]

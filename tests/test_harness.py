@@ -8,11 +8,11 @@ import pytest
 from starwaves import expansion, harness
 from starwaves.direct import Field, direct_solve
 from starwaves.errors import GraphConfigError
-from starwaves.expansion import ResidualReport, build_expansion
+from starwaves.expansion import build_expansion
 from starwaves.grid import TIME_SLAB, Grid, make_direct_grid, make_expansion_grids
 from starwaves.harness import (NORM_NOTE, ConvergenceReport, NormTriple,
-                               _series_errors, convergence_sweep, fit_order,
-                               load_config, norms, validate_config,
+                               ResidualReport, _series_errors, convergence_sweep,
+                               fit_order, load_config, norms, validate_config,
                                write_field_csvs, write_grid_csv, write_plot_csv,
                                write_report_csv, write_residuals_csv,
                                write_trace_csv)
@@ -326,7 +326,7 @@ def synthetic_report() -> ConvergenceReport:
     eps = (0.4, 0.2, 0.1)
     errors = tuple(NormTriple(2 * x, x, 1.5 * x) for x in eps)
     res = tuple(ResidualReport(x, 1, np.array([0.0, x]), x, x / 30,
-                               None, None, "note") for x in eps)
+                               2 * x, x / 40) for x in eps)
     return ConvergenceReport(1, eps, errors, 1.5, 2.0, 1e-15, 1.5, 0.3,
                              True, 1e-5, True, res, 2.0)
 
@@ -347,15 +347,19 @@ def test_report_csv_format(tmp_path):
     assert float(cells[4]) == 1.5
 
 
-def test_residuals_csv_nan_for_missing_defect(tmp_path):
+def test_residuals_csv_format(tmp_path):
     rep = synthetic_report()
     path = tmp_path / "residuals.csv"
     write_residuals_csv(path, rep.residual_reports)
-    lines = path.read_text().splitlines()
+    raw = path.read_bytes()
+    assert b"\r" not in raw
+    lines = raw.decode().splitlines()
     assert lines[0] == "epsilon,sup_h,sup_nu,h_floor,nu_floor"
-    cells = lines[1].split(",")
-    assert cells[1] == "nan" and cells[3] == "nan"  # no defect, no floor
-    assert float(cells[4]) == 0.4 / 30
+    assert len(lines) == 4
+    for x, line in zip(rep.epsilons, lines[1:]):
+        # .17g round-trips doubles exactly
+        assert [float(c) for c in line.split(",")] == [x, 2 * x, x, x / 40, x / 30]
+    assert lines[1].split(",")[0] == "0.40000000000000002"
 
 
 def test_field_and_trace_csvs(tmp_path):

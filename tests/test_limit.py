@@ -5,7 +5,7 @@ from starwaves.direct import direct_solve
 from starwaves.errors import CompatibilityError
 from starwaves.expr import parse
 from starwaves.grid import Term, make_direct_grid
-from starwaves.limit import (G0Problem, simpson_weights, solve_cauchy_recursive,
+from starwaves.limit import (simpson_weights, solve_cauchy_recursive,
                              solve_degenerate_edge, solve_g0)
 
 from .helpers import two_edge_g0_spec
@@ -89,7 +89,7 @@ def test_g0_matches_direct_on_undegenerate_graph():
     spec = two_edge_g0_spec(q="1", f="sin(t)*(1 + x)", phi="cos(pi*x/2)")
     grid = make_direct_grid(spec, 0.5, 64, 0.9)
     ref = direct_solve(spec, 0.5, grid, cfl=0.9)
-    g0 = solve_g0(G0Problem(spec, None), grid)
+    g0 = solve_g0(spec, grid)
     for a, b in zip(ref.edges, g0.edges):
         assert np.array_equal(a, b)
     assert np.array_equal(g0.sigma, ref.sigma)
@@ -101,7 +101,7 @@ def test_g0_kirchhoff_source_closed_form():
     grid = make_direct_grid(spec, 0.5, 400, 0.95)
     nu = grid.times().copy()
     nu0 = nu.copy()
-    fld = solve_g0(G0Problem(spec, nu), grid)
+    fld = solve_g0(spec, grid, nu)
     t = grid.times()
     x = grid.x_nodes(0)
     # valid until the front reaches the far end at t = 1; after that the
@@ -110,8 +110,8 @@ def test_g0_kirchhoff_source_closed_form():
     exact = -np.maximum(t[None, :cut] - x[:, None], 0.0) ** 2 / 4
     err = max(np.max(np.abs(fld.edges[e][:, :cut] - exact)) for e in range(2))
     assert err < 5e-3  # front kink limits local order
-    coarse = solve_g0(G0Problem(spec, nu0[::2]), type(grid)(
-        grid.lengths, (200, 200), 2 * grid.dt, grid.steps // 2))
+    coarse = solve_g0(spec, type(grid)(
+        grid.lengths, (200, 200), 2 * grid.dt, grid.steps // 2), nu0[::2])
     xc = np.linspace(0, 1, 201)
     tc = t[::2]
     cutc = np.searchsorted(tc, 1.0, side="right")
@@ -126,4 +126,4 @@ def test_g0_slope_sum_consistency_guard():
     grid = make_direct_grid(spec, 0.5, 64, 0.9)
     nu = np.ones(grid.steps + 1)
     with pytest.raises(CompatibilityError):
-        solve_g0(G0Problem(spec, nu), grid)
+        solve_g0(spec, grid, nu)
