@@ -15,14 +15,15 @@ import numpy as np
 
 from .direct import direct_solve
 from .errors import (ExpansionOrderError, ExprDomainError, ExprSyntaxError,
-                     GraphConfigError, KernelRangeError, StabilityError)
+                     GraphConfigError, KernelRangeError, NonFiniteError,
+                     StabilityError)
 from .expansion import ExpansionSet, build_expansion
 from .graph import check_compatibility_C1, check_compatibility_C2
 from .grid import make_direct_grid, make_expansion_grids
 from .harness import (NORM_NOTE, RunConfig, convergence_sweep, load_config,
                       validate_config, write_field_csvs, write_grid_csv,
                       write_plot_csv, write_report_csv, write_residuals_csv,
-                      write_trace_csv)
+                      write_term_residuals_csv, write_trace_csv)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -119,12 +120,14 @@ def _cmd_verify(args) -> int:
                             rc.margin)
     write_report_csv(out / "report.csv", rep)
     write_residuals_csv(out / "residuals.csv", rep.residual_reports)
+    write_term_residuals_csv(out / "term_residuals.csv", rep.term_residuals)
     write_plot_csv(out / "plot.csv", rep)
     for eps, tr in zip(rep.epsilons, rep.errors):
         print(f"eps={eps:g}: linf={tr.linf:.6e} l2={tr.l2:.6e} h1x={tr.h1x:.6e}")
     print(f"fitted order {rep.fitted_order:.4f} vs theoretical "
           f"{rep.theoretical_order:.4f} (margin {rep.margin:g}); "
-          f"flux remainder order {rep.nu_fitted_order:.4f}")
+          f"flux remainder order {rep.nu_fitted_order:.4f}; "
+          f"truncation leftover order {rep.trunc_fitted_order:.4f}")
     if not rep.conclusive:
         print(f"inconclusive: refinement estimate {rep.refine_estimate:.3e} "
               f"exceeds 10% of the smallest error")
@@ -173,7 +176,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (StabilityError, KernelRangeError, ExpansionOrderError,
-            ExprDomainError) as exc:
+            ExprDomainError, NonFiniteError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -40,3 +40,7 @@ class KernelRangeError(StarwavesError):
 
 class ExpansionOrderError(StarwavesError):
     """Raised for an unsupported expansion order."""
+
+
+class NonFiniteError(StarwavesError):
+    """Raised when a measured error or remainder is nan or infinite."""

@@ -73,6 +73,8 @@ class ExpansionSet:
     boundary_layers: dict[tuple[int, int], Term]
     powers: tuple[int, ...]
     build_log: tuple[tuple, ...]
+    # each layer's problem, keyed by its build_log key
+    layer_problems: dict[tuple, QuarterPlaneProblem]
 
     @cached_property
     def series(self) -> dict[int, list[tuple[int, int, bool, Term]]]:
@@ -180,6 +182,7 @@ def build_expansion(spec: ProblemSpec, p: int, grids: ExpansionGrids) -> Expansi
 
     g0_corr: dict[tuple[int, int], Field] = {}
     vertex_layers: dict[tuple[int, int], Term] = {}
+    problems: dict[tuple, QuarterPlaneProblem] = {}
 
     def build_vertex_layer(P: int, e: int) -> None:
         m = g.m(e)
@@ -204,6 +207,7 @@ def build_expansion(spec: ProblemSpec, p: int, grids: ExpansionGrids) -> Expansi
         theta = spec.q[e].evaluate(0.0, 0.0)
         prob = QuarterPlaneProblem(theta, trace, sources, f"v[P={P},e={e}]")
         vertex_layers[(P, e)] = qp_solve(prob, grids.layer)
+        problems[("v", P, e)] = prob
         log.append((("v", P, e), tuple(deps)))
 
     for e in g.gstar_edges():
@@ -240,11 +244,12 @@ def build_expansion(spec: ProblemSpec, p: int, grids: ExpansionGrids) -> Expansi
             sources, sdeps = _taylor_sources(spec.q[e], L, lower, folded=True)
             prob = QuarterPlaneProblem(theta, trace, sources, f"w[s={s},e={e}]")
             boundary_layers[(s, e)] = qp_solve(prob, grids.layer)
+            problems[("w", s, e)] = prob
             log.append((("w", s, e), (("u", s, e), *sdeps)))
 
     verify_schedule(tuple(log))
     return ExpansionSet(spec, p, grids, U0, g0_corr, edge_terms, vertex_layers,
-                        boundary_layers, p_plus, tuple(log))
+                        boundary_layers, p_plus, tuple(log), problems)
 
 
 def partial_sum_columns(es: ExpansionSet, eps: float, grid: Grid
@@ -256,7 +261,9 @@ def partial_sum_columns(es: ExpansionSet, eps: float, grid: Grid
     does its checks, rows and x basis) and a call only adds the terms'
     column products, every term on the rows it reaches; the spline
     interpolates in x, and in t only when grid.times() is not the
-    expansion's time array.
+    expansion's time array.  The sum is written into one buffer that the
+    next call of the same columns function reuses, so a caller walking
+    the slabs allocates no slab-sized sum.
     """
     spec = es.spec
     g = spec.graph
@@ -283,8 +290,15 @@ def _edge_columns(es: ExpansionSet, eps: float, e: int, x: np.ndarray,
     parts = [(*sample_physical(term, eps, k, L, x, t_eval, folded), eps ** P)
              for P, k, folded, term in es.series[e]]
 
+    buf = np.empty((len(x), 0))
+
     def columns(cols: slice) -> np.ndarray:
-        V = np.zeros((len(x), len(t_eval[cols])))
+        nonlocal buf
+        n = len(t_eval[cols])
+        if buf.shape[1] < n:
+            buf = np.empty((len(x), n))
+        V = buf[:, :n]
+        V.fill(0.0)
         for rows, at, scale in parts:
             vals = at(cols)
             vals *= scale

@@ -12,8 +12,9 @@ reference-configuration eps).
 
 Work over a whole space-time grid runs one time slab of TIME_SLAB columns
 at a time (time_slabs): the direct march evaluates f a slab of time rows
-at a time, and the sweep assembles, measures and differences the series
-slab by slab.
+at a time, and the sweep assembles and measures the series slab by slab.
+A spline keeps its x coefficients as one C-contiguous block per slab, so
+a slab of a term's own times is one block, read without a copy.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ __all__ = [
     "check_cfl",
     "SeparableSpline",
     "Term",
-    "Slab",
     "time_slabs",
     "one_sided_diff",
     "trapezoid_weights",
@@ -48,8 +48,7 @@ __all__ = [
 MIN_CELLS = 8
 MIN_EXPANSION_CELLS = 200
 LAYER_MARGIN = 2.0
-SPLINE_BLOCK = 64
-TIME_SLAB = 64  # time columns per slab; even, so slabs keep the stride-2 parity
+TIME_SLAB = 64  # time columns per slab and per spline-coefficient block
 
 
 @dataclass(frozen=True)
@@ -197,34 +196,42 @@ def make_expansion_grids(spec: ProblemSpec, n_per_edge: int, cfl: float) -> Expa
 class SeparableSpline:
     """Cubic not-a-knot interpolant on (x_nodes, t_nodes), one axis at a time.
 
-    The x factor is built once.  Its coefficients at a contiguous run of
-    t_nodes are the matching coefficient columns; at other times they come
-    from t_factor, the t factor applied to the coefficients.  FITPACK with
-    s=0 uses the same knots, so this is the 2-D interpolating spline up to
-    roundoff.
+    The x factor is built once, its coefficients held as blocks of
+    TIME_SLAB columns: blocks[k] belongs to t_nodes[k * TIME_SLAB:][:TIME_SLAB]
+    and is C-contiguous.  The coefficients at a contiguous run of t_nodes are
+    the matching columns, the block itself for a slab of time_slabs; at other
+    times they come from t_factor, the t factor applied to the coefficients.
+    FITPACK with s=0 uses the same knots, so this is the 2-D interpolating
+    spline up to roundoff.
     """
 
     def __init__(self, x_nodes: np.ndarray, t_nodes: np.ndarray,
                  values: np.ndarray):
         self.t_nodes = t_nodes
-        # solved a block of columns at a time: the solver copies its
-        # right-hand side twice, and whole-array copies would raise peak RSS
-        coef = np.empty(values.shape)
-        for j in range(0, values.shape[1], SPLINE_BLOCK):
-            sp = make_interp_spline(x_nodes, values[:, j:j + SPLINE_BLOCK], k=3, axis=0)
-            coef[:, j:j + SPLINE_BLOCK] = sp.c
-        self.x_factor = BSpline(sp.t, coef, 3)
+        # one solve per block: the solver copies its right-hand side twice,
+        # and whole-array copies would raise peak RSS
+        self.blocks = []
+        for cols in time_slabs(values.shape[1] - 1):
+            sp = make_interp_spline(x_nodes, values[:, cols], k=3, axis=0)
+            self.blocks.append(np.ascontiguousarray(sp.c))
+        self.knots = sp.t
 
     @cached_property
     def t_factor(self) -> BSpline:
         """x coefficients as a spline in t: t_factor(t)[:, j] belong to t[j]."""
-        return make_interp_spline(self.t_nodes, self.x_factor.c, k=3, axis=1)
+        return make_interp_spline(self.t_nodes, np.concatenate(self.blocks, axis=1),
+                                  k=3, axis=1)
 
     def _coefficients(self, t: np.ndarray) -> np.ndarray:
         j0 = int(np.searchsorted(self.t_nodes, t[0])) if len(t) else 0
-        if np.array_equal(self.t_nodes[j0:j0 + len(t)], t):
-            return self.x_factor.c[:, j0:j0 + len(t)]
-        return self.t_factor(t)
+        j1 = j0 + len(t)
+        if not np.array_equal(self.t_nodes[j0:j1], t):
+            return self.t_factor(t)
+        k0 = j0 // TIME_SLAB
+        if j0 % TIME_SLAB == 0 and len(t) == self.blocks[k0].shape[1]:
+            return self.blocks[k0]
+        run = np.concatenate(self.blocks[k0:max(-(-j1 // TIME_SLAB), k0 + 1)], axis=1)
+        return run[:, j0 - k0 * TIME_SLAB:j1 - k0 * TIME_SLAB]
 
     def at(self, x: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         """Values at (x[i], t[j]) for any t, shape (len(x), len(t)).
@@ -236,7 +243,7 @@ class SeparableSpline:
         """
         if len(x) == 0:
             return lambda t: np.zeros((0, len(t)))
-        basis = BSpline.design_matrix(x, self.x_factor.t, 3, extrapolate=True)
+        basis = BSpline.design_matrix(x, self.knots, 3, extrapolate=True)
         return lambda t: basis @ self._coefficients(t)
 
     def __call__(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -279,34 +286,10 @@ class Term:
         return one_sided_diff(self.values, self.x_nodes[1], stride)
 
 
-@dataclass(frozen=True)
-class Slab:
-    """One time slab of a grid with steps steps.
-
-    The slab holds the fine defect centres a .. end - 1, a odd.  window is
-    every column a stencil centred there reads, the coarse stride-2 one
-    included: a - 1 .. min(end + 1, steps).  own is the columns the slab
-    counts in a sum over time: a - 1 .. end - 2, and through steps for the
-    last slab, so the slabs count every column once.
-    """
-
-    a: int
-    end: int
-    steps: int
-
-    @property
-    def window(self) -> slice:
-        return slice(self.a - 1, min(self.end + 2, self.steps + 1))
-
-    @property
-    def own(self) -> slice:
-        return slice(self.a - 1, self.end - 1 if self.end < self.steps else self.steps + 1)
-
-
-def time_slabs(steps: int) -> list[Slab]:
-    """The slabs of TIME_SLAB fine centres, a = 1, 1 + TIME_SLAB, ..."""
-    return [Slab(a, min(a + TIME_SLAB, steps), steps)
-            for a in range(1, steps, TIME_SLAB)]
+def time_slabs(steps: int) -> list[slice]:
+    """The columns 0..steps in slabs of TIME_SLAB: [k TIME_SLAB, (k + 1) TIME_SLAB)."""
+    return [slice(j, min(j + TIME_SLAB, steps + 1))
+            for j in range(0, steps + 1, TIME_SLAB)]
 
 
 def trapezoid_weights(n: int, h: float) -> np.ndarray:

@@ -6,10 +6,13 @@ second derivatives are only locally bounded for weak solutions, so the
 report header states the surrogate explicitly.
 
 expansion builds the series and samples it; this module measures it.
-For each eps the sweep keeps the direct field whole (a solve cache may
-share it) and streams the series against it: one loop over time slabs
-assembles the partial sum on a slab's columns, adds the slab's share to
-the norm sums (_EdgeNorms) and feeds the PDE defect (_EdgeDefect).  The
+Once per sweep it measures what the recursion leaves: each term's
+residual in its own equation, on its own grid (term_residuals), and the
+truncation leftover on the degenerate edges, whose eps-dependence is a
+power (truncation_leftover).  For each eps the sweep keeps the direct
+field whole (a solve cache may share it) and streams the series against
+it: one loop over time slabs assembles the partial sum on a slab's
+columns and adds the slab's share to the norm sums (_EdgeNorms).  The
 assembled field never exists whole; norms() runs the same slab sums over
 two whole fields.
 """
@@ -25,19 +28,24 @@ from pathlib import Path
 import numpy as np
 
 from .direct import Field, direct_solve
-from .errors import ExprSyntaxError, GraphConfigError
+from .errors import ExprSyntaxError, GraphConfigError, NonFiniteError
 from .expr import Expr, parse
-from .graph import Edge, ProblemSpec, StarGraph, b_eps
-from .grid import (Grid, Slab, coarsen, make_direct_grid, make_expansion_grids,
-                   time_slabs, trapezoid_weights)
+from .graph import Edge, ProblemSpec, StarGraph
+from .grid import (TIME_SLAB, Grid, LayerGrid, Term, coarsen, make_direct_grid,
+                   make_expansion_grids, time_slabs, trapezoid_weights)
 from .expansion import (MAX_ORDER, ExpansionSet, build_expansion,
                         partial_sum_columns, residuals)
 # not called here: benchmark/tracing.py wraps this name in this namespace
 from .expansion import assemble_partial_sum  # noqa: F401
+from .layers import QuarterPlaneProblem, _source_matrix
+from .limit import _dxx
 
 __all__ = [
     "NormTriple",
     "norms",
+    "TermResidual",
+    "term_residuals",
+    "truncation_leftover",
     "ResidualReport",
     "FitResult",
     "fit_order",
@@ -48,6 +56,7 @@ __all__ = [
     "validate_config",
     "write_report_csv",
     "write_residuals_csv",
+    "write_term_residuals_csv",
     "write_grid_csv",
     "write_field_csvs",
     "write_trace_csv",
@@ -57,9 +66,9 @@ __all__ = [
 NORM_NOTE = ("norms are L-infinity, L2 and an H1-in-x surrogate over the "
              "space-time cylinder; the underlying estimate bounds a stronger "
              "norm that is not grid-measurable for weak solutions")
-DEFECT_NOTE = ("PDE defect computed with second-order stencils on the "
-               "evaluation grid; the floor column estimates the stencils' "
-               "own truncation error from a stride-2 recomputation")
+DEFECT_NOTE = ("sup_trunc is the sup of what truncating the series at order p "
+               "leaves in the degenerate edges' equations; the flux remainder's "
+               "floor is its change under a stride-2 stencil over 3")
 
 
 @dataclass(frozen=True)
@@ -69,40 +78,50 @@ class NormTriple:
     h1x: float
 
 
-class _EdgeNorms:
-    """Trapezoid-weighted norm sums of u1 - u2 on one edge of a grid.
+def _gradient(d: np.ndarray, h: float, out: np.ndarray) -> None:
+    """np.gradient(d, h, axis=0, edge_order=2), bit for bit, written into out."""
+    np.subtract(d[2:], d[:-2], out=out[1:-1])
+    np.divide(out[1:-1], 2.0 * h, out=out[1:-1])
+    out[0] = -1.5 / h * d[0] + 2.0 / h * d[1] + -0.5 / h * d[2]
+    out[-1] = 0.5 / h * d[-3] + -2.0 / h * d[-2] + 1.5 / h * d[-1]
 
-    It is fed the columns s.own of every slab s of time_slabs(grid.steps),
-    so it counts each column once.  The maximum is reduced with np.max, a
-    nan included; the L2 and H1 sums are per-slab einsums added up.
+
+class _EdgeNorms:
+    """Trapezoid-weighted norm sums of a difference on one edge of a grid.
+
+    It is fed the difference at the columns of every slab of
+    time_slabs(grid.steps), so it counts each column once.  The maximum is
+    reduced with np.max, a nan included; the L2 and H1 sums are per-slab
+    products wx @ d^2 @ wt added up.  The x-gradient goes to a buffer
+    reused by every slab, and the difference is squared in place.
     """
 
     def __init__(self, grid: Grid, e: int):
         self.h = grid.h(e)
         self.wx = trapezoid_weights(grid.n_cells[e], self.h)
         self.wt = trapezoid_weights(grid.steps, grid.dt)
+        self.grad = np.empty((grid.n_cells[e] + 1, TIME_SLAB))
         self.linf: list = []
         self.l2sq = 0.0
         self.h1sq = 0.0
 
-    def add(self, u1: np.ndarray, u2: np.ndarray, cols: slice) -> None:
-        # C order whatever the operands' layouts: the einsum sums follow it
-        d = np.subtract(u1, u2, order="C")
+    def add(self, d: np.ndarray, cols: slice) -> None:
+        """d is the difference at columns cols; it is overwritten."""
+        g = self.grad[:, :d.shape[1]]
+        _gradient(d, self.h, g)
         wt = self.wt[cols]
-        self.linf.append(np.max(np.abs(d)))
-        self.l2sq += float(np.einsum("x,t,xt->", self.wx, wt, d * d))
-        dx = np.gradient(d, self.h, axis=0, edge_order=2)
-        self.h1sq += float(np.einsum("x,t,xt->", self.wx, wt, dx * dx))
+        np.abs(d, out=d)
+        self.linf.append(np.max(d))
+        np.multiply(d, d, out=d)
+        self.l2sq += float(self.wx @ d @ wt)
+        np.multiply(g, g, out=g)
+        self.h1sq += float(self.wx @ g @ wt)
 
 
 def _norm_triple(parts: list[_EdgeNorms]) -> NormTriple:
-    linf = 0.0
-    l2sq = 0.0
-    h1sq = 0.0
-    for p in parts:
-        linf = max(linf, float(np.max(p.linf)))
-        l2sq += p.l2sq
-        h1sq += p.h1sq
+    linf = float(np.max([np.max(p.linf) for p in parts]))
+    l2sq = sum(p.l2sq for p in parts)
+    h1sq = sum(p.h1sq for p in parts)
     return NormTriple(linf, math.sqrt(l2sq), math.sqrt(l2sq + h1sq))
 
 
@@ -115,99 +134,183 @@ def norms(f1: Field, f2: Field) -> NormTriple:
     parts = []
     for e, (u1, u2) in enumerate(zip(f1.edges, f2.edges)):
         acc = _EdgeNorms(g1, e)
-        for s in time_slabs(g1.steps):
-            acc.add(u1[:, s.own], u2[:, s.own], s.own)
+        d = np.empty((g1.n_cells[e] + 1, TIME_SLAB))
+        for cols in time_slabs(g1.steps):
+            dc = d[:, :cols.stop - cols.start]
+            acc.add(np.subtract(u1[:, cols], u2[:, cols], out=dc), cols)
         parts.append(acc)
     return _norm_triple(parts)
 
 
-class _EdgeDefect:
-    """Sup of the PDE defect on one edge and of its stride-2 floor.
+def _series_errors(es: ExpansionSet, eps: float, ref: Field) -> NormTriple:
+    """The norms of ref minus the series, the series assembled on ref's
+    grid one edge's time slab at a time, in place of the slab's sum."""
+    grid = ref.grid
+    parts = []
+    for e, columns in enumerate(partial_sum_columns(es, eps, grid)):
+        acc = _EdgeNorms(grid, e)
+        for cols in time_slabs(grid.steps):
+            V = columns(cols)
+            acc.add(np.subtract(ref.edges[e][:, cols], V, out=V), cols)
+        parts.append(acc)
+    return _norm_triple(parts)
 
-    It is fed the window of every slab of time_slabs(grid.steps), in order,
-    and keeps each slab's maxima; sups() reduces them.  A slab holds the
-    defect at its fine centres a .. end - 1, and its even columns carry the
-    coarse stencils centred in it.  Slab maxima are reduced with np.max, so
-    the edge's maximum, a nan included, is that of the whole-array
-    computation, bit for bit.
+
+# -- what the recursion leaves, once per sweep --------------------------------
+
+@dataclass(frozen=True)
+class TermResidual:
+    """Sup of a term's residual in its own equation, and of the term itself.
+
+    key is the term's build_log key.  U terms and layers are checked
+    against their march's own update, which the stored values satisfy up
+    to roundoff; u_s against d_t^2 u_s + q u_s = its source, where the
+    three-point d_t^2 leaves O(dt^2).  Residuals are in the equation's
+    units (the update's miss divided by dt^2).
     """
 
-    def __init__(self, spec: ProblemSpec, eps: float, grid: Grid, e: int):
-        self.h = grid.h(e)
-        self.dt = grid.dt
-        self.x = grid.x_nodes(e)
-        self.times = grid.times()
-        self.b = b_eps(spec, eps, e)
-        self.qx = spec.q[e].evaluate(self.x, 0.0)
-        self.f = spec.f[e]
-        self.coarse = grid.n_cells[e] % 2 == 0 and grid.steps % 2 == 0
-        self.worst: list = []
-        self.floor: list = []
+    key: tuple
+    residual: float
+    scale: float
 
-    def _defect(self, u, h, dtv, x, ts, qx):
-        q = qx[1:-1, None]
-        f = self.f.evaluate(x[1:-1, None], ts[None, 1:-1])
-        utt = (u[1:-1, 2:] - 2.0 * u[1:-1, 1:-1] + u[1:-1, :-2]) / (dtv * dtv)
-        uxx = (u[2:, 1:-1] - 2.0 * u[1:-1, 1:-1] + u[:-2, 1:-1]) / (h * h)
-        return utt - self.b * uxx + q * u[1:-1, 1:-1] - f
 
-    def add(self, s: Slab, w: np.ndarray) -> None:
-        """w holds the edge's columns s.window."""
-        n = s.end - s.a + 2  # the columns a - 1 .. end the fine stencils read
-        ts = self.times[s.window]
-        r = self._defect(w[:, :n], self.h, self.dt, self.x, ts[:n], self.qx)
-        self.worst.append(np.max(np.abs(r)))
-        if self.coarse and s.end - s.a >= 2:
-            rc = self._defect(w[::2, ::2], 2 * self.h, 2 * self.dt, self.x[::2],
-                              ts[::2], self.qx[::2])
-            self.floor.append(np.max(np.abs(rc - r[1::2, 1::2])))
+def _march_residual(u: np.ndarray, grid: Grid, e: int, q: np.ndarray,
+                    f: Expr | None) -> float:
+    """The unit-stiffness leapfrog of direct._march on edge e's interior.
 
-    def sups(self) -> tuple[float, float]:
-        """The edge's defect and floor; the floor is 0 without a coarse grid."""
-        floor = float(np.max(self.floor)) / 3.0 if self.coarse else 0.0
-        return float(np.max(self.worst)), floor
+    u is time-major.  Each step's update is recomputed with the march's
+    arithmetic, f evaluated in the same blocks of TIME_SLAB time rows.
+    """
+    M, dt, h = grid.steps, grid.dt, grid.h(e)
+    x, times = grid.x_nodes(e), grid.times()
+    worst = []
+    for n0 in range(0, M, TIME_SLAB):
+        n = slice(max(n0, 1), min(n0 + TIME_SLAB, M))  # the steps n -> n + 1
+        un = u[n]
+        lap = (un[:, 2:] - 2.0 * un[:, 1:-1] + un[:, :-2]) / h ** 2
+        F = 0.0 if f is None else f.evaluate(
+            x[None, :], times[n0:n0 + TIME_SLAB, None])[n.start - n0:n.stop - n0, 1:-1]
+        step = 2.0 * un[:, 1:-1] - u[n.start - 1:n.stop - 1, 1:-1] + dt * dt * (
+            lap - q[1:-1] * un[:, 1:-1] + F)
+        worst.append(np.max(np.abs(u[n.start + 1:n.stop + 1, 1:-1] - step)))
+    return float(np.max(worst)) / (dt * dt)
+
+
+def _layer_residual(prob: QuarterPlaneProblem, term: Term, grid: LayerGrid) -> float:
+    """The leapfrog of layers.qp_solve on the stored band's interior.
+
+    Each step's update is recomputed with the march's arithmetic; past a
+    step's reach the update reads zeros and must give the zero stored.
+    """
+    W = term.values.T
+    width = W.shape[1]
+    dt = grid.dt
+    th_m = min(prob.theta, 0.0)
+    a = 0.5 * dt * dt * max(prob.theta, 0.0)
+    S = _source_matrix(prob, grid)
+    if S is not None:
+        S = np.pad(S, ((0, 0), (0, max(width - S.shape[1], 0))))[:, :width]
+    worst = []
+    for prev in time_slabs(grid.steps - 2):  # the steps m -> m + 1, m >= 1
+        m = slice(prev.start + 1, prev.stop + 1)
+        rhs = W[m, 2:] + W[m, :-2] - (1.0 + a) * W[prev, 1:-1] \
+            - dt * dt * th_m * W[m, 1:-1]
+        if S is not None:
+            rhs = rhs + dt * dt * S[m, 1:-1]
+        nxt = slice(prev.start + 2, prev.stop + 2)
+        worst.append(np.max(np.abs(W[nxt, 1:-1] - rhs / (1.0 + a))))
+    return float(np.max(worst)) * (1.0 + a) / (dt * dt)
+
+
+def _ode_residual(term: Term, q: Expr, src: np.ndarray) -> float:
+    """max |d_t^2 u + q u - src| over the interior times, d_t^2 on three points."""
+    u = term.values
+    dt = term.times[1] - term.times[0]
+    utt = (u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]) / (dt * dt)
+    Q = q.evaluate(term.x_nodes, 0.0)[:, None]
+    return float(np.max(np.abs(utt + Q * u[:, 1:-1] - src[:, 1:-1])))
+
+
+def term_residuals(es: ExpansionSet) -> tuple[TermResidual, ...]:
+    """Every term's residual in its own equation, in build_log order."""
+    spec, grids = es.spec, es.grids
+    times = grids.times
+    g0 = grids.g0
+    out = []
+    for key, _ in es.build_log:
+        family, k, i = key
+        if family == "U":
+            fld = es.g0_base if k == 0 else es.g0_corr[(k, i)]
+            res = max(_march_residual(fld.edges[loc].T, g0, loc,
+                                      spec.q[e].evaluate(g0.x_nodes(loc), 0.0),
+                                      spec.f[e] if k == 0 else None)
+                      for loc, e in enumerate(grids.g0_edge_ids))
+            scale = max(float(np.max(np.abs(u))) for u in fld.edges)
+        elif family == "u":
+            term = es.edge_terms[(k, i)]
+            if k == 0:
+                src = spec.f[i].evaluate(term.x_nodes[:, None], times[None, :])
+            elif k == 1:  # no u_{-1}: u_1 solves the homogeneous equation
+                src = np.zeros(term.values.shape)
+            else:
+                src = _dxx(es.edge_terms[(k - 2, i)].values, term.x_nodes[1])
+            res = _ode_residual(term, spec.q[i], src)
+            scale = float(np.max(np.abs(term.values)))
+        else:
+            term = (es.vertex_layers if family == "v" else es.boundary_layers)[(k, i)]
+            res = _layer_residual(es.layer_problems[key], term, grids.layer)
+            scale = float(np.max(np.abs(term.values)))
+        out.append(TermResidual(key, res, scale))
+    return tuple(out)
+
+
+def truncation_leftover(es: ExpansionSet, epsilons: tuple[float, ...]
+                        ) -> tuple[float, ...]:
+    """Sup over the degenerate edges of what truncation leaves, per eps.
+
+    With u_s solving u_s'' + q u_s = d_x^2 u_{s-2}, the edge series
+    sum_{s<=p} eps^(sm) u_s leaves
+    eps^(2m) (eps^((p-1)m) d_x^2 u_{p-1} + eps^(pm) d_x^2 u_p) in the edge
+    equation.  The d_x^2 (limit._dxx on the u nodes) are taken once; each
+    eps only scales them.
+    """
+    p = es.order
+    g = es.spec.graph
+    curv = []
+    for e in g.gstar_edges():
+        terms = [(s, es.edge_terms[(s, e)]) for s in (p - 1, p) if s >= 0]
+        curv.append((g.m(e), [(s, _dxx(t.values, t.x_nodes[1]))
+                              for s, t in terms if not t.is_zero]))
+    out = []
+    for eps in epsilons:
+        sup = 0.0
+        for m, parts in curv:
+            if parts:
+                left = sum(eps ** ((2 + s) * m) * d for s, d in parts)
+                sup = max(sup, float(np.max(np.abs(left))))
+        out.append(sup)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """The PDE defect and the flux remainder at one eps, each with its floor."""
+    """The flux remainder with its floor and the truncation leftover at one eps."""
 
     eps: float
     order: int
     nu_samples: np.ndarray
     sup_nu: float
     nu_floor: float
-    sup_h: float
-    h_floor: float
+    sup_trunc: float
     note: str = DEFECT_NOTE
 
 
-def _series_errors(es: ExpansionSet, eps: float, ref: Field
-                   ) -> tuple[NormTriple, ResidualReport]:
-    """The norms of ref minus the series and the series' ResidualReport,
-    the series assembled on ref's grid one edge's time slab at a time.
-
-    A slab's window is assembled once and serves both: its own columns go
-    to the norm sums, the whole window to the PDE defect.  Edge maxima are
-    reduced with max, so a nan edge maximum is passed over.
-    """
-    grid = ref.grid
-    norm_parts = []
-    sup_h = h_floor = 0.0
-    for e, columns in enumerate(partial_sum_columns(es, eps, grid)):
-        acc = _EdgeNorms(grid, e)
-        defect = _EdgeDefect(es.spec, eps, grid, e)
-        for s in time_slabs(grid.steps):
-            w = columns(s.window)
-            acc.add(ref.edges[e][:, s.own], w[:, :s.own.stop - s.own.start], s.own)
-            defect.add(s, w)
-        norm_parts.append(acc)
-        worst, floor = defect.sups()
-        sup_h = max(sup_h, worst)
-        h_floor = max(h_floor, floor)
-    nu, sup_nu, nu_floor = residuals(es, eps)
-    return (_norm_triple(norm_parts),
-            ResidualReport(eps, es.order, nu, sup_nu, nu_floor, sup_h, h_floor))
+def _require_finite(eps: float, triple: NormTriple, rep: ResidualReport) -> None:
+    for name, v in (("L-infinity error", triple.linf), ("L2 error", triple.l2),
+                    ("H1x error", triple.h1x), ("flux remainder", rep.sup_nu),
+                    ("truncation leftover", rep.sup_trunc)):
+        if not math.isfinite(v):
+            raise NonFiniteError(f"{name} at eps={eps:g} is {v:g}")
 
 
 @dataclass(frozen=True)
@@ -249,6 +352,8 @@ class ConvergenceReport:
     passed: bool
     residual_reports: tuple[ResidualReport, ...]
     nu_fitted_order: float
+    trunc_fitted_order: float  # nan when the leftover vanishes at some eps
+    term_residuals: tuple[TermResidual, ...]
     note: str = NORM_NOTE
 
 
@@ -274,8 +379,10 @@ def convergence_sweep(spec: ProblemSpec, p: int, epsilons: tuple[float, ...],
     smallest asymptotic error, the sweep is declared inconclusive and the
     pass flag stays false regardless of the fitted order.  Its coarse grid
     is built first, so an n_per_edge too small for it fails before any
-    solve.  Each eps's series is streamed against the direct field one time
-    slab at a time (_series_errors).
+    solve.  Each term's own-equation residual and the truncation leftover's
+    d_x^2 are measured once; each eps's series is streamed against the
+    direct field one time slab at a time (_series_errors).  A non-finite
+    error or remainder at any eps raises NonFiniteError.
 
     Cache entries are (spec, grid, field).  Cached solves and a passed-in
     expansion must be of this spec and on the grids that n_per_edge and cfl
@@ -314,9 +421,11 @@ def convergence_sweep(spec: ProblemSpec, p: int, epsilons: tuple[float, ...],
             f"expansion: built on other grids than n_per_edge={n_per_edge}, "
             f"cfl={cfl} give")
 
+    measured = term_residuals(expansion)
+    sup_trunc = truncation_leftover(expansion, eps_list)
     triples: list[NormTriple] = []
     res_reports: list[ResidualReport] = []
-    for eps in eps_list:
+    for eps, trunc in zip(eps_list, sup_trunc):
         grid = make_direct_grid(spec, eps, n_per_edge, cfl)
         got = cache.get(eps)
         if got is None:
@@ -324,10 +433,15 @@ def convergence_sweep(spec: ProblemSpec, p: int, epsilons: tuple[float, ...],
             cache[eps] = (spec, grid, ref)
         else:
             ref = _cached_ref(got, spec, grid, f"cache[{eps}]")
-        triple, rep = _series_errors(expansion, eps, ref)
+        triple = _series_errors(expansion, eps, ref)
+        rep = ResidualReport(eps, p, *residuals(expansion, eps), trunc)
+        _require_finite(eps, triple, rep)
         triples.append(triple)
         res_reports.append(rep)
 
+    # nothing below reads the series: unless the caller holds it, its terms
+    # and splines are freed before the coarse solve, the sweep's last peak
+    del expansion
     key = (eps_min, "coarse")
     ref_f = cache[eps_min][2]
     got = cache.get(key)
@@ -349,13 +463,16 @@ def convergence_sweep(spec: ProblemSpec, p: int, epsilons: tuple[float, ...],
                                        "positive: there is no rate to verify")
     fit = fit_order(eps_list, l2)
     nu_fit = fit_order(eps_list, sup_nu)
+    trunc_order = (fit_order(eps_list, sup_trunc).order
+                   if all(v > 0 for v in sup_trunc) else math.nan)
     m1 = spec.graph.exponents[1]
     theo = (p + 0.5) * m1
     passed = conclusive and fit.order >= theo - margin
     return ConvergenceReport(p, eps_list, tuple(triples), fit.order,
                              fit.constant, fit.residual, theo, margin,
                              conclusive, refine_est, passed,
-                             tuple(res_reports), nu_fit.order)
+                             tuple(res_reports), nu_fit.order, trunc_order,
+                             measured)
 
 
 # -- configuration ----------------------------------------------------------
@@ -544,10 +661,20 @@ def write_report_csv(path: str | Path, rep: ConvergenceReport) -> None:
 
 
 def write_residuals_csv(path: str | Path, reports: tuple[ResidualReport, ...]) -> None:
-    lines = ["epsilon,sup_h,sup_nu,h_floor,nu_floor"]
+    lines = ["epsilon,sup_trunc,sup_nu,nu_floor"]
     for r in reports:
-        cols = (r.eps, r.sup_h, r.sup_nu, r.h_floor, r.nu_floor)
+        cols = (r.eps, r.sup_trunc, r.sup_nu, r.nu_floor)
         lines.append(",".join(map(_fmt, cols)))
+    _write_lines(Path(path), lines)
+
+
+def write_term_residuals_csv(path: str | Path,
+                             measured: tuple[TermResidual, ...]) -> None:
+    """One row per term: its build_log key, residual and sup |term|."""
+    lines = ["family,k,i,residual,scale"]
+    for r in measured:
+        family, k, i = r.key
+        lines.append(f"{family},{k},{i},{_fmt(r.residual)},{_fmt(r.scale)}")
     _write_lines(Path(path), lines)
 
 

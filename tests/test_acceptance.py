@@ -79,6 +79,22 @@ def test_criterion_2_flux_remainder_rate(reference_run, announce):
     announce(2, "Kirchhoff remainder rate", ok, "; ".join(parts))
 
 
+def test_reference_term_residuals_and_truncation_order(reference_run):
+    # not an acceptance line: what the recursion leaves on the reference.
+    # U terms and layers meet their march's own update (they read 0 here);
+    # the truncation leftover is eps^2 d_x^2 u_0 on the m = 1 edge at both
+    # orders, since u_1 = 0, so it fits order 2 (measured 2.0000)
+    _, reports, expansions, _, _ = reference_run
+    for p in (0, 1):
+        rep = reports[p]
+        assert [r.key for r in rep.term_residuals] == [k for k, _ in expansions[p].build_log]
+        for r in rep.term_residuals:
+            if r.key[0] != "u":
+                assert r.residual <= 1e-10 * r.scale, r
+        assert abs(rep.trunc_fitted_order - 2.0) <= 0.1
+        assert all(r.sup_trunc > 0.0 for r in rep.residual_reports)
+
+
 def _support_excess(es) -> float:
     worst = 0.0
     for fld in list(es.vertex_layers.values()) + list(es.boundary_layers.values()):

@@ -2,9 +2,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from starwaves import cli
+from starwaves import cli, harness
 from starwaves.expansion import build_expansion
 from starwaves.grid import make_expansion_grids
 from starwaves.harness import load_config, validate_config, write_grid_csv
@@ -162,7 +163,7 @@ def test_verify_small_sweep(tmp_path):
     out = tmp_path / "rep"
     r = run_cli("verify", cfg, "--out", str(out))
     assert r.returncode in (0, 1), r.stderr
-    for name in ("report.csv", "residuals.csv", "plot.csv"):
+    for name in ("report.csv", "residuals.csv", "term_residuals.csv", "plot.csv"):
         assert (out / name).exists()
     assert r.stdout.startswith("note: norms are")
     assert "fitted order" in r.stdout
@@ -254,3 +255,21 @@ def test_out_not_a_directory_exit_code(tmp_path, cmd):
     assert r.returncode == 2
     assert "config error: --out: " in r.stderr
     assert "Traceback" not in r.stderr
+
+
+def test_verify_exits_3_on_a_nan_error(tmp_path, monkeypatch, capsys):
+    # one nan node in a direct field: verify reports a numerical failure
+    # naming the eps and the norm, not a config error
+    solve = harness.direct_solve
+
+    def nan_solve(spec, eps, grid, cfl):
+        fld = solve(spec, eps, grid, cfl=cfl)
+        if eps == 0.45:
+            fld.edges[1][5, 3] = np.nan
+        return fld
+    monkeypatch.setattr(harness, "direct_solve", nan_solve)
+    cfg = write_cfg(tmp_path, small_cfg())
+    rc = cli.main(["verify", cfg, "--out", str(tmp_path / "rep")])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_NUMERICAL == 3
+    assert "numerical failure: L-infinity error at eps=0.45 is nan" in err

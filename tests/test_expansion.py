@@ -9,14 +9,12 @@ from starwaves.expansion import (assemble_partial_sum, build_expansion,
                                  lambda_set, residuals, verify_schedule)
 from starwaves.expr import parse
 from starwaves.graph import ProblemSpec, restrict_to_g0
-from starwaves.grid import (TIME_SLAB, Grid, make_direct_grid, make_expansion_grids,
-                            time_slabs)
+from starwaves.grid import Grid, make_direct_grid, make_expansion_grids
 from starwaves.layers import BAND_PAD, QuarterPlaneProblem, qp_solve, sample_physical
-from starwaves.harness import DEFECT_NOTE, _EdgeDefect, convergence_sweep
+from starwaves.harness import DEFECT_NOTE, convergence_sweep, truncation_leftover
 from starwaves.limit import solve_degenerate_edge, solve_g0
 
-from .helpers import (SLAB_CASES, assemble_reference, flux_sum_reference,
-                      pde_defect_reference, qp_march_reference, slab_case_field,
+from .helpers import (assemble_reference, flux_sum_reference, qp_march_reference,
                       spline_oracle, star_spec, two_edge_g0_spec, zero_padded)
 
 
@@ -350,31 +348,14 @@ def test_residual_report_fields():
     assert nu.shape == grids.times.shape
     assert type(sup_nu) is float and sup_nu == np.max(np.abs(nu))
     assert type(nu_floor) is float and sup_nu > 0.0 and nu_floor >= 0.0
-    # a sweep's reports carry the flux remainder and the PDE defect
+    # a sweep's reports carry the flux remainder and the truncation leftover
     eps = (0.5, 0.4, 0.3)
     rep = convergence_sweep(spec, 1, eps, n_per_edge=64, expansion=es)
-    for x, r in zip(eps, rep.residual_reports):
+    trunc = truncation_leftover(es, eps)
+    for x, r, want in zip(eps, rep.residual_reports, trunc):
         assert r.eps == x and r.order == 1
         nu, sup_nu, nu_floor = residuals(es, x)
         assert np.array_equal(r.nu_samples, nu)
         assert (r.sup_nu, r.nu_floor) == (sup_nu, nu_floor)
-        assert type(r.sup_h) is float and type(r.h_floor) is float
-        assert r.sup_h > 0.0 and r.h_floor > 0.0
+        assert type(r.sup_trunc) is float and r.sup_trunc == want > 0.0
         assert r.note == DEFECT_NOTE and "floor" in r.note
-
-
-@pytest.mark.parametrize("n_cells, steps, nan", SLAB_CASES)
-def test_pde_defect_matches_whole_array_reference(n_cells, steps, nan):
-    # harness._EdgeDefect fed slab by slab, its edge maxima reduced the way
-    # the sweep reduces them
-    spec = star_spec()
-    fld = slab_case_field(n_cells, steps, nan)
-    got = (0.0, 0.0)
-    for e, u in enumerate(fld.edges):
-        d = _EdgeDefect(spec, 0.3, fld.grid, e)
-        for s in time_slabs(steps):
-            d.add(s, u[:, s.window])
-        got = tuple(max(a, b) for a, b in zip(got, d.sups()))
-    assert got == pde_defect_reference(spec, 0.3, fld)
-    assert got[0] > 0.0
-    assert (got[1] > 0.0) == (steps % 2 == 0)

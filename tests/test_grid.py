@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.interpolate import BSpline
 
 from starwaves.errors import GraphConfigError, StabilityError
 from starwaves.grid import (TIME_SLAB, LayerGrid, SeparableSpline, check_cfl, coarsen,
@@ -81,9 +82,14 @@ def _spline_case():
     return SeparableSpline(x_nodes, t_nodes, values), x_nodes, t_nodes, values, np.sort(x)
 
 
+def _x_factor(sp, x):
+    # the x factor alone at every time node: the blocks side by side
+    return BSpline(sp.knots, np.concatenate(sp.blocks, axis=1), 3)(x)
+
+
 def test_spline_contiguous_time_runs_give_the_whole_columns():
     sp, _, t_nodes, _, x = _spline_case()
-    whole = sp.x_factor(x)  # the x factor alone: every time node
+    whole = _x_factor(sp, x)
     at = sp.at(x)
     assert np.array_equal(at(t_nodes), whole)
     for j0, n in [(0, 1), (0, TIME_SLAB), (5, 3), (TIME_SLAB - 1, TIME_SLAB + 3),
@@ -94,31 +100,47 @@ def test_spline_contiguous_time_runs_give_the_whole_columns():
     assert (whole == 0.0).any() and (whole < 0.0).any()
 
 
+def test_spline_slab_coefficients_are_the_stored_blocks():
+    # a slab of the spline's own times reads its coefficient block in place:
+    # C-contiguous, so the sparse product makes no copy of it
+    sp, _, t_nodes, values, _ = _spline_case()
+    slabs = time_slabs(len(t_nodes) - 1)
+    assert len(sp.blocks) == len(slabs)
+    for block, cols in zip(sp.blocks, slabs):
+        assert block.flags.c_contiguous
+        assert block.shape == (values.shape[0], cols.stop - cols.start)
+        got = sp._coefficients(t_nodes[cols])
+        assert got is block and np.shares_memory(got, block)
+        assert np.shares_memory(got.ravel(), block)
+    # a run across a block boundary is a copy of the same columns
+    run = sp._coefficients(t_nodes[TIME_SLAB - 1:TIME_SLAB + 1])
+    assert not any(np.shares_memory(run, b) for b in sp.blocks)
+    assert np.array_equal(run, np.concatenate(sp.blocks[:2], axis=1)[:, TIME_SLAB - 1:TIME_SLAB + 1])
+
+
 def test_spline_off_node_slabs_match_whole_and_fitpack():
     sp, x_nodes, t_nodes, values, x = _spline_case()
     t = np.linspace(0.0, t_nodes[-1], 150)
     assert not np.isin(t[1:-1], t_nodes).all()
     whole = sp(x, t)
     at = sp.at(x)
-    for s in time_slabs(len(t) - 1):
-        got = at(t[s.window])
-        assert np.array_equal(got, whole[:, s.window])
-        assert np.array_equal(np.signbit(got), np.signbit(whole[:, s.window]))
+    for cols in time_slabs(len(t) - 1):
+        got = at(t[cols])
+        assert np.array_equal(got, whole[:, cols])
+        assert np.array_equal(np.signbit(got), np.signbit(whole[:, cols]))
     assert np.max(np.abs(whole - spline_oracle(x_nodes, t_nodes, values, x, t))) <= 1e-12
 
 
 @pytest.mark.parametrize("steps", [2, 3, 20, TIME_SLAB - 1, TIME_SLAB, TIME_SLAB + 1,
                                    TIME_SLAB + 2, 3 * TIME_SLAB + 7])
 def test_time_slabs_partition_the_columns(steps):
+    # plain slices [k TIME_SLAB, min((k + 1) TIME_SLAB, steps + 1)), which
+    # count every column 0..steps once
     slabs = time_slabs(steps)
+    assert slabs == [slice(j, min(j + TIME_SLAB, steps + 1))
+                     for j in range(0, steps + 1, TIME_SLAB)]
     counted = np.zeros(steps + 1, dtype=int)
-    centres = np.zeros(steps + 1, dtype=int)
-    for s in slabs:
-        assert s.a % 2 == 1 and s.end - s.a <= TIME_SLAB
-        counted[s.own] += 1
-        centres[s.a:s.end] += 1
-        # the window reads every column the fine and the coarse stencils do
-        assert s.window.start == s.a - 1 == s.own.start
-        assert s.window.stop == min(s.end + 2, steps + 1) >= s.own.stop
+    for cols in slabs:
+        assert cols.start % TIME_SLAB == 0 and 0 < cols.stop - cols.start <= TIME_SLAB
+        counted[cols] += 1
     assert np.all(counted == 1)
-    assert np.all(centres[1:steps] == 1)

@@ -1,26 +1,28 @@
 import copy
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from starwaves import expansion, harness
 from starwaves.direct import Field, direct_solve
-from starwaves.errors import GraphConfigError
+from starwaves.errors import GraphConfigError, NonFiniteError
 from starwaves.expansion import build_expansion
 from starwaves.grid import TIME_SLAB, Grid, make_direct_grid, make_expansion_grids
 from starwaves.harness import (NORM_NOTE, ConvergenceReport, NormTriple,
-                               ResidualReport, _series_errors, convergence_sweep,
-                               fit_order, load_config, norms, validate_config,
+                               ResidualReport, TermResidual, _require_finite,
+                               _series_errors, convergence_sweep, fit_order,
+                               load_config, norms, term_residuals,
+                               truncation_leftover, validate_config,
                                write_field_csvs, write_grid_csv, write_plot_csv,
                                write_report_csv, write_residuals_csv,
-                               write_trace_csv)
+                               write_term_residuals_csv, write_trace_csv)
 
-from .helpers import (REFERENCE_CONFIG, SLAB_CASES, assemble_reference,
-                      flux_sum_reference, norms_reference, pde_defect_reference,
-                      savetxt_grid_csv, slab_case_field, star_spec,
-                      two_edge_g0_spec)
+from .helpers import (REFERENCE_CONFIG, REPO, SLAB_CASES, assemble_reference,
+                      flux_sum_reference, norms_reference, savetxt_grid_csv,
+                      slab_case_field, star_spec, two_edge_g0_spec)
 
 
 def flat_field(lengths, n, dt, steps, value=0.0):
@@ -100,8 +102,9 @@ def test_norms_ignore_memory_layout():
 
 
 def assert_norms_match(got: NormTriple, want: NormTriple) -> None:
-    """Maxima bit for bit; the slab-summed L2 and H1 sums to 1e-13."""
-    assert got.linf == want.linf
+    """Maxima bit for bit, a nan matching a nan; the slab-summed L2 and H1
+    sums to 1e-13."""
+    assert got.linf == want.linf or (math.isnan(got.linf) and math.isnan(want.linf))
     for a, b in ((got.l2, want.l2), (got.h1x, want.h1x)):
         if math.isnan(b):
             assert math.isnan(a)
@@ -120,6 +123,8 @@ def test_norms_match_whole_field_reference(n_cells, steps, nan):
     want = norms_reference(f1, f2)
     assert_norms_match(got, want)
     assert math.isnan(want.l2) == nan
+    # the nan edge is the largest: a max that passed over it would read finite
+    assert math.isnan(got.linf) == nan
 
 
 def test_fit_order_exact_power_law():
@@ -236,7 +241,54 @@ def test_sweep_never_assembles_a_whole_field(monkeypatch):
     monkeypatch.setattr(harness, "assemble_partial_sum", refuse)
     rep = small_sweep()
     assert rep.refine_estimate > 0.0
-    assert all(r.sup_h > 0.0 and r.h_floor > 0.0 for r in rep.residual_reports)
+    assert all(r.sup_trunc > 0.0 for r in rep.residual_reports)
+
+
+def test_sweep_raises_on_a_nan_error_naming_eps_and_norm():
+    # np.max reduces the edge maxima, so a nan node reaches the report, and
+    # the sweep stops there rather than at the positivity check
+    cache: dict = {}
+    small_sweep(cache)
+    cache[0.45][2].edges[1][5, 3] = np.nan
+    with pytest.raises(NonFiniteError, match=r"^L-infinity error at eps=0.45 is nan$"):
+        small_sweep(cache)
+
+
+def test_term_residual_orders_in_dt():
+    # doubling the cells halves dt.  u_2 misses its own equation by the
+    # three-point d_t^2 error, O(dt^2).  u_0 carries f through the Simpson
+    # convolution, whose first interval is a trapezoid: its O(dt^3) error,
+    # over dt^2, leaves O(dt) at the first interior times (measured order
+    # 1.00).  U terms and layers meet their march's update up to roundoff.
+    spec = star_spec()
+    got = {}
+    for n in (200, 400):
+        es = build_expansion(spec, 2, make_expansion_grids(spec, n, 0.9))
+        got[n] = {r.key: r for r in term_residuals(es)}
+        assert [r.key for r in got[n].values()] == [k for k, _ in es.build_log]
+    for key, r in got[200].items():
+        fine = got[400][key]
+        if key[0] == "u" and key[1] % 2 == 0:
+            order = np.log2(r.residual / fine.residual)
+            assert (order >= 1.8) if key[1] >= 2 else (0.9 <= order <= 1.1), key
+            assert fine.residual <= 2e-3 * fine.scale, key
+        elif key[0] == "u":
+            assert r.residual == fine.residual == 0.0 == r.scale
+        else:
+            assert fine.residual <= 1e-10 * fine.scale, key
+            assert fine.scale > 0.0
+
+
+def test_truncation_leftover_scales_one_curvature():
+    # at p = 1, u_1 = 0, so the leftover is eps^(2m) d_x^2 u_0 on each
+    # degenerate edge: its sup is one number times eps^2 (m = 1 dominates)
+    spec = star_spec()
+    es = build_expansion(spec, 1, make_expansion_grids(spec, 64, 0.9))
+    eps = (0.5, 0.25, 0.125)
+    got = truncation_leftover(es, eps)
+    assert got[0] == pytest.approx(4.0 * got[1], rel=1e-12)
+    assert got[1] == pytest.approx(4.0 * got[2], rel=1e-12)
+    assert fit_order(eps, got).order == pytest.approx(2.0, abs=1e-12)
 
 
 class Reached(Exception):
@@ -263,13 +315,15 @@ def _assert_streamed_sweep_matches_oracles(spec, eps_list, n_per_edge, matched):
     es = build_expansion(spec, 1, make_expansion_grids(spec, n_per_edge, 0.9))
     cache: dict = {}
     rep = convergence_sweep(spec, 1, eps_list, n_per_edge, cache=cache, expansion=es)
-    for eps, triple, res in zip(eps_list, rep.errors, rep.residual_reports):
+    trunc = truncation_leftover(es, eps_list)
+    for eps, triple, res, sup_trunc in zip(eps_list, rep.errors, rep.residual_reports,
+                                           trunc):
         _, grid, ref = cache[eps]
         assert np.array_equal(grid.times(), es.grids.times) == matched
         edges, sigma = assemble_reference(es, eps, grid)
         asm = Field(grid, edges, sigma)
         assert_norms_match(triple, norms_reference(ref, asm))
-        assert (res.sup_h, res.h_floor) == pde_defect_reference(spec, eps, asm)
+        assert res.sup_trunc == sup_trunc
         nu = flux_sum_reference(es, eps, 1)
         assert res.sup_nu == float(np.max(np.abs(nu)))
         assert res.nu_floor == float(np.max(np.abs(flux_sum_reference(es, eps, 2) - nu))) / 3.0
@@ -282,9 +336,9 @@ def _assert_streamed_sweep_matches_oracles(spec, eps_list, n_per_edge, matched):
 
 
 @pytest.mark.parametrize("T, n_per_edge, last", [
-    (1.5, 200, 14),  # six slabs, the last one 13 centres wide
+    (1.5, 200, 14),  # six slabs, the last one 15 columns wide
     (0.25, 200, 56),  # fewer steps than a slab
-    (0.5, 231, 2),    # last slab one column wide
+    (0.5, 227, 0),    # last slab one column wide
 ], ids=["several-slabs", "short", "last-one-column"])
 def test_streamed_sweep_matches_whole_field_oracles_on_matched_times(T, n_per_edge, last):
     # from 200 cells per edge on, the direct grids share the expansion's
@@ -313,22 +367,29 @@ def test_streamed_errors_match_whole_field_oracles_on_slab_cases(series_64, n_ce
     # expansion's; the reference is random, with a nan in one case
     es, eps = series_64, 0.6
     ref = slab_case_field(n_cells, steps, nan)
-    triple, res = _series_errors(es, eps, ref)
+    triple = _series_errors(es, eps, ref)
     edges, sigma = assemble_reference(es, eps, ref.grid)
     asm = Field(ref.grid, edges, sigma)
     assert_norms_match(triple, norms_reference(ref, asm))
-    assert (res.sup_h, res.h_floor) == pde_defect_reference(es.spec, eps, asm)
-    assert (res.h_floor > 0.0) == (steps % 2 == 0)
-    assert "floor" in res.note
+    rep = ResidualReport(eps, 1, *expansion.residuals(es, eps), 1.0)
+    if nan:
+        # the nan field's errors are nan, and the sweep's check names them
+        assert all(math.isnan(v) for v in (triple.linf, triple.l2, triple.h1x))
+        with pytest.raises(NonFiniteError, match="L-infinity error at eps=0.6 is nan"):
+            _require_finite(eps, triple, rep)
+    else:
+        _require_finite(eps, triple, rep)
 
 
 def synthetic_report() -> ConvergenceReport:
     eps = (0.4, 0.2, 0.1)
     errors = tuple(NormTriple(2 * x, x, 1.5 * x) for x in eps)
-    res = tuple(ResidualReport(x, 1, np.array([0.0, x]), x, x / 30,
-                               2 * x, x / 40) for x in eps)
+    res = tuple(ResidualReport(x, 1, np.array([0.0, x]), x, x / 30, 2 * x)
+                for x in eps)
+    terms = (TermResidual(("U", 0, 0), 0.0, 1.0), TermResidual(("u", 0, 1), 1e-3, 0.5),
+             TermResidual(("v", 2, 1), 2.5e-17, 1.0 / 3.0))
     return ConvergenceReport(1, eps, errors, 1.5, 2.0, 1e-15, 1.5, 0.3,
-                             True, 1e-5, True, res, 2.0)
+                             True, 1e-5, True, res, 2.0, 2.0, terms)
 
 
 def test_report_csv_format(tmp_path):
@@ -354,12 +415,38 @@ def test_residuals_csv_format(tmp_path):
     raw = path.read_bytes()
     assert b"\r" not in raw
     lines = raw.decode().splitlines()
-    assert lines[0] == "epsilon,sup_h,sup_nu,h_floor,nu_floor"
+    assert lines[0] == "epsilon,sup_trunc,sup_nu,nu_floor"
     assert len(lines) == 4
     for x, line in zip(rep.epsilons, lines[1:]):
         # .17g round-trips doubles exactly
-        assert [float(c) for c in line.split(",")] == [x, 2 * x, x, x / 40, x / 30]
+        assert [float(c) for c in line.split(",")] == [x, 2 * x, x, x / 30]
     assert lines[1].split(",")[0] == "0.40000000000000002"
+
+
+def test_term_residuals_csv_format(tmp_path):
+    rep = synthetic_report()
+    path = tmp_path / "term_residuals.csv"
+    write_term_residuals_csv(path, rep.term_residuals)
+    raw = path.read_bytes()
+    assert b"\r" not in raw
+    lines = raw.decode().splitlines()
+    assert lines[0] == "family,k,i,residual,scale"
+    assert lines[1:] == ["U,0,0,0,1", "u,0,1,0.001,0.5",
+                         "v,2,1,2.4999999999999999e-17,0.33333333333333331"]
+
+
+@pytest.mark.parametrize("name, write", [("residuals.csv", write_residuals_csv),
+                                         ("term_residuals.csv", write_term_residuals_csv)])
+def test_readme_states_the_residual_csv_headers(tmp_path, name, write):
+    # the verify bullet of the README gives each header in backticks right
+    # after the file name; it must be the header the writer writes
+    rep = synthetic_report()
+    readme = (REPO / "README.md").read_text()
+    stated = re.search(rf"`{re.escape(name)}`\s*\(`([^`]+)`", readme)
+    assert stated, f"README states no header for {name}"
+    arg = rep.residual_reports if name == "residuals.csv" else rep.term_residuals
+    write(tmp_path / name, arg)
+    assert (tmp_path / name).read_text().splitlines()[0] == stated.group(1)
 
 
 def test_field_and_trace_csvs(tmp_path):
