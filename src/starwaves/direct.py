@@ -106,15 +106,32 @@ def _march(spec: ProblemSpec, grid: Grid, b: np.ndarray,
         U[e][1, 0] = sigma[1]
         U[e][1, -1] = mu[e][1]
 
+    # the update u[n + 1] = (2 u[n] - u[n - 1]) + dt^2 (b lap - Q u[n] + F),
+    # lap = (u[n, 2:] - 2 u[n]) + u[n, :-2] over h^2, in that order, on the
+    # interior; w and z are an edge's two work rows
+    dt2 = dt * dt
+    work = [(np.empty(nc - 1), np.empty(nc - 1), Q[e][1:-1], hs[e] ** 2)
+            for e, nc in enumerate(grid.n_cells)]
     for n in range(1, M):
         if n % TIME_SLAB == 0:
+            del F  # the last block goes first: the heap holds one, not two
             F = f_block(n)
-        sigma[n + 1] = 2.0 * sigma[n] - sigma[n - 1] + dt * dt * vertex_accel(n)
+        sigma[n + 1] = 2.0 * sigma[n] - sigma[n - 1] + dt2 * vertex_accel(n)
         for e in range(ne):
             u = U[e]
-            lap = (u[n, 2:] - 2.0 * u[n, 1:-1] + u[n, :-2]) / hs[e] ** 2
-            u[n + 1, 1:-1] = (2.0 * u[n, 1:-1] - u[n - 1, 1:-1] + dt * dt * (
-                b[e] * lap - Q[e][1:-1] * u[n, 1:-1] + F[e][n % TIME_SLAB, 1:-1]))
+            w, z, q, h2 = work[e]
+            un, out = u[n, 1:-1], u[n + 1, 1:-1]
+            np.multiply(un, 2.0, out=out)
+            np.subtract(u[n, 2:], out, out=w)
+            np.add(w, u[n, :-2], out=w)
+            np.divide(w, h2, out=w)
+            np.multiply(w, b[e], out=w)
+            np.multiply(q, un, out=z)
+            np.subtract(w, z, out=w)
+            np.add(w, F[e][n % TIME_SLAB, 1:-1], out=w)
+            np.multiply(w, dt2, out=w)
+            np.subtract(out, u[n - 1, 1:-1], out=out)
+            np.add(out, w, out=out)
             u[n + 1, 0] = sigma[n + 1]
     return Field(grid, [u.T for u in U], sigma)
 

@@ -13,8 +13,9 @@ reference-configuration eps).
 Work over a whole space-time grid runs one time slab of TIME_SLAB columns
 at a time (time_slabs): the direct march evaluates f a slab of time rows
 at a time, and the sweep assembles and measures the series slab by slab.
-A spline keeps its x coefficients as one C-contiguous block per slab, so
-a slab of a term's own times is one block, read without a copy.
+A spline keeps its x coefficients as one C-contiguous block per slab, cut
+BAND_PAD rows past the slab's last nonzero row, so a slab of a term's own
+times is one block, read without a copy.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from typing import Callable
 
 import numpy as np
 from scipy.interpolate import BSpline, make_interp_spline
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import GraphConfigError, StabilityError
 from .graph import ProblemSpec, b_eps
@@ -49,6 +52,12 @@ MIN_CELLS = 8
 MIN_EXPANSION_CELLS = 200
 LAYER_MARGIN = 2.0
 TIME_SLAB = 64  # time columns per slab and per spline-coefficient block
+# Zero rows kept past a term's last nonzero one: by a layer's band, and by a
+# spline's coefficient block past the last row nonzero in its slab.  A cubic
+# spline's response to a jump decays by 2 - sqrt(3) per node, so 64 nodes
+# leave about 1e-36 of it at the cut: the spline on the band is the spline
+# on the whole grid.
+BAND_PAD = 64
 
 
 @dataclass(frozen=True)
@@ -196,31 +205,49 @@ def make_expansion_grids(spec: ProblemSpec, n_per_edge: int, cfl: float) -> Expa
 class SeparableSpline:
     """Cubic not-a-knot interpolant on (x_nodes, t_nodes), one axis at a time.
 
-    The x factor is built once, its coefficients held as blocks of
-    TIME_SLAB columns: blocks[k] belongs to t_nodes[k * TIME_SLAB:][:TIME_SLAB]
-    and is C-contiguous.  The coefficients at a contiguous run of t_nodes are
-    the matching columns, the block itself for a slab of time_slabs; at other
-    times they come from t_factor, the t factor applied to the coefficients.
-    FITPACK with s=0 uses the same knots, so this is the 2-D interpolating
-    spline up to roundoff.
+    The x factor is one LU of the not-a-knot collocation matrix (LAPACK
+    dgbtrf), against which each slab of values is solved (dgbtrs): block
+    for block the bits of make_interp_spline.  Its coefficients are held
+    as blocks of TIME_SLAB columns: blocks[k] belongs to
+    t_nodes[k * TIME_SLAB:][:TIME_SLAB], is C-contiguous, and stops
+    BAND_PAD rows past the last row of values nonzero in its slab; below
+    that the coefficients are taken as zero.  The coefficients at a
+    contiguous run of t_nodes are the matching columns, the block itself
+    for a slab of time_slabs; at other times they come from t_factor, the
+    t factor applied to the coefficients.  FITPACK with s=0 uses the same
+    knots, so this is the 2-D interpolating spline up to roundoff.
     """
 
     def __init__(self, x_nodes: np.ndarray, t_nodes: np.ndarray,
                  values: np.ndarray):
         self.t_nodes = t_nodes
-        # one solve per block: the solver copies its right-hand side twice,
-        # and whole-array copies would raise peak RSS
+        n = len(x_nodes)
+        self.knots = np.r_[(x_nodes[0],) * 4, x_nodes[2:-2], (x_nodes[-1],) * 4]
+        # band storage of the collocation matrix: row kl + ku + i - j holds
+        # A[i, j], kl = ku = 3
+        A = BSpline.design_matrix(x_nodes, self.knots, 3)
+        i = np.repeat(np.arange(n), np.diff(A.indptr))
+        ab = np.zeros((10, n), order="F")
+        ab[6 + i - A.indices, A.indices] = A.data
+        lu, piv, info = dgbtrf(ab, 3, 3, overwrite_ab=True)
+        if info > 0:
+            raise LinAlgError("collocation matrix is singular")
         self.blocks = []
         for cols in time_slabs(values.shape[1] - 1):
-            sp = make_interp_spline(x_nodes, values[:, cols], k=3, axis=0)
-            self.blocks.append(np.ascontiguousarray(sp.c))
-        self.knots = sp.t
+            # a copy: a layer's values[:, cols] is already Fortran-ordered,
+            # and the solve overwrites its right-hand side
+            rhs = np.array(values[:, cols], order="F")
+            if not np.isfinite(rhs).all():
+                raise ValueError("values must not contain infs or NaNs")
+            nonzero = np.flatnonzero(rhs.any(axis=1))
+            height = min(n, (nonzero[-1] if len(nonzero) else 0) + 1 + BAND_PAD)
+            c, _ = dgbtrs(lu, 3, 3, rhs, piv, overwrite_b=True)
+            self.blocks.append(np.ascontiguousarray(c[:height]))
 
     @cached_property
     def t_factor(self) -> BSpline:
         """x coefficients as a spline in t: t_factor(t)[:, j] belong to t[j]."""
-        return make_interp_spline(self.t_nodes, np.concatenate(self.blocks, axis=1),
-                                  k=3, axis=1)
+        return make_interp_spline(self.t_nodes, _side_by_side(self.blocks), k=3, axis=1)
 
     def _coefficients(self, t: np.ndarray) -> np.ndarray:
         j0 = int(np.searchsorted(self.t_nodes, t[0])) if len(t) else 0
@@ -230,25 +257,48 @@ class SeparableSpline:
         k0 = j0 // TIME_SLAB
         if j0 % TIME_SLAB == 0 and len(t) == self.blocks[k0].shape[1]:
             return self.blocks[k0]
-        run = np.concatenate(self.blocks[k0:max(-(-j1 // TIME_SLAB), k0 + 1)], axis=1)
+        run = _side_by_side(self.blocks[k0:max(-(-j1 // TIME_SLAB), k0 + 1)])
         return run[:, j0 - k0 * TIME_SLAB:j1 - k0 * TIME_SLAB]
 
     def at(self, x: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         """Values at (x[i], t[j]) for any t, shape (len(x), len(t)).
 
         The x basis is found once; each call is one product with the
-        coefficient columns of t.  A column does not depend on the other
+        coefficient columns of t.  Where those stop short of the whole
+        height, the product fills only the rows whose basis lies inside
+        them, and the rest are 0.  A column does not depend on the other
         times asked for, so a slab of times gives the columns of the whole
         evaluation, bit for bit.
         """
         if len(x) == 0:
             return lambda t: np.zeros((0, len(t)))
         basis = BSpline.design_matrix(x, self.knots, 3, extrapolate=True)
-        return lambda t: basis @ self._coefficients(t)
+        last = basis.indices[basis.indptr[1:] - 1]  # each row's last coefficient
+        n_coef = len(self.knots) - 4
+
+        def columns(t: np.ndarray) -> np.ndarray:
+            c = self._coefficients(t)
+            if len(c) == n_coef:
+                return basis @ c
+            inside = last < len(c)
+            out = np.zeros((len(x), c.shape[1]))
+            out[inside] = basis[inside][:, :len(c)] @ c
+            return out
+        return columns
 
     def __call__(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Values at every (x[i], t[j]), shape (len(x), len(t))."""
         return self.at(x)(t)
+
+
+def _side_by_side(blocks: list[np.ndarray]) -> np.ndarray:
+    """Coefficient blocks next to each other, zero below the shorter ones."""
+    out = np.zeros((max(len(b) for b in blocks), sum(b.shape[1] for b in blocks)))
+    j = 0
+    for b in blocks:
+        out[:len(b), j:j + b.shape[1]] = b
+        j += b.shape[1]
+    return out
 
 
 def one_sided_diff(u: np.ndarray, h: float, stride: int = 1,

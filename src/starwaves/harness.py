@@ -9,12 +9,12 @@ expansion builds the series and samples it; this module measures it.
 Once per sweep it measures what the recursion leaves: each term's
 residual in its own equation, on its own grid (term_residuals), and the
 truncation leftover on the degenerate edges, whose eps-dependence is a
-power (truncation_leftover).  For each eps the sweep keeps the direct
-field whole (a solve cache may share it) and streams the series against
-it: one loop over time slabs assembles the partial sum on a slab's
-columns and adds the slab's share to the norm sums (_EdgeNorms).  The
-assembled field never exists whole; norms() runs the same slab sums over
-two whole fields.
+power (truncation_leftover).  For each eps the direct field is solved on
+a second thread, in eps order, and kept whole (a solve cache may share
+it); the sweep streams the series against it: one loop over time slabs
+assembles the partial sum on a slab's columns and adds the slab's share
+to the norm sums (_EdgeNorms).  The assembled field never exists whole;
+norms() runs the same slab sums over two whole fields.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -384,9 +385,16 @@ def convergence_sweep(spec: ProblemSpec, p: int, epsilons: tuple[float, ...],
     direct field one time slab at a time (_series_errors).  A non-finite
     error or remainder at any eps raises NonFiniteError.
 
+    The fine-grid solves the cache lacks run on one worker thread, in eps
+    order, while this thread builds the series and measures it; the coarse
+    solve runs here, after the series is released.  An error in either
+    thread drops the pending solves, waits for a running one and is
+    raised as it is: no thread outlives the call.
+
     Cache entries are (spec, grid, field).  Cached solves and a passed-in
     expansion must be of this spec and on the grids that n_per_edge and cfl
-    give, the expansion of order p; stale ones raise GraphConfigError.
+    give, the expansion of order p; stale ones raise GraphConfigError
+    before any solve or build starts.
     """
     eps_list = tuple(float(x) for x in epsilons)
     if len(eps_list) < 3:
@@ -396,11 +404,11 @@ def convergence_sweep(spec: ProblemSpec, p: int, epsilons: tuple[float, ...],
     if len(spec.graph.exponents) < 2:
         raise GraphConfigError(
             "graph has no degenerate subgraph: there is no rate to verify")
+    direct_grids = [make_direct_grid(spec, eps, n_per_edge, cfl) for eps in eps_list]
     # the refinement estimate's coarse grid, checked before any solve
     eps_min = eps_list[-1]
-    grid_min = make_direct_grid(spec, eps_min, n_per_edge, cfl)
     try:
-        grid_c = coarsen(grid_min)
+        grid_c = coarsen(direct_grids[-1])
     except GraphConfigError as exc:
         raise GraphConfigError(
             f"grid.n_per_edge: {n_per_edge} is too small for the 2x-coarse grid "
@@ -409,47 +417,59 @@ def convergence_sweep(spec: ProblemSpec, p: int, epsilons: tuple[float, ...],
     if cache is None:
         cache = {}
     grids = make_expansion_grids(spec, n_per_edge, cfl)
-    if expansion is None:
-        expansion = build_expansion(spec, p, grids)
-    elif expansion.spec != spec:
-        raise GraphConfigError("expansion: built for another problem than this sweep's")
-    elif expansion.order != p:
-        raise GraphConfigError(
-            f"expansion: built to order {expansion.order}, this sweep asks for p={p}")
-    elif expansion.grids.g0 != grids.g0 or expansion.grids.layer != grids.layer:
-        raise GraphConfigError(
-            f"expansion: built on other grids than n_per_edge={n_per_edge}, "
-            f"cfl={cfl} give")
-
-    measured = term_residuals(expansion)
-    sup_trunc = truncation_leftover(expansion, eps_list)
-    triples: list[NormTriple] = []
-    res_reports: list[ResidualReport] = []
-    for eps, trunc in zip(eps_list, sup_trunc):
-        grid = make_direct_grid(spec, eps, n_per_edge, cfl)
+    if expansion is not None:
+        if expansion.spec != spec:
+            raise GraphConfigError("expansion: built for another problem than this sweep's")
+        if expansion.order != p:
+            raise GraphConfigError(
+                f"expansion: built to order {expansion.order}, this sweep asks for p={p}")
+        if expansion.grids.g0 != grids.g0 or expansion.grids.layer != grids.layer:
+            raise GraphConfigError(
+                f"expansion: built on other grids than n_per_edge={n_per_edge}, "
+                f"cfl={cfl} give")
+    # every cached solve is checked before any solve starts
+    cached = []
+    for eps, grid in zip(eps_list, direct_grids):
         got = cache.get(eps)
-        if got is None:
-            ref = direct_solve(spec, eps, grid, cfl=cfl)
-            cache[eps] = (spec, grid, ref)
-        else:
-            ref = _cached_ref(got, spec, grid, f"cache[{eps}]")
-        triple = _series_errors(expansion, eps, ref)
-        rep = ResidualReport(eps, p, *residuals(expansion, eps), trunc)
-        _require_finite(eps, triple, rep)
-        triples.append(triple)
-        res_reports.append(rep)
+        cached.append(None if got is None
+                      else _cached_ref(got, spec, grid, f"cache[{eps}]"))
+    key = (eps_min, "coarse")
+    got = cache.get(key)
+    ref_c = None if got is None else _cached_ref(got, spec, grid_c, f"cache[{key}]")
+
+    # the direct solves run on a second thread, in eps order, while the
+    # series is built and measured here; the cache is touched only here
+    pool = ThreadPoolExecutor(max_workers=1)
+    try:
+        solving = {eps: pool.submit(direct_solve, spec, eps, grid, cfl=cfl)
+                   for eps, grid, ref in zip(eps_list, direct_grids, cached)
+                   if ref is None}
+        if expansion is None:
+            expansion = build_expansion(spec, p, grids)
+        measured = term_residuals(expansion)
+        sup_trunc = truncation_leftover(expansion, eps_list)
+        triples: list[NormTriple] = []
+        res_reports: list[ResidualReport] = []
+        for eps, grid, ref, trunc in zip(eps_list, direct_grids, cached, sup_trunc):
+            if ref is None:
+                ref = solving[eps].result()
+                cache[eps] = (spec, grid, ref)
+            triple = _series_errors(expansion, eps, ref)
+            rep = ResidualReport(eps, p, *residuals(expansion, eps), trunc)
+            _require_finite(eps, triple, rep)
+            triples.append(triple)
+            res_reports.append(rep)
+    finally:
+        # on an error, pending solves are dropped and a running one is waited for
+        pool.shutdown(cancel_futures=True)
 
     # nothing below reads the series: unless the caller holds it, its terms
     # and splines are freed before the coarse solve, the sweep's last peak
     del expansion
-    key = (eps_min, "coarse")
-    ref_f = cache[eps_min][2]
-    got = cache.get(key)
-    if got is None:
+    ref_f = ref  # the last eps's, eps_min's
+    if ref_c is None:
         ref_c = direct_solve(spec, eps_min, grid_c, cfl=cfl)
         cache[key] = (spec, grid_c, ref_c)
-    else:
-        ref_c = _cached_ref(got, spec, grid_c, f"cache[{key}]")
     sub = Field(grid_c, [u[::2, ::2] for u in ref_f.edges], ref_f.sigma[::2])
     refine_est = norms(sub, ref_c).l2 / 3.0
     l2 = tuple(t.l2 for t in triples)

@@ -31,7 +31,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import GraphConfigError
-from .grid import LAYER_MARGIN, LayerGrid, Term
+from .grid import BAND_PAD, LAYER_MARGIN, LayerGrid, Term
 from .kernels import dt_kernel, phi_entire
 
 __all__ = [
@@ -42,10 +42,6 @@ __all__ = [
 ]
 
 TRACE_START_TOL = 1e-6
-# Zero xi-nodes kept past a layer's widest reach.  A cubic spline's response
-# to a jump decays by 2 - sqrt(3) per node, so 64 nodes leave about 1e-36 of
-# it at the cut: the spline on the band is the spline on the whole grid.
-BAND_PAD = 64
 
 
 @dataclass(frozen=True)

@@ -4,13 +4,14 @@ import math
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import RectBivariateSpline
+from scipy.interpolate import BSpline, RectBivariateSpline, make_interp_spline
 
 from starwaves.direct import Field
 from starwaves.expr import parse
 from starwaves.graph import Edge, ProblemSpec, StarGraph
 from starwaves.harness import NormTriple
-from starwaves.grid import TIME_SLAB, Grid, SeparableSpline, one_sided_diff, trapezoid_weights
+from starwaves.grid import (TIME_SLAB, Grid, SeparableSpline, one_sided_diff, time_slabs,
+                            trapezoid_weights)
 from starwaves.layers import sample_physical
 
 REPO = Path(__file__).resolve().parent.parent
@@ -52,6 +53,30 @@ def spline_oracle(x_nodes, t_nodes, values, x, t):
     out = np.empty((len(x), len(t)))
     out[order] = sp(x[order], t, grid=True)
     return out
+
+
+def spline_blocks_reference(x_nodes, values):
+    """One make_interp_spline per slab of columns, full height: the
+    reference for the coefficient blocks of grid.SeparableSpline."""
+    return [make_interp_spline(x_nodes, values[:, cols], k=3, axis=0).c
+            for cols in time_slabs(values.shape[1] - 1)]
+
+
+def full_height_spline(x_nodes, t_nodes, values, x, t):
+    """The separable spline with every coefficient row kept, at every
+    (x[i], t[j]): the reference for the banded sampling of
+    grid.SeparableSpline.  At t_nodes the x factor alone acts; elsewhere
+    a not-a-knot spline in t of its coefficients comes first.  The same
+    products as the spline's, so a sample row inside a coefficient block
+    reads the same bits."""
+    coef = np.concatenate(spline_blocks_reference(x_nodes, values), axis=1)
+    j0 = int(np.searchsorted(t_nodes, t[0]))
+    if np.array_equal(t_nodes[j0:j0 + len(t)], t):
+        coef = coef[:, j0:j0 + len(t)]
+    else:
+        coef = make_interp_spline(t_nodes, coef, k=3, axis=1)(t)
+    knots = make_interp_spline(x_nodes, values[:, :1], k=3, axis=0).t
+    return BSpline.design_matrix(x, knots, 3, extrapolate=True) @ coef
 
 
 def zero_padded(fld):

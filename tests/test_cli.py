@@ -1,11 +1,13 @@
 import json
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
 from starwaves import cli, harness
+from starwaves.errors import StabilityError
 from starwaves.expansion import build_expansion
 from starwaves.grid import make_expansion_grids
 from starwaves.harness import load_config, validate_config, write_grid_csv
@@ -273,3 +275,23 @@ def test_verify_exits_3_on_a_nan_error(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert rc == cli.EXIT_NUMERICAL == 3
     assert "numerical failure: L-infinity error at eps=0.45 is nan" in err
+
+
+def test_verify_exits_3_on_a_solve_failing_on_the_worker_thread(tmp_path, monkeypatch,
+                                                                capsys):
+    # the sweep's solves run on a second thread; the error comes back with
+    # its own type, and the thread is gone
+    solve = harness.direct_solve
+
+    def failing_solve(spec, eps, grid, cfl):
+        if eps == 0.45:
+            raise StabilityError("dt exceeds the stability bound")
+        return solve(spec, eps, grid, cfl=cfl)
+    monkeypatch.setattr(harness, "direct_solve", failing_solve)
+    cfg = write_cfg(tmp_path, small_cfg())
+    before = threading.active_count()
+    rc = cli.main(["verify", cfg, "--out", str(tmp_path / "rep")])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_NUMERICAL == 3
+    assert "dt exceeds the stability bound" in err
+    assert threading.active_count() == before

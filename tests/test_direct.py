@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from starwaves.direct import direct_solve, energy
+from starwaves.direct import _march, direct_solve, energy
 from starwaves.errors import GraphConfigError, StabilityError
 from starwaves.expr import Expr, parse
 from starwaves.graph import Edge, ProblemSpec, StarGraph, b_eps
-from starwaves.grid import TIME_SLAB, make_direct_grid
+from starwaves.grid import TIME_SLAB, Grid, make_direct_grid
 from starwaves.harness import load_config, validate_config
 from starwaves.limit import solve_g0
 
@@ -150,10 +150,10 @@ def _g0_case():
 
 
 @pytest.mark.parametrize("case", ["reference", "coarse_cfl1", "g0_nu",
-                                  "psi_const_f", "one_block"])
+                                  "psi_const_f", "one_block", "odd_cells"])
 def test_march_matches_x_major_reference(case):
     # the reference evaluates f on the whole space-time rectangle, the
-    # march one block of time rows at a time
+    # march one block of time rows at a time, into its work rows
     if case == "one_block":
         fld, ref = _direct_case(star_spec(T=0.3), 0.3, 64, 0.9)
         assert fld.grid.steps < TIME_SLAB
@@ -164,6 +164,14 @@ def test_march_matches_x_major_reference(case):
         fld, ref = _direct_case(star_spec(), 0.3, 48, 1.0)
     elif case == "g0_nu":
         fld, ref = _g0_case()
+    elif case == "odd_cells":
+        spec = star_spec()
+        grid = Grid((1.0, 1.0, 1.0), (41, 43, 45), 1.5 / 101, 101)
+        assert grid.steps > TIME_SLAB
+        b = [b_eps(spec, 0.5, e) for e in range(3)]
+        fld = _march(spec, grid, np.array(b), None)
+        ref = direct_march_reference(spec, grid, b, None)
+        assert all(u.flags.f_contiguous and u.base is not None for u in fld.edges)
     else:
         spec = star_spec(f="0.5", psi="sin(pi*x)", mu="0")
         fld, ref = _direct_case(spec, 0.4, 64, 0.9)

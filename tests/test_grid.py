@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 from scipy.interpolate import BSpline
+from scipy.linalg import LinAlgError
 
 from starwaves.errors import GraphConfigError, StabilityError
-from starwaves.grid import (TIME_SLAB, LayerGrid, SeparableSpline, check_cfl, coarsen,
-                            make_direct_grid, make_expansion_grids, time_slabs)
+from starwaves.grid import (BAND_PAD, TIME_SLAB, LayerGrid, SeparableSpline, check_cfl,
+                            coarsen, make_direct_grid, make_expansion_grids, time_slabs)
 
-from .helpers import single_edge_spec, spline_oracle, star_spec
+from .helpers import (full_height_spline, single_edge_spec, spline_blocks_reference,
+                      spline_oracle, star_spec)
 
 
 def test_direct_grid_even_and_cfl():
@@ -144,3 +146,79 @@ def test_time_slabs_partition_the_columns(steps):
         assert cols.start % TIME_SLAB == 0 and 0 < cols.stop - cols.start <= TIME_SLAB
         counted[cols] += 1
     assert np.all(counted == 1)
+
+
+def _front_case(n_x):
+    # a front moving into zeros, one node per time step, stored like a
+    # layer: the transposed view of a time-major array, Fortran-ordered
+    x_nodes = np.linspace(0.0, 1.0, n_x)
+    t_nodes = np.linspace(0.0, 1.0, 3 * TIME_SLAB + 11)
+    W = np.zeros((len(t_nodes), n_x))
+    for j in range(1, len(t_nodes)):
+        W[j, :j] = np.sin(7.0 * (t_nodes[j] - x_nodes[:j])) + 0.5
+    return x_nodes, t_nodes, W.T
+
+
+@pytest.mark.parametrize("n_x", [41, 201, 321, 641])
+def test_spline_blocks_are_make_interp_spline_cut_per_slab(n_x):
+    x_nodes, t_nodes, values = _front_case(n_x)
+    sp = SeparableSpline(x_nodes, t_nodes, values)
+    refs = spline_blocks_reference(x_nodes, values)
+    assert len(sp.blocks) == len(refs)
+    cut = False
+    for block, ref, cols in zip(sp.blocks, refs, time_slabs(len(t_nodes) - 1)):
+        rows = np.flatnonzero(values[:, cols].any(axis=1))
+        assert len(block) == min(n_x, rows[-1] + 1 + BAND_PAD)
+        assert block.flags.c_contiguous
+        assert np.array_equal(block, ref[:len(block)])
+        if len(block) < n_x:
+            cut = True
+            assert np.max(np.abs(ref[len(block):])) <= 1e-30 * np.max(np.abs(ref))
+    # the first slab's values end at row TIME_SLAB - 2
+    assert cut == (n_x > TIME_SLAB - 1 + BAND_PAD)
+
+
+def test_spline_leaves_a_layers_values_unchanged():
+    # a layer's values[:, cols] is already Fortran-ordered, and the solve
+    # overwrites its right-hand side
+    x_nodes, t_nodes, values = _front_case(201)
+    assert values.flags.f_contiguous and values[:, :TIME_SLAB].flags.f_contiguous
+    before = values.copy()
+    sp = SeparableSpline(x_nodes, t_nodes, values)
+    assert np.array_equal(values, before)
+    assert not any(np.shares_memory(b, values) for b in sp.blocks)
+
+
+def test_spline_rejects_non_finite_values_and_a_singular_matrix():
+    x_nodes, t_nodes, values = _front_case(41)
+    values = values.copy()
+    values[7, TIME_SLAB + 3] = np.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        SeparableSpline(x_nodes, t_nodes, values)
+    values[7, TIME_SLAB + 3] = np.inf
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        SeparableSpline(x_nodes, t_nodes, values)
+    twice = np.r_[x_nodes[:20], x_nodes[20], x_nodes[20:]]  # a node repeated
+    with pytest.raises(LinAlgError, match="singular"):
+        SeparableSpline(twice, t_nodes, np.ones((len(twice), len(t_nodes))))
+
+
+@pytest.mark.parametrize("descending", [False, True], ids=["ascending", "descending"])
+def test_banded_sampling_matches_full_height_sampling(descending):
+    # rows whose basis reaches past a block are 0, where the full spline
+    # holds the decayed tail; everywhere else the products are the same
+    x_nodes, t_nodes, values = _front_case(641)
+    sp = SeparableSpline(x_nodes, t_nodes, values)
+    x = np.linspace(0.0, 1.0, 1001)[::-1 if descending else 1]
+    at = sp.at(x)
+    scale = np.max(np.abs(values))
+    zeroed = 0
+    runs = [t_nodes[cols] for cols in time_slabs(len(t_nodes) - 1)]
+    runs += [t_nodes[TIME_SLAB - 3:2 * TIME_SLAB + 5],
+             np.linspace(0.0, t_nodes[-1], 150)]
+    for t in runs:
+        got = at(t)
+        want = full_height_spline(x_nodes, t_nodes, values, x, t)
+        assert np.max(np.abs(got - want)) <= 1e-30 * scale
+        zeroed += np.count_nonzero((got == 0.0) & (want != 0.0))
+    assert zeroed > 0

@@ -2,13 +2,15 @@ import copy
 import json
 import math
 import re
+import threading
 
 import numpy as np
 import pytest
 
 from starwaves import expansion, harness
 from starwaves.direct import Field, direct_solve
-from starwaves.errors import GraphConfigError, NonFiniteError
+from starwaves.errors import (ExpansionOrderError, GraphConfigError, NonFiniteError,
+                              StabilityError)
 from starwaves.expansion import build_expansion
 from starwaves.grid import TIME_SLAB, Grid, make_direct_grid, make_expansion_grids
 from starwaves.harness import (NORM_NOTE, ConvergenceReport, NormTriple,
@@ -184,6 +186,65 @@ def test_sweep_cache_reuse():
     rep2 = small_sweep(cache)
     assert rep1.errors == rep2.errors
     assert rep1.refine_estimate == rep2.refine_estimate
+
+
+def test_prefetched_sweep_equals_the_sweep_on_a_filled_cache():
+    # solved on the worker thread, or on this one before the sweep: the
+    # same report, bit for bit
+    spec = star_spec(exponents=(0, 1), subgraphs=(0, 1, 1))
+    filled = {}
+    for eps in (0.6, 0.45, 0.3):
+        grid = make_direct_grid(spec, eps, 48, 0.9)
+        filled[eps] = (spec, grid, direct_solve(spec, eps, grid, cfl=0.9))
+    fresh: dict = {}
+    assert repr(small_sweep(fresh)) == repr(small_sweep(filled))
+    for eps in (0.6, 0.45, 0.3):
+        for u, v in zip(fresh[eps][2].edges, filled[eps][2].edges):
+            assert np.array_equal(u, v)
+
+
+@pytest.mark.parametrize("where", ["worker", "here"])
+def test_sweep_error_surfaces_with_its_type_and_leaves_no_thread(monkeypatch, where):
+    # a solve failing at the second eps on the worker thread, or the build
+    # failing on this one while the worker solves
+    solve = harness.direct_solve
+
+    def failing_solve(spec, eps, grid, cfl):
+        if eps == 0.45:
+            raise StabilityError("solve failed at eps=0.45")
+        return solve(spec, eps, grid, cfl=cfl)
+
+    def failing_build(*args, **kwargs):
+        raise ExpansionOrderError("build failed")
+    if where == "worker":
+        monkeypatch.setattr(harness, "direct_solve", failing_solve)
+        want = (StabilityError, "solve failed at eps=0.45")
+    else:
+        monkeypatch.setattr(harness, "build_expansion", failing_build)
+        want = (ExpansionOrderError, "build failed")
+    before = threading.active_count()
+    cache: dict = {}
+    with pytest.raises(want[0], match=want[1]):
+        small_sweep(cache)
+    assert threading.active_count() == before
+    assert set(cache) <= {0.6}
+
+
+@pytest.mark.parametrize("stale, source", [(0.3, (0.3, "coarse")), ((0.3, "coarse"), 0.45)],
+                         ids=["last-eps", "coarse"])
+def test_stale_cache_raises_before_any_solve_or_build(monkeypatch, stale, source):
+    # an entry on another grid, with the first eps left to solve
+    cache: dict = {}
+    small_sweep(cache)
+    cache[stale] = cache[source]
+
+    def reached(*args, **kwargs):
+        raise Reached
+    monkeypatch.setattr(harness, "direct_solve", reached)
+    monkeypatch.setattr(harness, "build_expansion", reached)
+    del cache[0.6]
+    with pytest.raises(GraphConfigError, match="another grid"):
+        small_sweep(cache)
 
 
 def test_sweep_rejects_stale_cache():
