@@ -332,7 +332,8 @@ class Term:
     def flux(self, stride: int = 1) -> np.ndarray:
         """One-sided d_x at x = 0 per time level; stride widens the stencil."""
         if len(self.values) < 2 * stride + 1:
-            raise ValueError("need at least 3 spatial nodes")
+            raise ValueError(f"flux at stride {stride} needs at least {2 * stride + 1} "
+                             f"spatial nodes, got {len(self.values)}")
         return one_sided_diff(self.values, self.x_nodes[1], stride)
 
 

@@ -158,13 +158,23 @@ def qp_solve(prob: QuarterPlaneProblem, grid: LayerGrid,
         # the march can outrun a source's stored band, where it reads zero
         S = np.pad(S, ((0, 0), (0, band + 1 - S.shape[1])))
 
+    # the update W[m + 1] = (((W[m, 2:] + W[m, :-2]) - (1 + a) W[m - 1])
+    # - dt^2 th_m W[m] + dt^2 S[m]) / (1 + a), in that order, written
+    # straight into its row; z is the one work row
+    c, dt2, d = 1.0 + a, dt * dt, dt * dt * th_m
+    z = np.empty(band)
     for m in range(1, M):
         k = reach[m] + 1
-        rhs = W[m, 2:k + 1] + W[m, :k - 1] - (1.0 + a) * W[m - 1, 1:k] \
-            - dt * dt * th_m * W[m, 1:k]
+        out, w = W[m + 1, 1:k], z[:k - 1]
+        np.add(W[m, 2:k + 1], W[m, :k - 1], out=out)
+        np.multiply(W[m - 1, 1:k], c, out=w)
+        np.subtract(out, w, out=out)
+        np.multiply(W[m, 1:k], d, out=w)
+        np.subtract(out, w, out=out)
         if S is not None:
-            rhs = rhs + dt * dt * S[m, 1:k]
-        W[m + 1, 1:k] = rhs / (1.0 + a)
+            np.multiply(S[m, 1:k], dt2, out=w)
+            np.add(out, w, out=out)
+        np.divide(out, c, out=out)
         if g is not None:
             W[m + 1, 0] = g[m + 1]
     return Term(W.T, grid.xi_nodes(), grid.times(), prob.label)

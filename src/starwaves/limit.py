@@ -5,9 +5,16 @@ optional Kirchhoff source (shared marcher with the reference solver), and
 the per-edge ODE hierarchy on the degenerate edges, solved in closed form
 through the extended trigonometric kernels plus a Simpson convolution.
 Each term of the hierarchy is a grid.Term on the edge's nodes.
+
+The convolution is an ODE in t at each x separately, so its x rows run in
+one contiguous block per usable CPU, at the same time and bit for bit the
+one-block loop (see _convolve_sn).
 """
 
 from __future__ import annotations
+
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -71,17 +78,38 @@ def simpson_weights(n: int, dt: float) -> np.ndarray:
     return w
 
 
+def _convolve_rows(src: np.ndarray, SN: np.ndarray, dt: float,
+                   out: np.ndarray, rows: slice) -> None:
+    """_convolve_sn on one block of rows, written into out[rows]."""
+    src, SN = src[rows], SN[rows]
+    for n in range(1, src.shape[1]):
+        w = simpson_weights(n, dt)
+        out[rows, n] = np.einsum("xj,xj,j->x", src[:, :n + 1], SN[:, n::-1], w)
+
+
 def _convolve_sn(src: np.ndarray, SN: np.ndarray, dt: float) -> np.ndarray:
     """out[:, n] = int_0^{t_n} src(x, tau) sn(q(x), t_n - tau) dtau.
 
     src and SN share the (x, time) grid; uniform steps let SN be reused as
     SN[:, n - j] with no interpolation.
+
+    Each row is an ODE in t of its own, so the rows are cut into one
+    contiguous block per usable CPU (counted at each call).  The calling
+    thread runs the first block and a pool made for the call the rest; the
+    einsum releases the GIL, so the blocks run at the same time.  Each
+    row's sum runs over j in the serial order, so the values are bit for
+    bit the one-block loop's.  No thread outlives the call, and an error in
+    any block is raised here.
     """
     nx, nt = src.shape
     out = np.zeros((nx, nt))
-    for n in range(1, nt):
-        w = simpson_weights(n, dt)
-        out[:, n] = np.einsum("xj,xj,j->x", src[:, :n + 1], SN[:, n::-1], w)
+    k = max(1, min(nx, len(os.sched_getaffinity(0))))
+    blocks = [slice(nx * i // k, nx * (i + 1) // k) for i in range(k)]
+    with ThreadPoolExecutor(max_workers=max(1, k - 1)) as pool:  # idle at k = 1
+        rest = [pool.submit(_convolve_rows, src, SN, dt, out, b) for b in blocks[1:]]
+        _convolve_rows(src, SN, dt, out, blocks[0])
+        for fut in rest:
+            fut.result()
     return out
 
 

@@ -13,6 +13,7 @@ from starwaves.harness import NormTriple
 from starwaves.grid import (TIME_SLAB, Grid, SeparableSpline, one_sided_diff, time_slabs,
                             trapezoid_weights)
 from starwaves.layers import sample_physical
+from starwaves.limit import simpson_weights
 
 REPO = Path(__file__).resolve().parent.parent
 REFERENCE_CONFIG = REPO / "configs" / "reference.json"
@@ -173,6 +174,17 @@ def flux_sum_reference(es, eps, stride):
                 nu = nu + eps ** m * eps ** P * one_sided_diff(v.values, es.grids.layer.dt,
                                                               stride)
     return nu
+
+
+def convolve_sn_reference(src, SN, dt):
+    """One block of every row, column by column: the reference for the
+    row-split limit._convolve_sn."""
+    nx, nt = src.shape
+    out = np.zeros((nx, nt))
+    for n in range(1, nt):
+        w = simpson_weights(n, dt)
+        out[:, n] = np.einsum("xj,xj,j->x", src[:, :n + 1], SN[:, n::-1], w)
+    return out
 
 
 def qp_march_reference(prob, grid, initial=None):

@@ -4,8 +4,9 @@ from scipy.interpolate import BSpline
 from scipy.linalg import LinAlgError
 
 from starwaves.errors import GraphConfigError, StabilityError
-from starwaves.grid import (BAND_PAD, TIME_SLAB, LayerGrid, SeparableSpline, check_cfl,
-                            coarsen, make_direct_grid, make_expansion_grids, time_slabs)
+from starwaves.grid import (BAND_PAD, TIME_SLAB, LayerGrid, SeparableSpline, Term,
+                            check_cfl, coarsen, make_direct_grid, make_expansion_grids,
+                            time_slabs)
 
 from .helpers import (full_height_spline, single_edge_spec, spline_blocks_reference,
                       spline_oracle, star_spec)
@@ -20,6 +21,20 @@ def test_direct_grid_even_and_cfl():
     bounds = [grid.h(e) / s for e, s in zip(range(3), (1.0, 0.2, 0.04))]
     assert grid.dt <= 0.9 * min(bounds) * (1 + 1e-12)
     assert grid.T == pytest.approx(spec.T, rel=1e-15)
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_term_flux_needs_two_strides_of_nodes(stride):
+    # the stencil reads nodes 0, s and 2 s: 2 s + 1 nodes are enough, one
+    # fewer is refused with the stride and the real minimum named
+    need = 2 * stride + 1
+    x, t = np.linspace(0.0, 1.0, 11), np.linspace(0.0, 1.0, 5)
+    line = Term(np.outer(x[:need], 1.0 + t), x, t)  # slope 1 + t, exact
+    np.testing.assert_allclose(line.flux(stride), 1.0 + t, rtol=1e-12)
+    short = Term(line.values[:need - 1], x, t)
+    with pytest.raises(ValueError, match=f"stride {stride} needs at least {need} "
+                                         f"spatial nodes, got {need - 1}"):
+        short.flux(stride)
 
 
 def test_direct_grid_refines_degenerate_edges():

@@ -6,6 +6,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from starwaves import expansion, harness
 from starwaves.direct import Field, direct_solve
@@ -653,6 +655,50 @@ def test_validate_config_rejections(base_cfg):
         cfg = copy.deepcopy(base_cfg)
         mutate(cfg)
         reject(cfg, pattern)
+
+
+# every leaf field of the reference config: its keys, the path its errors
+# start with, and what kind of value it holds
+CONFIG_FIELDS = (
+    [(("graph", "edges", i, "length"), f"graph.edges[{i}].length", "number")
+     for i in range(3)]
+    + [(("graph", "edges", i, "subgraph"), f"graph.edges[{i}].subgraph", "integer")
+       for i in range(3)]
+    + [(("graph", "exponents", i), f"graph.exponents[{i}]", "integer") for i in range(3)]
+    + [((key, i), f"{key}[{i}]", "expr")
+       for key in ("q", "f", "phi", "psi", "mu") for i in range(3)]
+    + [(("epsilons", i), f"epsilons[{i}]", "number") for i in range(4)]
+    + [(("T",), "T", "number"), (("margin",), "margin", "number"),
+       (("grid", "cfl"), "grid.cfl", "number"), (("p",), "p", "integer"),
+       (("grid", "n_per_edge"), "grid.n_per_edge", "integer")]
+)
+_NOT_A_VALUE = st.one_of(st.none(), st.booleans(), st.text(max_size=4),
+                         st.lists(st.integers(), max_size=2),
+                         st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
+BROKEN_VALUES = {
+    "number": st.one_of(_NOT_A_VALUE, st.sampled_from([math.nan, math.inf, -math.inf,
+                                                       10 ** 400])),
+    "integer": st.one_of(_NOT_A_VALUE, st.floats()),
+    "expr": st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                      st.lists(st.text(max_size=2), max_size=2),
+                      st.sampled_from(["", "1 +", "(x", "sin(", "x $ 2", "2 * * x"])),
+}
+
+
+@given(st.sampled_from(CONFIG_FIELDS).flatmap(
+    lambda fld: st.tuples(st.just(fld), BROKEN_VALUES[fld[2]])))
+def test_validate_config_names_the_broken_field(case):
+    # one field of the reference config gets a value of the wrong kind; the
+    # error is a GraphConfigError whose message starts with that field's path
+    (keys, path, _), value = case
+    cfg = json.loads(REFERENCE_CONFIG.read_text())
+    node = cfg
+    for k in keys[:-1]:
+        node = node[k]
+    node[keys[-1]] = value
+    with pytest.raises(GraphConfigError) as info:
+        validate_config(cfg)
+    assert str(info.value).startswith(path + ": "), (path, value, str(info.value))
 
 
 def test_validate_config_defaults(base_cfg):

@@ -88,12 +88,22 @@ def _march_case(name):
         near[1:10, 1:] = np.cos(t[1:])
         rho = Term(near, grid.xi_nodes(), grid.times())
         return QuarterPlaneProblem(1.0, g, sources=((0.5, 1, rho),)), grid, None
+    if name == "odd-band":
+        # odd steps and odd n_xi, and a source stored on 7 xi-nodes under a
+        # trace with a negative theta: every term of the update, odd widths
+        grid = wave_grid(0.02, 1.98)
+        t = grid.times()
+        near = np.zeros((7, grid.steps + 1))
+        near[1:6, 1:] = np.sin(3.0 * t[1:])
+        rho = Term(near, grid.xi_nodes(), t)
+        return QuarterPlaneProblem(-1.5, np.sin(t) ** 2,
+                                   sources=((0.75, 1, rho),)), grid, None
     raise ValueError(name)
 
 
 @pytest.mark.parametrize("name", ["trace", "negative-theta", "taylor-sources",
                                   "global-source", "initial", "source-ahead",
-                                  "narrow-source"])
+                                  "narrow-source", "odd-band"])
 def test_march_matches_full_width_reference(name):
     # the support-bounded, time-major march gives the full-width x-major
     # march to the bit, signs of zeros included, once its band is
@@ -104,7 +114,7 @@ def test_march_matches_full_width_reference(name):
         # data nonzero across the grid, or a source far ahead of the front
         # whose own front then runs on: the band is the whole grid
         assert len(fld.values) == grid.n_xi + 1
-    elif name == "narrow-source":
+    elif name in ("narrow-source", "odd-band"):
         assert len(prob.sources[0][2].values) < len(fld.values) < grid.n_xi + 1
     else:
         assert len(fld.values) <= grid.steps + BAND_PAD + 2 < grid.n_xi + 1

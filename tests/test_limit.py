@@ -1,14 +1,20 @@
+import os
+import threading
+
 import numpy as np
 import pytest
+
+from starwaves import limit
 
 from starwaves.direct import direct_solve
 from starwaves.errors import CompatibilityError
 from starwaves.expr import parse
 from starwaves.grid import Term, make_direct_grid
+from starwaves.kernels import sn
 from starwaves.limit import (simpson_weights, solve_cauchy_recursive,
                              solve_degenerate_edge, solve_g0)
 
-from .helpers import two_edge_g0_spec
+from .helpers import convolve_sn_reference, two_edge_g0_spec
 
 X = np.linspace(0.0, 1.0, 321)
 T = np.linspace(0.0, 1.5, 1001)
@@ -64,6 +70,79 @@ def test_recursion_oracle_t4_over_6():
     u0 = solve_degenerate_edge(ZERO, parse("2*x^2"), ZERO, ZERO, X, T)
     u2 = solve_cauchy_recursive(ZERO, u0)
     assert np.max(np.abs(u2.values - T[None, :] ** 4 / 6)) < 1e-8
+
+
+K = np.pi / 2
+
+
+def _cos_hierarchy():
+    """q=1, phi=cos(k x), psi=f=0: u_0, u_2 and u_4 of the recursion, and
+    the closed forms of u_2 and u_4 from d_x^2 phi = -k^2 phi."""
+    u0 = solve_degenerate_edge(parse("1"), ZERO, parse("cos(pi*x/2)"), ZERO, X, T)
+    u2 = solve_cauchy_recursive(parse("1"), u0)
+    u4 = solve_cauchy_recursive(parse("1"), u2)
+    phi, t = np.cos(K * X)[:, None], T[None, :]
+    exact2 = -K ** 2 * phi * t * np.sin(t) / 2
+    exact4 = K ** 4 * phi * (t * np.sin(t) - t ** 2 * np.cos(t)) / 8
+    return u2.values - exact2, u4.values - exact4
+
+
+def test_degenerate_hierarchy_closed_form():
+    err2, err4 = _cos_hierarchy()
+    assert np.max(np.abs(err2)) < 1e-5  # scale 1.85
+    assert np.max(np.abs(err4[2:])) < 1e-5  # scale 1.02, rows 2 to the end
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1: _dxx is fourth order at its end rows and second order "
+    "inside, and the second _dxx turns that jump into an O(1) error of u_4 "
+    "at rows 0 and 1"))
+def test_degenerate_hierarchy_u4_end_rows():
+    _, err4 = _cos_hierarchy()
+    assert np.max(np.abs(err4[:2])) < 1e-5
+
+
+# (nx, nt) of the row-split convolution: fewer rows than blocks, blocks of
+# one row, and the shapes of the reference p=1 and p=4 builds
+CONVOLVE_SHAPES = [(1, 50), (2, 33), (3, 64), (201, 334), (321, 1069)]
+
+
+def _convolve_case(nx, nt):
+    rng = np.random.default_rng(nx * nt)
+    t = np.linspace(0.0, 1.5, nt)
+    Q = rng.uniform(-3.0, 3.0, (nx, 1))
+    return rng.standard_normal((nx, nt)), sn(Q, t[None, :]), float(t[1])
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 7])
+@pytest.mark.parametrize("shape", CONVOLVE_SHAPES)
+def test_convolve_split_is_bit_equal_to_one_block(monkeypatch, shape, cpus):
+    # one row block per usable CPU, each row summed over j in the serial
+    # order: every value is the serial loop's, sign bits included
+    src, SN, dt = _convolve_case(*shape)
+    want = convolve_sn_reference(src, SN, dt)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    got = limit._convolve_sn(src, SN, dt)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("bad", [0, 2])
+def test_convolve_block_error_surfaces_and_no_thread_outlives(monkeypatch, bad):
+    # a block that raises, on the calling thread (0) or in the pool (2):
+    # the error comes back with its own type, and every thread is gone
+    src, SN, dt = _convolve_case(7, 40)
+    rows_of = limit._convolve_rows
+
+    def faulty(src, SN, dt, out, rows):
+        if rows.start == bad:
+            raise FloatingPointError(f"block at row {bad}")
+        rows_of(src, SN, dt, out, rows)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(7)))
+    monkeypatch.setattr(limit, "_convolve_rows", faulty)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match=f"block at row {bad}"):
+        limit._convolve_sn(src, SN, dt)
+    assert threading.active_count() == before
 
 
 def test_recursion_zero_for_flat_profile():
