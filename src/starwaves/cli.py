@@ -68,7 +68,7 @@ def _cmd_solve(args) -> int:
         raise GraphConfigError("eps: must lie in (0,1)")
     out = _out_dir(args.out)
     grid = make_direct_grid(rc.spec, args.eps, rc.n_per_edge, rc.cfl)
-    fld = direct_solve(rc.spec, args.eps, grid, cfl=rc.cfl)
+    fld = direct_solve(rc.spec, args.eps, grid)
     paths = write_field_csvs(out, fld)
     write_trace_csv(out / "trace.csv", grid.times(), fld.sigma)
     for p in paths:

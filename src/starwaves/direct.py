@@ -136,13 +136,14 @@ def _march(spec: ProblemSpec, grid: Grid, b: np.ndarray,
     return Field(grid, [u.T for u in U], sigma)
 
 
-def direct_solve(spec: ProblemSpec, eps: float, grid: Grid, cfl: float = 1.0) -> Field:
+def direct_solve(spec: ProblemSpec, eps: float, grid: Grid) -> Field:
     """Solve the perturbed problem at fixed eps on the given grid.
 
-    Refuses to run when the C1 compatibility check fails.
+    Refuses to run when the C1 compatibility check fails or when dt
+    exceeds the stability bound.
     """
     require_compatibility_C1(spec)
-    check_cfl(spec, eps, grid, cfl)
+    check_cfl(spec, eps, grid)
     b = np.array([b_eps(spec, eps, e) for e in range(spec.graph.n_edges)])
     return _march(spec, grid, b, None)
 

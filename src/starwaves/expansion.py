@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .direct import Field
-from .errors import ExpansionOrderError, GraphConfigError
+from .errors import ExpansionOrderError, GraphConfigError, NonFiniteError
 from .expr import Const, Expr
 from .graph import ProblemSpec, require_compatibility_C1, restrict_to_g0
 from .grid import ExpansionGrids, Grid, Term
@@ -75,6 +75,14 @@ class ExpansionSet:
     build_log: tuple[tuple, ...]
     # each layer's problem, keyed by its build_log key
     layer_problems: dict[tuple, QuarterPlaneProblem]
+
+    def term(self, key: tuple) -> Field | Term:
+        """The term a build_log key names: a Field for U, else a Term."""
+        family, k, i = key
+        if family == "U":
+            return self.g0_base if k == 0 else self.g0_corr[(k, i)]
+        return {"u": self.edge_terms, "v": self.vertex_layers,
+                "w": self.boundary_layers}[family][(k, i)]
 
     @cached_property
     def series(self) -> dict[int, list[tuple[int, int, bool, Term]]]:
@@ -148,7 +156,9 @@ def build_expansion(spec: ProblemSpec, p: int, grids: ExpansionGrids) -> Expansi
     """Compute all terms up to order p in dependency order.
 
     Raises when C1 compatibility fails or p exceeds the practical bound
-    (grid differentiation error compounds through the edge recursion).
+    (grid differentiation error compounds through the edge recursion),
+    and NonFiniteError naming the first term in build_log order that holds
+    a nan or inf.
     """
     if not (0 <= p <= MAX_ORDER):
         raise ExpansionOrderError(f"order must lie in 0..{MAX_ORDER}, got {p}")
@@ -248,8 +258,14 @@ def build_expansion(spec: ProblemSpec, p: int, grids: ExpansionGrids) -> Expansi
             log.append((("w", s, e), (("u", s, e), *sdeps)))
 
     verify_schedule(tuple(log))
-    return ExpansionSet(spec, p, grids, U0, g0_corr, edge_terms, vertex_layers,
-                        boundary_layers, p_plus, tuple(log), problems)
+    es = ExpansionSet(spec, p, grids, U0, g0_corr, edge_terms, vertex_layers,
+                      boundary_layers, p_plus, tuple(log), problems)
+    for key, _ in log:
+        term = es.term(key)
+        if not all(np.isfinite(a).all()
+                   for a in (term.edges if isinstance(term, Field) else [term.values])):
+            raise NonFiniteError(f"term {key} is not finite")
+    return es
 
 
 def partial_sum_columns(es: ExpansionSet, eps: float, grid: Grid

@@ -10,11 +10,12 @@ Once per sweep it measures what the recursion leaves: each term's
 residual in its own equation, on its own grid (term_residuals), and the
 truncation leftover on the degenerate edges, whose eps-dependence is a
 power (truncation_leftover).  For each eps the direct field is solved on
-a second thread, in eps order, and kept whole (a solve cache may share
-it); the sweep streams the series against it: one loop over time slabs
-assembles the partial sum on a slab's columns and adds the slab's share
-to the norm sums (_EdgeNorms).  The assembled field never exists whole;
-norms() runs the same slab sums over two whole fields.
+a second thread, in eps order, and kept whole (a solve cache, keyed by
+direct_solve's arguments, may share it); the sweep streams the series
+against it: one loop over time slabs assembles the partial sum on a
+slab's columns and adds the slab's share to the norm sums (_EdgeNorms).
+The assembled field never exists whole; norms() runs the same slab sums
+over two whole fields.
 """
 
 from __future__ import annotations
@@ -240,15 +241,14 @@ def term_residuals(es: ExpansionSet) -> tuple[TermResidual, ...]:
     out = []
     for key, _ in es.build_log:
         family, k, i = key
+        term = es.term(key)
         if family == "U":
-            fld = es.g0_base if k == 0 else es.g0_corr[(k, i)]
-            res = max(_march_residual(fld.edges[loc].T, g0, loc,
+            res = max(_march_residual(term.edges[loc].T, g0, loc,
                                       spec.q[e].evaluate(g0.x_nodes(loc), 0.0),
                                       spec.f[e] if k == 0 else None)
                       for loc, e in enumerate(grids.g0_edge_ids))
-            scale = max(float(np.max(np.abs(u))) for u in fld.edges)
+            scale = max(float(np.max(np.abs(u))) for u in term.edges)
         elif family == "u":
-            term = es.edge_terms[(k, i)]
             if k == 0:
                 src = spec.f[i].evaluate(term.x_nodes[:, None], times[None, :])
             elif k == 1:  # no u_{-1}: u_1 solves the homogeneous equation
@@ -258,7 +258,6 @@ def term_residuals(es: ExpansionSet) -> tuple[TermResidual, ...]:
             res = _ode_residual(term, spec.q[i], src)
             scale = float(np.max(np.abs(term.values)))
         else:
-            term = (es.vertex_layers if family == "v" else es.boundary_layers)[(k, i)]
             res = _layer_residual(es.layer_problems[key], term, grids.layer)
             scale = float(np.max(np.abs(term.values)))
         out.append(TermResidual(key, res, scale))
@@ -358,17 +357,6 @@ class ConvergenceReport:
     note: str = NORM_NOTE
 
 
-def _cached_ref(entry: tuple[ProblemSpec, Grid, Field], spec: ProblemSpec,
-                want: Grid, name: str) -> Field:
-    solved, grid, ref = entry
-    if solved != spec:
-        raise GraphConfigError(f"{name}: cached solve is of another problem than this sweep's")
-    if grid != want or ref.grid != want:
-        raise GraphConfigError(f"{name}: cached solve is on another grid "
-                               "than this sweep asks for")
-    return ref
-
-
 def convergence_sweep(spec: ProblemSpec, p: int, epsilons: tuple[float, ...],
                       n_per_edge: int = 640, cfl: float = 0.9,
                       margin: float = 0.3, cache: dict | None = None,
@@ -385,16 +373,14 @@ def convergence_sweep(spec: ProblemSpec, p: int, epsilons: tuple[float, ...],
     direct field one time slab at a time (_series_errors).  A non-finite
     error or remainder at any eps raises NonFiniteError.
 
-    The fine-grid solves the cache lacks run on one worker thread, in eps
-    order, while this thread builds the series and measures it; the coarse
-    solve runs here, after the series is released.  An error in either
-    thread drops the pending solves, waits for a running one and is
-    raised as it is: no thread outlives the call.
-
-    Cache entries are (spec, grid, field).  Cached solves and a passed-in
-    expansion must be of this spec and on the grids that n_per_edge and cfl
-    give, the expansion of order p; stale ones raise GraphConfigError
-    before any solve or build starts.
+    The cache is a memo: cache[(spec, eps, grid)] = direct_solve(spec,
+    eps, grid), for each eps's grid and the coarse grid at the smallest.
+    The fine-grid solves it lacks run on one worker thread, in eps order,
+    while this thread builds the series and measures it; the coarse solve
+    runs here, after the series is released.  An error in either thread
+    drops the pending solves, waits for a running one and is raised as it
+    is: no thread outlives the call.  A passed-in expansion of another
+    spec, order or grids raises GraphConfigError before any solve starts.
     """
     eps_list = tuple(float(x) for x in epsilons)
     if len(eps_list) < 3:
@@ -404,11 +390,11 @@ def convergence_sweep(spec: ProblemSpec, p: int, epsilons: tuple[float, ...],
     if len(spec.graph.exponents) < 2:
         raise GraphConfigError(
             "graph has no degenerate subgraph: there is no rate to verify")
-    direct_grids = [make_direct_grid(spec, eps, n_per_edge, cfl) for eps in eps_list]
+    keys = [(spec, eps, make_direct_grid(spec, eps, n_per_edge, cfl)) for eps in eps_list]
     # the refinement estimate's coarse grid, checked before any solve
     eps_min = eps_list[-1]
     try:
-        grid_c = coarsen(direct_grids[-1])
+        grid_c = coarsen(keys[-1][2])
     except GraphConfigError as exc:
         raise GraphConfigError(
             f"grid.n_per_edge: {n_per_edge} is too small for the 2x-coarse grid "
@@ -427,33 +413,23 @@ def convergence_sweep(spec: ProblemSpec, p: int, epsilons: tuple[float, ...],
             raise GraphConfigError(
                 f"expansion: built on other grids than n_per_edge={n_per_edge}, "
                 f"cfl={cfl} give")
-    # every cached solve is checked before any solve starts
-    cached = []
-    for eps, grid in zip(eps_list, direct_grids):
-        got = cache.get(eps)
-        cached.append(None if got is None
-                      else _cached_ref(got, spec, grid, f"cache[{eps}]"))
-    key = (eps_min, "coarse")
-    got = cache.get(key)
-    ref_c = None if got is None else _cached_ref(got, spec, grid_c, f"cache[{key}]")
+    cached = [cache.get(key) for key in keys]
 
     # the direct solves run on a second thread, in eps order, while the
     # series is built and measured here; the cache is touched only here
     pool = ThreadPoolExecutor(max_workers=1)
     try:
-        solving = {eps: pool.submit(direct_solve, spec, eps, grid, cfl=cfl)
-                   for eps, grid, ref in zip(eps_list, direct_grids, cached)
-                   if ref is None}
+        solving = [pool.submit(direct_solve, *key) if ref is None else None
+                   for key, ref in zip(keys, cached)]
         if expansion is None:
             expansion = build_expansion(spec, p, grids)
         measured = term_residuals(expansion)
         sup_trunc = truncation_leftover(expansion, eps_list)
         triples: list[NormTriple] = []
         res_reports: list[ResidualReport] = []
-        for eps, grid, ref, trunc in zip(eps_list, direct_grids, cached, sup_trunc):
+        for eps, key, ref, fut, trunc in zip(eps_list, keys, cached, solving, sup_trunc):
             if ref is None:
-                ref = solving[eps].result()
-                cache[eps] = (spec, grid, ref)
+                ref = cache[key] = fut.result()
             triple = _series_errors(expansion, eps, ref)
             rep = ResidualReport(eps, p, *residuals(expansion, eps), trunc)
             _require_finite(eps, triple, rep)
@@ -467,9 +443,10 @@ def convergence_sweep(spec: ProblemSpec, p: int, epsilons: tuple[float, ...],
     # and splines are freed before the coarse solve, the sweep's last peak
     del expansion
     ref_f = ref  # the last eps's, eps_min's
+    key = (spec, eps_min, grid_c)
+    ref_c = cache.get(key)
     if ref_c is None:
-        ref_c = direct_solve(spec, eps_min, grid_c, cfl=cfl)
-        cache[key] = (spec, grid_c, ref_c)
+        ref_c = cache[key] = direct_solve(*key)
     sub = Field(grid_c, [u[::2, ::2] for u in ref_f.edges], ref_f.sigma[::2])
     refine_est = norms(sub, ref_c).l2 / 3.0
     l2 = tuple(t.l2 for t in triples)

@@ -122,11 +122,12 @@ def solve_degenerate_edge(q: Expr, f: Expr, phi: Expr, psi: Expr,
     dt = float(times[1] - times[0])
     Q = q.evaluate(x_nodes, 0.0)[:, None]
     tt = np.asarray(times, dtype=float)[None, :]
+    SN = sn(Q, tt)
     vals = (phi.evaluate(x_nodes, 0.0)[:, None] * cs(Q, tt)
-            + psi.evaluate(x_nodes, 0.0)[:, None] * sn(Q, tt))
+            + psi.evaluate(x_nodes, 0.0)[:, None] * SN)
     F = f.evaluate(x_nodes[:, None], times[None, :])
     if F.any():
-        vals = vals + _convolve_sn(F, sn(Q, tt), dt)
+        vals = vals + _convolve_sn(F, SN, dt)
     return Term(vals, x_nodes, times)
 
 

@@ -14,7 +14,7 @@ import pytest
 
 from starwaves.direct import energy
 from starwaves.expansion import assemble_partial_sum, build_expansion
-from starwaves.grid import LayerGrid, make_expansion_grids
+from starwaves.grid import LayerGrid, make_direct_grid, make_expansion_grids
 from starwaves.harness import convergence_sweep, load_config, validate_config
 from starwaves.kernels import cs, phi_entire, sn
 from starwaves.layers import (QuarterPlaneProblem,
@@ -165,7 +165,8 @@ def test_criterion_6_node_constraints(reference_run, announce):
     worst = 0.0
     for p in (0, 1):
         for eps in (0.4, 0.05):
-            _, grid, _ = cache[eps]
+            grid = make_direct_grid(run.spec, eps, run.n_per_edge, run.cfl)
+            assert cache[(run.spec, eps, grid)].grid == grid
             fld = assemble_partial_sum(expansions[p], eps, grid)
             t = grid.times()
             for e in range(run.spec.graph.n_edges):

@@ -259,13 +259,31 @@ def test_out_not_a_directory_exit_code(tmp_path, cmd):
     assert "Traceback" not in r.stderr
 
 
+def test_overflowing_series_term_exits_3_in_expand_and_verify(tmp_path):
+    # q = -3e5 makes cs/sn overflow on the degenerate edges; the direct
+    # solve stays finite, so check and solve pass, while a series term is
+    # refused where it is built, naming its build_log key
+    cfg = json.loads(REFERENCE_CONFIG.read_text())
+    cfg.update(q=["-300000 + x"] * 3, epsilons=[0.4, 0.2, 0.1])
+    cfg["grid"]["n_per_edge"] = 64
+    path = write_cfg(tmp_path, cfg)
+    out = ["--out", str(tmp_path / "out")]
+    for cmd, want in ((["check"], 0), (["solve", "--eps", "0.1", *out], 0),
+                      (["expand", "--p", "1", *out], 3), (["verify", *out], 3)):
+        r = run_cli(cmd[0], path, *cmd[1:])
+        assert r.returncode == want, (cmd, r.stderr)
+        assert "Traceback" not in r.stderr, cmd
+        if want == 3:
+            assert "numerical failure: term ('u', 0, 1) is not finite" in r.stderr
+
+
 def test_verify_exits_3_on_a_nan_error(tmp_path, monkeypatch, capsys):
     # one nan node in a direct field: verify reports a numerical failure
     # naming the eps and the norm, not a config error
     solve = harness.direct_solve
 
-    def nan_solve(spec, eps, grid, cfl):
-        fld = solve(spec, eps, grid, cfl=cfl)
+    def nan_solve(spec, eps, grid):
+        fld = solve(spec, eps, grid)
         if eps == 0.45:
             fld.edges[1][5, 3] = np.nan
         return fld
@@ -283,10 +301,10 @@ def test_verify_exits_3_on_a_solve_failing_on_the_worker_thread(tmp_path, monkey
     # its own type, and the thread is gone
     solve = harness.direct_solve
 
-    def failing_solve(spec, eps, grid, cfl):
+    def failing_solve(spec, eps, grid):
         if eps == 0.45:
             raise StabilityError("dt exceeds the stability bound")
-        return solve(spec, eps, grid, cfl=cfl)
+        return solve(spec, eps, grid)
     monkeypatch.setattr(harness, "direct_solve", failing_solve)
     cfg = write_cfg(tmp_path, small_cfg())
     before = threading.active_count()

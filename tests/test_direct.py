@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from .helpers import (REFERENCE_CONFIG, direct_march_reference,
 def test_zero_data_stays_zero():
     spec = star_spec(q="1 + x", f="0", phi="0", psi="0", mu="0")
     grid = make_direct_grid(spec, 0.3, 32, 0.9)
-    fld = direct_solve(spec, 0.3, grid, cfl=0.9)
+    fld = direct_solve(spec, 0.3, grid)
     for u in fld.edges:
         assert np.all(u == 0.0)
     assert np.all(fld.sigma == 0.0)
@@ -25,7 +27,7 @@ def test_zero_data_stays_zero():
 def test_vertex_row_mirrors_sigma():
     spec = star_spec()
     grid = make_direct_grid(spec, 0.3, 48, 0.9)
-    fld = direct_solve(spec, 0.3, grid, cfl=0.9)
+    fld = direct_solve(spec, 0.3, grid)
     for u in fld.edges:
         assert np.array_equal(u[0, :], fld.sigma)
 
@@ -33,7 +35,7 @@ def test_vertex_row_mirrors_sigma():
 def _eigenmode_error(n):
     spec = single_edge_spec(phi="cos(pi*x/2)")
     grid = make_direct_grid(spec, 0.5, n, 0.9)
-    fld = direct_solve(spec, 0.5, grid, cfl=0.9)
+    fld = direct_solve(spec, 0.5, grid)
     x = grid.x_nodes(0)
     t = grid.times()
     exact = np.cos(np.pi * x[:, None] / 2) * np.cos(np.pi * t[None, :] / 2)
@@ -75,7 +77,7 @@ def manufactured_spec(eps):
 
 def _manufactured_error(spec, eps, n):
     grid = make_direct_grid(spec, eps, n, 0.9)
-    fld = direct_solve(spec, eps, grid, cfl=0.9)
+    fld = direct_solve(spec, eps, grid)
     t = grid.times()
     worst = 0.0
     for e in range(3):
@@ -97,7 +99,7 @@ def test_discrete_kirchhoff_residual_shrinks():
     res = []
     for n in (64, 128):
         grid = make_direct_grid(spec, 0.3, n, 0.9)
-        fld = direct_solve(spec, 0.3, grid, cfl=0.9)
+        fld = direct_solve(spec, 0.3, grid)
         total = np.zeros(grid.steps + 1)
         for e in range(3):
             u = fld.edges[e]
@@ -110,26 +112,30 @@ def test_discrete_kirchhoff_residual_shrinks():
 
 
 def test_cfl_violation_raises():
-    spec = single_edge_spec()
-    grid = make_direct_grid(spec, 0.5, 64, 0.9)
-    bad = type(grid)(grid.lengths, grid.n_cells, grid.dt * 3, grid.steps)
-    with pytest.raises(StabilityError):
-        direct_solve(spec, 0.5, bad, cfl=0.9)
+    # with no cfl of its own, the solve runs up to dt = min_e h_e / sqrt(b_e)
+    spec, eps = star_spec(), 0.3
+    grid = make_direct_grid(spec, eps, 32, 0.9)
+    bound = min(grid.h(e) / math.sqrt(b_eps(spec, eps, e)) for e in range(3))
+    near = [Grid(grid.lengths, grid.n_cells, frac * bound, grid.steps)
+            for frac in (0.99, 1.01)]
+    assert all(np.isfinite(u).all() for u in direct_solve(spec, eps, near[0]).edges)
+    with pytest.raises(StabilityError, match="exceeds the stability bound"):
+        direct_solve(spec, eps, near[1])
 
 
 def test_incompatible_data_refused():
     spec = star_spec(mu="1")
     grid = make_direct_grid(spec, 0.3, 32, 0.9)
     with pytest.raises(GraphConfigError) as ei:
-        direct_solve(spec, 0.3, grid, cfl=0.9)
+        direct_solve(spec, 0.3, grid)
     assert "value_match" in str(ei.value)
 
 
 def test_solution_independent_of_eps_on_g0_only_graph():
     spec = two_edge_g0_spec(q="1", f="sin(t)*(1 + x)", phi="cos(pi*x/2)")
     grid = make_direct_grid(spec, 0.3, 64, 0.9)
-    a = direct_solve(spec, 0.3, grid, cfl=0.9)
-    b = direct_solve(spec, 0.7, grid, cfl=0.9)
+    a = direct_solve(spec, 0.3, grid)
+    b = direct_solve(spec, 0.7, grid)
     for ua, ub in zip(a.edges, b.edges):
         assert np.array_equal(ua, ub)
 
@@ -137,7 +143,7 @@ def test_solution_independent_of_eps_on_g0_only_graph():
 def _direct_case(spec, eps, n_per_edge, cfl):
     grid = make_direct_grid(spec, eps, n_per_edge, cfl)
     b = [b_eps(spec, eps, e) for e in range(spec.graph.n_edges)]
-    return (direct_solve(spec, eps, grid, cfl=cfl),
+    return (direct_solve(spec, eps, grid),
             direct_march_reference(spec, grid, b, None))
 
 
@@ -197,7 +203,7 @@ def test_march_asks_f_for_one_slab_of_time_rows_at_a_time(monkeypatch):
             shapes.append(np.broadcast_shapes(np.shape(x), np.shape(t)))
         return evaluate(self, x, t)
     monkeypatch.setattr(Expr, "evaluate", recording)
-    direct_solve(spec, 0.3, grid, cfl=0.9)
+    direct_solve(spec, 0.3, grid)
     widths = {n + 1 for n in grid.n_cells}
     rows = [s[0] for s in shapes if len(s) == 2 and s[1] in widths]
     assert max(rows) == TIME_SLAB

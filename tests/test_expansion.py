@@ -335,7 +335,7 @@ def test_all_unit_speed_graph_expansion():
     b = assemble_partial_sum(es, 0.6, grid)
     for e in range(2):
         assert np.array_equal(a.edges[e], b.edges[e])
-    ref = direct_solve(spec, 0.5, grid, cfl=0.9)
+    ref = direct_solve(spec, 0.5, grid)
     err = max(np.max(np.abs(a.edges[e] - ref.edges[e])) for e in range(2))
     assert err < 5e-3  # two independent discretizations of the same problem
 

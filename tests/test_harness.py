@@ -14,7 +14,8 @@ from starwaves.direct import Field, direct_solve
 from starwaves.errors import (ExpansionOrderError, GraphConfigError, NonFiniteError,
                               StabilityError)
 from starwaves.expansion import build_expansion
-from starwaves.grid import TIME_SLAB, Grid, make_direct_grid, make_expansion_grids
+from starwaves.grid import (TIME_SLAB, Grid, coarsen, make_direct_grid,
+                            make_expansion_grids)
 from starwaves.harness import (NORM_NOTE, ConvergenceReport, NormTriple,
                                ResidualReport, TermResidual, _require_finite,
                                _series_errors, convergence_sweep, fit_order,
@@ -155,10 +156,22 @@ def test_sweep_input_validation():
         convergence_sweep(flat, 0, (0.4, 0.2, 0.1))
 
 
+SMALL_EPS = (0.6, 0.45, 0.3)
+
+
+def small_spec():
+    return star_spec(exponents=(0, 1), subgraphs=(0, 1, 1))
+
+
 def small_sweep(cache=None, n_per_edge=48, cfl=0.9, expansion=None):
-    spec = star_spec(exponents=(0, 1), subgraphs=(0, 1, 1))
-    return convergence_sweep(spec, 0, (0.6, 0.45, 0.3), n_per_edge=n_per_edge,
+    return convergence_sweep(small_spec(), 0, SMALL_EPS, n_per_edge=n_per_edge,
                              cfl=cfl, cache=cache, expansion=expansion)
+
+
+def small_key(eps, n_per_edge=48):
+    """The solve cache key of small_sweep's direct solve at eps."""
+    spec = small_spec()
+    return (spec, eps, make_direct_grid(spec, eps, n_per_edge, 0.9))
 
 
 def test_sweep_report_structure_and_determinism(tmp_path):
@@ -182,26 +195,49 @@ def test_sweep_report_structure_and_determinism(tmp_path):
 
 
 def test_sweep_cache_reuse():
+    # the cache is a memo of direct_solve on its arguments (spec, eps, grid):
+    # all three eps share one grid, so eps alone tells their entries apart
     cache: dict = {}
     rep1 = small_sweep(cache)
-    assert set(cache) == {0.6, 0.45, 0.3, (0.3, "coarse")}
+    fine = [small_key(eps) for eps in SMALL_EPS]
+    spec, eps_min, grid = fine[-1]
+    assert set(cache) == {*fine, (spec, eps_min, coarsen(grid))}
+    assert len({key[2] for key in fine}) == 1
+    for key in fine:
+        got, want = cache[key], direct_solve(*key)
+        assert got.grid == key[2]
+        assert np.array_equal(got.sigma, want.sigma)
+        for u, v in zip(got.edges, want.edges):
+            assert np.array_equal(u, v)
     rep2 = small_sweep(cache)
     assert rep1.errors == rep2.errors
     assert rep1.refine_estimate == rep2.refine_estimate
 
 
+@pytest.mark.parametrize("foreign", ["grid", "problem"])
+def test_foreign_cache_entries_are_misses(foreign):
+    # entries of another grid or problem are other keys: the sweep solves
+    # its own, reports as on a fresh cache and leaves the others in place
+    cache: dict = {}
+    if foreign == "grid":
+        small_sweep(cache, n_per_edge=64)
+    else:
+        other = star_spec(f="cos(t)*(1 + x)", exponents=(0, 1), subgraphs=(0, 1, 1))
+        convergence_sweep(other, 0, SMALL_EPS, n_per_edge=48, cache=cache)
+    before = dict(cache)
+    assert repr(small_sweep(cache)) == repr(small_sweep())
+    assert len(cache) == 2 * len(before) == 8
+    assert all(cache[key] is fld for key, fld in before.items())
+
+
 def test_prefetched_sweep_equals_the_sweep_on_a_filled_cache():
     # solved on the worker thread, or on this one before the sweep: the
     # same report, bit for bit
-    spec = star_spec(exponents=(0, 1), subgraphs=(0, 1, 1))
-    filled = {}
-    for eps in (0.6, 0.45, 0.3):
-        grid = make_direct_grid(spec, eps, 48, 0.9)
-        filled[eps] = (spec, grid, direct_solve(spec, eps, grid, cfl=0.9))
+    filled = {key: direct_solve(*key) for key in map(small_key, SMALL_EPS)}
     fresh: dict = {}
     assert repr(small_sweep(fresh)) == repr(small_sweep(filled))
-    for eps in (0.6, 0.45, 0.3):
-        for u, v in zip(fresh[eps][2].edges, filled[eps][2].edges):
+    for key in map(small_key, SMALL_EPS):
+        for u, v in zip(fresh[key].edges, filled[key].edges):
             assert np.array_equal(u, v)
 
 
@@ -211,10 +247,10 @@ def test_sweep_error_surfaces_with_its_type_and_leaves_no_thread(monkeypatch, wh
     # failing on this one while the worker solves
     solve = harness.direct_solve
 
-    def failing_solve(spec, eps, grid, cfl):
+    def failing_solve(spec, eps, grid):
         if eps == 0.45:
             raise StabilityError("solve failed at eps=0.45")
-        return solve(spec, eps, grid, cfl=cfl)
+        return solve(spec, eps, grid)
 
     def failing_build(*args, **kwargs):
         raise ExpansionOrderError("build failed")
@@ -229,52 +265,15 @@ def test_sweep_error_surfaces_with_its_type_and_leaves_no_thread(monkeypatch, wh
     with pytest.raises(want[0], match=want[1]):
         small_sweep(cache)
     assert threading.active_count() == before
-    assert set(cache) <= {0.6}
+    assert set(cache) <= {small_key(0.6)}
 
 
-@pytest.mark.parametrize("stale, source", [(0.3, (0.3, "coarse")), ((0.3, "coarse"), 0.45)],
-                         ids=["last-eps", "coarse"])
-def test_stale_cache_raises_before_any_solve_or_build(monkeypatch, stale, source):
-    # an entry on another grid, with the first eps left to solve
-    cache: dict = {}
-    small_sweep(cache)
-    cache[stale] = cache[source]
-
-    def reached(*args, **kwargs):
-        raise Reached
-    monkeypatch.setattr(harness, "direct_solve", reached)
-    monkeypatch.setattr(harness, "build_expansion", reached)
-    del cache[0.6]
-    with pytest.raises(GraphConfigError, match="another grid"):
-        small_sweep(cache)
-
-
-def test_sweep_rejects_stale_cache():
-    # the cache is keyed by eps only; entries solved on another grid must
-    # not be reused
-    cache: dict = {}
-    small_sweep(cache)
-    with pytest.raises(GraphConfigError, match=r"cache\[0.6\].*another grid"):
-        small_sweep(cache, n_per_edge=64)
-    coarse = cache[(0.3, "coarse")]
-    cache[(0.3, "coarse")] = cache[0.45]
-    with pytest.raises(GraphConfigError, match="coarse.*another grid"):
-        small_sweep(cache)
-    cache[(0.3, "coarse")] = coarse
-    small_sweep(cache)
-
-
-def test_sweep_rejects_cache_and_expansion_of_another_problem():
-    # a cache entry or an expansion carries the spec it solved; one solved
-    # for another f, or an expansion of another order, must not be reused
-    eps = (0.6, 0.45, 0.3)
-    a = star_spec(exponents=(0, 1), subgraphs=(0, 1, 1))
+def test_sweep_rejects_expansion_of_another_problem():
+    # an expansion carries the spec it was built for; one built for
+    # another f, or to another order, must not be reused
+    eps = SMALL_EPS
+    a = small_spec()
     b = star_spec(f="cos(t)*(1 + x)", exponents=(0, 1), subgraphs=(0, 1, 1))
-    cache: dict = {}
-    convergence_sweep(a, 0, eps, n_per_edge=48, cache=cache)
-    assert all(entry[0] == a for entry in cache.values())
-    with pytest.raises(GraphConfigError, match=r"cache\[0.6\].*another problem"):
-        convergence_sweep(b, 0, eps, n_per_edge=48, cache=cache)
     es = build_expansion(a, 0, make_expansion_grids(a, 48, 0.9))
     with pytest.raises(GraphConfigError, match="expansion: built for another problem"):
         convergence_sweep(b, 0, eps, n_per_edge=48, expansion=es)
@@ -312,7 +311,7 @@ def test_sweep_raises_on_a_nan_error_naming_eps_and_norm():
     # the sweep stops there rather than at the positivity check
     cache: dict = {}
     small_sweep(cache)
-    cache[0.45][2].edges[1][5, 3] = np.nan
+    cache[small_key(0.45)].edges[1][5, 3] = np.nan
     with pytest.raises(NonFiniteError, match=r"^L-infinity error at eps=0.45 is nan$"):
         small_sweep(cache)
 
@@ -379,9 +378,10 @@ def _assert_streamed_sweep_matches_oracles(spec, eps_list, n_per_edge, matched):
     cache: dict = {}
     rep = convergence_sweep(spec, 1, eps_list, n_per_edge, cache=cache, expansion=es)
     trunc = truncation_leftover(es, eps_list)
-    for eps, triple, res, sup_trunc in zip(eps_list, rep.errors, rep.residual_reports,
-                                           trunc):
-        _, grid, ref = cache[eps]
+    keys = [(spec, eps, make_direct_grid(spec, eps, n_per_edge, 0.9)) for eps in eps_list]
+    for (_, eps, grid), triple, res, sup_trunc in zip(keys, rep.errors,
+                                                      rep.residual_reports, trunc):
+        ref = cache[(spec, eps, grid)]
         assert np.array_equal(grid.times(), es.grids.times) == matched
         edges, sigma = assemble_reference(es, eps, grid)
         asm = Field(grid, edges, sigma)
@@ -390,8 +390,9 @@ def _assert_streamed_sweep_matches_oracles(spec, eps_list, n_per_edge, matched):
         nu = flux_sum_reference(es, eps, 1)
         assert res.sup_nu == float(np.max(np.abs(nu)))
         assert res.nu_floor == float(np.max(np.abs(flux_sum_reference(es, eps, 2) - nu))) / 3.0
-    _, grid_c, ref_c = cache[(eps_list[-1], "coarse")]
-    ref_f = cache[eps_list[-1]][2]
+    spec, eps_min, grid_f = keys[-1]
+    grid_c = coarsen(grid_f)
+    ref_c, ref_f = cache[(spec, eps_min, grid_c)], cache[keys[-1]]
     sub = Field(grid_c, [u[::2, ::2] for u in ref_f.edges], ref_f.sigma[::2])
     assert rep.refine_estimate == pytest.approx(norms_reference(sub, ref_c).l2 / 3.0,
                                                 rel=1e-13, abs=0.0)
@@ -515,7 +516,7 @@ def test_readme_states_the_residual_csv_headers(tmp_path, name, write):
 def test_field_and_trace_csvs(tmp_path):
     spec = two_edge_g0_spec(q="1", phi="cos(pi*x/2)")
     grid = make_direct_grid(spec, 0.5, 8, 0.9)
-    fld = direct_solve(spec, 0.5, grid, cfl=0.9)
+    fld = direct_solve(spec, 0.5, grid)
     paths = write_field_csvs(tmp_path, fld)
     assert [p.name for p in paths] == ["field_0.csv", "field_1.csv"]
     lines = paths[0].read_text().splitlines()
@@ -567,7 +568,7 @@ def test_field_csv_matches_savetxt_bytes(tmp_path):
     # a full direct-solve field, as solve writes it
     spec = two_edge_g0_spec(q="1", phi="cos(pi*x/2)")
     grid = make_direct_grid(spec, 0.5, 16, 0.9)
-    fld = direct_solve(spec, 0.5, grid, cfl=0.9)
+    fld = direct_solve(spec, 0.5, grid)
     for e, path in enumerate(write_field_csvs(tmp_path, fld)):
         savetxt_grid_csv(tmp_path / "old.csv", "tau,t,u", grid.x_nodes(e),
                          grid.times(), fld.edges[e])

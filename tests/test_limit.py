@@ -167,7 +167,7 @@ def test_g0_matches_direct_on_undegenerate_graph():
     """With every edge in the base subgraph the two solvers are the same march."""
     spec = two_edge_g0_spec(q="1", f="sin(t)*(1 + x)", phi="cos(pi*x/2)")
     grid = make_direct_grid(spec, 0.5, 64, 0.9)
-    ref = direct_solve(spec, 0.5, grid, cfl=0.9)
+    ref = direct_solve(spec, 0.5, grid)
     g0 = solve_g0(spec, grid)
     for a, b in zip(ref.edges, g0.edges):
         assert np.array_equal(a, b)
