@@ -78,18 +78,22 @@ def _cmd_solve(args) -> int:
 
 
 def _term_tables(es: ExpansionSet) -> list[tuple[str, np.ndarray, np.ndarray, str]]:
-    """(file name, x nodes, values, x column name) for every series term.
+    """(file name, x nodes, values, x column name) for every series term,
+    in build_log order, the name made from the term's key.
 
     A layer's values may stop short of its x nodes; the rest are zero.
     """
-    U = [("s0", es.g0_base),
-         *((f"s{r}_sub{l}", fld) for (r, l), fld in sorted(es.g0_corr.items()))]
-    tables = [(f"term_U_{name}_edge{e}.csv", es.grids.g0.x_nodes(loc), fld.edges[loc], "x")
-              for name, fld in U for loc, e in enumerate(es.grids.g0_edge_ids)]
-    for name, terms, xname in (("u_s", es.edge_terms, "x"), ("v_P", es.vertex_layers, "xi"),
-                               ("w_s", es.boundary_layers, "xi")):
-        tables += [(f"term_{name}{k}_edge{e}.csv", terms[(k, e)].x_nodes,
-                    terms[(k, e)].values, xname) for k, e in sorted(terms)]
+    tables = []
+    for key, _ in es.build_log:
+        family, k, i = key
+        term = es.term(key)
+        if family == "U":
+            tables += [(f"term_U_s{k}{f'_sub{i}' if k else ''}_edge{e}.csv",
+                        es.grids.g0.x_nodes(loc), term.edges[loc], "x")
+                       for loc, e in enumerate(es.grids.g0_edge_ids)]
+        else:
+            tables.append((f"term_{family}_{'P' if family == 'v' else 's'}{k}_edge{i}.csv",
+                           term.x_nodes, term.values, "x" if family == "u" else "xi"))
     return tables
 
 

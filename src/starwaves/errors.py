@@ -43,4 +43,4 @@ class ExpansionOrderError(StarwavesError):
 
 
 class NonFiniteError(StarwavesError):
-    """Raised when a measured error or remainder is nan or infinite."""
+    """Raised when a series term, or a measured error or remainder, is nan or infinite."""

@@ -3,7 +3,9 @@
 Terms are produced in increasing eps-power phases.  Within one phase the
 unit-speed corrections are built before the center layers, because the
 layer traces read the corrections' vertex values; the whole order is
-recorded in a build log and replayed by an assertion pass.
+recorded in a build log and replayed by an assertion pass.  One recorder
+stores every term under its build log key and refuses it there if it is
+not finite; one layer builder makes every vertex and boundary layer.
 
 Center layers are indexed by the eps power P they carry rather than by the
 per-subgraph step index.  For a single degenerate subgraph the two
@@ -50,6 +52,8 @@ __all__ = [
 ]
 
 MAX_ORDER = 4
+# the ExpansionSet field that stores each build_log family, U_0 aside (g0_base)
+_STORE = {"U": "g0_corr", "u": "edge_terms", "v": "vertex_layers", "w": "boundary_layers"}
 
 
 def lambda_set(m: tuple[int, ...], p: int) -> tuple[tuple[int, int], ...]:
@@ -78,11 +82,9 @@ class ExpansionSet:
 
     def term(self, key: tuple) -> Field | Term:
         """The term a build_log key names: a Field for U, else a Term."""
-        family, k, i = key
-        if family == "U":
-            return self.g0_base if k == 0 else self.g0_corr[(k, i)]
-        return {"u": self.edge_terms, "v": self.vertex_layers,
-                "w": self.boundary_layers}[family][(k, i)]
+        if key == ("U", 0, 0):
+            return self.g0_base
+        return getattr(self, _STORE[key[0]])[key[1:]]
 
     @cached_property
     def series(self) -> dict[int, list[tuple[int, int, bool, Term]]]:
@@ -157,8 +159,8 @@ def build_expansion(spec: ProblemSpec, p: int, grids: ExpansionGrids) -> Expansi
 
     Raises when C1 compatibility fails or p exceeds the practical bound
     (grid differentiation error compounds through the edge recursion),
-    and NonFiniteError naming the first term in build_log order that holds
-    a nan or inf.
+    and NonFiniteError naming the first term that holds a nan or inf, as
+    soon as it is made: no later term is built on it.
     """
     if not (0 <= p <= MAX_ORDER):
         raise ExpansionOrderError(f"order must lie in 0..{MAX_ORDER}, got {p}")
@@ -167,61 +169,68 @@ def build_expansion(spec: ProblemSpec, p: int, grids: ExpansionGrids) -> Expansi
     g = spec.graph
     mlist = g.exponents[1:]
     times = grids.times
+    stores: dict[str, dict] = {family: {} for family in _STORE}
+    U, u, v = stores["U"], stores["u"], stores["v"]
     log: list[tuple] = []
+    problems: dict[tuple, QuarterPlaneProblem] = {}
+
+    def record(key: tuple, deps: list, term: Field | Term) -> None:
+        """Store a term under its build_log key and log it; stop at a non-finite one."""
+        # min and max propagate a nan and reach an inf, with no array-sized temporary
+        if not all(np.isfinite(a.min()) and np.isfinite(a.max())
+                   for a in (term.edges if isinstance(term, Field) else [term.values])):
+            raise NonFiniteError(f"term {key} is not finite")
+        stores[key[0]][key[1:]] = term
+        log.append((key, tuple(deps)))
+
+    def layer(key: tuple, x0: float, trace: np.ndarray, lower: list, deps: list) -> None:
+        """Solve and record the layer key at x0 on its edge: a vertex layer
+        (v) at 0, or a boundary layer (w, folded) at the far end.  lower
+        holds the keys 1, 2, ... steps down its chain, built or not."""
+        family, k, e = key
+        built = stores[family]
+        sources, sdeps = _taylor_sources(
+            spec.q[e], x0, [(d, built[d[1:]]) if d[1:] in built else None for d in lower],
+            folded=family == "w")
+        prob = QuarterPlaneProblem(spec.q[e].evaluate(x0, 0.0), trace, sources,
+                                   f"{family}[{'P' if family == 'v' else 's'}={k},e={e}]")
+        problems[key] = prob
+        record(key, deps + sdeps, qp_solve(prob, grids.layer))
 
     spec_g0 = restrict_to_g0(spec)
-    U0 = solve_g0(spec_g0, grids.g0)
-    log.append((("U", 0, 0), ()))
+    record(("U", 0, 0), [], solve_g0(spec_g0, grids.g0))
     corr_spec = _zero_g0_spec(spec_g0)
 
-    edge_terms: dict[tuple[int, int], Term] = {}
     for e in g.gstar_edges():
         u0 = solve_degenerate_edge(spec.q[e], spec.f[e], spec.phi[e], spec.psi[e],
                                    grids.u_nodes[e], times)
-        edge_terms[(0, e)] = u0
-        log.append((("u", 0, e), ()))
+        record(("u", 0, e), [], u0)
         for s in range(1, p + 1):
-            if s % 2:
-                edge_terms[(s, e)] = Term(np.zeros(u0.values.shape), u0.x_nodes, times)
-            else:
-                edge_terms[(s, e)] = solve_cauchy_recursive(spec.q[e],
-                                                            edge_terms[(s - 2, e)])
-            log.append((("u", s, e), ((("u", s - 2, e),) if s >= 2 else ())))
+            record(("u", s, e), [("u", s - 2, e)] if s >= 2 else [],
+                   Term(np.zeros(u0.values.shape), u0.x_nodes, times) if s % 2
+                   else solve_cauchy_recursive(spec.q[e], u[(s - 2, e)]))
 
     p_plus = tuple(sorted({r * mi for r in range(1, p + 1) for mi in mlist}))
 
-    g0_corr: dict[tuple[int, int], Field] = {}
-    vertex_layers: dict[tuple[int, int], Term] = {}
-    problems: dict[tuple, QuarterPlaneProblem] = {}
-
-    def build_vertex_layer(P: int, e: int) -> None:
+    def vertex_layer(P: int, e: int) -> None:
         m = g.m(e)
-        trace = np.zeros(len(times))
-        deps: list[tuple] = []
         if P == 0:
-            trace = U0.sigma - edge_terms[(0, e)].values[0, :]
-            deps += [("U", 0, 0), ("u", 0, e)]
+            trace = U[(0, 0)].sigma - u[(0, e)].values[0, :]
+            deps = [("U", 0, 0), ("u", 0, e)]
         else:
+            trace, deps = np.zeros(len(times)), []
             for r, l in lambda_set(mlist, P):
                 if r <= p:
-                    trace = trace + g0_corr[(r, l)].sigma
+                    trace = trace + U[(r, l)].sigma
                     deps.append(("U", r, l))
             if P % m == 0 and P // m <= p:
-                trace = trace - edge_terms[(P // m, e)].values[0, :]
+                trace = trace - u[(P // m, e)].values[0, :]
                 deps.append(("u", P // m, e))
-        below = [(P - r * m, e) for r in range(1, P // m + 1)]
-        lower = [(("v", *k), vertex_layers[k]) if k in vertex_layers else None
-                 for k in below]
-        sources, sdeps = _taylor_sources(spec.q[e], 0.0, lower, folded=False)
-        deps += sdeps
-        theta = spec.q[e].evaluate(0.0, 0.0)
-        prob = QuarterPlaneProblem(theta, trace, sources, f"v[P={P},e={e}]")
-        vertex_layers[(P, e)] = qp_solve(prob, grids.layer)
-        problems[("v", P, e)] = prob
-        log.append((("v", P, e), tuple(deps)))
+        layer(("v", P, e), 0.0, trace, [("v", P - r * m, e) for r in range(1, P // m + 1)],
+              deps)
 
     for e in g.gstar_edges():
-        build_vertex_layer(0, e)
+        vertex_layer(0, e)
 
     for P in p_plus:
         for r, l in lambda_set(mlist, P):
@@ -231,41 +240,28 @@ def build_expansion(spec: ProblemSpec, p: int, grids: ExpansionGrids) -> Expansi
             deps = []
             for e in g.edges_in(l):
                 if r >= 2:
-                    nu -= edge_terms[(r - 2, e)].flux()
+                    nu -= u[(r - 2, e)].flux()
                     deps.append(("u", r - 2, e))
-                nu -= vertex_layers[((r - 1) * mlist[l - 1], e)].flux()
+                nu -= v[((r - 1) * mlist[l - 1], e)].flux()
                 deps.append(("v", (r - 1) * mlist[l - 1], e))
-            g0_corr[(r, l)] = solve_g0(corr_spec, grids.g0, nu)
-            log.append((("U", r, l), tuple(deps)))
+            record(("U", r, l), deps, solve_g0(corr_spec, grids.g0, nu))
         for e in g.gstar_edges():
-            build_vertex_layer(P, e)
+            vertex_layer(P, e)
 
-    boundary_layers: dict[tuple[int, int], Term] = {}
     for e in g.gstar_edges():
-        L = g.edges[e].length
-        theta = spec.q[e].evaluate(L, 0.0)
         for s in range(0, p + 1):
             if s == 0:
-                trace = spec.mu[e].evaluate(0.0, times) - edge_terms[(0, e)].values[-1, :]
+                trace = spec.mu[e].evaluate(0.0, times) - u[(0, e)].values[-1, :]
             else:
-                trace = -edge_terms[(s, e)].values[-1, :]
-            lower = [(("w", s - r, e), boundary_layers[(s - r, e)])
-                     for r in range(1, s + 1)]
-            sources, sdeps = _taylor_sources(spec.q[e], L, lower, folded=True)
-            prob = QuarterPlaneProblem(theta, trace, sources, f"w[s={s},e={e}]")
-            boundary_layers[(s, e)] = qp_solve(prob, grids.layer)
-            problems[("w", s, e)] = prob
-            log.append((("w", s, e), (("u", s, e), *sdeps)))
+                trace = -u[(s, e)].values[-1, :]
+            layer(("w", s, e), g.edges[e].length, trace,
+                  [("w", s - r, e) for r in range(1, s + 1)], [("u", s, e)])
 
     verify_schedule(tuple(log))
-    es = ExpansionSet(spec, p, grids, U0, g0_corr, edge_terms, vertex_layers,
-                      boundary_layers, p_plus, tuple(log), problems)
-    for key, _ in log:
-        term = es.term(key)
-        if not all(np.isfinite(a).all()
-                   for a in (term.edges if isinstance(term, Field) else [term.values])):
-            raise NonFiniteError(f"term {key} is not finite")
-    return es
+    U0 = U.pop((0, 0))
+    return ExpansionSet(spec, p, grids, U0, powers=p_plus, build_log=tuple(log),
+                        layer_problems=problems,
+                        **{_STORE[family]: store for family, store in stores.items()})
 
 
 def partial_sum_columns(es: ExpansionSet, eps: float, grid: Grid

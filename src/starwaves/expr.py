@@ -26,6 +26,7 @@ float from two scalars, else a fresh float array of the broadcast shape of
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -389,55 +390,21 @@ class _Tok:
     pos: int
 
 
+# ASCII digits and letters only: str.isdigit would also take '²' and '٣'
+_TOKEN = re.compile(r"(?P<num>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
+                    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^()])|(?P<space>\s+)")
+
+
 def _tokenize(s: str) -> list[_Tok]:
     toks: list[_Tok] = []
     i = 0
-    n = len(s)
-    while i < n:
-        c = s[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and s[i + 1].isdigit()):
-            j = i
-            seen_dot = False
-            seen_exp = False
-            while j < n:
-                cj = s[j]
-                if cj.isdigit():
-                    j += 1
-                elif cj == "." and not seen_dot and not seen_exp:
-                    seen_dot = True
-                    j += 1
-                elif cj in "eE" and not seen_exp and j > i and (s[j - 1].isdigit() or s[j - 1] == "."):
-                    # exponent marker only if followed by digits or sign+digits
-                    k = j + 1
-                    if k < n and s[k] in "+-":
-                        k += 1
-                    if k < n and s[k].isdigit():
-                        seen_exp = True
-                        j = k + 1
-                        while j < n and s[j].isdigit():
-                            j += 1
-                    else:
-                        break
-                else:
-                    break
-            toks.append(_Tok("num", s[i:j], i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (s[j].isalnum() or s[j] == "_"):
-                j += 1
-            toks.append(_Tok("name", s[i:j], i))
-            i = j
-            continue
-        if c in "+-*/^()":
-            toks.append(_Tok("op", c, i))
-            i += 1
-            continue
-        raise ExprSyntaxError(f"unexpected character {c!r}", i)
+    while i < len(s):
+        m = _TOKEN.match(s, i)
+        if m is None:
+            raise ExprSyntaxError(f"unexpected character {s[i]!r}", i)
+        if m.lastgroup != "space":
+            toks.append(_Tok(m.lastgroup, m.group(), i))
+        i = m.end()
     return toks
 
 

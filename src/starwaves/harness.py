@@ -14,8 +14,8 @@ a second thread, in eps order, and kept whole (a solve cache, keyed by
 direct_solve's arguments, may share it); the sweep streams the series
 against it: one loop over time slabs assembles the partial sum on a
 slab's columns and adds the slab's share to the norm sums (_EdgeNorms).
-The assembled field never exists whole; norms() runs the same slab sums
-over two whole fields.
+The assembled field never exists whole; norms() runs the same slab loop
+(_slab_norms) over two whole fields.
 """
 
 from __future__ import annotations
@@ -120,7 +120,19 @@ class _EdgeNorms:
         self.h1sq += float(self.wx @ g @ wt)
 
 
-def _norm_triple(parts: list[_EdgeNorms]) -> NormTriple:
+def _slab_norms(grid: Grid, diffs) -> NormTriple:
+    """The norms of a difference handed over one time slab at a time.
+
+    diffs yields, for each edge e in turn, diff(cols): the difference on e
+    at the columns cols of a slab of time_slabs(grid.steps), in an array
+    the sums may overwrite.
+    """
+    parts = []
+    for e, diff in enumerate(diffs):
+        acc = _EdgeNorms(grid, e)
+        for cols in time_slabs(grid.steps):
+            acc.add(diff(cols), cols)
+        parts.append(acc)
     linf = float(np.max([np.max(p.linf) for p in parts]))
     l2sq = sum(p.l2sq for p in parts)
     h1sq = sum(p.h1sq for p in parts)
@@ -133,29 +145,24 @@ def norms(f1: Field, f2: Field) -> NormTriple:
     if (g1.lengths != g2.lengths or g1.n_cells != g2.n_cells
             or g1.dt != g2.dt or g1.steps != g2.steps):
         raise ValueError("fields live on different grids")
-    parts = []
-    for e, (u1, u2) in enumerate(zip(f1.edges, f2.edges)):
-        acc = _EdgeNorms(g1, e)
-        d = np.empty((g1.n_cells[e] + 1, TIME_SLAB))
-        for cols in time_slabs(g1.steps):
-            dc = d[:, :cols.stop - cols.start]
-            acc.add(np.subtract(u1[:, cols], u2[:, cols], out=dc), cols)
-        parts.append(acc)
-    return _norm_triple(parts)
+
+    def diff(u1: np.ndarray, u2: np.ndarray):
+        d = np.empty((len(u1), TIME_SLAB))
+        return lambda cols: np.subtract(u1[:, cols], u2[:, cols],
+                                        out=d[:, :cols.stop - cols.start])
+    return _slab_norms(g1, map(diff, f1.edges, f2.edges))
 
 
 def _series_errors(es: ExpansionSet, eps: float, ref: Field) -> NormTriple:
     """The norms of ref minus the series, the series assembled on ref's
     grid one edge's time slab at a time, in place of the slab's sum."""
-    grid = ref.grid
-    parts = []
-    for e, columns in enumerate(partial_sum_columns(es, eps, grid)):
-        acc = _EdgeNorms(grid, e)
-        for cols in time_slabs(grid.steps):
+    def diff(u: np.ndarray, columns):
+        def at(cols: slice) -> np.ndarray:
             V = columns(cols)
-            acc.add(np.subtract(ref.edges[e][:, cols], V, out=V), cols)
-        parts.append(acc)
-    return _norm_triple(parts)
+            return np.subtract(u[:, cols], V, out=V)
+        return at
+    return _slab_norms(ref.grid, map(diff, ref.edges,
+                                     partial_sum_columns(es, eps, ref.grid)))
 
 
 # -- what the recursion leaves, once per sweep --------------------------------
@@ -639,40 +646,31 @@ def validate_config(cfg: dict) -> RunConfig:
 
 # -- CSV writers -------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _write_lines(path: Path, lines: list[str]) -> None:
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+def _write_rows(path: str | Path, header: str, rows) -> None:
+    """The header, then one comma-separated line per row: a str as it is,
+    any number as %.17g."""
+    lines = [header] + [",".join(v if isinstance(v, str) else format(float(v), ".17g")
+                                 for v in row) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
 
 
 def write_report_csv(path: str | Path, rep: ConvergenceReport) -> None:
-    lines = ["epsilon,err_linf,err_l2,err_h1x,fitted_order,theoretical_order,pass"]
     flag = "true" if rep.passed else "false"
-    for eps, t in zip(rep.epsilons, rep.errors):
-        lines.append(",".join([_fmt(eps), _fmt(t.linf), _fmt(t.l2), _fmt(t.h1x),
-                               _fmt(rep.fitted_order),
-                               _fmt(rep.theoretical_order), flag]))
-    _write_lines(Path(path), lines)
+    _write_rows(path, "epsilon,err_linf,err_l2,err_h1x,fitted_order,theoretical_order,pass",
+                ((eps, t.linf, t.l2, t.h1x, rep.fitted_order, rep.theoretical_order, flag)
+                 for eps, t in zip(rep.epsilons, rep.errors)))
 
 
 def write_residuals_csv(path: str | Path, reports: tuple[ResidualReport, ...]) -> None:
-    lines = ["epsilon,sup_trunc,sup_nu,nu_floor"]
-    for r in reports:
-        cols = (r.eps, r.sup_trunc, r.sup_nu, r.nu_floor)
-        lines.append(",".join(map(_fmt, cols)))
-    _write_lines(Path(path), lines)
+    _write_rows(path, "epsilon,sup_trunc,sup_nu,nu_floor",
+                ((r.eps, r.sup_trunc, r.sup_nu, r.nu_floor) for r in reports))
 
 
 def write_term_residuals_csv(path: str | Path,
                              measured: tuple[TermResidual, ...]) -> None:
     """One row per term: its build_log key, residual and sup |term|."""
-    lines = ["family,k,i,residual,scale"]
-    for r in measured:
-        family, k, i = r.key
-        lines.append(f"{family},{k},{i},{_fmt(r.residual)},{_fmt(r.scale)}")
-    _write_lines(Path(path), lines)
+    _write_rows(path, "family,k,i,residual,scale",
+                ((*map(str, r.key), r.residual, r.scale) for r in measured))
 
 
 def write_grid_csv(path: str | Path, header: str, x: np.ndarray,
@@ -707,17 +705,11 @@ def write_field_csvs(outdir: str | Path, fld: Field) -> list[Path]:
 
 
 def write_trace_csv(path: str | Path, times: np.ndarray, sigma: np.ndarray) -> None:
-    lines = ["t,sigma"]
-    for t, s in zip(times, sigma):
-        lines.append(_fmt(t) + "," + _fmt(s))
-    _write_lines(Path(path), lines)
+    _write_rows(path, "t,sigma", zip(times, sigma))
 
 
 def write_plot_csv(path: str | Path, rep: ConvergenceReport) -> None:
-    lines = ["log10_eps,log10_err_l2,fitted_log10_err_l2"]
     c10 = math.log10(rep.fit_constant)
-    for eps, t in zip(rep.epsilons, rep.errors):
-        le = math.log10(eps)
-        lines.append(",".join([_fmt(le), _fmt(math.log10(t.l2)),
-                               _fmt(c10 + rep.fitted_order * le)]))
-    _write_lines(Path(path), lines)
+    _write_rows(path, "log10_eps,log10_err_l2,fitted_log10_err_l2",
+                ((math.log10(eps), math.log10(t.l2), c10 + rep.fitted_order * math.log10(eps))
+                 for eps, t in zip(rep.epsilons, rep.errors)))

@@ -30,11 +30,12 @@ def _as_array(v):
     return a, (a.ndim == 0)
 
 
-def cs(theta, t):
-    """cos(sqrt(theta) t), continued through theta <= 0 (cosh branch).
+def _branches(theta, t, series: tuple[float, float, float], trig, hyp):
+    """F(w) at w = theta t^2 for an entire F with F(0) = 1, broadcast.
 
-    Entire in w = theta t^2; near w = 0 a short series avoids the 0/0 form.
-    cs(theta, 0) = 1 exactly.
+    F(w) = 1 - w/a + w^2/b - w^3/c for |w| <= _SMALL_W, with (a, b, c) =
+    series; trig(sqrt(w)) for larger w > 0 and hyp(sqrt(-w)) for w < 0.
+    Also returns t as an array and whether theta and t were both scalars.
     """
     th, s1 = _as_array(theta)
     tt, s2 = _as_array(t)
@@ -45,12 +46,21 @@ def cs(theta, t):
     pos = (w > _SMALL_W)
     neg = (w < -_SMALL_W)
     ws = w[small]
-    out[small] = 1.0 - ws / 2.0 + ws * ws / 24.0 - ws * ws * ws / 720.0
-    out[pos] = np.cos(np.sqrt(w[pos]))
-    out[neg] = np.cosh(np.sqrt(-w[neg]))
-    if s1 and s2:
-        return float(out)
-    return out
+    a, b, c = series
+    out[small] = 1.0 - ws / a + ws * ws / b - ws * ws * ws / c
+    out[pos] = trig(np.sqrt(w[pos]))
+    out[neg] = hyp(np.sqrt(-w[neg]))
+    return out, tt, s1 and s2
+
+
+def cs(theta, t):
+    """cos(sqrt(theta) t), continued through theta <= 0 (cosh branch).
+
+    Entire in w = theta t^2; near w = 0 a short series avoids the 0/0 form.
+    cs(theta, 0) = 1 exactly.
+    """
+    out, _, scalar = _branches(theta, t, (2.0, 24.0, 720.0), np.cos, np.cosh)
+    return float(out) if scalar else out
 
 
 def sn(theta, t):
@@ -58,25 +68,10 @@ def sn(theta, t):
 
     Equals t near theta t^2 = 0; sn(theta, 0) = 0 exactly.
     """
-    th, s1 = _as_array(theta)
-    tt, s2 = _as_array(t)
-    w = th * tt * tt
-    shape = np.broadcast(th, tt).shape
-    s = np.empty(shape)
-    w = np.broadcast_to(w, shape)
-    small = np.abs(w) <= _SMALL_W
-    pos = (w > _SMALL_W)
-    neg = (w < -_SMALL_W)
-    ws = w[small]
-    s[small] = 1.0 - ws / 6.0 + ws * ws / 120.0 - ws * ws * ws / 5040.0
-    rp = np.sqrt(w[pos])
-    s[pos] = np.sin(rp) / rp
-    rn = np.sqrt(-w[neg])
-    s[neg] = np.sinh(rn) / rn
-    out = np.broadcast_to(tt, shape) * s
-    if s1 and s2:
-        return float(out)
-    return out
+    s, tt, scalar = _branches(theta, t, (6.0, 120.0, 5040.0),
+                              lambda r: np.sin(r) / r, lambda r: np.sinh(r) / r)
+    out = np.broadcast_to(tt, s.shape) * s
+    return float(out) if scalar else out
 
 
 def _check_range(z: np.ndarray) -> None:

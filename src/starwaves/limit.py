@@ -103,7 +103,10 @@ def _convolve_sn(src: np.ndarray, SN: np.ndarray, dt: float) -> np.ndarray:
     """
     nx, nt = src.shape
     out = np.zeros((nx, nt))
-    k = max(1, min(nx, len(os.sched_getaffinity(0))))
+    # the CPUs this process may use, where the OS says (Linux); else all
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    k = max(1, min(nx, cpus))
     blocks = [slice(nx * i // k, nx * (i + 1) // k) for i in range(k)]
     with ThreadPoolExecutor(max_workers=max(1, k - 1)) as pool:  # idle at k = 1
         rest = [pool.submit(_convolve_rows, src, SN, dt, out, b) for b in blocks[1:]]

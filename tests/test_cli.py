@@ -6,8 +6,8 @@ import threading
 import numpy as np
 import pytest
 
-from starwaves import cli, harness
-from starwaves.errors import StabilityError
+from starwaves import cli, expansion, harness
+from starwaves.errors import NonFiniteError, StabilityError
 from starwaves.expansion import build_expansion
 from starwaves.grid import make_expansion_grids
 from starwaves.harness import load_config, validate_config, write_grid_csv
@@ -259,14 +259,20 @@ def test_out_not_a_directory_exit_code(tmp_path, cmd):
     assert "Traceback" not in r.stderr
 
 
-def test_overflowing_series_term_exits_3_in_expand_and_verify(tmp_path):
-    # q = -3e5 makes cs/sn overflow on the degenerate edges; the direct
-    # solve stays finite, so check and solve pass, while a series term is
-    # refused where it is built, naming its build_log key
+def overflowing_cfg() -> dict:
+    # q = -3e5 makes cs/sn overflow on the degenerate edges: u_0 on edge 1,
+    # the first degenerate term built, is not finite
     cfg = json.loads(REFERENCE_CONFIG.read_text())
     cfg.update(q=["-300000 + x"] * 3, epsilons=[0.4, 0.2, 0.1])
     cfg["grid"]["n_per_edge"] = 64
-    path = write_cfg(tmp_path, cfg)
+    return cfg
+
+
+def test_overflowing_series_term_exits_3_in_expand_and_verify(tmp_path):
+    # the direct solve stays finite, so check and solve pass, while the
+    # series term is refused where it is built, naming its build_log key;
+    # nothing is marched on it, so no layer or march warns of inf or nan
+    path = write_cfg(tmp_path, overflowing_cfg())
     out = ["--out", str(tmp_path / "out")]
     for cmd, want in ((["check"], 0), (["solve", "--eps", "0.1", *out], 0),
                       (["expand", "--p", "1", *out], 3), (["verify", *out], 3)):
@@ -274,7 +280,35 @@ def test_overflowing_series_term_exits_3_in_expand_and_verify(tmp_path):
         assert r.returncode == want, (cmd, r.stderr)
         assert "Traceback" not in r.stderr, cmd
         if want == 3:
-            assert "numerical failure: term ('u', 0, 1) is not finite" in r.stderr
+            lines = r.stderr.splitlines()
+            assert lines[-1] == "numerical failure: term ('u', 0, 1) is not finite"
+            assert not [ln for ln in lines if "layers.py" in ln or "direct.py" in ln], cmd
+
+
+def test_build_stops_at_the_first_non_finite_term(tmp_path, monkeypatch):
+    # in-process: after the bad u_0 no layer is solved and no unit-speed
+    # correction is marched
+    calls = []
+    for name in ("solve_g0", "solve_degenerate_edge", "qp_solve"):
+        def traced(*args, fn=getattr(expansion, name), name=name):
+            calls.append(name)
+            return fn(*args)
+        monkeypatch.setattr(expansion, name, traced)
+    rc = validate_config(overflowing_cfg())
+    grids = make_expansion_grids(rc.spec, rc.n_per_edge, rc.cfl)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteError, match=r"^term \('u', 0, 1\) is not finite$"):
+            build_expansion(rc.spec, 1, grids)
+    assert calls == ["solve_g0", "solve_degenerate_edge"]
+
+
+def test_non_ascii_digit_in_an_expression_is_a_config_error(tmp_path):
+    cfg = small_cfg()
+    cfg["q"][0] = "1 + x*\u00b2"
+    r = run_cli("check", write_cfg(tmp_path, cfg))
+    assert r.returncode == 2, r.stderr
+    assert "config error: q[0]: unexpected character '\u00b2' (at offset 6)" in r.stderr
+    assert "Traceback" not in r.stderr
 
 
 def test_verify_exits_3_on_a_nan_error(tmp_path, monkeypatch, capsys):

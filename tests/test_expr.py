@@ -54,6 +54,11 @@ def test_syntax_errors_carry_offset():
     with pytest.raises(ExprSyntaxError) as ei:
         parse("x +")
     assert ei.value.offset == 3
+    # str.isdigit takes '²' and '٣'; the grammar's digits are ASCII
+    for src, offset in (("x*\u00b2", 2), ("\u0663*x", 0)):
+        with pytest.raises(ExprSyntaxError, match=f"unexpected character {src[offset]!r}") as ei:
+            parse(src)
+        assert ei.value.offset == offset
     with pytest.raises(ExprSyntaxError):
         parse("foo(x)")
     with pytest.raises(ExprSyntaxError):

@@ -204,15 +204,10 @@ def test_spline_leaves_a_layers_values_unchanged():
     assert not any(np.shares_memory(b, values) for b in sp.blocks)
 
 
-def test_spline_rejects_non_finite_values_and_a_singular_matrix():
-    x_nodes, t_nodes, values = _front_case(41)
-    values = values.copy()
-    values[7, TIME_SLAB + 3] = np.nan
-    with pytest.raises(ValueError, match="infs or NaNs"):
-        SeparableSpline(x_nodes, t_nodes, values)
-    values[7, TIME_SLAB + 3] = np.inf
-    with pytest.raises(ValueError, match="infs or NaNs"):
-        SeparableSpline(x_nodes, t_nodes, values)
+def test_spline_rejects_a_singular_matrix():
+    # values are not checked here: every array fitted was checked where it
+    # was made (build_expansion's recorder, the sweep's finite norms)
+    x_nodes, t_nodes, _ = _front_case(41)
     twice = np.r_[x_nodes[:20], x_nodes[20], x_nodes[20:]]  # a node repeated
     with pytest.raises(LinAlgError, match="singular"):
         SeparableSpline(twice, t_nodes, np.ones((len(twice), len(t_nodes))))

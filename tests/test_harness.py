@@ -531,6 +531,55 @@ def test_field_and_trace_csvs(tmp_path):
     assert len(tl) == grid.steps + 2
 
 
+def test_report_csvs_golden_bytes(tmp_path):
+    # the five row-written CSVs of a hand-made report and trace, byte for
+    # byte: %.17g digits, -0 and subnormals, the pass flag, the key columns
+    eps = (0.4, 0.2, 0.1)
+    errors = (NormTriple(1.0 / 3.0, 2.5e-17, 1e300), NormTriple(-0.0, 0.1, 7.0),
+              NormTriple(5e-324, 1e-3, 2.0 / 3.0))
+    res = (ResidualReport(0.4, 2, np.zeros(2), 1e-300, 0.0, 1.0 / 7.0),
+           ResidualReport(0.2, 2, np.zeros(2), -0.0, 3e-20, 123456789.0),
+           ResidualReport(0.1, 2, np.zeros(2), 6.02e23, 1.0 / 3.0, 0.0))
+    terms = (TermResidual(("U", 1, 2), 1.0 / 3.0, 0.0),
+             TermResidual(("w", 4, 12), -0.0, 1e-310))
+    rep = ConvergenceReport(2, eps, errors, 2.4999, 0.7, 1e-15, 2.5, 0.3, True, 1e-5,
+                            False, res, 3.25, math.nan, terms)
+    write_report_csv(tmp_path / "report.csv", rep)
+    write_residuals_csv(tmp_path / "residuals.csv", rep.residual_reports)
+    write_term_residuals_csv(tmp_path / "term_residuals.csv", rep.term_residuals)
+    write_plot_csv(tmp_path / "plot.csv", rep)
+    write_trace_csv(tmp_path / "trace.csv", np.array([0.0, 0.1, 1.0 / 3.0]),
+                    np.array([-0.0, 1e-17, -2.5]))
+    want = {
+        "report.csv":
+            b"epsilon,err_linf,err_l2,err_h1x,fitted_order,theoretical_order,pass\n"
+            b"0.40000000000000002,0.33333333333333331,2.4999999999999999e-17,"
+            b"1.0000000000000001e+300,2.4998999999999998,2.5,false\n"
+            b"0.20000000000000001,-0,0.10000000000000001,7,2.4998999999999998,2.5,false\n"
+            b"0.10000000000000001,4.9406564584124654e-324,0.001,0.66666666666666663,"
+            b"2.4998999999999998,2.5,false\n",
+        "residuals.csv":
+            b"epsilon,sup_trunc,sup_nu,nu_floor\n"
+            b"0.40000000000000002,0.14285714285714285,1e-300,0\n"
+            b"0.20000000000000001,123456789,-0,3.0000000000000003e-20\n"
+            b"0.10000000000000001,0,6.02e+23,0.33333333333333331\n",
+        "term_residuals.csv":
+            b"family,k,i,residual,scale\n"
+            b"U,1,2,0.33333333333333331,0\n"
+            b"w,4,12,-0,9.9999999999999694e-311\n",
+        "plot.csv":
+            b"log10_eps,log10_err_l2,fitted_log10_err_l2\n"
+            b"-0.3979400086720376,-16.602059991327963,-1.1497121876649699\n"
+            b"-0.69897000433601875,-1,-1.9022570738253561\n"
+            b"-1,-3,-2.6548019599857429\n",
+        "trace.csv":
+            b"t,sigma\n0,-0\n0.10000000000000001,1.0000000000000001e-17\n"
+            b"0.33333333333333331,-2.5\n",
+    }
+    for name, raw in want.items():
+        assert (tmp_path / name).read_bytes() == raw, name
+
+
 def test_grid_csv_rejects_mismatched_shapes(tmp_path):
     # rows are zipped with x, so a short or long u, or one with another
     # number of times, would write a truncated or misaligned CSV

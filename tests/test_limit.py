@@ -126,6 +126,18 @@ def test_convolve_split_is_bit_equal_to_one_block(monkeypatch, shape, cpus):
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+@pytest.mark.parametrize("cpus", [None, 1, 2, 7])
+def test_convolve_split_counts_cpus_without_affinity(monkeypatch, cpus):
+    # an OS without sched_getaffinity (macOS, Windows): os.cpu_count()
+    # blocks, one where it knows no count, and the same bits
+    src, SN, dt = _convolve_case(201, 334)
+    want = convolve_sn_reference(src, SN, dt)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    got = limit._convolve_sn(src, SN, dt)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 @pytest.mark.parametrize("bad", [0, 2])
 def test_convolve_block_error_surfaces_and_no_thread_outlives(monkeypatch, bad):
     # a block that raises, on the calling thread (0) or in the pool (2):
