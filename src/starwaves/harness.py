@@ -20,6 +20,7 @@ The assembled field never exists whole; norms() runs the same slab loop
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 import sys
@@ -364,6 +365,23 @@ class ConvergenceReport:
     note: str = NORM_NOTE
 
 
+try:  # glibc; elsewhere the heap keeps its free pages
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+except (AttributeError, OSError, TypeError):
+    _malloc_trim = None
+
+
+def _trim_heap() -> None:
+    """Give the heap's free pages back to the system, where glibc allows it.
+
+    Otherwise the freed series stays resident, and whether the coarse field
+    fits into it depends on how the two threads' allocations interleaved:
+    the sweep's peak RSS then differs by that field from one run to the next.
+    """
+    if _malloc_trim is not None:
+        _malloc_trim(0)
+
+
 def convergence_sweep(spec: ProblemSpec, p: int, epsilons: tuple[float, ...],
                       n_per_edge: int = 640, cfl: float = 0.9,
                       margin: float = 0.3, cache: dict | None = None,
@@ -447,8 +465,10 @@ def convergence_sweep(spec: ProblemSpec, p: int, epsilons: tuple[float, ...],
         pool.shutdown(cancel_futures=True)
 
     # nothing below reads the series: unless the caller holds it, its terms
-    # and splines are freed before the coarse solve, the sweep's last peak
+    # and splines are freed before the coarse solve, the sweep's last peak,
+    # and the heap's free pages go back to the system
     del expansion
+    _trim_heap()
     ref_f = ref  # the last eps's, eps_min's
     key = (spec, eps_min, grid_c)
     ref_c = cache.get(key)

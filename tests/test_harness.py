@@ -241,6 +241,25 @@ def test_prefetched_sweep_equals_the_sweep_on_a_filled_cache():
             assert np.array_equal(u, v)
 
 
+def test_sweep_trims_the_heap_once_before_the_coarse_solve(monkeypatch):
+    # the trim sits between the series' release and the coarse solve; where
+    # the C library has no malloc_trim the report is the same
+    calls = []
+    solve = harness.direct_solve
+
+    def recording_solve(spec, eps, grid):
+        calls.append(("solve", grid))
+        return solve(spec, eps, grid)
+    monkeypatch.setattr(harness, "direct_solve", recording_solve)
+    monkeypatch.setattr(harness, "_malloc_trim", lambda pad: calls.append(("trim", pad)))
+    rep = small_sweep()
+    coarse = coarsen(small_key(SMALL_EPS[-1])[2])
+    assert calls[-2:] == [("trim", 0), ("solve", coarse)]
+    assert [c for c in calls if c[0] == "trim"] == [("trim", 0)]
+    monkeypatch.setattr(harness, "_malloc_trim", None)
+    assert repr(small_sweep()) == repr(rep)
+
+
 @pytest.mark.parametrize("where", ["worker", "here"])
 def test_sweep_error_surfaces_with_its_type_and_leaves_no_thread(monkeypatch, where):
     # a solve failing at the second eps on the worker thread, or the build
