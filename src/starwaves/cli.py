@@ -14,9 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from .direct import direct_solve
-from .errors import (ExpansionOrderError, ExprDomainError, ExprSyntaxError,
-                     GraphConfigError, KernelRangeError, NonFiniteError,
-                     StabilityError)
+from .errors import (ExprDomainError, ExprSyntaxError, GraphConfigError,
+                     NonFiniteError, StabilityError)
 from .expansion import ExpansionSet, build_expansion
 from .graph import check_compatibility_C1, check_compatibility_C2
 from .grid import make_direct_grid, make_expansion_grids
@@ -179,8 +178,7 @@ def main(argv=None) -> int:
     except (GraphConfigError, ExprSyntaxError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (StabilityError, KernelRangeError, ExpansionOrderError,
-            ExprDomainError, NonFiniteError) as exc:
+    except (StabilityError, ExprDomainError, NonFiniteError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -34,13 +34,5 @@ class StabilityError(StarwavesError):
     """Raised when a requested time step violates the explicit-scheme stability bound."""
 
 
-class KernelRangeError(StarwavesError):
-    """Raised when a kernel argument is outside the supported range."""
-
-
-class ExpansionOrderError(StarwavesError):
-    """Raised for an unsupported expansion order."""
-
-
 class NonFiniteError(StarwavesError):
     """Raised when a series term, or a measured error or remainder, is nan or infinite."""

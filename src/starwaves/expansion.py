@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .direct import Field
-from .errors import ExpansionOrderError, GraphConfigError, NonFiniteError
+from .errors import GraphConfigError, NonFiniteError
 from .expr import Const, Expr
 from .graph import ProblemSpec, require_compatibility_C1, restrict_to_g0
 from .grid import ExpansionGrids, Grid, Term
@@ -157,13 +157,13 @@ def _zero_g0_spec(spec_g0: ProblemSpec) -> ProblemSpec:
 def build_expansion(spec: ProblemSpec, p: int, grids: ExpansionGrids) -> ExpansionSet:
     """Compute all terms up to order p in dependency order.
 
-    Raises when C1 compatibility fails or p exceeds the practical bound
-    (grid differentiation error compounds through the edge recursion),
-    and NonFiniteError naming the first term that holds a nan or inf, as
-    soon as it is made: no later term is built on it.
+    Raises GraphConfigError when C1 compatibility fails or p exceeds the
+    practical bound (grid differentiation error compounds through the edge
+    recursion), and NonFiniteError naming the first term that holds a nan
+    or inf, as soon as it is made: no later term is built on it.
     """
     if not (0 <= p <= MAX_ORDER):
-        raise ExpansionOrderError(f"order must lie in 0..{MAX_ORDER}, got {p}")
+        raise GraphConfigError(f"p: must be >= 0 and <= {MAX_ORDER}")
     require_compatibility_C1(spec)
 
     g = spec.graph

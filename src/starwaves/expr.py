@@ -16,7 +16,10 @@ Grammar accepted by :func:`parse`::
     func    := sin | cos | exp | sqrt | cosh | sinh
 
 Exponents are restricted to integer literals so that repeated
-differentiation stays inside the language.
+differentiation stays inside the language.  A tree may be at most
+``MAX_DEPTH`` levels deep, counting one for each operator, sign, function
+call and pair of parentheses; a deeper one raises :class:`ExprSyntaxError`
+at the token that passes the limit.
 
 :meth:`Expr.evaluate` alone fixes the type and shape of a value: a Python
 float from two scalars, else a fresh float array of the broadcast shape of
@@ -57,6 +60,11 @@ __all__ = [
 ]
 
 MAX_DIFF_ORDER = 12
+# The deepest tree parse accepts, in levels: each operator, sign, function
+# call and pair of parentheses is one.  The parser and every Expr method
+# recurse once or more per level, and a derivative is deeper than its
+# expression, so this keeps well inside Python's default recursion limit.
+MAX_DEPTH = 100
 
 _NUMPY_FUNCS = {name: getattr(np, name)
                 for name in ("sin", "cos", "exp", "sqrt", "cosh", "sinh")}
@@ -410,9 +418,15 @@ def _tokenize(s: str) -> list[_Tok]:
 
 @dataclass
 class _Parser:
+    """Recursive descent over the tokens.  Each parse_* returns the tree and
+    its depth in levels; nest counts the groups, calls and signs open around
+    the current token, which parse_nested refuses past MAX_DEPTH before it
+    recurses."""
+
     toks: list[_Tok]
     src_len: int
     pos: int = 0
+    nest: int = 0
 
     def peek(self) -> _Tok | None:
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -431,44 +445,64 @@ class _Parser:
             raise ExprSyntaxError(f"expected {text!r}", where)
         self.pos += 1
 
-    def parse_expr(self) -> Expr:
-        e = self.parse_term()
+    def level(self, depth: int, tok: _Tok) -> int:
+        """depth, if the tree around it stays within MAX_DEPTH levels."""
+        if self.nest + depth > MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels",
+                                  tok.pos)
+        return depth
+
+    def parse_nested(self, tok: _Tok, parse) -> tuple[Expr, int]:
+        """parse() one level below tok: the inside of a group or a call, or
+        the operand of a sign."""
+        self.level(1, tok)
+        self.nest += 1
+        e, d = parse()
+        self.nest -= 1
+        return e, d + 1
+
+    def parse_expr(self) -> tuple[Expr, int]:
+        e, d = self.parse_term()
         while True:
             t = self.peek()
             if t is not None and t.kind == "op" and t.text in "+-":
                 self.pos += 1
-                rhs = self.parse_term()
+                rhs, dr = self.parse_term()
                 e = add(e, rhs) if t.text == "+" else sub(e, rhs)
+                d = self.level(max(d, dr) + 1, t)
             else:
-                return e
+                return e, d
 
-    def parse_term(self) -> Expr:
-        e = self.parse_factor()
+    def parse_term(self) -> tuple[Expr, int]:
+        e, d = self.parse_factor()
         while True:
             t = self.peek()
             if t is not None and t.kind == "op" and t.text in "*/":
                 self.pos += 1
-                rhs = self.parse_factor()
+                rhs, dr = self.parse_factor()
                 e = mul(e, rhs) if t.text == "*" else div(e, rhs)
+                d = self.level(max(d, dr) + 1, t)
             else:
-                return e
+                return e, d
 
-    def parse_factor(self) -> Expr:
+    def parse_factor(self) -> tuple[Expr, int]:
         t = self.peek()
         if t is not None and t.kind == "op" and t.text == "-":
             self.pos += 1
-            return neg(self.parse_factor())
+            e, d = self.parse_nested(t, self.parse_factor)
+            return neg(e), d
         return self.parse_power()
 
-    def parse_power(self) -> Expr:
-        e = self.parse_atom()
+    def parse_power(self) -> tuple[Expr, int]:
+        e, d = self.parse_atom()
         while True:
             t = self.peek()
             if t is not None and t.kind == "op" and t.text == "^":
                 self.pos += 1
                 e = pow_int(e, self.parse_int_literal())
+                d = self.level(d + 1, t)
             else:
-                return e
+                return e, d
 
     def parse_int_literal(self) -> int:
         sign = 1
@@ -485,27 +519,27 @@ class _Parser:
         self.pos += 1
         return sign * int(t.text)
 
-    def parse_atom(self) -> Expr:
+    def parse_atom(self) -> tuple[Expr, int]:
         t = self.next()
         if t.kind == "num":
-            return const(float(t.text))
+            return const(float(t.text)), 0
         if t.kind == "name":
             if t.text == "pi":
-                return const(math.pi)
+                return const(math.pi), 0
             if t.text == "e":
-                return const(math.e)
+                return const(math.e), 0
             if t.text in ("x", "t"):
-                return var(t.text)
+                return var(t.text), 0
             if t.text in _NUMPY_FUNCS:
                 self.expect_op("(")
-                arg = self.parse_expr()
+                arg, d = self.parse_nested(t, self.parse_expr)
                 self.expect_op(")")
-                return call(t.text, arg)
+                return call(t.text, arg), d
             raise ExprSyntaxError(f"unknown name {t.text!r}", t.pos)
         if t.kind == "op" and t.text == "(":
-            e = self.parse_expr()
+            e, d = self.parse_nested(t, self.parse_expr)
             self.expect_op(")")
-            return e
+            return e, d
         raise ExprSyntaxError(f"unexpected token {t.text!r}", t.pos)
 
 
@@ -517,7 +551,7 @@ def parse(s: str) -> Expr:
     """
     toks = _tokenize(s)
     p = _Parser(toks, len(s))
-    e = p.parse_expr()
+    e, _ = p.parse_expr()
     rest = p.peek()
     if rest is not None:
         raise ExprSyntaxError(f"trailing input {rest.text!r}", rest.pos)

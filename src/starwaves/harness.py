@@ -519,9 +519,10 @@ class RunConfig:
 
 
 def load_config(path: str | Path) -> dict:
+    """The JSON object in a UTF-8 config file; GraphConfigError if it cannot be read."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise GraphConfigError(f"cannot read config: {exc}") from exc
     try:
         cfg = json.loads(text)

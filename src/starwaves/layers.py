@@ -28,16 +28,13 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import GraphConfigError
 from .grid import BAND_PAD, LAYER_MARGIN, LayerGrid, Term
-from .kernels import dt_kernel, phi_entire
 
 __all__ = [
     "QuarterPlaneProblem",
     "qp_solve",
-    "qp_oracle_below_characteristic",
     "sample_physical",
 ]
 
@@ -111,7 +108,7 @@ def qp_solve(prob: QuarterPlaneProblem, grid: LayerGrid,
     (band + 1, steps + 1) like every other layer array.
 
     initial is a test-only mode: rows (v(., 0), v_t(., 0)) for comparison
-    against the integral-representation oracle.
+    against the tests' integral-representation oracle.
     """
     if grid.L + 1e-9 < grid.steps * grid.dt + LAYER_MARGIN:
         raise GraphConfigError("layer grid too short: support could reach the far end")
@@ -178,32 +175,6 @@ def qp_solve(prob: QuarterPlaneProblem, grid: LayerGrid,
         if g is not None:
             W[m + 1, 0] = g[m + 1]
     return Term(W.T, grid.xi_nodes(), grid.times(), prob.label)
-
-
-def qp_oracle_below_characteristic(theta: float, alpha: Callable[[float], float],
-                                   beta: Callable[[float], float],
-                                   s: float, t: float, tol: float = 1e-10) -> float:
-    """Closed-form solution value strictly below the leading characteristic.
-
-    Valid for s - t > 0, where the trace at xi = 0 has no influence and
-    v(s,t) = (alpha(s+t) + alpha(s-t))/2
-            + 1/2 int_{s-t}^{s+t} (k beta + d_t k alpha) dy.
-    The tabulated kernel is written for the opposite sign convention of the
-    zero-order term, so it is evaluated at -theta here.
-    """
-    if s - t <= 0:
-        raise ValueError(f"representation requires s - t > 0, got s={s}, t={t}")
-    half = 0.5 * (alpha(s + t) + alpha(s - t))
-    if t == 0:
-        return half
-
-    def integrand(y: float) -> float:
-        k = phi_entire(-theta * ((s - y) ** 2 - t * t))
-        dk = dt_kernel(-theta, t, s, y)
-        return k * beta(y) + dk * alpha(y)
-
-    val, _ = quad(integrand, s - t, s + t, epsabs=tol, epsrel=tol, limit=200)
-    return half + 0.5 * val
 
 
 def sample_physical(term: Term, eps: float, m: int, edge_length: float,

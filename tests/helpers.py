@@ -1,9 +1,12 @@
-"""Shared builders for the test suite."""
+"""Shared builders and oracles for the test suite."""
 
 import math
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
+from scipy import special
+from scipy.integrate import quad
 from scipy.interpolate import BSpline, RectBivariateSpline, make_interp_spline
 
 from starwaves.direct import Field
@@ -12,6 +15,7 @@ from starwaves.graph import Edge, ProblemSpec, StarGraph
 from starwaves.harness import NormTriple
 from starwaves.grid import (TIME_SLAB, Grid, SeparableSpline, one_sided_diff, time_slabs,
                             trapezoid_weights)
+from starwaves.kernels import _as_array
 from starwaves.layers import sample_physical
 from starwaves.limit import simpson_weights
 
@@ -230,6 +234,105 @@ def qp_march_reference(prob, grid, initial=None):
         if g is not None:
             V[0, m + 1] = g[m + 1]
     return V
+
+
+# The oracle of the layer solves (acceptance gates 4 and 8): the Bessel
+# kernel Phi(z) = sum_n (-z/4)^n / (n!)^2, which equals J0(sqrt(z)) for
+# z >= 0 and I0(sqrt(-z)) for z < 0, its derivative, and the quarter-plane
+# integral representation built on them.  A plain double series loses too
+# many digits to cancellation for large positive z (the largest term at
+# z = 400 is about 8e6 while the value is below 1e-1), so the branches are
+# evaluated with the scipy Bessel routines, which hold relative error near
+# machine precision on the whole supported range.
+MAX_ABS_Z = 1.0e6
+_SMALL_Z = 1.0e-8
+
+
+def _check_range(z: np.ndarray) -> None:
+    if np.any(np.abs(z) > MAX_ABS_Z):
+        raise ValueError(f"kernel argument exceeds |z| <= {MAX_ABS_Z:g}")
+    if np.any(~np.isfinite(z)):
+        raise ValueError("kernel argument must be finite")
+
+
+def phi_entire(z):
+    """Phi(z) = J0(sqrt(z)) for z >= 0, I0(sqrt(-z)) for z < 0.
+
+    Supported for |z| <= 1e6.  Note I0 overflows double precision near
+    z = -5e5 and the result is inf there; the acceptance range [-100, 400]
+    is far from overflow.
+    """
+    za, scalar = _as_array(z)
+    _check_range(za)
+    out = np.empty(za.shape)
+    pos = za >= 0.0
+    out[pos] = special.j0(np.sqrt(za[pos]))
+    out[~pos] = special.i0(np.sqrt(-za[~pos]))
+    return float(out) if scalar else out
+
+
+def phi_entire_deriv(z):
+    """Derivative of phi_entire; equals -1/4 at z = 0.
+
+    -J1(sqrt(z))/(2 sqrt(z)) for z > 0 and -I1(sqrt(-z))/(2 sqrt(-z)) for
+    z < 0; a series bridges the removable singularity at 0.
+    """
+    za, scalar = _as_array(z)
+    _check_range(za)
+    out = np.empty(za.shape)
+    small = np.abs(za) <= _SMALL_Z
+    pos = za > _SMALL_Z
+    neg = za < -_SMALL_Z
+    zs = za[small]
+    out[small] = -0.25 * (1.0 - zs / 8.0 + zs * zs / 192.0)
+    rp = np.sqrt(za[pos])
+    out[pos] = -special.j1(rp) / (2.0 * rp)
+    rn = np.sqrt(-za[neg])
+    out[neg] = -special.i1(rn) / (2.0 * rn)
+    return float(out) if scalar else out
+
+
+def dt_kernel(theta, t, s, y):
+    """Time derivative of the quarter-plane kernel Phi(theta((s-y)^2 - t^2)).
+
+    Returns -2 theta t Phi'(theta ((s-y)^2 - t^2)).  Identically zero for
+    theta = 0 (the d'Alembert reduction) and for t = 0 (even in t).
+    """
+    th, s1 = _as_array(theta)
+    ta, s2 = _as_array(t)
+    sa, s3 = _as_array(s)
+    ya, s4 = _as_array(y)
+    arg = th * ((sa - ya) ** 2 - ta * ta)
+    out = -2.0 * th * ta * phi_entire_deriv(arg)
+    if s1 and s2 and s3 and s4:
+        return float(out)
+    return out
+
+
+def qp_oracle_below_characteristic(theta: float, alpha: Callable[[float], float],
+                                   beta: Callable[[float], float],
+                                   s: float, t: float, tol: float = 1e-10) -> float:
+    """Closed-form solution value strictly below the leading characteristic.
+
+    Valid for s - t > 0, where the trace at xi = 0 has no influence and
+    v(s,t) = (alpha(s+t) + alpha(s-t))/2
+            + 1/2 int_{s-t}^{s+t} (k beta + d_t k alpha) dy.
+    The tabulated kernel is written for the opposite sign convention of the
+    zero-order term, so it is evaluated at -theta here.
+    """
+    if s - t <= 0:
+        raise ValueError(f"representation requires s - t > 0, got s={s}, t={t}")
+    half = 0.5 * (alpha(s + t) + alpha(s - t))
+    if t == 0:
+        return half
+
+    def integrand(y: float) -> float:
+        k = phi_entire(-theta * ((s - y) ** 2 - t * t))
+        dk = dt_kernel(-theta, t, s, y)
+        return k * beta(y) + dk * alpha(y)
+
+    val, _ = quad(integrand, s - t, s + t, epsabs=tol, epsrel=tol, limit=200)
+    return half + 0.5 * val
 
 
 def direct_march_reference(spec, grid, b, nu):

@@ -16,11 +16,11 @@ from starwaves.direct import energy
 from starwaves.expansion import assemble_partial_sum, build_expansion
 from starwaves.grid import LayerGrid, make_direct_grid, make_expansion_grids
 from starwaves.harness import convergence_sweep, load_config, validate_config
-from starwaves.kernels import cs, phi_entire, sn
-from starwaves.layers import (QuarterPlaneProblem,
-                              qp_oracle_below_characteristic, qp_solve)
+from starwaves.kernels import cs, sn
+from starwaves.layers import QuarterPlaneProblem, qp_solve
 
-from .helpers import REFERENCE_CONFIG, star_spec, zero_padded
+from .helpers import (REFERENCE_CONFIG, phi_entire, qp_oracle_below_characteristic,
+                      star_spec, zero_padded)
 from .test_direct import (_eigenmode_error, _manufactured_error,
                           manufactured_spec)
 from .test_kernels import phi_series_decimal

@@ -311,6 +311,40 @@ def test_non_ascii_digit_in_an_expression_is_a_config_error(tmp_path):
     assert "Traceback" not in r.stderr
 
 
+SUBCOMMANDS = [("check",), ("solve", "--eps", "0.1"), ("expand",), ("verify",)]
+
+
+def run_subcommand(tmp_path, cmd, cfg_path):
+    out = [] if cmd[0] == "check" else ["--out", str(tmp_path / "out")]
+    return run_cli(cmd[0], cfg_path, *cmd[1:], *out)
+
+
+@pytest.mark.parametrize("cmd", SUBCOMMANDS, ids=lambda c: c[0])
+def test_config_not_utf8_exit_code(tmp_path, cmd):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b'{"graph": "\xff\xfe"}')
+    r = run_subcommand(tmp_path, cmd, str(path))
+    assert r.returncode == 2, r.stderr
+    assert "config error: cannot read config: 'utf-8' codec can't decode" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("field,i,src,offset", [
+    ("q", 0, "+".join(["x"] * 2000), 201),
+    ("phi", 1, "(" * 600 + "cos(pi*x/2)" + ")" * 600, 100)], ids=["sum", "parentheses"])
+@pytest.mark.parametrize("cmd", SUBCOMMANDS, ids=lambda c: c[0])
+def test_deeply_nested_expression_exit_code(tmp_path, cmd, field, i, src, offset):
+    # a tree past the parser's depth limit is refused before anything
+    # recurses through it
+    cfg = json.loads(REFERENCE_CONFIG.read_text())
+    cfg[field][i] = src
+    r = run_subcommand(tmp_path, cmd, write_cfg(tmp_path, cfg))
+    assert r.returncode == 2, r.stderr
+    assert (f"config error: {field}[{i}]: expression nested deeper than 100 levels "
+            f"(at offset {offset})") in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_verify_exits_3_on_a_nan_error(tmp_path, monkeypatch, capsys):
     # one nan node in a direct field: verify reports a numerical failure
     # naming the eps and the norm, not a config error

@@ -8,7 +8,7 @@ from hypothesis import given, reject
 from hypothesis import strategies as st
 
 from starwaves.errors import ExprDomainError, ExprSyntaxError
-from starwaves.expr import Const, parse
+from starwaves.expr import MAX_DEPTH, Const, parse
 
 
 def test_basic_arithmetic():
@@ -67,6 +67,48 @@ def test_syntax_errors_carry_offset():
         parse("(x")
     with pytest.raises(ExprSyntaxError):
         parse("")
+
+
+# Each shape at n levels, and the offset of its level-n token: one operator,
+# sign, call or pair of parentheses per level.
+DEPTH_SHAPES = {
+    "sum": (lambda n: "+".join(["x"] * (n + 1)), lambda n: 2 * n - 1),
+    "product": (lambda n: "*".join(["x"] * (n + 1)), lambda n: 2 * n - 1),
+    "power": (lambda n: "x" + "^1" * n, lambda n: 2 * n - 1),
+    "sign": (lambda n: "-" * n + "x", lambda n: n - 1),
+    "parentheses": (lambda n: "(" * n + "x" + ")" * n, lambda n: n - 1),
+    "calls": (lambda n: "sin(" * n + "x" + ")" * n, lambda n: 4 * (n - 1)),
+    "cos in parentheses": (lambda n: "(" * (n - 3) + "cos(pi*x/2)" + ")" * (n - 3),
+                           lambda n: n - 3 + 8),
+}
+
+
+@pytest.mark.parametrize("shape", DEPTH_SHAPES)
+def test_depth_limit_both_sides(shape):
+    src, offset = DEPTH_SHAPES[shape]
+    parse(src(MAX_DEPTH))
+    with pytest.raises(ExprSyntaxError,
+                       match=f"nested deeper than {MAX_DEPTH} levels") as ei:
+        parse(src(MAX_DEPTH + 1))
+    assert ei.value.offset == offset(MAX_DEPTH + 1)
+
+
+def test_depth_limit_refuses_before_the_recursion_limit():
+    # far past the limit: refused before parse or free_vars can run out of
+    # Python's stack on them
+    for src in ("(" * 600 + "cos(pi*x/2)" + ")" * 600, "+".join(["x"] * 2000)):
+        with pytest.raises(ExprSyntaxError, match="nested deeper"):
+            parse(src)
+
+
+@pytest.mark.parametrize("shape", ["sum", "sign", "parentheses", "cos in parentheses"])
+def test_tree_at_the_depth_limit_takes_four_derivatives(shape):
+    e = parse(DEPTH_SHAPES[shape][0](MAX_DEPTH))
+    d4 = e.diff_n("x", 4)
+    assert e.free_vars() == {"x"}
+    assert math.isfinite(d4.evaluate(0.3, 0.2))
+    assert d4.evaluate(np.linspace(0, 1, 5), 0.2).shape == (5,)
+    hash(d4)
 
 
 def test_domain_errors():

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 
 from starwaves import expansion, harness
 from starwaves.direct import Field, direct_solve
-from starwaves.errors import (ExpansionOrderError, GraphConfigError, NonFiniteError,
-                              StabilityError)
+from starwaves.errors import GraphConfigError, NonFiniteError, StabilityError
 from starwaves.expansion import build_expansion
 from starwaves.grid import (TIME_SLAB, Grid, coarsen, make_direct_grid,
                             make_expansion_grids)
@@ -272,13 +271,13 @@ def test_sweep_error_surfaces_with_its_type_and_leaves_no_thread(monkeypatch, wh
         return solve(spec, eps, grid)
 
     def failing_build(*args, **kwargs):
-        raise ExpansionOrderError("build failed")
+        raise NonFiniteError("build failed")
     if where == "worker":
         monkeypatch.setattr(harness, "direct_solve", failing_solve)
         want = (StabilityError, "solve failed at eps=0.45")
     else:
         monkeypatch.setattr(harness, "build_expansion", failing_build)
-        want = (ExpansionOrderError, "build failed")
+        want = (NonFiniteError, "build failed")
     before = threading.active_count()
     cache: dict = {}
     with pytest.raises(want[0], match=want[1]):

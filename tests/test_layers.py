@@ -3,11 +3,10 @@ import pytest
 
 from starwaves.errors import GraphConfigError
 from starwaves.grid import LayerGrid, SeparableSpline, Term
-from starwaves.layers import (BAND_PAD, QuarterPlaneProblem,
-                              qp_oracle_below_characteristic, qp_solve,
-                              sample_physical)
+from starwaves.layers import BAND_PAD, QuarterPlaneProblem, qp_solve, sample_physical
 
-from .helpers import qp_march_reference, sampled, spline_oracle, zero_padded
+from .helpers import (qp_march_reference, qp_oracle_below_characteristic, sampled,
+                      spline_oracle, zero_padded)
 
 
 def wave_grid(dt: float, T: float, pad: float = 2.0) -> LayerGrid:

@@ -31,6 +31,20 @@ def test_root_import_loads_no_submodule():
     assert r.stdout.split() == ["[]", "[]"]
 
 
+def test_package_ships_no_test_oracle():
+    # the Bessel kernels and the quadrature of the layer oracle live in the
+    # tests, so the CLI does not import scipy.integrate (scipy.special still
+    # comes in with scipy.interpolate)
+    code = ("import sys, starwaves.cli, starwaves.errors, starwaves.kernels; "
+            "print('scipy.integrate' in sys.modules); "
+            "print(starwaves.kernels.__all__); "
+            "print([n for n in ('KernelRangeError', 'ExpansionOrderError') "
+            "if hasattr(starwaves.errors, n)])")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, check=True)
+    assert r.stdout.splitlines() == ["False", "['cs', 'sn']", "[]"]
+
+
 def test_traced_names_are_the_home_functions(monkeypatch):
     # the benchmark tracer swaps these names in the calling modules; a
     # renamed import would leave calls untraced with only a stderr note
