@@ -120,7 +120,10 @@ def check_cfl(spec: ProblemSpec, eps: float, grid: Grid, cfl: float = 1.0) -> No
             f"dt={grid.dt:.6e} exceeds the stability bound {cfl * bound:.6e}")
 
 
-def _even_ceil(x: float) -> int:
+def _even_ceil(x: float, field: str) -> int:
+    """The even integer at or above x, a grid count that the config field sets."""
+    if not math.isfinite(x):
+        raise GraphConfigError(f"{field}: the grid count it gives is not finite")
     n = math.ceil(x - 1e-12)
     return n + (n % 2)
 
@@ -140,12 +143,16 @@ def make_direct_grid(spec: ProblemSpec, eps: float, n_per_edge: int, cfl: float)
         n = n_per_edge
         m = g.m(e)
         if m > 0:
-            n = max(n, _even_ceil(8.0 * g.edges[e].length / eps ** m))
+            field = f"graph.exponents[{g.edges[e].subgraph}]"
+            # the stiffness eps^(2m) divides the step bound below
+            if b_eps(spec, eps, e) == 0.0:
+                raise GraphConfigError(f"{field}: eps^(2m) underflows to 0 at eps={eps}")
+            n = max(n, _even_ceil(8.0 * g.edges[e].length / eps ** m, field))
         n_cells.append(n + (n % 2))
     lengths = tuple(g.edges[e].length for e in range(g.n_edges))
     bound = min(lengths[e] / n_cells[e] / math.sqrt(b_eps(spec, eps, e))
                 for e in range(g.n_edges))
-    steps = _even_ceil(spec.T / (cfl * bound))
+    steps = _even_ceil(spec.T / (cfl * bound), "T")
     grid = Grid(lengths, tuple(n_cells), spec.T / steps, steps)
     check_cfl(spec, eps, grid, cfl)
     return grid
@@ -188,18 +195,22 @@ def make_expansion_grids(spec: ProblemSpec, n_per_edge: int, cfl: float) -> Expa
     n0 += n0 % 2
     lengths = tuple(g.edges[e].length for e in g0_ids)
     h_min = min(L / n0 for L in lengths)
-    steps = _even_ceil(spec.T / (cfl * h_min))
+    steps = _even_ceil(spec.T / (cfl * h_min), "T")
     dt = spec.T / steps
     g0_grid = Grid(lengths, (n0,) * len(g0_ids), dt, steps)
 
-    u_nodes: dict[int, np.ndarray] = {}
-    n_star = max(MIN_EXPANSION_CELLS, n0 // 2)
-    for e in g.gstar_edges():
-        u_nodes[e] = np.linspace(0.0, g.edges[e].length, n_star + 1)
-
     n_xi = math.ceil((spec.T + LAYER_MARGIN) / dt)
     layer = LayerGrid(n_xi, dt, steps)
-    return ExpansionGrids(g0_grid, g0_ids, u_nodes, layer, dt * np.arange(steps + 1))
+    return ExpansionGrids(g0_grid, g0_ids, _u_nodes(spec, n_per_edge), layer,
+                          dt * np.arange(steps + 1))
+
+
+def _u_nodes(spec: ProblemSpec, n_per_edge: int) -> dict[int, np.ndarray]:
+    """ExpansionGrids.u_nodes, half as fine as the unit-speed edges: they
+    need no time axis."""
+    n_star = max(MIN_EXPANSION_CELLS, -(-n_per_edge // 2))
+    g = spec.graph
+    return {e: np.linspace(0.0, g.edges[e].length, n_star + 1) for e in g.gstar_edges()}
 
 
 class SeparableSpline:
@@ -211,11 +222,11 @@ class SeparableSpline:
     as blocks of TIME_SLAB columns: blocks[k] belongs to
     t_nodes[k * TIME_SLAB:][:TIME_SLAB], is C-contiguous, and stops
     BAND_PAD rows past the last row of values nonzero in its slab; below
-    that the coefficients are taken as zero.  The coefficients at a
-    contiguous run of t_nodes are the matching columns, the block itself
-    for a slab of time_slabs; at other times they come from t_factor, the
-    t factor applied to the coefficients.  FITPACK with s=0 uses the same
-    knots, so this is the 2-D interpolating spline up to roundoff.
+    that the coefficients are taken as zero.  At t_nodes a slab's
+    coefficients are its block; at other times they come from t_factor,
+    the t factor applied to the coefficients (see at).  FITPACK with s=0
+    uses the same knots, so this is the 2-D interpolating spline up to
+    roundoff.
     """
 
     def __init__(self, x_nodes: np.ndarray, t_nodes: np.ndarray,
@@ -247,46 +258,36 @@ class SeparableSpline:
         """x coefficients as a spline in t: t_factor(t)[:, j] belong to t[j]."""
         return make_interp_spline(self.t_nodes, _side_by_side(self.blocks), k=3, axis=1)
 
-    def _coefficients(self, t: np.ndarray) -> np.ndarray:
-        j0 = int(np.searchsorted(self.t_nodes, t[0])) if len(t) else 0
-        j1 = j0 + len(t)
-        if not np.array_equal(self.t_nodes[j0:j1], t):
-            return self.t_factor(t)
-        k0 = j0 // TIME_SLAB
-        if j0 % TIME_SLAB == 0 and len(t) == self.blocks[k0].shape[1]:
-            return self.blocks[k0]
-        run = _side_by_side(self.blocks[k0:max(-(-j1 // TIME_SLAB), k0 + 1)])
-        return run[:, j0 - k0 * TIME_SLAB:j1 - k0 * TIME_SLAB]
+    def at(self, x: np.ndarray, t: np.ndarray) -> Callable[[slice], np.ndarray]:
+        """columns(cols): the values at (x[i], t[cols][j]), shape
+        (len(x), len(t[cols])), for a slice cols of t with step 1.
 
-    def at(self, x: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        """Values at (x[i], t[j]) for any t, shape (len(x), len(t)).
-
-        The x basis is found once; each call is one product with the
-        coefficient columns of t.  Where those stop short of the whole
-        height, the product fills only the rows whose basis lies inside
-        them, and the rest are 0.  A column does not depend on the other
+        The x basis (CSC) and the match of t against t_nodes are found once.
+        At the spline's own times a slab of time_slabs is its block, and a
+        run of slabs the products of its blocks side by side; elsewhere
+        t_factor gives the coefficients.  Each product reads the basis
+        columns up to the coefficients' height, and accumulates every row
+        in the CSR product's order.  A column does not depend on the other
         times asked for, so a slab of times gives the columns of the whole
         evaluation, bit for bit.
         """
-        if len(x) == 0:
-            return lambda t: np.zeros((0, len(t)))
-        basis = BSpline.design_matrix(x, self.knots, 3, extrapolate=True)
-        last = basis.indices[basis.indptr[1:] - 1]  # each row's last coefficient
-        n_coef = len(self.knots) - 4
+        basis = BSpline.design_matrix(x, self.knots, 3, extrapolate=True).tocsc()
+        own = np.array_equal(t, self.t_nodes)
 
-        def columns(t: np.ndarray) -> np.ndarray:
-            c = self._coefficients(t)
-            if len(c) == n_coef:
-                return basis @ c
-            inside = last < len(c)
-            out = np.zeros((len(x), c.shape[1]))
-            out[inside] = basis[inside][:, :len(c)] @ c
-            return out
+        def product(c: np.ndarray) -> np.ndarray:
+            return basis[:, :len(c)] @ c
+
+        def columns(cols: slice) -> np.ndarray:
+            j0, j1, step = cols.indices(len(t))
+            if step != 1:
+                raise ValueError(f"cols must have step 1, got {step}")
+            if not own:
+                return product(self.t_factor(t[j0:j1]))
+            k0 = j0 // TIME_SLAB
+            run = [product(c) for c in self.blocks[k0:max(-(-j1 // TIME_SLAB), k0 + 1)]]
+            out = run[0] if len(run) == 1 else np.concatenate(run, axis=1)
+            return out[:, j0 - k0 * TIME_SLAB:j1 - k0 * TIME_SLAB]
         return columns
-
-    def __call__(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Values at every (x[i], t[j]), shape (len(x), len(t))."""
-        return self.at(x)(t)
 
 
 def _side_by_side(blocks: list[np.ndarray]) -> np.ndarray:
@@ -317,7 +318,6 @@ class Term:
     values: np.ndarray  # (rows <= len(x_nodes), len(times))
     x_nodes: np.ndarray
     times: np.ndarray
-    label: str = ""
 
     @cached_property
     def interp(self) -> SeparableSpline:

@@ -34,12 +34,13 @@ from .direct import Field, direct_solve
 from .errors import ExprSyntaxError, GraphConfigError, NonFiniteError
 from .expr import Expr, parse
 from .graph import Edge, ProblemSpec, StarGraph
-from .grid import (TIME_SLAB, Grid, LayerGrid, Term, coarsen, make_direct_grid,
+from .grid import (TIME_SLAB, Grid, LayerGrid, Term, _u_nodes, coarsen, make_direct_grid,
                    make_expansion_grids, time_slabs, trapezoid_weights)
 from .expansion import (MAX_ORDER, ExpansionSet, build_expansion,
                         partial_sum_columns, residuals)
 # not called here: benchmark/tracing.py wraps this name in this namespace
 from .expansion import assemble_partial_sum  # noqa: F401
+from .kernels import _HYP_ARG_MAX
 from .layers import QuarterPlaneProblem, _source_matrix
 from .limit import _dxx
 
@@ -662,6 +663,14 @@ def validate_config(cfg: dict) -> RunConfig:
         spec = ProblemSpec(graph, q, f, phi, psi, mu, T)
     except GraphConfigError as exc:
         raise GraphConfigError(str(exc)) from exc
+    # the degenerate edges' kernels cs(q, t) and sn(q, t) run cosh and sinh
+    # up to sqrt(-q) T, at the nodes of their u terms
+    for e, x in _u_nodes(spec, n_per_edge).items():
+        reach = float(np.max(np.sqrt(np.maximum(-q[e].evaluate(x, 0.0), 0.0)))) * T
+        if reach > _HYP_ARG_MAX:
+            raise GraphConfigError(
+                f"q[{e}]: sqrt(-q) T reaches {reach:.6g}, past {_HYP_ARG_MAX:.6g}, "
+                f"where cosh and sinh overflow")
     return RunConfig(spec, tuple(eps), p, n_per_edge, cfl, margin)
 
 

@@ -6,11 +6,17 @@ cases flow through the same call sites with no branching by the caller.
 
 from __future__ import annotations
 
+import math
+import sys
+
 import numpy as np
 
 __all__ = ["cs", "sn"]
 
 _SMALL_W = 1.0e-5
+# the largest r with cosh(r) and sinh(r) finite, ln(2 max): about 710.48;
+# cs and sn with theta t^2 below -_HYP_ARG_MAX^2 overflow
+_HYP_ARG_MAX = math.log(2.0) + math.log(sys.float_info.max)
 
 
 def _as_array(v):

@@ -52,7 +52,7 @@ class QuarterPlaneProblem:
     """
 
     theta: float
-    trace: np.ndarray | None
+    trace: np.ndarray
     sources: tuple[tuple[float, int, Term], ...] = ()
     label: str = ""
 
@@ -114,14 +114,12 @@ def qp_solve(prob: QuarterPlaneProblem, grid: LayerGrid,
         raise GraphConfigError("layer grid too short: support could reach the far end")
     n, M = grid.n_xi, grid.steps
     dt = grid.dt
-    g = prob.trace
-    if g is not None:
-        g = np.asarray(g, dtype=float)
-        if g.shape != (M + 1,):
-            raise GraphConfigError("trace must be sampled on the layer time grid")
-        if abs(g[0]) > TRACE_START_TOL:
-            raise GraphConfigError(
-                f"layer trace {prob.label or '?'} does not vanish at t=0: {g[0]:.3e}")
+    g = np.asarray(prob.trace, dtype=float)
+    if g.shape != (M + 1,):
+        raise GraphConfigError("trace must be sampled on the layer time grid")
+    if abs(g[0]) > TRACE_START_TOL:
+        raise GraphConfigError(
+            f"layer trace {prob.label or '?'} does not vanish at t=0: {g[0]:.3e}")
     S = _source_matrix(prob, grid)
     s0 = np.zeros(n + 1)
     if S is not None:
@@ -141,8 +139,7 @@ def qp_solve(prob: QuarterPlaneProblem, grid: LayerGrid,
             lap - prob.theta * alpha + s0))[1:-1]
     elif S is not None:
         start[1, 1:-1] = 0.5 * dt * dt * s0[1:-1]
-    if g is not None:
-        start[:, 0] = g[:2]
+    start[:, 0] = g[:2]
 
     reach = [int(_last_nonzero(start).max())]
     src_reach = _last_nonzero(S).tolist() if S is not None else [0] * (M + 1)
@@ -172,9 +169,8 @@ def qp_solve(prob: QuarterPlaneProblem, grid: LayerGrid,
             np.multiply(S[m, 1:k], dt2, out=w)
             np.add(out, w, out=out)
         np.divide(out, c, out=out)
-        if g is not None:
-            W[m + 1, 0] = g[m + 1]
-    return Term(W.T, grid.xi_nodes(), grid.times(), prob.label)
+        W[m + 1, 0] = g[m + 1]
+    return Term(W.T, grid.xi_nodes(), grid.times())
 
 
 def sample_physical(term: Term, eps: float, m: int, edge_length: float,
@@ -190,9 +186,10 @@ def sample_physical(term: Term, eps: float, m: int, edge_length: float,
     term's side) or a time outside the term's [0, T] raises ValueError,
     beyond a roundoff tolerance.
 
-    The checks, the rows and the spline's x basis are worked out here, once;
-    the returned columns(cols) is then one product per slice cols of times,
-    and columns(slice(None)) is every time.
+    The checks, the rows, the spline's x basis and its match of times are
+    worked out here, once; the returned columns(cols) is then one product
+    per coefficient block in a slice cols of times, and
+    columns(slice(None)) is every time.
     """
     taus = np.asarray(taus, dtype=float)
     times = np.asarray(times, dtype=float)
@@ -208,5 +205,4 @@ def sample_physical(term: Term, eps: float, m: int, edge_length: float,
                          f"got [{np.min(times):.6g}, {np.max(times):.6g}]")
     k = int(np.count_nonzero(xi <= term.x_nodes[len(term.values) - 1]))
     rows = slice(len(taus) - k, len(taus)) if folded else slice(0, k)
-    at = term.interp.at(xi[rows])
-    return rows, lambda cols: at(times[cols])
+    return rows, term.interp.at(xi[rows], times)

@@ -112,7 +112,7 @@ def assemble_reference(es, eps, grid):
     tn, t = es.grids.times, grid.times()
 
     def spline(x_nodes, values, x):
-        return SeparableSpline(x_nodes[:len(values)], tn, values)(x, t)
+        return SeparableSpline(x_nodes[:len(values)], tn, values).at(x, t)(slice(None))
 
     def layer(fld, xi):
         out = np.zeros((len(xi), len(t)))
@@ -207,7 +207,7 @@ def qp_march_reference(prob, grid, initial=None):
             S += (c * xi ** r)[:, None] * zero_padded(rho)
     if not S.any():
         S = None
-    g = None if prob.trace is None else np.asarray(prob.trace, dtype=float)
+    g = np.asarray(prob.trace, dtype=float)
     th_p = max(prob.theta, 0.0)
     th_m = min(prob.theta, 0.0)
     a = 0.5 * dt * dt * th_p
@@ -222,17 +222,14 @@ def qp_march_reference(prob, grid, initial=None):
             lap - prob.theta * alpha + s0))[1:-1]
     elif S is not None:
         V[1:-1, 1] = 0.5 * dt * dt * S[1:-1, 0]
-    if g is not None:
-        V[0, 0] = g[0]
-        V[0, 1] = g[1]
+    V[0, :2] = g[:2]
     for m in range(1, M):
         rhs = V[2:, m] + V[:-2, m] - (1.0 + a) * V[1:-1, m - 1] \
             - dt * dt * th_m * V[1:-1, m]
         if S is not None:
             rhs = rhs + dt * dt * S[1:-1, m]
         V[1:-1, m + 1] = rhs / (1.0 + a)
-        if g is not None:
-            V[0, m + 1] = g[m + 1]
+        V[0, m + 1] = g[m + 1]
     return V
 
 

@@ -122,7 +122,7 @@ def test_criterion_4_integral_representation(announce):
     parts = []
     ok = True
     for theta in (-1.0, 0.0, 1.0, 4.0):
-        fld = qp_solve(QuarterPlaneProblem(theta, None), grid,
+        fld = qp_solve(QuarterPlaneProblem(theta, np.zeros(grid.steps + 1)), grid,
                        initial=(np.sin(xi), beta(xi)))
         w = 0.0
         for s, t in probes:

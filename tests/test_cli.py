@@ -12,7 +12,7 @@ from starwaves.expansion import build_expansion
 from starwaves.grid import make_expansion_grids
 from starwaves.harness import load_config, validate_config, write_grid_csv
 
-from .helpers import REFERENCE_CONFIG, zero_padded
+from .helpers import REFERENCE_CONFIG, star_spec, zero_padded
 
 
 def run_cli(*args):
@@ -259,20 +259,20 @@ def test_out_not_a_directory_exit_code(tmp_path, cmd):
     assert "Traceback" not in r.stderr
 
 
-def overflowing_cfg() -> dict:
-    # q = -3e5 makes cs/sn overflow on the degenerate edges: u_0 on edge 1,
-    # the first degenerate term built, is not finite
+def overflowing_cfg(q: str) -> dict:
+    # the reference data with q on every edge, on a coarse grid
     cfg = json.loads(REFERENCE_CONFIG.read_text())
-    cfg.update(q=["-300000 + x"] * 3, epsilons=[0.4, 0.2, 0.1])
+    cfg.update(q=[q] * 3, epsilons=[0.4, 0.2, 0.1])
     cfg["grid"]["n_per_edge"] = 64
     return cfg
 
 
 def test_overflowing_series_term_exits_3_in_expand_and_verify(tmp_path):
-    # the direct solve stays finite, so check and solve pass, while the
-    # series term is refused where it is built, naming its build_log key;
-    # nothing is marched on it, so no layer or march warns of inf or nan
-    path = write_cfg(tmp_path, overflowing_cfg())
+    # q = -2.2e5 keeps the kernels finite (sqrt(2.2e5) T = 703.6), so check
+    # and solve pass; the unit-speed correction marched on the vertex
+    # layer's flux overflows, and it is refused where it is built, naming
+    # its build_log key, before any layer is solved on it
+    path = write_cfg(tmp_path, overflowing_cfg("-220000 + x"))
     out = ["--out", str(tmp_path / "out")]
     for cmd, want in ((["check"], 0), (["solve", "--eps", "0.1", *out], 0),
                       (["expand", "--p", "1", *out], 3), (["verify", *out], 3)):
@@ -281,24 +281,25 @@ def test_overflowing_series_term_exits_3_in_expand_and_verify(tmp_path):
         assert "Traceback" not in r.stderr, cmd
         if want == 3:
             lines = r.stderr.splitlines()
-            assert lines[-1] == "numerical failure: term ('u', 0, 1) is not finite"
-            assert not [ln for ln in lines if "layers.py" in ln or "direct.py" in ln], cmd
+            assert lines[-1] == "numerical failure: term ('U', 1, 1) is not finite"
+            assert not [ln for ln in lines if "layers.py" in ln], cmd
 
 
 def test_build_stops_at_the_first_non_finite_term(tmp_path, monkeypatch):
-    # in-process: after the bad u_0 no layer is solved and no unit-speed
-    # correction is marched
+    # in-process, on a spec that validate_config refuses (q = -3e5 takes
+    # the kernels past their range): after the bad u_0 no layer is solved
+    # and no unit-speed correction is marched
     calls = []
     for name in ("solve_g0", "solve_degenerate_edge", "qp_solve"):
         def traced(*args, fn=getattr(expansion, name), name=name):
             calls.append(name)
             return fn(*args)
         monkeypatch.setattr(expansion, name, traced)
-    rc = validate_config(overflowing_cfg())
-    grids = make_expansion_grids(rc.spec, rc.n_per_edge, rc.cfl)
+    spec = star_spec(q="-300000 + x")
+    grids = make_expansion_grids(spec, 64, 0.9)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteError, match=r"^term \('u', 0, 1\) is not finite$"):
-            build_expansion(rc.spec, 1, grids)
+            build_expansion(spec, 1, grids)
     assert calls == ["solve_g0", "solve_degenerate_edge"]
 
 
@@ -317,6 +318,36 @@ SUBCOMMANDS = [("check",), ("solve", "--eps", "0.1"), ("expand",), ("verify",)]
 def run_subcommand(tmp_path, cmd, cfg_path):
     out = [] if cmd[0] == "check" else ["--out", str(tmp_path / "out")]
     return run_cli(cmd[0], cfg_path, *cmd[1:], *out)
+
+
+@pytest.mark.parametrize("cmd", SUBCOMMANDS, ids=lambda c: c[0])
+def test_kernel_overflow_is_a_config_error(tmp_path, cmd):
+    # sqrt(3e5) T = 821.6 is past 710.48, where cosh and sinh overflow:
+    # every subcommand refuses the config the same way, with no warning
+    r = run_subcommand(tmp_path, cmd, write_cfg(tmp_path, overflowing_cfg("-300000 + x")))
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.splitlines() == [
+        "config error: q[1]: sqrt(-q) T reaches 821.584, past 710.476, "
+        "where cosh and sinh overflow"]
+
+
+@pytest.mark.parametrize("over,field,refused", [
+    ({"T": 1e308}, "T", {"solve", "expand", "verify"}),
+    # eps^(2m) is 0 at every eps of the sweep and at the solve's
+    ({"graph": {"edges": [{"length": 1.0, "subgraph": 0}, {"length": 1.0, "subgraph": 1}],
+                "exponents": [0, 1000]}}, "graph.exponents[1]", {"solve", "verify"}),
+], ids=["T", "exponent"])
+@pytest.mark.parametrize("cmd", SUBCOMMANDS, ids=lambda c: c[0])
+def test_grid_count_not_finite_exit_code(tmp_path, cmd, over, field, refused):
+    # a subcommand that builds the grid refuses it, naming the field; the
+    # others build no such grid and pass
+    r = run_subcommand(tmp_path, cmd, write_cfg(tmp_path, small_cfg(**over)))
+    assert "Traceback" not in r.stderr
+    if cmd[0] in refused:
+        assert r.returncode == 2, r.stderr
+        assert r.stderr.startswith(f"config error: {field}: ")
+    else:
+        assert r.returncode == 0, r.stderr
 
 
 @pytest.mark.parametrize("cmd", SUBCOMMANDS, ids=lambda c: c[0])

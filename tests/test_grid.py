@@ -107,42 +107,60 @@ def _x_factor(sp, x):
 def test_spline_contiguous_time_runs_give_the_whole_columns():
     sp, _, t_nodes, _, x = _spline_case()
     whole = _x_factor(sp, x)
-    at = sp.at(x)
-    assert np.array_equal(at(t_nodes), whole)
+    columns = sp.at(x, t_nodes)
+    assert np.array_equal(columns(slice(None)), whole)
     for j0, n in [(0, 1), (0, TIME_SLAB), (5, 3), (TIME_SLAB - 1, TIME_SLAB + 3),
                   (len(t_nodes) - 2, 2)]:
-        got = at(t_nodes[j0:j0 + n])
+        got = columns(slice(j0, j0 + n))
         assert np.array_equal(got, whole[:, j0:j0 + n])
         assert np.array_equal(np.signbit(got), np.signbit(whole[:, j0:j0 + n]))
     assert (whole == 0.0).any() and (whole < 0.0).any()
+    with pytest.raises(ValueError, match="step 1"):
+        columns(slice(0, TIME_SLAB, 2))
 
 
 def test_spline_slab_coefficients_are_the_stored_blocks():
-    # a slab of the spline's own times reads its coefficient block in place:
-    # C-contiguous, so the sparse product makes no copy of it
-    sp, _, t_nodes, values, _ = _spline_case()
+    # a slab of the spline's own times reads its C-contiguous coefficient
+    # block, and the CSC product keeps the CSR product's bits in every row
+    sp, _, t_nodes, values, x = _spline_case()
     slabs = time_slabs(len(t_nodes) - 1)
     assert len(sp.blocks) == len(slabs)
+    columns = sp.at(x, t_nodes)
+    csr = BSpline.design_matrix(x, sp.knots, 3, extrapolate=True)
+    assert csr.format == "csr"
     for block, cols in zip(sp.blocks, slabs):
         assert block.flags.c_contiguous
         assert block.shape == (values.shape[0], cols.stop - cols.start)
-        got = sp._coefficients(t_nodes[cols])
-        assert got is block and np.shares_memory(got, block)
-        assert np.shares_memory(got.ravel(), block)
-    # a run across a block boundary is a copy of the same columns
-    run = sp._coefficients(t_nodes[TIME_SLAB - 1:TIME_SLAB + 1])
-    assert not any(np.shares_memory(run, b) for b in sp.blocks)
-    assert np.array_equal(run, np.concatenate(sp.blocks[:2], axis=1)[:, TIME_SLAB - 1:TIME_SLAB + 1])
+        got = columns(cols)
+        assert np.array_equal(got, csr @ block)
+        assert np.array_equal(np.signbit(got), np.signbit(csr @ block))
+
+
+def test_spline_multi_slab_run_is_its_slabs_side_by_side():
+    # a run of several slabs, or of parts of them, is bit for bit the
+    # columns of each slab asked for alone
+    x_nodes, t_nodes, values = _front_case(641)
+    sp = SeparableSpline(x_nodes, t_nodes, values)
+    x = np.linspace(0.0, 1.0, 1001)
+    columns = sp.at(x, t_nodes)
+    slabs = time_slabs(len(t_nodes) - 1)
+    assert len({len(b) for b in sp.blocks}) == len(slabs)  # every block its own height
+    side_by_side = np.concatenate([columns(cols) for cols in slabs], axis=1)
+    for cols in [slice(None), slice(0, 2 * TIME_SLAB), slice(TIME_SLAB, None),
+                 slice(TIME_SLAB - 3, 2 * TIME_SLAB + 5)]:
+        got = columns(cols)
+        assert np.array_equal(got, side_by_side[:, cols])
+        assert np.array_equal(np.signbit(got), np.signbit(side_by_side[:, cols]))
 
 
 def test_spline_off_node_slabs_match_whole_and_fitpack():
     sp, x_nodes, t_nodes, values, x = _spline_case()
     t = np.linspace(0.0, t_nodes[-1], 150)
     assert not np.isin(t[1:-1], t_nodes).all()
-    whole = sp(x, t)
-    at = sp.at(x)
+    columns = sp.at(x, t)
+    whole = columns(slice(None))
     for cols in time_slabs(len(t) - 1):
-        got = at(t[cols])
+        got = columns(cols)
         assert np.array_equal(got, whole[:, cols])
         assert np.array_equal(np.signbit(got), np.signbit(whole[:, cols]))
     assert np.max(np.abs(whole - spline_oracle(x_nodes, t_nodes, values, x, t))) <= 1e-12
@@ -215,20 +233,34 @@ def test_spline_rejects_a_singular_matrix():
 
 @pytest.mark.parametrize("descending", [False, True], ids=["ascending", "descending"])
 def test_banded_sampling_matches_full_height_sampling(descending):
-    # rows whose basis reaches past a block are 0, where the full spline
-    # holds the decayed tail; everywhere else the products are the same
+    # against the spline with every coefficient row kept, within 1e-30 of
+    # the scale.  At the spline's own times a row whose basis lies inside
+    # a column's block is the same bits, a row that straddles the block's
+    # cut reads the block's part of it, and a row past the cut is 0, where
+    # the full spline holds the decayed tail
     x_nodes, t_nodes, values = _front_case(641)
     sp = SeparableSpline(x_nodes, t_nodes, values)
     x = np.linspace(0.0, 1.0, 1001)[::-1 if descending else 1]
-    at = sp.at(x)
     scale = np.max(np.abs(values))
-    zeroed = 0
-    runs = [t_nodes[cols] for cols in time_slabs(len(t_nodes) - 1)]
-    runs += [t_nodes[TIME_SLAB - 3:2 * TIME_SLAB + 5],
-             np.linspace(0.0, t_nodes[-1], 150)]
-    for t in runs:
-        got = at(t)
-        want = full_height_spline(x_nodes, t_nodes, values, x, t)
+    off_node = np.linspace(0.0, t_nodes[-1], 150)
+    got = sp.at(x, off_node)(slice(None))
+    want = full_height_spline(x_nodes, t_nodes, values, x, off_node)
+    assert np.max(np.abs(got - want)) <= 1e-30 * scale
+
+    basis = BSpline.design_matrix(x, sp.knots, 3, extrapolate=True)
+    first = basis.indices[basis.indptr[:-1]][:, None]
+    last = basis.indices[basis.indptr[1:] - 1][:, None]
+    heights = np.concatenate([np.full(b.shape[1], len(b)) for b in sp.blocks])
+    zeroed = straddled = 0
+    columns = sp.at(x, t_nodes)
+    for cols in time_slabs(len(t_nodes) - 1) + [slice(TIME_SLAB - 3, 2 * TIME_SLAB + 5)]:
+        got = columns(cols)
+        want = full_height_spline(x_nodes, t_nodes, values, x, t_nodes[cols])
         assert np.max(np.abs(got - want)) <= 1e-30 * scale
-        zeroed += np.count_nonzero((got == 0.0) & (want != 0.0))
-    assert zeroed > 0
+        inside, past = last < heights[cols], first >= heights[cols]
+        assert np.array_equal(got[inside], want[inside])
+        assert not got[past].any()
+        straddle = ~inside & ~past & (want != 0.0)
+        straddled += np.count_nonzero(straddle)
+        zeroed += np.count_nonzero(straddle & (got == 0.0))
+    assert straddled > 0 and zeroed == 0

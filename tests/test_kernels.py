@@ -4,7 +4,7 @@ from decimal import Decimal, getcontext
 import numpy as np
 import pytest
 
-from starwaves.kernels import cs, sn
+from starwaves.kernels import _HYP_ARG_MAX, cs, sn
 
 from .helpers import dt_kernel, phi_entire, phi_entire_deriv
 
@@ -163,3 +163,15 @@ def test_dt_kernel_broadcasts():
     assert out.shape == (9,)
     one = dt_kernel(1.5, 0.5, 2.0, y[3])
     assert out[3] == pytest.approx(one, rel=1e-15)
+
+
+def test_hyperbolic_range_is_the_last_finite_argument():
+    # validate_config bounds sqrt(-q) T by it: cs and sn are finite up to
+    # it and overflow just past it
+    top = _HYP_ARG_MAX
+    assert 710.47 < top < 710.48
+    w = -np.array([top, np.nextafter(top, 0.0)]) ** 2
+    assert np.isfinite(cs(w, 1.0)).all() and np.isfinite(sn(w, 1.0)).all()
+    with np.errstate(over="ignore"):
+        past = -np.nextafter(top, np.inf) ** 2
+        assert np.isinf(cs(past, 1.0)) and np.isinf(sn(past, 1.0))

@@ -14,9 +14,14 @@ def wave_grid(dt: float, T: float, pad: float = 2.0) -> LayerGrid:
     return LayerGrid(n_xi=steps + round(pad / dt), dt=dt, steps=steps)
 
 
+def zero_trace(grid: LayerGrid) -> np.ndarray:
+    """A homogeneous Dirichlet trace on the layer time grid."""
+    return np.zeros(grid.steps + 1)
+
+
 def test_zero_problem_gives_zero_field():
     grid = wave_grid(0.05, 1.0)
-    fld = qp_solve(QuarterPlaneProblem(theta=3.0, trace=None), grid)
+    fld = qp_solve(QuarterPlaneProblem(theta=3.0, trace=zero_trace(grid)), grid)
     assert fld.is_zero
     assert zero_padded(fld).shape == (grid.n_xi + 1, grid.steps + 1)
 
@@ -42,7 +47,7 @@ def test_source_term_closed_form():
     # scheme including its startup half-step
     grid = wave_grid(0.02, 2.0)
     ones = Term(np.ones((grid.n_xi + 1, grid.steps + 1)), grid.xi_nodes(), grid.times())
-    prob = QuarterPlaneProblem(theta=0.0, trace=None, sources=((1.0, 1, ones),))
+    prob = QuarterPlaneProblem(theta=0.0, trace=zero_trace(grid), sources=((1.0, 1, ones),))
     fld = qp_solve(prob, grid)
     exact = grid.xi_nodes()[:, None] * grid.times()[None, :] ** 2 / 2
     # this synthetic source is global, so the homogeneous far end disturbs
@@ -65,14 +70,16 @@ def _march_case(name):
         v0 = qp_solve(QuarterPlaneProblem(1.0, g), grid)
         v1 = qp_solve(QuarterPlaneProblem(1.0, np.sin(t) * t,
                                           sources=((-0.5, 1, v0),)), grid)
-        prob = QuarterPlaneProblem(1.0, None, sources=((-1.0, 1, v1), (0.25, 2, v0),
-                                                        (0.0, 3, v0)))
+        prob = QuarterPlaneProblem(1.0, zero_trace(grid),
+                                   sources=((-1.0, 1, v1), (0.25, 2, v0), (0.0, 3, v0)))
         return prob, grid, None
     if name == "global-source":
         ones = Term(np.ones((grid.n_xi + 1, grid.steps + 1)), grid.xi_nodes(), grid.times())
-        return QuarterPlaneProblem(0.0, None, sources=((1.0, 1, ones),)), grid, None
+        prob = QuarterPlaneProblem(0.0, zero_trace(grid), sources=((1.0, 1, ones),))
+        return prob, grid, None
     if name == "initial":
-        return QuarterPlaneProblem(4.0, None), grid, (np.sin(xi), 0.5 * np.cos(xi))
+        return (QuarterPlaneProblem(4.0, zero_trace(grid)), grid,
+                (np.sin(xi), 0.5 * np.cos(xi)))
     if name == "source-ahead":
         # nonzero far ahead of the front, and only for the first steps: the
         # updated width has to jump out to it and must not shrink back
@@ -130,10 +137,10 @@ def test_source_validation():
     other = wave_grid(0.025, 1.0)
     ones = Term(np.ones((other.n_xi + 1, other.steps + 1)), other.xi_nodes(), other.times())
     with pytest.raises(GraphConfigError, match="share the target grid"):
-        qp_solve(QuarterPlaneProblem(0.0, None, sources=((1.0, 1, ones),)), grid)
+        qp_solve(QuarterPlaneProblem(0.0, zero_trace(grid), sources=((1.0, 1, ones),)), grid)
     ok = Term(np.ones((grid.n_xi + 1, grid.steps + 1)), grid.xi_nodes(), grid.times())
     with pytest.raises(GraphConfigError, match="powers start at 1"):
-        qp_solve(QuarterPlaneProblem(0.0, None, sources=((1.0, 0, ok),)), grid)
+        qp_solve(QuarterPlaneProblem(0.0, zero_trace(grid), sources=((1.0, 0, ok),)), grid)
 
 
 def test_trace_checks():
@@ -149,7 +156,7 @@ def test_trace_checks():
 def test_grid_too_short_rejected():
     grid = LayerGrid(n_xi=100, dt=0.01, steps=100)  # L = 1 < T + 2
     with pytest.raises(GraphConfigError, match="too short"):
-        qp_solve(QuarterPlaneProblem(0.0, None), grid)
+        qp_solve(QuarterPlaneProblem(0.0, zero_trace(grid)), grid)
 
 
 def test_positive_theta_stays_bounded():
@@ -221,7 +228,7 @@ def test_scheme_matches_oracle_initial_mode():
     # probe points go out to s = 3, so pad well past the qp_solve minimum
     grid = wave_grid(dt, 0.5, pad=3.5)
     xi = grid.xi_nodes()
-    fld = qp_solve(QuarterPlaneProblem(theta, None), grid,
+    fld = qp_solve(QuarterPlaneProblem(theta, zero_trace(grid)), grid,
                    initial=(np.sin(xi), 0.5 * np.cos(xi)))
     for s, t in [(1.0, 0.25), (2.0, 0.5), (3.0, 0.4)]:
         want = qp_oracle_below_characteristic(
@@ -346,7 +353,7 @@ def test_band_spline_matches_whole_grid_spline(axis):
     xi = np.linspace(0.0, grid.L, 1601)
     times = grid.times() if axis == "shared" else np.linspace(0.0, 2.0, 37)
     got = sampled(fld, eps, 1, 0.0, eps * xi, times)
-    want = whole(xi, times)
+    want = whole.at(xi, times)(slice(None))
     near = xi <= grid.steps * grid.dt + BAND_PAD // 2 * grid.dt
     assert np.array_equal(got[near], want[near])
     assert np.array_equal(np.signbit(got[near]), np.signbit(want[near]))
