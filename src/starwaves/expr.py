@@ -81,22 +81,49 @@ class Expr:
         Nodes broadcast their children and the result is expanded once, at the
         end; the domain checks see the same values either way."""
         if np.ndim(x) == 0 and np.ndim(t) == 0:
-            return float(self._eval(float(x), float(t)))
+            return float(self._value(float(x), float(t), _shared_slots(self)))
         x, t = np.asarray(x, dtype=float), np.asarray(t, dtype=float)
         shape = np.broadcast_shapes(x.shape, t.shape)
         if 0 in shape:  # no values, so no domain error
             return np.zeros(shape)
-        v = self._eval(x, t)
+        v = self._value(x, t, _shared_slots(self))
         if np.shape(v) == shape and v is not x and v is not t:
             return v
         return np.broadcast_to(v, shape).copy()
 
-    def _eval(self, x, t):
-        """This node's value from its children's, by numpy broadcasting."""
+    def _value(self, x, t, memo: dict):
+        """This node's value.  memo has a slot for each node that the tree
+        reaches more than once (a derivative shares subtrees): such a node is
+        computed once and then read.  Other values are not held, so a tree
+        with no shared node keeps no more arrays alive than a plain walk."""
+        v = memo.get(id(self))
+        if v is None:
+            return self._eval(x, t, memo)
+        if v is _PENDING:
+            v = memo[id(self)] = self._eval(x, t, memo)
+        return v
+
+    def _eval(self, x, t, memo: dict):
+        """This node's value from its children's _value, by numpy broadcasting."""
         raise NotImplementedError
 
     def diff(self, wrt: str) -> "Expr":
-        """Exact partial derivative with respect to ``'x'`` or ``'t'``."""
+        """Exact partial derivative with respect to ``'x'`` or ``'t'``.
+
+        Each node is differentiated once per call, keyed by its id, so a
+        subtree shared in self has one derivative, shared in the result: the
+        result's size is linear in self's count of distinct nodes, where a
+        plain walk would take each shared subtree again."""
+        return self._diff(wrt, {})
+
+    def _diff(self, wrt: str, memo: dict) -> "Expr":
+        d = memo.get(id(self))
+        if d is None:
+            d = memo[id(self)] = self._derive(wrt, memo)
+        return d
+
+    def _derive(self, wrt: str, memo: dict) -> "Expr":
+        """This node's derivative from its children's _diff."""
         raise NotImplementedError
 
     def diff_n(self, wrt: str, n: int) -> "Expr":
@@ -112,18 +139,39 @@ class Expr:
 
     def free_vars(self) -> frozenset[str]:
         """Names of the variables in the tree; structural, so t - t uses t."""
-        kids = [c for c in vars(self).values() if isinstance(c, Expr)]
-        return frozenset().union(*(c.free_vars() for c in kids))
+        return frozenset().union(*(c.free_vars() for c in self._children()))
+
+    def _children(self) -> list["Expr"]:
+        return [c for c in vars(self).values() if isinstance(c, Expr)]
+
+
+_PENDING = object()  # a memo slot of Expr._value not yet computed
+
+
+def _shared_slots(root: Expr) -> dict:
+    """Expr._value's memo for root: a _PENDING slot for each node reached
+    more than once from root."""
+    seen: set[int] = set()
+    slots: dict = {}
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            slots[id(node)] = _PENDING
+        else:
+            seen.add(id(node))
+            stack.extend(node._children())
+    return slots
 
 
 @dataclass(frozen=True)
 class Const(Expr):
     value: float
 
-    def _eval(self, x, t):
+    def _eval(self, x, t, memo):
         return self.value
 
-    def diff(self, wrt: str) -> Expr:
+    def _derive(self, wrt: str, memo: dict) -> Expr:
         return Const(0.0)
 
     def __str__(self) -> str:
@@ -134,10 +182,10 @@ class Const(Expr):
 class Var(Expr):
     name: str  # 'x' or 't'
 
-    def _eval(self, x, t):
+    def _eval(self, x, t, memo):
         return x if self.name == "x" else t
 
-    def diff(self, wrt: str) -> Expr:
+    def _derive(self, wrt: str, memo: dict) -> Expr:
         return Const(1.0 if wrt == self.name else 0.0)
 
     def free_vars(self) -> frozenset[str]:
@@ -152,11 +200,11 @@ class Add(Expr):
     a: Expr
     b: Expr
 
-    def _eval(self, x, t):
-        return self.a._eval(x, t) + self.b._eval(x, t)
+    def _eval(self, x, t, memo):
+        return self.a._value(x, t, memo) + self.b._value(x, t, memo)
 
-    def diff(self, wrt: str) -> Expr:
-        return add(self.a.diff(wrt), self.b.diff(wrt))
+    def _derive(self, wrt: str, memo: dict) -> Expr:
+        return add(self.a._diff(wrt, memo), self.b._diff(wrt, memo))
 
     def __str__(self) -> str:
         return f"({self.a} + {self.b})"
@@ -167,11 +215,11 @@ class Sub(Expr):
     a: Expr
     b: Expr
 
-    def _eval(self, x, t):
-        return self.a._eval(x, t) - self.b._eval(x, t)
+    def _eval(self, x, t, memo):
+        return self.a._value(x, t, memo) - self.b._value(x, t, memo)
 
-    def diff(self, wrt: str) -> Expr:
-        return sub(self.a.diff(wrt), self.b.diff(wrt))
+    def _derive(self, wrt: str, memo: dict) -> Expr:
+        return sub(self.a._diff(wrt, memo), self.b._diff(wrt, memo))
 
     def __str__(self) -> str:
         return f"({self.a} - {self.b})"
@@ -182,11 +230,11 @@ class Mul(Expr):
     a: Expr
     b: Expr
 
-    def _eval(self, x, t):
-        return self.a._eval(x, t) * self.b._eval(x, t)
+    def _eval(self, x, t, memo):
+        return self.a._value(x, t, memo) * self.b._value(x, t, memo)
 
-    def diff(self, wrt: str) -> Expr:
-        return add(mul(self.a.diff(wrt), self.b), mul(self.a, self.b.diff(wrt)))
+    def _derive(self, wrt: str, memo: dict) -> Expr:
+        return add(mul(self.a._diff(wrt, memo), self.b), mul(self.a, self.b._diff(wrt, memo)))
 
     def __str__(self) -> str:
         return f"({self.a} * {self.b})"
@@ -197,14 +245,14 @@ class Div(Expr):
     a: Expr
     b: Expr
 
-    def _eval(self, x, t):
-        denom = self.b._eval(x, t)
+    def _eval(self, x, t, memo):
+        denom = self.b._value(x, t, memo)
         if np.any(denom == 0.0):
             raise ExprDomainError(f"division by zero in {self}")
-        return self.a._eval(x, t) / denom
+        return self.a._value(x, t, memo) / denom
 
-    def diff(self, wrt: str) -> Expr:
-        num = sub(mul(self.a.diff(wrt), self.b), mul(self.a, self.b.diff(wrt)))
+    def _derive(self, wrt: str, memo: dict) -> Expr:
+        num = sub(mul(self.a._diff(wrt, memo), self.b), mul(self.a, self.b._diff(wrt, memo)))
         return div(num, mul(self.b, self.b))
 
     def __str__(self) -> str:
@@ -216,8 +264,8 @@ class Pow(Expr):
     base: Expr
     exponent: int
 
-    def _eval(self, x, t):
-        b = self.base._eval(x, t)
+    def _eval(self, x, t, memo):
+        b = self.base._value(x, t, memo)
         if self.exponent < 0 and np.any(b == 0.0):
             raise ExprDomainError(f"zero raised to negative power in {self}")
         try:
@@ -225,11 +273,11 @@ class Pow(Expr):
         except OverflowError:  # a Python float power; arrays give inf
             raise ExprDomainError(f"overflow in {self}") from None
 
-    def diff(self, wrt: str) -> Expr:
+    def _derive(self, wrt: str, memo: dict) -> Expr:
         # d(b^n) = n * b^(n-1) * b'
         return mul(
             mul(Const(float(self.exponent)), pow_int(self.base, self.exponent - 1)),
-            self.base.diff(wrt),
+            self.base._diff(wrt, memo),
         )
 
     def __str__(self) -> str:
@@ -240,11 +288,11 @@ class Pow(Expr):
 class Neg(Expr):
     a: Expr
 
-    def _eval(self, x, t):
-        return -self.a._eval(x, t)
+    def _eval(self, x, t, memo):
+        return -self.a._value(x, t, memo)
 
-    def diff(self, wrt: str) -> Expr:
-        return neg(self.a.diff(wrt))
+    def _derive(self, wrt: str, memo: dict) -> Expr:
+        return neg(self.a._diff(wrt, memo))
 
     def __str__(self) -> str:
         return f"(-{self.a})"
@@ -255,14 +303,14 @@ class Call(Expr):
     func: str
     arg: Expr
 
-    def _eval(self, x, t):
-        v = self.arg._eval(x, t)
+    def _eval(self, x, t, memo):
+        v = self.arg._value(x, t, memo)
         if self.func == "sqrt" and np.any(v < 0.0):
             raise ExprDomainError(f"sqrt of negative value in {self}")
         return _NUMPY_FUNCS[self.func](v)
 
-    def diff(self, wrt: str) -> Expr:
-        inner = self.arg.diff(wrt)
+    def _derive(self, wrt: str, memo: dict) -> Expr:
+        inner = self.arg._diff(wrt, memo)
         if self.func == "sin":
             outer: Expr = call("cos", self.arg)
         elif self.func == "cos":

@@ -16,6 +16,10 @@ at a time, and the sweep assembles and measures the series slab by slab.
 A spline keeps its x coefficients as one C-contiguous block per slab, cut
 BAND_PAD rows past the slab's last nonzero row, so a slab of a term's own
 times is one block, read without a copy.
+
+scipy is imported only inside SeparableSpline's methods.  A command that
+samples no term onto another grid (check, expand, solve) runs on numpy
+alone and never loads it.
 """
 
 from __future__ import annotations
@@ -23,15 +27,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-from scipy.interpolate import BSpline, make_interp_spline
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import GraphConfigError, StabilityError
 from .graph import ProblemSpec, b_eps
+
+if TYPE_CHECKING:
+    from scipy.interpolate import BSpline
 
 __all__ = [
     "Grid",
@@ -227,10 +231,17 @@ class SeparableSpline:
     the t factor applied to the coefficients (see at).  FITPACK with s=0
     uses the same knots, so this is the 2-D interpolating spline up to
     roundoff.
+
+    Each method imports the scipy it uses where it runs: BSpline and the
+    LAPACK band routines in __init__, make_interp_spline in t_factor and
+    BSpline's design matrix in at.
     """
 
     def __init__(self, x_nodes: np.ndarray, t_nodes: np.ndarray,
                  values: np.ndarray):
+        from scipy.interpolate import BSpline
+        from scipy.linalg.lapack import dgbtrf, dgbtrs
+
         self.t_nodes = t_nodes
         n = len(x_nodes)
         self.knots = np.r_[(x_nodes[0],) * 4, x_nodes[2:-2], (x_nodes[-1],) * 4]
@@ -242,7 +253,7 @@ class SeparableSpline:
         ab[6 + i - A.indices, A.indices] = A.data
         lu, piv, info = dgbtrf(ab, 3, 3, overwrite_ab=True)
         if info > 0:
-            raise LinAlgError("collocation matrix is singular")
+            raise np.linalg.LinAlgError("collocation matrix is singular")
         self.blocks = []
         for cols in time_slabs(values.shape[1] - 1):
             # a copy: a layer's values[:, cols] is already Fortran-ordered,
@@ -256,6 +267,8 @@ class SeparableSpline:
     @cached_property
     def t_factor(self) -> BSpline:
         """x coefficients as a spline in t: t_factor(t)[:, j] belong to t[j]."""
+        from scipy.interpolate import make_interp_spline
+
         return make_interp_spline(self.t_nodes, _side_by_side(self.blocks), k=3, axis=1)
 
     def at(self, x: np.ndarray, t: np.ndarray) -> Callable[[slice], np.ndarray]:
@@ -271,6 +284,8 @@ class SeparableSpline:
         times asked for, so a slab of times gives the columns of the whole
         evaluation, bit for bit.
         """
+        from scipy.interpolate import BSpline
+
         basis = BSpline.design_matrix(x, self.knots, 3, extrapolate=True).tocsc()
         own = np.array_equal(t, self.t_nodes)
 

@@ -1,6 +1,7 @@
 """Shared builders and oracles for the test suite."""
 
 import math
+import operator
 from pathlib import Path
 from typing import Callable
 
@@ -10,7 +11,8 @@ from scipy.integrate import quad
 from scipy.interpolate import BSpline, RectBivariateSpline, make_interp_spline
 
 from starwaves.direct import Field
-from starwaves.expr import parse
+from starwaves.expr import (Add, Call, Const, Div, Mul, Neg, Pow, Sub, Var, add, call, div,
+                            mul, neg, parse, pow_int, sub)
 from starwaves.graph import Edge, ProblemSpec, StarGraph
 from starwaves.harness import NormTriple
 from starwaves.grid import (TIME_SLAB, Grid, SeparableSpline, one_sided_diff, time_slabs,
@@ -45,6 +47,61 @@ def two_edge_g0_spec(q="0", f="0", phi="0", psi="0", mu="0", T=1.5) -> ProblemSp
     g = StarGraph((Edge(1.0, 0), Edge(1.0, 0)), (0,))
     return ProblemSpec(g, (parse(q),) * 2, (parse(f),) * 2, (parse(phi),) * 2,
                        (parse(psi),) * 2, (parse(mu),) * 2, T)
+
+
+# The oracle of Expr.diff and Expr.evaluate, which memoise each node they
+# reach twice: the same rules and arithmetic as a plain recursion, which
+# walks a shared subtree again each time it is reached.
+_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
+_DIFF_OUTER = {"sin": lambda a: call("cos", a), "cos": lambda a: neg(call("sin", a)),
+               "exp": lambda a: call("exp", a), "cosh": lambda a: call("sinh", a),
+               "sinh": lambda a: call("cosh", a),
+               "sqrt": lambda a: div(Const(0.5), call("sqrt", a))}
+
+
+def diff_unmemoised(e, wrt):
+    def d(c):
+        return diff_unmemoised(c, wrt)
+
+    if isinstance(e, Const):
+        return Const(0.0)
+    if isinstance(e, Var):
+        return Const(1.0 if wrt == e.name else 0.0)
+    if isinstance(e, (Add, Sub)):
+        return (add if isinstance(e, Add) else sub)(d(e.a), d(e.b))
+    if isinstance(e, Mul):
+        return add(mul(d(e.a), e.b), mul(e.a, d(e.b)))
+    if isinstance(e, Div):
+        return div(sub(mul(d(e.a), e.b), mul(e.a, d(e.b))), mul(e.b, e.b))
+    if isinstance(e, Pow):
+        return mul(mul(Const(float(e.exponent)), pow_int(e.base, e.exponent - 1)), d(e.base))
+    if isinstance(e, Neg):
+        return neg(d(e.a))
+    return mul(_DIFF_OUTER[e.func](e.arg), d(e.arg))
+
+
+def evaluate_unmemoised(e, x, t):
+    """e at (x, t) without the domain checks: a float from two scalars, else
+    an array of the broadcast shape."""
+    def walk(e):
+        if isinstance(e, Const):
+            return e.value
+        if isinstance(e, Var):
+            return x if e.name == "x" else t
+        if type(e) in _BINARY:
+            return _BINARY[type(e)](walk(e.a), walk(e.b))
+        if isinstance(e, Pow):
+            return walk(e.base) ** e.exponent
+        if isinstance(e, Neg):
+            return -walk(e.a)
+        assert isinstance(e, Call)
+        return getattr(np, e.func)(walk(e.arg))
+
+    if np.ndim(x) == 0 and np.ndim(t) == 0:
+        x, t = float(x), float(t)
+        return float(walk(e))
+    x, t = np.asarray(x, dtype=float), np.asarray(t, dtype=float)
+    return np.broadcast_to(walk(e), np.broadcast_shapes(x.shape, t.shape))
 
 
 def spline_oracle(x_nodes, t_nodes, values, x, t):

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 
 from starwaves.errors import ExprDomainError, ExprSyntaxError
 from starwaves.expr import MAX_DEPTH, Const, parse
+
+from .helpers import diff_unmemoised, evaluate_unmemoised
 
 
 def test_basic_arithmetic():
@@ -176,6 +179,34 @@ def test_differentiation():
     assert g.evaluate(4.0, 0.0) == pytest.approx(0.25, rel=1e-14)
     assert parse("cosh(x)").diff("x").evaluate(1.0, 0.0) == pytest.approx(
         math.sinh(1.0), rel=1e-14)
+
+
+@pytest.mark.parametrize("src", [
+    "*".join(["x"] * 10),
+    "sin(x*t)/(2 + x^3) + (x - t)^3*cos(x)^2 - sqrt(1 + x^2)*exp(-t*x)/(1 + t)",
+])
+def test_memoised_derivatives_match_the_plain_recursion_bit_for_bit(src):
+    # each derivative shares subtrees, which the memoised walks take once
+    d = want = parse(src)
+    x, t = np.linspace(0.1, 1.3, 7)[:, None], np.array([0.0, 0.4, 1.1])
+    for _ in range(4):
+        d, want = d.diff("x"), diff_unmemoised(want, "x")
+        assert d == want
+        assert d.evaluate(0.7, 0.4) == evaluate_unmemoised(want, 0.7, 0.4)
+        assert d.evaluate(x, t).tobytes() == evaluate_unmemoised(want, x, t).tobytes()
+
+
+def test_derivatives_of_a_long_product_take_linear_time():
+    # a plain recursion walks each derivative's shared subtrees again: four
+    # derivatives of this product, each evaluated once, took over a minute
+    n, x = 60, 0.9
+    d = parse("*".join(["x"] * n))
+    start = time.perf_counter()
+    for k in range(1, 5):
+        d = d.diff("x")
+        assert d.evaluate(x, 0.0) == pytest.approx(
+            math.perm(n, k) * x ** (n - k), rel=1e-12)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_diff_order_cap():

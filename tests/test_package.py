@@ -1,6 +1,8 @@
-"""The package surface: module exports, a bare root, and the traced names."""
+"""The package surface: module exports, a bare root, the commands that load
+scipy, and the traced names."""
 
 import importlib
+import json
 import pkgutil
 import subprocess
 import sys
@@ -33,8 +35,7 @@ def test_root_import_loads_no_submodule():
 
 def test_package_ships_no_test_oracle():
     # the Bessel kernels and the quadrature of the layer oracle live in the
-    # tests, so the CLI does not import scipy.integrate (scipy.special still
-    # comes in with scipy.interpolate)
+    # tests, so the CLI does not import scipy.integrate
     code = ("import sys, starwaves.cli, starwaves.errors, starwaves.kernels; "
             "print('scipy.integrate' in sys.modules); "
             "print(starwaves.kernels.__all__); "
@@ -43,6 +44,35 @@ def test_package_ships_no_test_oracle():
     r = subprocess.run([sys.executable, "-c", code], capture_output=True,
                        text=True, check=True)
     assert r.stdout.splitlines() == ["False", "['cs', 'sn']", "[]"]
+
+
+# cli.main on argv in a fresh interpreter; its last line of output is the
+# exit code and the scipy modules loaded, as JSON
+_RUN_CLI = ("import json, sys; from starwaves import cli; rc = cli.main(sys.argv[1:]); "
+            "print(json.dumps([rc, sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy')]))")
+
+
+def _run_cli(*argv):
+    r = subprocess.run([sys.executable, "-c", _RUN_CLI, *argv], capture_output=True,
+                       text=True, check=True)
+    *out, last = r.stdout.splitlines()
+    return (*json.loads(last), out)
+
+
+def test_scipy_loads_only_when_a_term_is_sampled(tmp_path):
+    # check, expand and solve build no spline, so they run on numpy alone
+    config = str(BENCHMARK / "smoke_config.json")
+    out = str(tmp_path)
+    for argv in (["check", config], ["expand", config, "--p", "1", "--out", out],
+                 ["solve", config, "--eps", "0.2", "--out", out]):
+        rc, loaded, _ = _run_cli(*argv)
+        assert (rc, loaded) == (0, []), argv
+    # the sweep samples every term; the smoke grids' times differ from the
+    # series', so it builds each spline's t factor too
+    rc, loaded, lines = _run_cli("verify", config, "--out", out)
+    assert rc == 1 and "scipy.interpolate" in loaded
+    assert any(line.startswith("inconclusive") for line in lines)
 
 
 def test_traced_names_are_the_home_functions(monkeypatch):
