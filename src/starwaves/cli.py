@@ -18,7 +18,7 @@ from .errors import (ExprDomainError, ExprSyntaxError, GraphConfigError,
                      NonFiniteError, StabilityError)
 from .expansion import ExpansionSet, build_expansion
 from .graph import check_compatibility_C1, check_compatibility_C2
-from .grid import make_direct_grid, make_expansion_grids
+from .grid import make_direct_grid, make_expansion_grids, slabs
 from .harness import (NORM_NOTE, RunConfig, convergence_sweep, load_config,
                       validate_config, write_field_csvs, write_grid_csv,
                       write_plot_csv, write_report_csv, write_residuals_csv,
@@ -80,7 +80,8 @@ def _term_tables(es: ExpansionSet) -> list[tuple[str, np.ndarray, np.ndarray, st
     """(file name, x nodes, values, x column name) for every series term,
     in build_log order, the name made from the term's key.
 
-    A layer's values may stop short of its x nodes; the rest are zero.
+    values is an array, or a layer's SlabBlocks, which stop short of its x
+    nodes in each time slab; read through grid.slabs, the rest is zero.
     """
     tables = []
     for key, _ in es.build_log:
@@ -103,14 +104,17 @@ def _cmd_expand(args) -> int:
     es = build_expansion(rc.spec, rc.p, grids)
     t = grids.times
     st = max(1, -((len(t) - 1) // -256))
+    kept = np.arange(0, len(t), st)
     tables = _term_tables(es)
     for name, x, u, xname in tables:
         sx = max(1, -((len(x) - 1) // -256))
-        xs, us = x[::sx], u[::sx, ::st]
-        if len(us) < len(xs):
-            # a layer stored up to its band: the nodes past it are zero
-            us = np.vstack([us, np.zeros((len(xs) - len(us), us.shape[1]))])
-        write_grid_csv(out / name, f"{xname},t,value", xs, t[::st], us)
+        xs = x[::sx]
+        # every node past a stored block is zero
+        us = np.zeros((len(xs), len(kept)))
+        for cols, b in slabs(u):
+            js = kept[(kept >= cols.start) & (kept < cols.stop)]
+            us[:-(-len(b) // sx), js // st] = b[::sx, js - cols.start]
+        write_grid_csv(out / name, f"{xname},t,value", xs, t[kept], us)
     print(f"wrote {len(tables)} term CSVs to {out} (decimated to <=257 samples per axis)")
     return EXIT_OK
 

@@ -37,7 +37,7 @@ from .direct import Field
 from .errors import GraphConfigError, NonFiniteError
 from .expr import Const, Expr
 from .graph import ProblemSpec, require_compatibility_C1, restrict_to_g0
-from .grid import ExpansionGrids, Grid, Term
+from .grid import ExpansionGrids, Grid, Term, slabs
 from .layers import QuarterPlaneProblem, qp_solve, sample_physical
 from .limit import solve_cauchy_recursive, solve_degenerate_edge, solve_g0
 
@@ -176,9 +176,10 @@ def build_expansion(spec: ProblemSpec, p: int, grids: ExpansionGrids) -> Expansi
 
     def record(key: tuple, deps: list, term: Field | Term) -> None:
         """Store a term under its build_log key and log it; stop at a non-finite one."""
-        # min and max propagate a nan and reach an inf, with no array-sized temporary
-        if not all(np.isfinite(a.min()) and np.isfinite(a.max())
-                   for a in (term.edges if isinstance(term, Field) else [term.values])):
+        # min and max propagate a nan and reach an inf, with no array-sized
+        # temporary; a layer's slab may store no rows
+        arrays = term.edges if isinstance(term, Field) else [b for _, b in slabs(term.values)]
+        if not all(np.isfinite(a.min()) and np.isfinite(a.max()) for a in arrays if a.size):
             raise NonFiniteError(f"term {key} is not finite")
         stores[key[0]][key[1:]] = term
         log.append((key, tuple(deps)))

@@ -13,7 +13,10 @@ reference-configuration eps).
 Work over a whole space-time grid runs one time slab of TIME_SLAB columns
 at a time (time_slabs): the direct march evaluates f a slab of time rows
 at a time, and the sweep assembles and measures the series slab by slab.
-A spline keeps its x coefficients as one C-contiguous block per slab, cut
+A layer's values are SlabBlocks, one block per slab cut at the slab's last
+nonzero row; a U or u term's are one array.  slabs(values) reads either,
+slab by slab, and every reader that may be handed a layer goes through it.  A
+spline keeps its x coefficients as one C-contiguous block per slab, cut
 BAND_PAD rows past the slab's last nonzero row, so a slab of a term's own
 times is one block, read without a copy.
 
@@ -46,7 +49,9 @@ __all__ = [
     "make_expansion_grids",
     "check_cfl",
     "SeparableSpline",
+    "SlabBlocks",
     "Term",
+    "slabs",
     "time_slabs",
     "one_sided_diff",
     "trapezoid_weights",
@@ -221,8 +226,9 @@ class SeparableSpline:
     """Cubic not-a-knot interpolant on (x_nodes, t_nodes), one axis at a time.
 
     The x factor is one LU of the not-a-knot collocation matrix (LAPACK
-    dgbtrf), against which each slab of values is solved (dgbtrs): block
-    for block the bits of make_interp_spline.  Its coefficients are held
+    dgbtrf), against which each slab of values (slabs), zero-padded to
+    len(x_nodes) rows, is solved (dgbtrs): block for block the bits of
+    make_interp_spline.  Its coefficients are held
     as blocks of TIME_SLAB columns: blocks[k] belongs to
     t_nodes[k * TIME_SLAB:][:TIME_SLAB], is C-contiguous, and stops
     BAND_PAD rows past the last row of values nonzero in its slab; below
@@ -238,7 +244,7 @@ class SeparableSpline:
     """
 
     def __init__(self, x_nodes: np.ndarray, t_nodes: np.ndarray,
-                 values: np.ndarray):
+                 values: np.ndarray | SlabBlocks):
         from scipy.interpolate import BSpline
         from scipy.linalg.lapack import dgbtrf, dgbtrs
 
@@ -255,11 +261,12 @@ class SeparableSpline:
         if info > 0:
             raise np.linalg.LinAlgError("collocation matrix is singular")
         self.blocks = []
-        for cols in time_slabs(values.shape[1] - 1):
-            # a copy: a layer's values[:, cols] is already Fortran-ordered,
-            # and the solve overwrites its right-hand side
-            rhs = np.array(values[:, cols], order="F")
-            nonzero = np.flatnonzero(rhs.any(axis=1))
+        for _, b in slabs(values):
+            # the slab zero-padded to the spline's height, Fortran-ordered:
+            # the solve overwrites its right-hand side
+            rhs = np.zeros((n, b.shape[1]), order="F")
+            rhs[:len(b)] = b
+            nonzero = np.flatnonzero(b.any(axis=1))
             height = min(n, (nonzero[-1] if len(nonzero) else 0) + 1 + BAND_PAD)
             c, _ = dgbtrs(lu, 3, 3, rhs, piv, overwrite_b=True)
             self.blocks.append(np.ascontiguousarray(c[:height]))
@@ -322,32 +329,86 @@ def one_sided_diff(u: np.ndarray, h: float, stride: int = 1,
     return (-3.0 * v[0] + 4.0 * v[stride] - v[2 * stride]) / (2.0 * h * stride)
 
 
+@dataclass(frozen=True, eq=False)
+class SlabBlocks:
+    """An array of shape (rows, steps + 1) held as one block per time slab.
+
+    blocks[k] holds the columns time_slabs(steps)[k] down to the last row
+    nonzero in that slab, so it is (height_k, width_k) with height_k <=
+    rows, and every entry below it is zero: zero-padded to rows and put
+    side by side, the blocks are the array.  shape is that array's; size
+    and nbytes count what is stored.
+    """
+
+    blocks: tuple[np.ndarray, ...]
+    rows: int
+
+    @classmethod
+    def cut(cls, a: np.ndarray) -> SlabBlocks:
+        """a's slabs, each a Fortran-ordered copy down to its last nonzero row."""
+        blocks = []
+        for cols in time_slabs(a.shape[1] - 1):
+            nonzero = np.flatnonzero(a[:, cols].any(axis=1))
+            blocks.append(np.array(a[:nonzero[-1] + 1 if len(nonzero) else 0, cols],
+                                   order="F"))
+        return cls(tuple(blocks), a.shape[0])
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.rows, sum(b.shape[1] for b in self.blocks)
+
+    @property
+    def size(self) -> int:
+        return sum(b.size for b in self.blocks)
+
+    @property
+    def nbytes(self) -> int:
+        return sum(b.nbytes for b in self.blocks)
+
+
+def slabs(values: np.ndarray | SlabBlocks) -> list[tuple[slice, np.ndarray]]:
+    """(cols, block) for each time slab of values (time_slabs): every row
+    below a block is zero.  A SlabBlocks gives its blocks, an array views
+    of its slabs at full height."""
+    cols = time_slabs(values.shape[1] - 1)
+    if isinstance(values, SlabBlocks):
+        return list(zip(cols, values.blocks))
+    return [(c, values[:, c]) for c in cols]
+
+
 @dataclass
 class Term:
     """One series term on uniform x_nodes from 0 and times.
 
-    values holds the nodes x_nodes[:len(values)], and the term is zero at
-    every node past them: U and u terms store every node, layers their band.
+    values holds the nodes x_nodes[:values.shape[0]], and the term is zero
+    at every node past them.  U and u terms store every node as one array.
+    A layer stores its band as SlabBlocks, each slab down to the last row
+    nonzero in it: ahead of its front a layer is zero.  A reader that may
+    be handed a layer goes through slabs(values), which serves both.
     """
 
-    values: np.ndarray  # (rows <= len(x_nodes), len(times))
+    values: np.ndarray | SlabBlocks  # (rows <= len(x_nodes), len(times))
     x_nodes: np.ndarray
     times: np.ndarray
 
     @cached_property
     def interp(self) -> SeparableSpline:
-        return SeparableSpline(self.x_nodes[:len(self.values)], self.times, self.values)
+        return SeparableSpline(self.x_nodes[:self.values.shape[0]], self.times, self.values)
 
     @property
     def is_zero(self) -> bool:
-        return not self.values.any()
+        return not any(b.any() for _, b in slabs(self.values))
 
     def flux(self, stride: int = 1) -> np.ndarray:
         """One-sided d_x at x = 0 per time level; stride widens the stencil."""
-        if len(self.values) < 2 * stride + 1:
-            raise ValueError(f"flux at stride {stride} needs at least {2 * stride + 1} "
-                             f"spatial nodes, got {len(self.values)}")
-        return one_sided_diff(self.values, self.x_nodes[1], stride)
+        k = 2 * stride + 1
+        if self.values.shape[0] < k:
+            raise ValueError(f"flux at stride {stride} needs at least {k} "
+                             f"spatial nodes, got {self.values.shape[0]}")
+        head = np.zeros((k, len(self.times)))
+        for cols, b in slabs(self.values):
+            head[:len(b), cols] = b[:k]
+        return one_sided_diff(head, self.x_nodes[1], stride)
 
 
 def time_slabs(steps: int) -> list[slice]:

@@ -35,7 +35,7 @@ from .errors import ExprSyntaxError, GraphConfigError, NonFiniteError
 from .expr import Expr, parse
 from .graph import Edge, ProblemSpec, StarGraph
 from .grid import (TIME_SLAB, Grid, LayerGrid, Term, _u_nodes, coarsen, make_direct_grid,
-                   make_expansion_grids, time_slabs, trapezoid_weights)
+                   make_expansion_grids, slabs, time_slabs, trapezoid_weights)
 from .expansion import (MAX_ORDER, ExpansionSet, build_expansion,
                         partial_sum_columns, residuals)
 # not called here: benchmark/tracing.py wraps this name in this namespace
@@ -211,25 +211,33 @@ def _layer_residual(prob: QuarterPlaneProblem, term: Term, grid: LayerGrid) -> f
     """The leapfrog of layers.qp_solve on the stored band's interior.
 
     Each step's update is recomputed with the march's arithmetic; past a
-    step's reach the update reads zeros and must give the zero stored.
+    step's reach the update reads zeros and must give the zero stored.  The
+    steps run slab by slab: W holds a block zero-padded to the band, time-
+    major, after the two rows that precede it, carried from the slab before.
     """
-    W = term.values.T
-    width = W.shape[1]
+    width = term.values.shape[0]
     dt = grid.dt
     th_m = min(prob.theta, 0.0)
     a = 0.5 * dt * dt * max(prob.theta, 0.0)
     S = _source_matrix(prob, grid)
-    if S is not None:
-        S = np.pad(S, ((0, 0), (0, max(width - S.shape[1], 0))))[:, :width]
     worst = []
-    for prev in time_slabs(grid.steps - 2):  # the steps m -> m + 1, m >= 1
-        m = slice(prev.start + 1, prev.stop + 1)
+    before = np.zeros((2, width))
+    for cols, b in slabs(term.values):
+        W = np.zeros((cols.stop - cols.start + 2, width))  # row i is time cols.start - 2 + i
+        W[:2] = before
+        W[2:, :len(b)] = b.T
+        before = W[-2:]
+        i0 = max(2, 4 - cols.start)  # the steps m -> m + 1 into W[i0:], m >= 1
+        m, prev = slice(i0 - 1, -1), slice(i0 - 2, -2)
         rhs = W[m, 2:] + W[m, :-2] - (1.0 + a) * W[prev, 1:-1] \
             - dt * dt * th_m * W[m, 1:-1]
         if S is not None:
-            rhs = rhs + dt * dt * S[m, 1:-1]
-        nxt = slice(prev.start + 2, prev.stop + 2)
-        worst.append(np.max(np.abs(W[nxt, 1:-1] - rhs / (1.0 + a))))
+            # the source on the band: zero past its own width
+            src = np.zeros((len(W) - i0, width))
+            k = min(S.shape[1], width)
+            src[:, :k] = S[cols.start - 3 + i0:cols.stop - 1, :k]
+            rhs = rhs + dt * dt * src[:, 1:-1]
+        worst.append(np.max(np.abs(W[i0:, 1:-1] - rhs / (1.0 + a))))
     return float(np.max(worst)) * (1.0 + a) / (dt * dt)
 
 
@@ -268,7 +276,8 @@ def term_residuals(es: ExpansionSet) -> tuple[TermResidual, ...]:
             scale = float(np.max(np.abs(term.values)))
         else:
             res = _layer_residual(es.layer_problems[key], term, grids.layer)
-            scale = float(np.max(np.abs(term.values)))
+            scale = max((float(np.max(np.abs(b))) for _, b in slabs(term.values) if b.size),
+                        default=0.0)
         out.append(TermResidual(key, res, scale))
     return tuple(out)
 

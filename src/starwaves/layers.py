@@ -7,10 +7,12 @@ d'Alembert solutions to roundoff, and the numerical support never runs
 ahead of the physical front, so values stay identically zero for xi > t.
 
 The same support bounds the work and the storage: the march is time-major
-and each step updates only the nodes that can be nonzero yet, and a layer
-is a grid.Term that keeps only the xi-nodes out to its widest reach plus
-BAND_PAD (see qp_solve).  Zero-padded to the grid, that is the full-width
-march to the bit.
+and each step updates only the nodes that can be nonzero yet, over a band
+out to the widest reach plus BAND_PAD.  A layer is a grid.Term whose
+values are grid.SlabBlocks: the band cut into one block per time slab,
+each down to the last row nonzero in its slab (see qp_solve), so about
+half of the band.  Zero-padded to the grid, that is the full-width march
+to the bit.
 
 Both layer families use this module; the family attached to the far
 vertices is solved in the folded coordinate xi = -z >= 0, with the odd
@@ -30,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import GraphConfigError
-from .grid import BAND_PAD, LAYER_MARGIN, LayerGrid, Term
+from .grid import BAND_PAD, LAYER_MARGIN, LayerGrid, SlabBlocks, Term, slabs
 
 __all__ = [
     "QuarterPlaneProblem",
@@ -59,7 +61,8 @@ class QuarterPlaneProblem:
 
 def _source_matrix(prob: QuarterPlaneProblem, grid: LayerGrid) -> np.ndarray | None:
     """sum_r c_r xi^r rho_r, time-major: shape (steps + 1, rows), where rows
-    is the widest source's; the sum is zero past it."""
+    is the widest source's; the sum is zero past it.  Each source adds its
+    blocks, slab by slab: below a block it adds nothing."""
     xi, times = grid.xi_nodes(), grid.times()
     terms = []
     for c, r, rho in prob.sources:
@@ -71,9 +74,11 @@ def _source_matrix(prob: QuarterPlaneProblem, grid: LayerGrid) -> np.ndarray | N
             terms.append((c, r, rho.values))
     if not terms:
         return None
-    S = np.zeros((len(times), max(len(v) for _, _, v in terms)))
+    S = np.zeros((len(times), max(v.shape[0] for _, _, v in terms)))
     for c, r, v in terms:
-        S[:, :len(v)] += (c * xi[:len(v)] ** r) * v.T
+        w = c * xi[:v.shape[0]] ** r
+        for cols, b in slabs(v):
+            S[cols, :len(b)] += w[:len(b)] * b.T
     return S if S.any() else None
 
 
@@ -102,10 +107,11 @@ def qp_solve(prob: QuarterPlaneProblem, grid: LayerGrid,
     node of the step's source; it never shrinks.  Every node past it has zero
     neighbours and zero source, so the full update would write +0.0 there,
     which the array already holds.  The reaches are worked out before the
-    march, and the array stores only the nodes 0..band, band = widest reach
-    + 1 + BAND_PAD (at most n_xi): zero-padded to the grid, the result is the
-    full-width march to the bit.  values is the transposed view,
-    (band + 1, steps + 1) like every other layer array.
+    march, and the array W holds only the nodes 0..band, band = widest reach
+    + 1 + BAND_PAD (at most n_xi).  W is a temporary: the Term's values are
+    SlabBlocks of shape (band + 1, steps + 1), W cut into one Fortran-ordered
+    block per time slab down to the slab's last nonzero row.  Zero-padded to
+    the grid, they are the full-width march to the bit.
 
     initial is a test-only mode: rows (v(., 0), v_t(., 0)) for comparison
     against the tests' integral-representation oracle.
@@ -170,7 +176,8 @@ def qp_solve(prob: QuarterPlaneProblem, grid: LayerGrid,
             np.add(out, w, out=out)
         np.divide(out, c, out=out)
         W[m + 1, 0] = g[m + 1]
-    return Term(W.T, grid.xi_nodes(), grid.times())
+    del S  # so that the source rows and the blocks are not held at once
+    return Term(SlabBlocks.cut(W.T), grid.xi_nodes(), grid.times())
 
 
 def sample_physical(term: Term, eps: float, m: int, edge_length: float,
@@ -203,6 +210,6 @@ def sample_physical(term: Term, eps: float, m: int, edge_length: float,
     if not np.all((times >= -tol) & (times <= T + tol)):
         raise ValueError(f"times must lie in [0, {T:.6g}], "
                          f"got [{np.min(times):.6g}, {np.max(times):.6g}]")
-    k = int(np.count_nonzero(xi <= term.x_nodes[len(term.values) - 1]))
+    k = int(np.count_nonzero(xi <= term.x_nodes[term.values.shape[0] - 1]))
     rows = slice(len(taus) - k, len(taus)) if folded else slice(0, k)
     return rows, term.interp.at(xi[rows], times)

@@ -15,10 +15,10 @@ from starwaves.expr import (Add, Call, Const, Div, Mul, Neg, Pow, Sub, Var, add,
                             mul, neg, parse, pow_int, sub)
 from starwaves.graph import Edge, ProblemSpec, StarGraph
 from starwaves.harness import NormTriple
-from starwaves.grid import (TIME_SLAB, Grid, SeparableSpline, one_sided_diff, time_slabs,
-                            trapezoid_weights)
+from starwaves.grid import (TIME_SLAB, Grid, SeparableSpline, one_sided_diff, slabs,
+                            time_slabs, trapezoid_weights)
 from starwaves.kernels import _as_array
-from starwaves.layers import sample_physical
+from starwaves.layers import _source_matrix, sample_physical
 from starwaves.limit import simpson_weights
 
 REPO = Path(__file__).resolve().parent.parent
@@ -141,11 +141,26 @@ def full_height_spline(x_nodes, t_nodes, values, x, t):
     return BSpline.design_matrix(x, knots, 3, extrapolate=True) @ coef
 
 
+def dense(values):
+    """A term's stored values as one array, values.shape: a layer's blocks
+    side by side, each zero-padded to the stored rows."""
+    out = np.zeros(values.shape)
+    for cols, b in slabs(values):
+        out[:len(b), cols] = b
+    return out
+
+
+def same_bits(a, b):
+    """a and b hold the same floats bit for bit, signs of zeros included."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def zero_padded(fld):
     """A term's values on its whole grid, (len(x_nodes), len(times)): the
     stored rows, then zero rows."""
     out = np.zeros((len(fld.x_nodes), len(fld.times)))
-    out[:len(fld.values)] = fld.values
+    out[:fld.values.shape[0]] = dense(fld.values)
     return out
 
 
@@ -173,9 +188,9 @@ def assemble_reference(es, eps, grid):
 
     def layer(fld, xi):
         out = np.zeros((len(xi), len(t)))
-        inside = xi <= fld.x_nodes[len(fld.values) - 1]
+        inside = xi <= fld.x_nodes[fld.values.shape[0] - 1]
         if inside.any():
-            out[inside] = spline(fld.x_nodes, fld.values, xi[inside])
+            out[inside] = spline(fld.x_nodes, dense(fld.values), xi[inside])
         return out
 
     def g0_sum(e, x):
@@ -202,7 +217,7 @@ def assemble_reference(es, eps, grid):
             V += eps ** P * layer(es.vertex_layers[(P, e)], x / eps ** m)
         for s in range(es.order + 1):
             w = es.boundary_layers[(s, e)]
-            if w.values.any():
+            if dense(w.values).any():
                 V += eps ** (s * m) * layer(w, (L - x) / eps ** m)
         edges.append(V)
     return edges, g0_sum(es.grids.g0_edge_ids[0], np.array([0.0]))[0]
@@ -230,10 +245,9 @@ def flux_sum_reference(es, eps, stride):
                 h = float(u.x_nodes[1] - u.x_nodes[0])
                 nu = nu + eps ** (2 * m) * eps ** (s * m) * one_sided_diff(u.values, h, stride)
         for P in sorted(P for P, ee in es.vertex_layers if ee == e):
-            v = es.vertex_layers[(P, e)]
-            if v.values.any():
-                nu = nu + eps ** m * eps ** P * one_sided_diff(v.values, es.grids.layer.dt,
-                                                              stride)
+            v = dense(es.vertex_layers[(P, e)].values)
+            if v.any():
+                nu = nu + eps ** m * eps ** P * one_sided_diff(v, es.grids.layer.dt, stride)
     return nu
 
 
@@ -260,7 +274,7 @@ def qp_march_reference(prob, grid, initial=None):
     xi = grid.xi_nodes()
     S = np.zeros((n + 1, M + 1))
     for c, r, rho in prob.sources:
-        if c != 0.0 and rho.values.any():
+        if c != 0.0 and dense(rho.values).any():
             S += (c * xi ** r)[:, None] * zero_padded(rho)
     if not S.any():
         S = None
@@ -288,6 +302,31 @@ def qp_march_reference(prob, grid, initial=None):
         V[1:-1, m + 1] = rhs / (1.0 + a)
         V[0, m + 1] = g[m + 1]
     return V
+
+
+def layer_residual_reference(prob, term, grid):
+    """The band-wide residual check: the reference for the slab-by-slab
+    harness._layer_residual.  The leapfrog of layers.qp_solve, recomputed
+    over the layer's zero-padded band in slabs of the steps m -> m + 1,
+    against its source matrix zero-padded to the band."""
+    W = dense(term.values).T
+    width = W.shape[1]
+    dt = grid.dt
+    th_m = min(prob.theta, 0.0)
+    a = 0.5 * dt * dt * max(prob.theta, 0.0)
+    S = _source_matrix(prob, grid)
+    if S is not None:
+        S = np.pad(S, ((0, 0), (0, max(width - S.shape[1], 0))))[:, :width]
+    worst = []
+    for prev in time_slabs(grid.steps - 2):  # the steps m -> m + 1, m >= 1
+        m = slice(prev.start + 1, prev.stop + 1)
+        rhs = W[m, 2:] + W[m, :-2] - (1.0 + a) * W[prev, 1:-1] \
+            - dt * dt * th_m * W[m, 1:-1]
+        if S is not None:
+            rhs = rhs + dt * dt * S[m, 1:-1]
+        nxt = slice(prev.start + 2, prev.stop + 2)
+        worst.append(np.max(np.abs(W[nxt, 1:-1] - rhs / (1.0 + a))))
+    return float(np.max(worst)) * (1.0 + a) / (dt * dt)
 
 
 # The oracle of the layer solves (acceptance gates 4 and 8): the Bessel

@@ -130,7 +130,7 @@ def test_expand_layer_csvs_cover_the_grid(tmp_path):
                    for (s, e), fld in es.boundary_layers.items()})
     assert len(layers) == 4
     for name, fld in layers.items():
-        assert len(fld.values) < len(xi)
+        assert fld.values.shape[0] < len(xi)
         lines = (out / name).read_text().splitlines()
         assert len(lines) - 1 == len(xi[::sx]) * len(t[::st])
         assert all(float(line.rsplit(",", 1)[1]) == 0.0 for line in lines[-len(t[::st]):])

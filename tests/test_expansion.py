@@ -1,20 +1,24 @@
+import json
+
 import numpy as np
 import pytest
 
 from starwaves.direct import Field, direct_solve
-from starwaves.errors import CompatibilityError, GraphConfigError
+from starwaves.errors import CompatibilityError, GraphConfigError, NonFiniteError
 from starwaves import expansion
 from starwaves.expansion import (assemble_partial_sum, build_expansion,
                                  lambda_set, residuals, verify_schedule)
 from starwaves.expr import parse
 from starwaves.graph import ProblemSpec, restrict_to_g0
-from starwaves.grid import Grid, make_direct_grid, make_expansion_grids
+from starwaves.grid import Grid, make_direct_grid, make_expansion_grids, one_sided_diff, slabs
 from starwaves.layers import BAND_PAD, QuarterPlaneProblem, qp_solve, sample_physical
-from starwaves.harness import DEFECT_NOTE, convergence_sweep, truncation_leftover
+from starwaves.harness import (DEFECT_NOTE, convergence_sweep, load_config,
+                               truncation_leftover, validate_config)
 from starwaves.limit import solve_degenerate_edge, solve_g0
 
-from .helpers import (assemble_reference, flux_sum_reference, qp_march_reference,
-                      spline_oracle, star_spec, two_edge_g0_spec, zero_padded)
+from .helpers import (REFERENCE_CONFIG, assemble_reference, dense, flux_sum_reference,
+                      qp_march_reference, same_bits, spline_oracle, star_spec,
+                      two_edge_g0_spec, zero_padded)
 
 
 def test_lambda_set_examples():
@@ -81,7 +85,7 @@ def test_vertex_layer_trace_is_correction_trace():
     grids = make_expansion_grids(spec, 64, 0.9)
     es = build_expansion(spec, 1, grids)
     for e in (1, 2):
-        assert np.array_equal(es.vertex_layers[(1, e)].values[0, :],
+        assert np.array_equal(dense(es.vertex_layers[(1, e)].values)[0, :],
                               es.g0_corr[(1, 1)].sigma)
 
 
@@ -105,11 +109,67 @@ def test_layers_stored_to_band_match_full_width_march(monkeypatch):
     assert any(prob.sources for prob, _ in solved)
     lg = grids.layer
     for prob, fld in solved:
-        assert len(fld.values) <= lg.steps + BAND_PAD + 2 < lg.n_xi + 1
+        assert fld.values.shape[0] <= lg.steps + BAND_PAD + 2 < lg.n_xi + 1
         got = zero_padded(fld)
         want = qp_march_reference(prob, lg)
         assert np.array_equal(got, want), prob.label
         assert np.array_equal(np.signbit(got), np.signbit(want)), prob.label
+
+
+def test_build_records_layers_that_store_no_rows():
+    # with q' = 0 every Taylor source vanishes, and w_1, traced by the zero
+    # u_1, is zero: every slab of it stores no rows.  It is recorded, reads
+    # as zero, has the flux of its zero-padded band, and leaves the series;
+    # every layer is the full-width march of its problem.  (The march's
+    # w_1 holds the trace -u_1 = -0.0 at xi = 0; with no rows stored it
+    # reads +0.0 there.)
+    cfg = json.loads(REFERENCE_CONFIG.read_text())
+    cfg.update(q=["1", "2", "2"])
+    cfg["grid"]["n_per_edge"] = 64
+    rc = validate_config(cfg)
+    grids = make_expansion_grids(rc.spec, rc.n_per_edge, rc.cfl)
+    es = build_expansion(rc.spec, 2, grids)
+    for e in (1, 2):
+        w1 = es.boundary_layers[(1, e)]
+        assert w1.values.shape[0] > 5
+        assert all(len(b) == 0 for _, b in slabs(w1.values)) and w1.values.nbytes == 0
+        assert w1.is_zero
+        for stride in (1, 2):
+            assert same_bits(w1.flux(stride),
+                             one_sided_diff(dense(w1.values), grids.layer.dt, stride))
+        assert all(term is not w1 for *_, term in es.series[e])
+    for key, prob in es.layer_problems.items():
+        assert np.array_equal(zero_padded(es.term(key)), qp_march_reference(prob, grids.layer))
+
+
+def test_non_finite_layer_block_names_the_layer(monkeypatch):
+    # a nan in one block of a layer, past the first slab: the recorder reads
+    # every block and refuses the layer under its build_log key
+    def poisoned(prob, grid):
+        fld = qp_solve(prob, grid)
+        if prob.label == "v[P=0,e=2]":
+            fld.values.blocks[2][0, 5] = np.nan
+        return fld
+
+    monkeypatch.setattr(expansion, "qp_solve", poisoned)
+    spec = star_spec()
+    grids = make_expansion_grids(spec, 64, 0.9)
+    with pytest.raises(NonFiniteError, match=r"^term \('v', 0, 2\) is not finite$"):
+        build_expansion(spec, 1, grids)
+
+
+def test_reference_p4_layers_hold_under_six_tenths_of_their_bands():
+    # ahead of its front a layer is zero, and each slab keeps only its rows
+    # down to the last nonzero one: the 24 layers of the reference p=4
+    # build store under 0.6 of their band rectangles (0.498 measured)
+    rc = validate_config(load_config(REFERENCE_CONFIG))
+    es = build_expansion(rc.spec, 4, make_expansion_grids(rc.spec, rc.n_per_edge, rc.cfl))
+    layers = [*es.vertex_layers.values(), *es.boundary_layers.values()]
+    assert len(layers) == 24
+    stored = sum(t.values.nbytes for t in layers)
+    assert stored == sum(b.nbytes for t in layers for _, b in slabs(t.values))
+    bands = sum(8 * t.values.shape[0] * t.values.shape[1] for t in layers)
+    assert stored < 0.6 * bands
 
 
 def test_schedule_tampering_detected():
@@ -166,7 +226,7 @@ def test_manual_chain_two_edge_single_exponent():
     theta_a = float(spec.q[1].evaluate(0.0, 0.0))
     v0 = qp_solve(QuarterPlaneProblem(theta_a, U0.sigma - u0.values[0, :]),
                   grids.layer)
-    assert np.array_equal(es.vertex_layers[(0, 1)].values, v0.values)
+    assert np.array_equal(dense(es.vertex_layers[(0, 1)].values), dense(v0.values))
 
     zero = parse("0")
     zspec = ProblemSpec(spec0.graph, spec0.q, (zero,), (zero,), (zero,),
@@ -177,16 +237,16 @@ def test_manual_chain_two_edge_single_exponent():
     # q = 1 + x: theta = q(0), the single Taylor source carries -q'(0) = -1
     v2 = qp_solve(QuarterPlaneProblem(theta_a, U1.sigma - 0.0,
                                       ((-1.0, 1, v0),)), grids.layer)
-    assert np.array_equal(es.vertex_layers[(2, 1)].values, v2.values)
+    assert np.array_equal(dense(es.vertex_layers[(2, 1)].values), dense(v2.values))
 
     theta_b = float(spec.q[1].evaluate(1.0, 0.0))
     w0 = qp_solve(QuarterPlaneProblem(theta_b, 0.0 - u0.values[-1, :]),
                   grids.layer)
-    assert np.array_equal(es.boundary_layers[(0, 1)].values, w0.values)
+    assert np.array_equal(dense(es.boundary_layers[(0, 1)].values), dense(w0.values))
     # s = 1: trace of the zero interior term, source +q'(L) w0
     w1 = qp_solve(QuarterPlaneProblem(theta_b, np.zeros(len(grids.times)),
                                       ((1.0, 1, w0),)), grids.layer)
-    assert np.array_equal(es.boundary_layers[(1, 1)].values, w1.values)
+    assert np.array_equal(dense(es.boundary_layers[(1, 1)].values), dense(w1.values))
 
 
 def test_assembled_node_contracts():

@@ -24,9 +24,9 @@ from starwaves.harness import (NORM_NOTE, ConvergenceReport, NormTriple,
                                write_report_csv, write_residuals_csv,
                                write_term_residuals_csv, write_trace_csv)
 
-from .helpers import (REFERENCE_CONFIG, REPO, SLAB_CASES, assemble_reference,
-                      flux_sum_reference, norms_reference, savetxt_grid_csv,
-                      slab_case_field, star_spec, two_edge_g0_spec)
+from .helpers import (REFERENCE_CONFIG, REPO, SLAB_CASES, assemble_reference, dense,
+                      flux_sum_reference, layer_residual_reference, norms_reference,
+                      savetxt_grid_csv, slab_case_field, star_spec, two_edge_g0_spec)
 
 
 def flat_field(lengths, n, dt, steps, value=0.0):
@@ -357,6 +357,25 @@ def test_term_residual_orders_in_dt():
         else:
             assert fine.residual <= 1e-10 * fine.scale, key
             assert fine.scale > 0.0
+
+
+@pytest.mark.parametrize("q", ["1 + x", "2"])
+def test_layer_residuals_from_blocks_match_the_band_wide_check(q):
+    # the slab-by-slab check over a layer's blocks gives the band-wide
+    # check's residual to the bit, and its scale; with q = 2 the odd w_s
+    # store no rows, and read 0 and 0
+    spec = star_spec(q=q)
+    es = build_expansion(spec, 3, make_expansion_grids(spec, 64, 0.9))
+    layers = [r for r in term_residuals(es) if r.key[0] in "vw"]
+    assert len(layers) == len(es.layer_problems)
+    for r in layers:
+        term = es.term(r.key)
+        assert r.residual == layer_residual_reference(es.layer_problems[r.key], term,
+                                                      es.grids.layer), r.key
+        assert r.scale == float(np.max(np.abs(dense(term.values)))), r.key
+    empty = [r for r in layers if es.term(r.key).values.nbytes == 0]
+    assert (len(empty) > 0) == (q == "2")
+    assert all(r.residual == r.scale == 0.0 for r in empty)
 
 
 def test_truncation_leftover_scales_one_curvature():

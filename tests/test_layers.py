@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from starwaves.errors import GraphConfigError
-from starwaves.grid import LayerGrid, SeparableSpline, Term
-from starwaves.layers import BAND_PAD, QuarterPlaneProblem, qp_solve, sample_physical
+from starwaves.grid import (TIME_SLAB, LayerGrid, SeparableSpline, Term, one_sided_diff, slabs,
+                            time_slabs)
+from starwaves.layers import (BAND_PAD, QuarterPlaneProblem, _source_matrix, qp_solve,
+                              sample_physical)
 
-from .helpers import (qp_march_reference, qp_oracle_below_characteristic, sampled,
-                      spline_oracle, zero_padded)
+from .helpers import (dense, qp_march_reference, qp_oracle_below_characteristic, same_bits,
+                      sampled, spline_oracle, zero_padded)
 
 
 def wave_grid(dt: float, T: float, pad: float = 2.0) -> LayerGrid:
@@ -53,7 +55,7 @@ def test_source_term_closed_form():
     # this synthetic source is global, so the homogeneous far end disturbs
     # its own domain of influence; compare outside it
     mask = grid.xi_nodes()[:, None] + grid.times()[None, :] <= grid.L - 1e-9
-    assert np.max(np.abs((fld.values - exact)[mask])) < 1e-12
+    assert np.max(np.abs((dense(fld.values) - exact)[mask])) < 1e-12
 
 
 def _march_case(name):
@@ -94,6 +96,19 @@ def _march_case(name):
         near[1:10, 1:] = np.cos(t[1:])
         rho = Term(near, grid.xi_nodes(), grid.times())
         return QuarterPlaneProblem(1.0, g, sources=((0.5, 1, rho),)), grid, None
+    if name in ("late-trace", "late-source"):
+        # a trace that starts at step 2 * TIME_SLAB - 2: the layer stores no
+        # rows in slab 0 and two rows in slab 1, fewer than a flux stencil
+        # needs; as a Taylor source it gives a layer empty in both
+        grid = wave_grid(0.01, 2.0)
+        t = grid.times()
+        t0 = t[2 * TIME_SLAB - 3]
+        late = QuarterPlaneProblem(1.0, np.where(t > t0, np.sin(t - t0) ** 2, 0.0))
+        if name == "late-trace":
+            return late, grid, None
+        rho = qp_solve(late, grid)
+        return QuarterPlaneProblem(-1.0, zero_trace(grid),
+                                   sources=((0.5, 1, rho), (-0.25, 2, rho))), grid, None
     if name == "odd-band":
         # odd steps and odd n_xi, and a source stored on 7 xi-nodes under a
         # trace with a negative theta: every term of the update, odd widths
@@ -107,29 +122,83 @@ def _march_case(name):
     raise ValueError(name)
 
 
-@pytest.mark.parametrize("name", ["trace", "negative-theta", "taylor-sources",
-                                  "global-source", "initial", "source-ahead",
-                                  "narrow-source", "odd-band"])
+MARCH_CASES = ["trace", "negative-theta", "taylor-sources", "global-source", "initial",
+               "source-ahead", "narrow-source", "odd-band", "late-trace", "late-source"]
+
+
+@pytest.mark.parametrize("name", MARCH_CASES)
 def test_march_matches_full_width_reference(name):
     # the support-bounded, time-major march gives the full-width x-major
-    # march to the bit, signs of zeros included, once its band is
+    # march to the bit, signs of zeros included, once its blocks are
     # zero-padded to the grid
     prob, grid, initial = _march_case(name)
     fld = qp_solve(prob, grid, initial=initial)
     if name in ("global-source", "initial", "source-ahead"):
         # data nonzero across the grid, or a source far ahead of the front
         # whose own front then runs on: the band is the whole grid
-        assert len(fld.values) == grid.n_xi + 1
+        assert fld.values.shape[0] == grid.n_xi + 1
     elif name in ("narrow-source", "odd-band"):
-        assert len(prob.sources[0][2].values) < len(fld.values) < grid.n_xi + 1
+        assert prob.sources[0][2].values.shape[0] < fld.values.shape[0] < grid.n_xi + 1
     else:
-        assert len(fld.values) <= grid.steps + BAND_PAD + 2 < grid.n_xi + 1
+        assert fld.values.shape[0] <= grid.steps + BAND_PAD + 2 < grid.n_xi + 1
     got = zero_padded(fld)
     want = qp_march_reference(prob, grid, initial=initial)
     assert got.shape == want.shape == (grid.n_xi + 1, grid.steps + 1)
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert same_bits(got, want)
     assert np.any(want != 0.0)
+
+
+@pytest.mark.parametrize("name", MARCH_CASES)
+def test_blocks_stop_at_each_slab_last_nonzero_row(name):
+    # one block per time slab, as tall as the slab's last nonzero row + 1
+    # of the full-width march, and what the blocks hold is what is counted
+    prob, grid, initial = _march_case(name)
+    fld = qp_solve(prob, grid, initial=initial)
+    want = qp_march_reference(prob, grid, initial=initial)
+    pairs = slabs(fld.values)
+    assert [cols for cols, _ in pairs] == time_slabs(grid.steps)
+    heights = []
+    for cols, b in pairs:
+        nonzero = np.flatnonzero(want[:, cols].any(axis=1))
+        heights.append(len(b))
+        assert len(b) == (nonzero[-1] + 1 if len(nonzero) else 0), cols
+        assert b.shape[1] == cols.stop - cols.start
+    assert fld.values.shape == (fld.values.rows, grid.steps + 1)
+    assert fld.values.nbytes == 8 * fld.values.size == 8 * sum(heights[k] * (c.stop - c.start)
+                                                              for k, (c, _) in enumerate(pairs))
+    if name == "late-trace":
+        assert heights[:2] == [0, 2] and heights[2] > 2
+    if name == "late-source":
+        assert heights[:2] == [0, 0] and heights[2] > 0
+
+
+def test_empty_and_short_blocks_read_as_their_rectangle():
+    # the late trace's layer: no rows in slab 0 and two in slab 1, short of
+    # the 3 and 5 rows of the flux stencils.  Its flux, is_zero and source
+    # sum are those of its zero-padded rectangle, to the bit
+    prob, grid, _ = _march_case("late-trace")
+    fld = qp_solve(prob, grid)
+    rect = dense(fld.values)
+    assert [len(b) for _, b in slabs(fld.values)][:2] == [0, 2]
+    assert not fld.is_zero
+    for stride in (1, 2):
+        assert same_bits(fld.flux(stride), one_sided_diff(rect, grid.dt, stride))
+    src = QuarterPlaneProblem(0.0, zero_trace(grid), ((0.5, 1, fld), (-0.25, 2, fld)))
+    xi = grid.xi_nodes()[:len(rect)]
+    want = np.zeros((grid.steps + 1, len(rect)))
+    for c, r, _ in src.sources:
+        want += (c * xi ** r) * rect.T
+    assert same_bits(_source_matrix(src, grid), want)
+    # a layer with no rows in any slab
+    zero = qp_solve(QuarterPlaneProblem(1.0, zero_trace(grid)), grid)
+    assert all(len(b) == 0 for _, b in slabs(zero.values))
+    assert zero.is_zero and zero.values.nbytes == 0 and zero.values.shape[0] > 5
+    for stride in (1, 2):
+        assert same_bits(zero.flux(stride), one_sided_diff(dense(zero.values), grid.dt, stride))
+    assert _source_matrix(QuarterPlaneProblem(0.0, zero_trace(grid), ((1.0, 1, zero),)),
+                          grid) is None
 
 
 def test_source_validation():
@@ -165,7 +234,7 @@ def test_positive_theta_stays_bounded():
     grid = wave_grid(0.02, 4.0)
     g = np.sin(grid.times()) ** 2
     fld = qp_solve(QuarterPlaneProblem(theta=400.0, trace=g), grid)
-    assert np.max(np.abs(fld.values)) < 5.0
+    assert np.max(np.abs(dense(fld.values))) < 5.0
 
 
 def test_self_convergence_second_order():
@@ -346,7 +415,7 @@ def test_band_spline_matches_whole_grid_spline(axis):
     grid = wave_grid(0.02, 2.0)
     g = np.sin(grid.times()) ** 2
     fld = qp_solve(QuarterPlaneProblem(theta=2.0, trace=g), grid)
-    rows = len(fld.values)
+    rows = fld.values.shape[0]
     assert rows < grid.n_xi + 1
     whole = SeparableSpline(grid.xi_nodes(), grid.times(), zero_padded(fld))
     eps = 0.5
