@@ -80,8 +80,9 @@ def _term_tables(es: ExpansionSet) -> list[tuple[str, np.ndarray, np.ndarray, st
     """(file name, x nodes, values, x column name) for every series term,
     in build_log order, the name made from the term's key.
 
-    values is an array, or a layer's SlabBlocks, which stop short of its x
-    nodes in each time slab; read through grid.slabs, the rest is zero.
+    values is an array, or SlabBlocks (a layer, an edge of a U correction,
+    a zero u term), which stop short of its x nodes in each time slab; read
+    through grid.slabs, the rest is zero.
     """
     tables = []
     for key, _ in es.build_log:

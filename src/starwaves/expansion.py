@@ -37,7 +37,7 @@ from .direct import Field
 from .errors import GraphConfigError, NonFiniteError
 from .expr import Const, Expr
 from .graph import ProblemSpec, require_compatibility_C1, restrict_to_g0
-from .grid import ExpansionGrids, Grid, Term, slabs
+from .grid import ExpansionGrids, Grid, SlabBlocks, Term, slabs
 from .layers import QuarterPlaneProblem, qp_solve, sample_physical
 from .limit import solve_cauchy_recursive, solve_degenerate_edge, solve_g0
 
@@ -65,7 +65,14 @@ def lambda_set(m: tuple[int, ...], p: int) -> tuple[tuple[int, int], ...]:
 
 @dataclass
 class ExpansionSet:
-    """Every term of one build, write-once, indexed by family and key."""
+    """Every term of one build, write-once, indexed by family and key.
+
+    g0_base is U_0, one array per unit-speed edge.  g0_corr[(r, l)] is the
+    correction U_(r,l): it starts from rest, so it is zero ahead of its
+    front, and each of its edges is stored as grid.SlabBlocks, cut there;
+    its sigma is one array.  Odd u_s, and a u term above a zero one, store
+    no rows.  Read them through grid.slabs (or Term.row).
+    """
 
     spec: ProblemSpec
     order: int
@@ -177,9 +184,10 @@ def build_expansion(spec: ProblemSpec, p: int, grids: ExpansionGrids) -> Expansi
     def record(key: tuple, deps: list, term: Field | Term) -> None:
         """Store a term under its build_log key and log it; stop at a non-finite one."""
         # min and max propagate a nan and reach an inf, with no array-sized
-        # temporary; a layer's slab may store no rows
-        arrays = term.edges if isinstance(term, Field) else [b for _, b in slabs(term.values)]
-        if not all(np.isfinite(a.min()) and np.isfinite(a.max()) for a in arrays if a.size):
+        # temporary; a slab of SlabBlocks may store no rows
+        values = term.edges if isinstance(term, Field) else [term.values]
+        if not all(np.isfinite(b.min()) and np.isfinite(b.max())
+                   for v in values for _, b in slabs(v) if b.size):
             raise NonFiniteError(f"term {key} is not finite")
         stores[key[0]][key[1:]] = term
         log.append((key, tuple(deps)))
@@ -208,7 +216,7 @@ def build_expansion(spec: ProblemSpec, p: int, grids: ExpansionGrids) -> Expansi
         record(("u", 0, e), [], u0)
         for s in range(1, p + 1):
             record(("u", s, e), [("u", s - 2, e)] if s >= 2 else [],
-                   Term(np.zeros(u0.values.shape), u0.x_nodes, times) if s % 2
+                   Term(SlabBlocks.zeros(u0.values.shape), u0.x_nodes, times) if s % 2
                    else solve_cauchy_recursive(spec.q[e], u[(s - 2, e)]))
 
     p_plus = tuple(sorted({r * mi for r in range(1, p + 1) for mi in mlist}))
@@ -216,7 +224,7 @@ def build_expansion(spec: ProblemSpec, p: int, grids: ExpansionGrids) -> Expansi
     def vertex_layer(P: int, e: int) -> None:
         m = g.m(e)
         if P == 0:
-            trace = U[(0, 0)].sigma - u[(0, e)].values[0, :]
+            trace = U[(0, 0)].sigma - u[(0, e)].row(0)
             deps = [("U", 0, 0), ("u", 0, e)]
         else:
             trace, deps = np.zeros(len(times)), []
@@ -225,7 +233,7 @@ def build_expansion(spec: ProblemSpec, p: int, grids: ExpansionGrids) -> Expansi
                     trace = trace + U[(r, l)].sigma
                     deps.append(("U", r, l))
             if P % m == 0 and P // m <= p:
-                trace = trace - u[(P // m, e)].values[0, :]
+                trace = trace - u[(P // m, e)].row(0)
                 deps.append(("u", P // m, e))
         layer(("v", P, e), 0.0, trace, [("v", P - r * m, e) for r in range(1, P // m + 1)],
               deps)
@@ -245,16 +253,19 @@ def build_expansion(spec: ProblemSpec, p: int, grids: ExpansionGrids) -> Expansi
                     deps.append(("u", r - 2, e))
                 nu -= v[((r - 1) * mlist[l - 1], e)].flux()
                 deps.append(("v", (r - 1) * mlist[l - 1], e))
-            record(("U", r, l), deps, solve_g0(corr_spec, grids.g0, nu))
+            fld = solve_g0(corr_spec, grids.g0, nu)
+            # zero ahead of its front: each edge is stored slab by slab
+            record(("U", r, l), deps,
+                   Field(fld.grid, [SlabBlocks.cut(x) for x in fld.edges], fld.sigma))
         for e in g.gstar_edges():
             vertex_layer(P, e)
 
     for e in g.gstar_edges():
         for s in range(0, p + 1):
             if s == 0:
-                trace = spec.mu[e].evaluate(0.0, times) - u[(0, e)].values[-1, :]
+                trace = spec.mu[e].evaluate(0.0, times) - u[(0, e)].row(-1)
             else:
-                trace = -u[(s, e)].values[-1, :]
+                trace = -u[(s, e)].row(-1)
             layer(("w", s, e), g.edges[e].length, trace,
                   [("w", s - r, e) for r in range(1, s + 1)], [("u", s, e)])
 

@@ -12,13 +12,19 @@ reference-configuration eps).
 
 Work over a whole space-time grid runs one time slab of TIME_SLAB columns
 at a time (time_slabs): the direct march evaluates f a slab of time rows
-at a time, and the sweep assembles and measures the series slab by slab.
-A layer's values are SlabBlocks, one block per slab cut at the slab's last
-nonzero row; a U or u term's are one array.  slabs(values) reads either,
-slab by slab, and every reader that may be handed a layer goes through it.  A
-spline keeps its x coefficients as one C-contiguous block per slab, cut
-BAND_PAD rows past the slab's last nonzero row, so a slab of a term's own
-times is one block, read without a copy.
+at a time, the layer march marches and stores a slab at a time, and the
+sweep assembles and measures the series slab by slab.  A term that is
+zero ahead of a front stores SlabBlocks, one block per slab cut at the
+slab's last nonzero row: a layer, a U correction's edge, and a zero term,
+which stores no rows.  U_0's edges and the nonzero u terms are one array
+each.  slabs(values) reads either, slab by slab, and every reader that may
+be handed SlabBlocks goes through it.  A spline keeps its x coefficients
+as one C-contiguous block per slab, cut BAND_PAD rows past the slab's
+last nonzero row, so a slab of a term's own times is one block, read
+without a copy.
+
+A grid one of whose arrays could not fit in physical memory is refused
+when it is made (make_direct_grid, make_expansion_grids).
 
 scipy is imported only inside SeparableSpline's methods.  A command that
 samples no term onto another grid (check, expand, solve) runs on numpy
@@ -28,6 +34,7 @@ alone and never loads it.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable
@@ -45,12 +52,14 @@ __all__ = [
     "LayerGrid",
     "ExpansionGrids",
     "make_direct_grid",
+    "physical_memory",
     "coarsen",
     "make_expansion_grids",
     "check_cfl",
     "SeparableSpline",
     "SlabBlocks",
     "Term",
+    "cut_block",
     "slabs",
     "time_slabs",
     "one_sided_diff",
@@ -137,12 +146,34 @@ def _even_ceil(x: float, field: str) -> int:
     return n + (n % 2)
 
 
+def physical_memory() -> int | None:
+    """Bytes of physical memory, as os.sysconf gives them; None where it cannot."""
+    try:
+        mem = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return mem if mem > 0 else None
+
+
+def _require_fits(nodes: int, what: str) -> None:
+    """Refuse a grid one of whose arrays of doubles, nodes long, could not
+    fit in physical memory: numpy would fail, or the host would, as it is
+    filled.  The config field named is the resolution; T and cfl scale the
+    same counts."""
+    mem = physical_memory()
+    if mem is not None and 8 * nodes > mem:
+        raise GraphConfigError(
+            f"grid.n_per_edge: {what} has {nodes} nodes, {8 * nodes / 2 ** 30:.4g} GiB, "
+            f"more than the {mem / 2 ** 30:.4g} GiB of physical memory")
+
+
 def make_direct_grid(spec: ProblemSpec, eps: float, n_per_edge: int, cfl: float) -> Grid:
     """Grid for a reference solve at fixed eps.
 
     Degenerate edges are refined so that h resolves the thinnest layer
     probed there (h <= eps^m / 8); cell counts and the step count are kept
-    even so a 2x-coarse companion grid shares every other node.
+    even so a 2x-coarse companion grid shares every other node.  A grid
+    whose field could not fit in physical memory is refused.
     """
     if not (0 < cfl <= 1):
         raise GraphConfigError(f"cfl must lie in (0, 1], got {cfl}")
@@ -162,6 +193,8 @@ def make_direct_grid(spec: ProblemSpec, eps: float, n_per_edge: int, cfl: float)
     bound = min(lengths[e] / n_cells[e] / math.sqrt(b_eps(spec, eps, e))
                 for e in range(g.n_edges))
     steps = _even_ceil(spec.T / (cfl * bound), "T")
+    _require_fits((steps + 1) * sum(n + 1 for n in n_cells),
+                  f"a field of the direct grid at eps={eps:g}")
     grid = Grid(lengths, tuple(n_cells), spec.T / steps, steps)
     check_cfl(spec, eps, grid, cfl)
     return grid
@@ -206,9 +239,10 @@ def make_expansion_grids(spec: ProblemSpec, n_per_edge: int, cfl: float) -> Expa
     h_min = min(L / n0 for L in lengths)
     steps = _even_ceil(spec.T / (cfl * h_min), "T")
     dt = spec.T / steps
-    g0_grid = Grid(lengths, (n0,) * len(g0_ids), dt, steps)
-
     n_xi = math.ceil((spec.T + LAYER_MARGIN) / dt)
+    _require_fits((steps + 1) * (n0 + 1) * len(g0_ids), "the unit-speed field of the series")
+    _require_fits((steps + 1) * (n_xi + 1), "a layer's band rectangle")
+    g0_grid = Grid(lengths, (n0,) * len(g0_ids), dt, steps)
     layer = LayerGrid(n_xi, dt, steps)
     return ExpansionGrids(g0_grid, g0_ids, _u_nodes(spec, n_per_edge), layer,
                           dt * np.arange(steps + 1))
@@ -337,7 +371,9 @@ class SlabBlocks:
     nonzero in that slab, so it is (height_k, width_k) with height_k <=
     rows, and every entry below it is zero: zero-padded to rows and put
     side by side, the blocks are the array.  shape is that array's; size
-    and nbytes count what is stored.
+    and nbytes count what is stored.  cut makes them from an array,
+    layers.qp_solve one slab at a time as it marches (cut_block), and
+    zeros stores no rows at all.
     """
 
     blocks: tuple[np.ndarray, ...]
@@ -346,12 +382,14 @@ class SlabBlocks:
     @classmethod
     def cut(cls, a: np.ndarray) -> SlabBlocks:
         """a's slabs, each a Fortran-ordered copy down to its last nonzero row."""
-        blocks = []
-        for cols in time_slabs(a.shape[1] - 1):
-            nonzero = np.flatnonzero(a[:, cols].any(axis=1))
-            blocks.append(np.array(a[:nonzero[-1] + 1 if len(nonzero) else 0, cols],
-                                   order="F"))
-        return cls(tuple(blocks), a.shape[0])
+        return cls(tuple(cut_block(a[:, cols]) for cols in time_slabs(a.shape[1] - 1)),
+                   a.shape[0])
+
+    @classmethod
+    def zeros(cls, shape: tuple[int, int]) -> SlabBlocks:
+        """An array of zeros of shape (rows, steps + 1): every block stores no rows."""
+        return cls(tuple(np.zeros((0, c.stop - c.start)) for c in time_slabs(shape[1] - 1)),
+                   shape[0])
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -364,6 +402,13 @@ class SlabBlocks:
     @property
     def nbytes(self) -> int:
         return sum(b.nbytes for b in self.blocks)
+
+
+def cut_block(a: np.ndarray) -> np.ndarray:
+    """a down to its last nonzero row, as a Fortran-ordered copy: a block
+    of SlabBlocks when a is one slab's columns."""
+    nonzero = np.flatnonzero(a.any(axis=1))
+    return np.array(a[:nonzero[-1] + 1 if len(nonzero) else 0], order="F")
 
 
 def slabs(values: np.ndarray | SlabBlocks) -> list[tuple[slice, np.ndarray]]:
@@ -381,10 +426,12 @@ class Term:
     """One series term on uniform x_nodes from 0 and times.
 
     values holds the nodes x_nodes[:values.shape[0]], and the term is zero
-    at every node past them.  U and u terms store every node as one array.
-    A layer stores its band as SlabBlocks, each slab down to the last row
-    nonzero in it: ahead of its front a layer is zero.  A reader that may
-    be handed a layer goes through slabs(values), which serves both.
+    at every node past them.  A term zero ahead of a front stores
+    SlabBlocks, each slab down to the last row nonzero in it: a layer (its
+    band), a U correction's edge, and a zero u term (no rows).  U_0's edges
+    and the nonzero u terms store every node as one array.  A reader that
+    may be handed SlabBlocks goes through slabs(values), or row, which
+    serve both.
     """
 
     values: np.ndarray | SlabBlocks  # (rows <= len(x_nodes), len(times))
@@ -398,6 +445,16 @@ class Term:
     @property
     def is_zero(self) -> bool:
         return not any(b.any() for _, b in slabs(self.values))
+
+    def row(self, i: int) -> np.ndarray:
+        """values[i] at every time, i counted as a sequence index over the
+        values' rows: zero in a slab whose block stops above it."""
+        i = range(self.values.shape[0])[i]
+        out = np.zeros(len(self.times))
+        for cols, b in slabs(self.values):
+            if i < len(b):
+                out[cols] = b[i]
+        return out
 
     def flux(self, stride: int = 1) -> np.ndarray:
         """One-sided d_x at x = 0 per time level; stride widens the stencil."""

@@ -34,14 +34,15 @@ from .direct import Field, direct_solve
 from .errors import ExprSyntaxError, GraphConfigError, NonFiniteError
 from .expr import Expr, parse
 from .graph import Edge, ProblemSpec, StarGraph
-from .grid import (TIME_SLAB, Grid, LayerGrid, Term, _u_nodes, coarsen, make_direct_grid,
-                   make_expansion_grids, slabs, time_slabs, trapezoid_weights)
+from .grid import (TIME_SLAB, Grid, LayerGrid, SlabBlocks, Term, _u_nodes, coarsen,
+                   make_direct_grid, make_expansion_grids, slabs, time_slabs,
+                   trapezoid_weights)
 from .expansion import (MAX_ORDER, ExpansionSet, build_expansion,
                         partial_sum_columns, residuals)
 # not called here: benchmark/tracing.py wraps this name in this namespace
 from .expansion import assemble_partial_sum  # noqa: F401
 from .kernels import _HYP_ARG_MAX
-from .layers import QuarterPlaneProblem, _source_matrix
+from .layers import QuarterPlaneProblem, source_slabs
 from .limit import _dxx
 
 __all__ = [
@@ -177,7 +178,9 @@ class TermResidual:
     against their march's own update, which the stored values satisfy up
     to roundoff; u_s against d_t^2 u_s + q u_s = its source, where the
     three-point d_t^2 leaves O(dt^2).  Residuals are in the equation's
-    units (the update's miss divided by dt^2).
+    units (the update's miss divided by dt^2).  Every check and sup reads
+    a term's stored slabs (grid.slabs), so a term held as SlabBlocks is
+    never made whole.
     """
 
     key: tuple
@@ -185,25 +188,41 @@ class TermResidual:
     scale: float
 
 
-def _march_residual(u: np.ndarray, grid: Grid, e: int, q: np.ndarray,
+def _time_major(values: np.ndarray | SlabBlocks, width: int):
+    """(cols, W) for each time slab of values: W is time-major, row i the
+    time cols.start - 2 + i, its block zero-padded to width nodes after the
+    two time levels before the slab, carried from the slab before (zero
+    before t = 0).  i0 is the first row a step m -> m + 1, m >= 1, reaches."""
+    before = np.zeros((2, width))
+    for cols, b in slabs(values):
+        W = np.zeros((cols.stop - cols.start + 2, width))
+        W[:2] = before
+        W[2:, :len(b)] = b.T
+        before = W[-2:]
+        yield cols, W, max(2, 4 - cols.start)
+
+
+def _march_residual(values: np.ndarray | SlabBlocks, grid: Grid, e: int, q: np.ndarray,
                     f: Expr | None) -> float:
     """The unit-stiffness leapfrog of direct._march on edge e's interior.
 
-    u is time-major.  Each step's update is recomputed with the march's
-    arithmetic, f evaluated in the same blocks of TIME_SLAB time rows.
+    values is x-major.  Each step's update is recomputed with the march's
+    arithmetic, slab by slab (_time_major).  f is evaluated in the march's
+    blocks, one slab of TIME_SLAB time rows at a time; a slab's first step
+    reads the last row of the block before.
     """
-    M, dt, h = grid.steps, grid.dt, grid.h(e)
+    dt, h = grid.dt, grid.h(e)
     x, times = grid.x_nodes(e), grid.times()
     worst = []
-    for n0 in range(0, M, TIME_SLAB):
-        n = slice(max(n0, 1), min(n0 + TIME_SLAB, M))  # the steps n -> n + 1
-        un = u[n]
+    F = np.zeros((1, len(x)))
+    for cols, W, i0 in _time_major(values, len(x)):
+        if f is not None:  # row j: the time cols.start - 1 + j
+            F = np.concatenate([F[-1:], f.evaluate(x[None, :], times[cols, None])])
+        un = W[i0 - 1:-1]
         lap = (un[:, 2:] - 2.0 * un[:, 1:-1] + un[:, :-2]) / h ** 2
-        F = 0.0 if f is None else f.evaluate(
-            x[None, :], times[n0:n0 + TIME_SLAB, None])[n.start - n0:n.stop - n0, 1:-1]
-        step = 2.0 * un[:, 1:-1] - u[n.start - 1:n.stop - 1, 1:-1] + dt * dt * (
-            lap - q[1:-1] * un[:, 1:-1] + F)
-        worst.append(np.max(np.abs(u[n.start + 1:n.stop + 1, 1:-1] - step)))
+        step = 2.0 * un[:, 1:-1] - W[i0 - 2:-2, 1:-1] + dt * dt * (
+            lap - q[1:-1] * un[:, 1:-1] + (0.0 if f is None else F[i0 - 2:-1, 1:-1]))
+        worst.append(np.max(np.abs(W[i0:, 1:-1] - step)))
     return float(np.max(worst)) / (dt * dt)
 
 
@@ -212,31 +231,30 @@ def _layer_residual(prob: QuarterPlaneProblem, term: Term, grid: LayerGrid) -> f
 
     Each step's update is recomputed with the march's arithmetic; past a
     step's reach the update reads zeros and must give the zero stored.  The
-    steps run slab by slab: W holds a block zero-padded to the band, time-
-    major, after the two rows that precede it, carried from the slab before.
+    steps run slab by slab (_time_major), against the sources summed a
+    slab at a time (layers.source_slabs); a slab's first step reads the
+    last source row of the slab before.  Sources that sum to zero add only
+    zeros, which move no sup.
     """
     width = term.values.shape[0]
     dt = grid.dt
     th_m = min(prob.theta, 0.0)
     a = 0.5 * dt * dt * max(prob.theta, 0.0)
-    S = _source_matrix(prob, grid)
+    sources = source_slabs(prob, grid)
     worst = []
-    before = np.zeros((2, width))
-    for cols, b in slabs(term.values):
-        W = np.zeros((cols.stop - cols.start + 2, width))  # row i is time cols.start - 2 + i
-        W[:2] = before
-        W[2:, :len(b)] = b.T
-        before = W[-2:]
-        i0 = max(2, 4 - cols.start)  # the steps m -> m + 1 into W[i0:], m >= 1
+    S = np.zeros((1, 0))
+    for cols, W, i0 in _time_major(term.values, width):
         m, prev = slice(i0 - 1, -1), slice(i0 - 2, -2)
         rhs = W[m, 2:] + W[m, :-2] - (1.0 + a) * W[prev, 1:-1] \
             - dt * dt * th_m * W[m, 1:-1]
-        if S is not None:
-            # the source on the band: zero past its own width
-            src = np.zeros((len(W) - i0, width))
-            k = min(S.shape[1], width)
-            src[:, :k] = S[cols.start - 3 + i0:cols.stop - 1, :k]
-            rhs = rhs + dt * dt * src[:, 1:-1]
+        if sources is not None:
+            # row j: the source at the time cols.start - 1 + j on the band,
+            # zero past its rows; row 0 is the last of the slab before
+            last, S = S[-1], next(sources)
+            src = np.zeros((len(W) - 1, width))
+            src[0, :min(len(last), width)] = last[:width]
+            src[1:, :min(S.shape[1], width)] = S[:, :width]
+            rhs = rhs + dt * dt * src[i0 - 2:-1, 1:-1]
         worst.append(np.max(np.abs(W[i0:, 1:-1] - rhs / (1.0 + a))))
     return float(np.max(worst)) * (1.0 + a) / (dt * dt)
 
@@ -250,6 +268,11 @@ def _ode_residual(term: Term, q: Expr, src: np.ndarray) -> float:
     return float(np.max(np.abs(utt + Q * u[:, 1:-1] - src[:, 1:-1])))
 
 
+def _sup(values: np.ndarray | SlabBlocks) -> float:
+    """max |values|, read slab by slab; 0.0 when no row is stored."""
+    return max((float(np.max(np.abs(b))) for _, b in slabs(values) if b.size), default=0.0)
+
+
 def term_residuals(es: ExpansionSet) -> tuple[TermResidual, ...]:
     """Every term's residual in its own equation, in build_log order."""
     spec, grids = es.spec, es.grids
@@ -260,24 +283,25 @@ def term_residuals(es: ExpansionSet) -> tuple[TermResidual, ...]:
         family, k, i = key
         term = es.term(key)
         if family == "U":
-            res = max(_march_residual(term.edges[loc].T, g0, loc,
+            res = max(_march_residual(term.edges[loc], g0, loc,
                                       spec.q[e].evaluate(g0.x_nodes(loc), 0.0),
                                       spec.f[e] if k == 0 else None)
                       for loc, e in enumerate(grids.g0_edge_ids))
-            scale = max(float(np.max(np.abs(u))) for u in term.edges)
+            scale = max(_sup(u) for u in term.edges)
         elif family == "u":
-            if k == 0:
-                src = spec.f[i].evaluate(term.x_nodes[:, None], times[None, :])
-            elif k == 1:  # no u_{-1}: u_1 solves the homogeneous equation
-                src = np.zeros(term.values.shape)
+            if not term.values.size:
+                # a zero term stores no rows: u_1, which solves the
+                # homogeneous equation, or a term above a zero one, whose
+                # source d_x^2 is zero too
+                res = 0.0
             else:
-                src = _dxx(es.edge_terms[(k - 2, i)].values, term.x_nodes[1])
-            res = _ode_residual(term, spec.q[i], src)
-            scale = float(np.max(np.abs(term.values)))
+                src = (spec.f[i].evaluate(term.x_nodes[:, None], times[None, :]) if k == 0
+                       else _dxx(es.edge_terms[(k - 2, i)].values, term.x_nodes[1]))
+                res = _ode_residual(term, spec.q[i], src)
+            scale = _sup(term.values)
         else:
             res = _layer_residual(es.layer_problems[key], term, grids.layer)
-            scale = max((float(np.max(np.abs(b))) for _, b in slabs(term.values) if b.size),
-                        default=0.0)
+            scale = _sup(term.values)
         out.append(TermResidual(key, res, scale))
     return tuple(out)
 

@@ -7,12 +7,14 @@ d'Alembert solutions to roundoff, and the numerical support never runs
 ahead of the physical front, so values stay identically zero for xi > t.
 
 The same support bounds the work and the storage: the march is time-major
-and each step updates only the nodes that can be nonzero yet, over a band
-out to the widest reach plus BAND_PAD.  A layer is a grid.Term whose
-values are grid.SlabBlocks: the band cut into one block per time slab,
-each down to the last row nonzero in its slab (see qp_solve), so about
-half of the band.  Zero-padded to the grid, that is the full-width march
-to the bit.
+and each step updates only the nodes that can be nonzero yet.  It runs one
+time slab at a time, with the sources summed a slab at a time
+(source_slabs), and cuts each slab's block as soon as the slab is marched
+(see qp_solve): nothing band-wide is ever allocated.  A layer is a
+grid.Term whose values are grid.SlabBlocks, each block down to the last
+row nonzero in its slab, so about half of its band rectangle, which runs
+out to the widest reach plus BAND_PAD.  Zero-padded to the grid, that is
+the full-width march to the bit.
 
 Both layer families use this module; the family attached to the far
 vertices is solved in the folded coordinate xi = -z >= 0, with the odd
@@ -27,17 +29,19 @@ caller that walks the time axis slab by slab pays only the products.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .errors import GraphConfigError
-from .grid import BAND_PAD, LAYER_MARGIN, LayerGrid, SlabBlocks, Term, slabs
+from .grid import (BAND_PAD, LAYER_MARGIN, TIME_SLAB, LayerGrid, SlabBlocks, Term,
+                   cut_block, slabs, time_slabs)
 
 __all__ = [
     "QuarterPlaneProblem",
     "qp_solve",
     "sample_physical",
+    "source_slabs",
 ]
 
 TRACE_START_TOL = 1e-6
@@ -59,10 +63,14 @@ class QuarterPlaneProblem:
     label: str = ""
 
 
-def _source_matrix(prob: QuarterPlaneProblem, grid: LayerGrid) -> np.ndarray | None:
-    """sum_r c_r xi^r rho_r, time-major: shape (steps + 1, rows), where rows
-    is the widest source's; the sum is zero past it.  Each source adds its
-    blocks, slab by slab: below a block it adds nothing."""
+def source_slabs(prob: QuarterPlaneProblem, grid: LayerGrid) -> Iterator[np.ndarray] | None:
+    """sum_r c_r xi^r rho_r, one time slab (time_slabs) at a time.
+
+    Each slab's sum is time-major, (slab width, rows): rows is the tallest
+    block the sources store in that slab, and the sum is zero past it.
+    None when no source term is nonzero; the sums may still all be zero.
+    The sources are checked here, the sums made as they are read.
+    """
     xi, times = grid.xi_nodes(), grid.times()
     terms = []
     for c, r, rho in prob.sources:
@@ -71,19 +79,25 @@ def _source_matrix(prob: QuarterPlaneProblem, grid: LayerGrid) -> np.ndarray | N
         if r < 1:
             raise GraphConfigError("Taylor source powers start at 1")
         if c != 0.0 and not rho.is_zero:
-            terms.append((c, r, rho.values))
+            terms.append((c * xi[:rho.values.shape[0]] ** r,
+                          [b for _, b in slabs(rho.values)]))
     if not terms:
         return None
-    S = np.zeros((len(times), max(v.shape[0] for _, _, v in terms)))
-    for c, r, v in terms:
-        w = c * xi[:v.shape[0]] ** r
-        for cols, b in slabs(v):
-            S[cols, :len(b)] += w[:len(b)] * b.T
-    return S if S.any() else None
+
+    def sums() -> Iterator[np.ndarray]:
+        for k, cols in enumerate(time_slabs(grid.steps)):
+            parts = [(w, blocks[k]) for w, blocks in terms]
+            S = np.zeros((cols.stop - cols.start, max(len(b) for _, b in parts)))
+            for w, b in parts:
+                S[:, :len(b)] += w[:len(b)] * b.T
+            yield S
+    return sums()
 
 
 def _last_nonzero(rows: np.ndarray) -> np.ndarray:
     """Index of the last nonzero entry of each row, 0 for an all-zero row."""
+    if rows.shape[1] == 0:
+        return np.zeros(len(rows), dtype=int)
     nz = rows != 0.0
     last = rows.shape[1] - 1 - np.argmax(nz[:, ::-1], axis=1)
     return np.where(nz.any(axis=1), last, 0)
@@ -100,84 +114,122 @@ def qp_solve(prob: QuarterPlaneProblem, grid: LayerGrid,
     without shrinking the step; a negative part stays explicit (growth is
     then physical).
 
-    The march runs time-major, in an array whose rows are time levels, so
-    every step reads and writes contiguous memory.  A step updates only the
-    nodes 1..reach.  reach starts at the last nonzero node of the two start
-    levels and grows by at least one node per step, and to the last nonzero
-    node of the step's source; it never shrinks.  Every node past it has zero
+    The march runs time-major, one time slab (time_slabs) at a time, in a
+    buffer of TIME_SLAB + 2 time levels: the two before the slab, carried
+    over, and the slab's own.  A step updates only the nodes 1..reach.
+    reach starts at the last nonzero node of the two start levels and grows
+    by at least one node per step, and to the last nonzero node of the
+    step's source; it never shrinks.  Every node past it has zero
     neighbours and zero source, so the full update would write +0.0 there,
-    which the array already holds.  The reaches are worked out before the
-    march, and the array W holds only the nodes 0..band, band = widest reach
-    + 1 + BAND_PAD (at most n_xi).  W is a temporary: the Term's values are
-    SlabBlocks of shape (band + 1, steps + 1), W cut into one Fortran-ordered
-    block per time slab down to the slab's last nonzero row.  Zero-padded to
-    the grid, they are the full-width march to the bit.
+    which the buffer already holds.  The sources are summed a slab at a time
+    (source_slabs).  As soon as a slab is marched, its block is cut down to
+    its last nonzero row (grid.cut_block); the Term's values are those
+    SlabBlocks, of shape (band + 1, steps + 1), band = widest reach + 1 +
+    BAND_PAD (at most n_xi).  Zero-padded to the grid, they are the
+    full-width march to the bit.
+
+    Sources that sum to zero at every node and time are no source: the
+    march adds none, as adding +0.0 would turn a -0.0 into +0.0.  That is
+    known only once every slab is summed, so such a problem is marched
+    again without them.
 
     initial is a test-only mode: rows (v(., 0), v_t(., 0)) for comparison
     against the tests' integral-representation oracle.
     """
     if grid.L + 1e-9 < grid.steps * grid.dt + LAYER_MARGIN:
         raise GraphConfigError("layer grid too short: support could reach the far end")
-    n, M = grid.n_xi, grid.steps
-    dt = grid.dt
     g = np.asarray(prob.trace, dtype=float)
-    if g.shape != (M + 1,):
+    if g.shape != (grid.steps + 1,):
         raise GraphConfigError("trace must be sampled on the layer time grid")
     if abs(g[0]) > TRACE_START_TOL:
         raise GraphConfigError(
             f"layer trace {prob.label or '?'} does not vanish at t=0: {g[0]:.3e}")
-    S = _source_matrix(prob, grid)
-    s0 = np.zeros(n + 1)
-    if S is not None:
-        s0[:S.shape[1]] = S[0]
+    sources = source_slabs(prob, grid)
+    blocks, widest, sourced = _march(prob.theta, g, grid, initial, sources)
+    if sources is not None and not sourced:
+        blocks, widest, _ = _march(prob.theta, g, grid, initial, None)
+    band = min(grid.n_xi, widest + 1 + BAND_PAD)
+    return Term(SlabBlocks(tuple(blocks), band + 1), grid.xi_nodes(), grid.times())
 
-    th_p = max(prob.theta, 0.0)
-    th_m = min(prob.theta, 0.0)
+
+def _march(theta: float, g: np.ndarray, grid: LayerGrid,
+           initial: tuple[np.ndarray, np.ndarray] | None,
+           sources: Iterator[np.ndarray] | None) -> tuple[list[np.ndarray], int, bool]:
+    """qp_solve's march: each slab's block, the widest reach, and whether
+    any source was nonzero."""
+    n, M, dt = grid.n_xi, grid.steps, grid.dt
+    th_p = max(theta, 0.0)
+    th_m = min(theta, 0.0)
     a = 0.5 * dt * dt * th_p
-
-    start = np.zeros((2, n + 1))
-    if initial is not None:
-        alpha, beta = (np.asarray(r, dtype=float) for r in initial)
-        start[0] = alpha
-        lap = np.zeros_like(alpha)
-        lap[1:-1] = (alpha[2:] - 2.0 * alpha[1:-1] + alpha[:-2]) / (dt * dt)
-        start[1, 1:-1] = (alpha + dt * beta + 0.5 * dt * dt * (
-            lap - prob.theta * alpha + s0))[1:-1]
-    elif S is not None:
-        start[1, 1:-1] = 0.5 * dt * dt * s0[1:-1]
-    start[:, 0] = g[:2]
-
-    reach = [int(_last_nonzero(start).max())]
-    src_reach = _last_nonzero(S).tolist() if S is not None else [0] * (M + 1)
-    for m in range(1, M):
-        reach.append(min(max(reach[-1] + 1, src_reach[m]), n - 1))
-    band = min(n, max(reach) + 1 + BAND_PAD)
-    W = np.zeros((M + 1, band + 1))
-    W[:2] = start[:, :band + 1]
-    if S is not None and S.shape[1] < band + 1:
-        # the march can outrun a source's stored band, where it reads zero
-        S = np.pad(S, ((0, 0), (0, band + 1 - S.shape[1])))
-
     # the update W[m + 1] = (((W[m, 2:] + W[m, :-2]) - (1 + a) W[m - 1])
     # - dt^2 th_m W[m] + dt^2 S[m]) / (1 + a), in that order, written
     # straight into its row; z is the one work row
     c, dt2, d = 1.0 + a, dt * dt, dt * dt * th_m
-    z = np.empty(band)
-    for m in range(1, M):
-        k = reach[m] + 1
-        out, w = W[m + 1, 1:k], z[:k - 1]
-        np.add(W[m, 2:k + 1], W[m, :k - 1], out=out)
-        np.multiply(W[m - 1, 1:k], c, out=w)
-        np.subtract(out, w, out=out)
-        np.multiply(W[m, 1:k], d, out=w)
-        np.subtract(out, w, out=out)
+    z = np.empty(n)
+    # row i holds the time cols.start - 2 + i of the slab cols being marched
+    W = np.zeros((TIME_SLAB + 2, n + 1))
+    blocks = []
+    sourced = False
+    S_before = np.zeros(0)  # the source at the time before the slab
+    for cols in time_slabs(M):
+        S = next(sources) if sources is not None else None
         if S is not None:
-            np.multiply(S[m, 1:k], dt2, out=w)
-            np.add(out, w, out=out)
-        np.divide(out, c, out=out)
-        W[m + 1, 0] = g[m + 1]
-    del S  # so that the source rows and the blocks are not held at once
-    return Term(SlabBlocks.cut(W.T), grid.xi_nodes(), grid.times())
+            sourced = sourced or bool(S.any())
+            S_reach = _last_nonzero(S)
+        if cols.start == 0:
+            s0 = np.zeros(n + 1)
+            if S is not None:
+                s0[:S.shape[1]] = S[0]
+            if initial is not None:
+                alpha, beta = (np.asarray(r, dtype=float) for r in initial)
+                W[2] = alpha
+                lap = np.zeros_like(alpha)
+                lap[1:-1] = (alpha[2:] - 2.0 * alpha[1:-1] + alpha[:-2]) / (dt * dt)
+                W[3, 1:-1] = (alpha + dt * beta + 0.5 * dt * dt * (
+                    lap - theta * alpha + s0))[1:-1]
+            elif S is not None:
+                W[3, 1:-1] = 0.5 * dt * dt * s0[1:-1]
+            W[2:4, 0] = g[:2]
+            reach = widest = int(_last_nonzero(W[2:4]).max())
+            first = 2  # the first time the slab's steps reach
+        else:
+            W[:2] = W[width:width + 2]
+            if cols.start == TIME_SLAB:
+                # the start levels' rows may hold data past every reach, which
+                # the rows of the later steps must not
+                W[2:4] = 0.0
+            first = cols.start
+        for m in range(first - 1, cols.stop - 1):
+            i = m - cols.start + 2
+            if S is not None:
+                j = m - cols.start  # -1: the time before the slab
+                s, s_reach = (S[j], S_reach[j]) if j >= 0 else (S_before, reach_before)
+                reach = min(max(reach + 1, int(s_reach)), n - 1)
+            else:
+                reach = min(reach + 1, n - 1)
+            widest = max(widest, reach)
+            k = reach + 1
+            out, w = W[i + 1, 1:k], z[:k - 1]
+            np.add(W[i, 2:k + 1], W[i, :k - 1], out=out)
+            np.multiply(W[i - 1, 1:k], c, out=w)
+            np.subtract(out, w, out=out)
+            np.multiply(W[i, 1:k], d, out=w)
+            np.subtract(out, w, out=out)
+            if S is not None:
+                # the source zero-padded to the step's nodes
+                r = max(min(k, len(s)), 1)
+                np.multiply(s[1:r], dt2, out=w[:r - 1])
+                w[r - 1:] = 0.0
+                np.add(out, w, out=out)
+            np.divide(out, c, out=out)
+            W[i + 1, 0] = g[m + 1]
+        width = cols.stop - cols.start
+        # the slab's levels are nonzero at no node past the widest reach
+        blocks.append(cut_block(W[2:width + 2, :widest + 1].T))
+        if S is not None:
+            S_before, reach_before = S[-1].copy(), S_reach[-1]
+        del S  # freed before the next slab's sum is made
+    return blocks, widest, sourced
 
 
 def sample_physical(term: Term, eps: float, m: int, edge_length: float,

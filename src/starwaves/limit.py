@@ -22,7 +22,7 @@ from .direct import Field, _march
 from .errors import CompatibilityError
 from .expr import Expr
 from .graph import ProblemSpec
-from .grid import Grid, Term, check_cfl
+from .grid import Grid, SlabBlocks, Term, check_cfl
 from .kernels import cs, sn
 
 __all__ = [
@@ -149,11 +149,12 @@ def _dxx(values: np.ndarray, h: float) -> np.ndarray:
 def solve_cauchy_recursive(q: Expr, prev: Term) -> Term:
     """Term two orders above prev, from the source d^2_x prev.
 
-    A zero prev gives a zero term without computation.  Odd orders are
-    identically zero, and the caller makes them without a call.
+    A zero prev gives a zero term without computation, which stores no
+    rows.  Odd orders are identically zero, and the caller makes them so,
+    without a call.
     """
     if prev.is_zero:
-        return Term(np.zeros(prev.values.shape), prev.x_nodes, prev.times)
+        return Term(SlabBlocks.zeros(prev.values.shape), prev.x_nodes, prev.times)
     dt = float(prev.times[1] - prev.times[0])
     h = float(prev.x_nodes[1] - prev.x_nodes[0])
     Q = q.evaluate(prev.x_nodes, 0.0)[:, None]

@@ -18,7 +18,7 @@ from starwaves.harness import NormTriple
 from starwaves.grid import (TIME_SLAB, Grid, SeparableSpline, one_sided_diff, slabs,
                             time_slabs, trapezoid_weights)
 from starwaves.kernels import _as_array
-from starwaves.layers import _source_matrix, sample_physical
+from starwaves.layers import sample_physical
 from starwaves.limit import simpson_weights
 
 REPO = Path(__file__).resolve().parent.parent
@@ -142,8 +142,8 @@ def full_height_spline(x_nodes, t_nodes, values, x, t):
 
 
 def dense(values):
-    """A term's stored values as one array, values.shape: a layer's blocks
-    side by side, each zero-padded to the stored rows."""
+    """A term's stored values as one array, values.shape: the blocks of
+    SlabBlocks side by side, each zero-padded to the stored rows."""
     out = np.zeros(values.shape)
     for cols, b in slabs(values):
         out[:len(b), cols] = b
@@ -198,7 +198,8 @@ def assemble_reference(es, eps, grid):
         xg = es.grids.g0.x_nodes(loc)
         V = spline(xg, es.g0_base.edges[loc], x)
         for r, l in sorted(es.g0_corr):
-            V += eps ** (r * g.exponents[l]) * spline(xg, es.g0_corr[(r, l)].edges[loc], x)
+            V += eps ** (r * g.exponents[l]) * spline(xg, dense(es.g0_corr[(r, l)].edges[loc]),
+                                                      x)
         return V
 
     edges = []
@@ -210,9 +211,9 @@ def assemble_reference(es, eps, grid):
         m, L = g.m(e), g.edges[e].length
         V = np.zeros((len(x), len(t)))
         for s in range(es.order + 1):
-            u = es.edge_terms[(s, e)]
-            if u.values.any():
-                V += eps ** (s * m) * spline(u.x_nodes, u.values, x)
+            u = dense(es.edge_terms[(s, e)].values)
+            if u.any():
+                V += eps ** (s * m) * spline(es.edge_terms[(s, e)].x_nodes, u, x)
         for P in sorted(P for P, ee in es.vertex_layers if ee == e):
             V += eps ** P * layer(es.vertex_layers[(P, e)], x / eps ** m)
         for s in range(es.order + 1):
@@ -236,14 +237,16 @@ def flux_sum_reference(es, eps, stride):
         h = es.grids.g0.h(loc)
         nu = nu + one_sided_diff(es.g0_base.edges[loc], h, stride)
         for (r, l), fld in es.g0_corr.items():
-            nu = nu + eps ** (r * g.exponents[l]) * one_sided_diff(fld.edges[loc], h, stride)
+            nu = nu + eps ** (r * g.exponents[l]) * one_sided_diff(dense(fld.edges[loc]), h,
+                                                                   stride)
     for e in g.gstar_edges():
         m = g.m(e)
         for s in range(es.order + 1):
             u = es.edge_terms[(s, e)]
-            if u.values.any():
+            values = dense(u.values)
+            if values.any():
                 h = float(u.x_nodes[1] - u.x_nodes[0])
-                nu = nu + eps ** (2 * m) * eps ** (s * m) * one_sided_diff(u.values, h, stride)
+                nu = nu + eps ** (2 * m) * eps ** (s * m) * one_sided_diff(values, h, stride)
         for P in sorted(P for P, ee in es.vertex_layers if ee == e):
             v = dense(es.vertex_layers[(P, e)].values)
             if v.any():
@@ -262,6 +265,18 @@ def convolve_sn_reference(src, SN, dt):
     return out
 
 
+def source_matrix_reference(prob, grid):
+    """sum_r c_r xi^r rho_r on the whole grid, x-major (n_xi + 1, steps + 1),
+    or None when it is zero everywhere: the reference for
+    layers.source_slabs."""
+    xi = grid.xi_nodes()
+    S = np.zeros((grid.n_xi + 1, grid.steps + 1))
+    for c, r, rho in prob.sources:
+        if c != 0.0 and dense(rho.values).any():
+            S += (c * xi ** r)[:, None] * zero_padded(rho)
+    return S if S.any() else None
+
+
 def qp_march_reference(prob, grid, initial=None):
     """Full-width, x-major leapfrog: the reference for layers.qp_solve.
 
@@ -271,13 +286,7 @@ def qp_march_reference(prob, grid, initial=None):
     checks are left to qp_solve.
     """
     n, M, dt = grid.n_xi, grid.steps, grid.dt
-    xi = grid.xi_nodes()
-    S = np.zeros((n + 1, M + 1))
-    for c, r, rho in prob.sources:
-        if c != 0.0 and dense(rho.values).any():
-            S += (c * xi ** r)[:, None] * zero_padded(rho)
-    if not S.any():
-        S = None
+    S = source_matrix_reference(prob, grid)
     g = np.asarray(prob.trace, dtype=float)
     th_p = max(prob.theta, 0.0)
     th_m = min(prob.theta, 0.0)
@@ -304,19 +313,39 @@ def qp_march_reference(prob, grid, initial=None):
     return V
 
 
+def march_residual_reference(u, grid, e, q, f):
+    """The residual of direct._march's unit-stiffness update on edge e's
+    interior, over a whole time-major array u: the reference for the
+    slab-by-slab harness._march_residual.  f is evaluated in blocks of
+    TIME_SLAB time rows, as the march evaluates it."""
+    M, dt, h = grid.steps, grid.dt, grid.h(e)
+    x, times = grid.x_nodes(e), grid.times()
+    worst = []
+    for n0 in range(0, M, TIME_SLAB):
+        n = slice(max(n0, 1), min(n0 + TIME_SLAB, M))  # the steps n -> n + 1
+        un = u[n]
+        lap = (un[:, 2:] - 2.0 * un[:, 1:-1] + un[:, :-2]) / h ** 2
+        F = 0.0 if f is None else f.evaluate(
+            x[None, :], times[n0:n0 + TIME_SLAB, None])[n.start - n0:n.stop - n0, 1:-1]
+        step = 2.0 * un[:, 1:-1] - u[n.start - 1:n.stop - 1, 1:-1] + dt * dt * (
+            lap - q[1:-1] * un[:, 1:-1] + F)
+        worst.append(np.max(np.abs(u[n.start + 1:n.stop + 1, 1:-1] - step)))
+    return float(np.max(worst)) / (dt * dt)
+
+
 def layer_residual_reference(prob, term, grid):
     """The band-wide residual check: the reference for the slab-by-slab
     harness._layer_residual.  The leapfrog of layers.qp_solve, recomputed
     over the layer's zero-padded band in slabs of the steps m -> m + 1,
-    against its source matrix zero-padded to the band."""
+    against the whole grid's source matrix cut to the band."""
     W = dense(term.values).T
     width = W.shape[1]
     dt = grid.dt
     th_m = min(prob.theta, 0.0)
     a = 0.5 * dt * dt * max(prob.theta, 0.0)
-    S = _source_matrix(prob, grid)
+    S = source_matrix_reference(prob, grid)
     if S is not None:
-        S = np.pad(S, ((0, 0), (0, max(width - S.shape[1], 0))))[:, :width]
+        S = S.T[:, :width]
     worst = []
     for prev in time_slabs(grid.steps - 2):  # the steps m -> m + 1, m >= 1
         m = slice(prev.start + 1, prev.stop + 1)

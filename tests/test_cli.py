@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from starwaves import cli, expansion, harness
+from starwaves import grid as grid_module
 from starwaves.errors import NonFiniteError, StabilityError
 from starwaves.expansion import build_expansion
 from starwaves.grid import make_expansion_grids
@@ -348,6 +349,23 @@ def test_grid_count_not_finite_exit_code(tmp_path, cmd, over, field, refused):
         assert r.stderr.startswith(f"config error: {field}: ")
     else:
         assert r.returncode == 0, r.stderr
+
+
+@pytest.mark.parametrize("cmd", SUBCOMMANDS, ids=lambda c: c[0])
+def test_grid_past_physical_memory_exit_code(tmp_path, monkeypatch, capsys, cmd):
+    # with the memory probe patched to 1000 bytes, every subcommand that
+    # builds a grid refuses the config, naming the field, before it makes
+    # an array; check builds none and passes
+    monkeypatch.setattr(grid_module, "physical_memory", lambda: 1000)
+    out = [] if cmd[0] == "check" else ["--out", str(tmp_path / "out")]
+    rc = cli.main([cmd[0], write_cfg(tmp_path, small_cfg()), *cmd[1:], *out])
+    err = capsys.readouterr().err
+    if cmd[0] == "check":
+        assert rc == 0, err
+    else:
+        assert rc == cli.EXIT_CONFIG == 2
+        assert err.startswith("config error: grid.n_per_edge: ")
+        assert "GiB of physical memory" in err
 
 
 @pytest.mark.parametrize("cmd", SUBCOMMANDS, ids=lambda c: c[0])

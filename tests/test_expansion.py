@@ -10,7 +10,8 @@ from starwaves.expansion import (assemble_partial_sum, build_expansion,
                                  lambda_set, residuals, verify_schedule)
 from starwaves.expr import parse
 from starwaves.graph import ProblemSpec, restrict_to_g0
-from starwaves.grid import Grid, make_direct_grid, make_expansion_grids, one_sided_diff, slabs
+from starwaves.grid import (Grid, SlabBlocks, make_direct_grid, make_expansion_grids,
+                            one_sided_diff, slabs)
 from starwaves.layers import BAND_PAD, QuarterPlaneProblem, qp_solve, sample_physical
 from starwaves.harness import (DEFECT_NOTE, convergence_sweep, load_config,
                                truncation_leftover, validate_config)
@@ -172,6 +173,44 @@ def test_reference_p4_layers_hold_under_six_tenths_of_their_bands():
     assert stored < 0.6 * bands
 
 
+def test_reference_p4_terms_store_only_their_slabs(monkeypatch):
+    # the U corrections are zero ahead of their front and are stored slab by
+    # slab, cut there: zero-padded, each edge is solve_g0's array to the
+    # bit, and U_0 stays solve_g0's arrays.  The odd u_s store no rows and
+    # read as zeros, and the far-end traces they give keep their -0.0.  All
+    # the terms store at most 165 MiB (161.9 measured)
+    solved = []
+
+    def recording_solve_g0(spec, grid, nu=None):
+        solved.append(solve_g0(spec, grid, nu))
+        return solved[-1]
+
+    monkeypatch.setattr(expansion, "solve_g0", recording_solve_g0)
+    rc = validate_config(load_config(REFERENCE_CONFIG))
+    es = build_expansion(rc.spec, 4, make_expansion_grids(rc.spec, rc.n_per_edge, rc.cfl))
+    U_keys = [k for k, _ in es.build_log if k[0] == "U"]
+    assert len(solved) == len(U_keys) == 1 + len(es.g0_corr) == 9
+    assert solved[0] is es.g0_base
+    for key, fld in zip(U_keys[1:], solved[1:]):
+        U = es.term(key)
+        assert U.sigma is fld.sigma
+        for got, want in zip(U.edges, fld.edges, strict=True):
+            assert isinstance(got, SlabBlocks) and 0 < got.nbytes < want.nbytes, key
+            assert same_bits(dense(got), want), key
+    t = es.grids.times
+    for (s, e), u in es.edge_terms.items():
+        if s % 2:
+            assert u.values.nbytes == 0 and u.values.shape == (len(u.x_nodes), len(t))
+            assert same_bits(dense(u.values), np.zeros(u.values.shape))
+            assert same_bits(es.layer_problems[("w", s, e)].trace, np.full(len(t), -0.0))
+    stored = sum(v.nbytes for fld in (es.g0_base, *es.g0_corr.values())
+                 for v in (*fld.edges, fld.sigma))
+    stored += sum(term.values.nbytes for family in (es.edge_terms, es.vertex_layers,
+                                                    es.boundary_layers)
+                  for term in family.values())
+    assert stored <= 165 * 2 ** 20
+
+
 def test_schedule_tampering_detected():
     spec = star_spec()
     grids = make_expansion_grids(spec, 64, 0.9)
@@ -187,7 +226,7 @@ def test_homogeneous_data_gives_zero_expansion():
     grids = make_expansion_grids(spec, 64, 0.9)
     es = build_expansion(spec, 2, grids)
     assert not es.g0_base.sigma.any()
-    assert all(not f.edges[0].any() for f in es.g0_corr.values())
+    assert all(not dense(f.edges[0]).any() for f in es.g0_corr.values())
     assert all(t.is_zero for t in es.edge_terms.values())
     assert all(v.is_zero for v in es.vertex_layers.values())
     assert all(w.is_zero for w in es.boundary_layers.values())
@@ -287,7 +326,7 @@ def test_assembly_matches_2d_spline_oracle():
         out = spline_oracle(xg, tn, es.g0_base.edges[loc], x, t)
         for (r, l), U in es.g0_corr.items():
             out += eps ** (r * g.exponents[l]) * spline_oracle(
-                xg, tn, U.edges[loc], x, t)
+                xg, tn, dense(U.edges[loc]), x, t)
         return out
 
     for e in range(g.n_edges):
@@ -300,7 +339,7 @@ def test_assembly_matches_2d_spline_oracle():
             for (s, ee), u in es.edge_terms.items():
                 if ee == e:
                     want += eps ** (s * m) * spline_oracle(u.x_nodes, tn,
-                                                           u.values, x, t)
+                                                           dense(u.values), x, t)
             layers = [(P, x / eps ** m, v) for (P, ee), v
                       in es.vertex_layers.items() if ee == e]
             layers += [(s * m, (L - x) / eps ** m, w) for (s, ee), w

@@ -3,13 +3,14 @@ import pytest
 from scipy.interpolate import BSpline
 from scipy.linalg import LinAlgError
 
+from starwaves import grid as grid_module
 from starwaves.errors import GraphConfigError, StabilityError
-from starwaves.grid import (BAND_PAD, TIME_SLAB, LayerGrid, SeparableSpline, Term,
+from starwaves.grid import (BAND_PAD, TIME_SLAB, LayerGrid, SeparableSpline, SlabBlocks, Term,
                             check_cfl, coarsen, make_direct_grid, make_expansion_grids,
-                            time_slabs)
+                            physical_memory, slabs, time_slabs)
 
-from .helpers import (full_height_spline, single_edge_spec, spline_blocks_reference,
-                      spline_oracle, star_spec)
+from .helpers import (full_height_spline, same_bits, single_edge_spec,
+                      spline_blocks_reference, spline_oracle, star_spec)
 
 
 def test_direct_grid_even_and_cfl():
@@ -35,6 +36,29 @@ def test_term_flux_needs_two_strides_of_nodes(stride):
     with pytest.raises(ValueError, match=f"stride {stride} needs at least {need} "
                                          f"spatial nodes, got {need - 1}"):
         short.flux(stride)
+
+
+def test_term_rows_and_zero_blocks_read_as_their_rectangle():
+    # Term.row reads a row slab by slab, zero where a block stops above it,
+    # as an array's row; SlabBlocks.zeros, a zero term, stores no rows
+    x, t = np.linspace(0.0, 1.0, 9), np.linspace(0.0, 2.0, 2 * TIME_SLAB + 2)
+    a = np.random.default_rng(3).standard_normal((9, len(t)))
+    a[5:, :TIME_SLAB] = 0.0
+    a[2:, TIME_SLAB:] = 0.0
+    a[:, 2 * TIME_SLAB:] = 0.0
+    cut = Term(SlabBlocks.cut(a), x, t)
+    assert [len(b) for _, b in slabs(cut.values)] == [5, 2, 0]
+    for i in (0, 1, 2, 4, 5, 8, -1, -9):
+        assert same_bits(cut.row(i), a[i]) and same_bits(Term(a, x, t).row(i), a[i])
+    for i in (9, -10):
+        with pytest.raises(IndexError):
+            cut.row(i)
+    zero = Term(SlabBlocks.zeros((9, len(t))), x, t)
+    assert zero.values.shape == (9, len(t)) and zero.values.nbytes == zero.values.size == 0
+    assert [cols for cols, _ in slabs(zero.values)] == time_slabs(len(t) - 1)
+    assert zero.is_zero
+    assert same_bits(-zero.row(-1), np.full(len(t), -0.0))
+    assert same_bits(zero.flux(), np.zeros(len(t)))
 
 
 def test_direct_grid_refines_degenerate_edges():
@@ -64,6 +88,39 @@ def test_check_cfl_raises():
     bad = type(grid)(grid.lengths, grid.n_cells, grid.dt * 4, grid.steps)
     with pytest.raises(StabilityError):
         check_cfl(spec, 0.5, bad, 1.0)
+
+
+def test_grids_past_physical_memory_are_refused(monkeypatch):
+    # the memory probe is patched: no test builds a grid that large.  A
+    # grid one of whose arrays would not fit is refused, naming the
+    # resolution field, before any array is made; one that fits to the
+    # byte is built as before
+    assert physical_memory() > 0
+    spec = star_spec()
+    grid = make_direct_grid(spec, 0.2, 64, 0.9)
+    field = 8 * (grid.steps + 1) * sum(n + 1 for n in grid.n_cells)
+    grids = make_expansion_grids(spec, 64, 0.9)
+    rect = 8 * (grids.layer.steps + 1) * (grids.layer.n_xi + 1)
+    unit = 8 * (grids.g0.steps + 1) * (grids.g0.n_cells[0] + 1)
+    assert field < unit < rect
+    for mem in (field - 1, field, unit - 1, unit, rect - 1, rect, None):
+        monkeypatch.setattr(grid_module, "physical_memory", lambda: mem)
+        if mem is None or mem >= field:
+            assert make_direct_grid(spec, 0.2, 64, 0.9) == grid
+        else:
+            with pytest.raises(GraphConfigError, match=(
+                    r"^grid.n_per_edge: a field of the direct grid at eps=0.2 has "
+                    rf"{field // 8} nodes, [0-9.e-]+ GiB, more than the [0-9.e-]+ GiB "
+                    r"of physical memory$")):
+                make_direct_grid(spec, 0.2, 64, 0.9)
+        if mem is None or mem >= rect:
+            again = make_expansion_grids(spec, 64, 0.9)
+            assert (again.g0, again.layer) == (grids.g0, grids.layer)
+        else:
+            what = "the unit-speed field of the series" if mem < unit else \
+                "a layer's band rectangle"
+            with pytest.raises(GraphConfigError, match=rf"^grid.n_per_edge: {what} has "):
+                make_expansion_grids(spec, 64, 0.9)
 
 
 def test_layer_grid_geometry():

@@ -16,17 +16,20 @@ from starwaves.expansion import build_expansion
 from starwaves.grid import (TIME_SLAB, Grid, coarsen, make_direct_grid,
                             make_expansion_grids)
 from starwaves.harness import (NORM_NOTE, ConvergenceReport, NormTriple,
-                               ResidualReport, TermResidual, _require_finite,
-                               _series_errors, convergence_sweep, fit_order,
+                               ResidualReport, TermResidual, _layer_residual,
+                               _require_finite, _series_errors, convergence_sweep, fit_order,
                                load_config, norms, term_residuals,
                                truncation_leftover, validate_config,
                                write_field_csvs, write_grid_csv, write_plot_csv,
                                write_report_csv, write_residuals_csv,
                                write_term_residuals_csv, write_trace_csv)
+from starwaves.layers import qp_solve
 
 from .helpers import (REFERENCE_CONFIG, REPO, SLAB_CASES, assemble_reference, dense,
-                      flux_sum_reference, layer_residual_reference, norms_reference,
+                      flux_sum_reference, layer_residual_reference,
+                      march_residual_reference, norms_reference,
                       savetxt_grid_csv, slab_case_field, star_spec, two_edge_g0_spec)
+from .test_layers import MARCH_CASES, _march_case
 
 
 def flat_field(lengths, n, dt, steps, value=0.0):
@@ -376,6 +379,41 @@ def test_layer_residuals_from_blocks_match_the_band_wide_check(q):
     empty = [r for r in layers if es.term(r.key).values.nbytes == 0]
     assert (len(empty) > 0) == (q == "2")
     assert all(r.residual == r.scale == 0.0 for r in empty)
+
+
+@pytest.mark.parametrize("n_per_edge", [64, 230])
+def test_march_residuals_from_blocks_match_the_whole_array_check(n_per_edge):
+    # U_0 is one array per edge, the corrections are SlabBlocks; over either
+    # the slab-by-slab check gives the whole-array check's residual to the
+    # bit, f read in the march's blocks, and the sup of the term.  At 230
+    # cells the steps are a multiple of TIME_SLAB: the last slab is one
+    # column wide
+    spec = star_spec()
+    grids = make_expansion_grids(spec, n_per_edge, 0.9)
+    assert (grids.g0.steps % TIME_SLAB == 0) == (n_per_edge == 230)
+    es = build_expansion(spec, 2, grids)
+    g0 = grids.g0
+    rows = [r for r in term_residuals(es) if r.key[0] == "U"]
+    assert len(rows) == 1 + len(es.g0_corr) == 5
+    for r in rows:
+        fld = es.term(r.key)
+        want = max(march_residual_reference(
+            dense(u).T, g0, loc, spec.q[e].evaluate(g0.x_nodes(loc), 0.0),
+            spec.f[e] if r.key[1] == 0 else None)
+            for loc, (e, u) in enumerate(zip(grids.g0_edge_ids, fld.edges)))
+        assert r.residual == want, r.key
+        assert r.scale == max(float(np.max(np.abs(dense(u)))) for u in fld.edges) > 0.0
+
+
+@pytest.mark.parametrize("name", MARCH_CASES)
+def test_layer_residual_matches_the_band_wide_check_on_march_cases(name):
+    # sources nonzero inside from the first step on (global-source), far
+    # ahead of the front, narrower than the band, or summing to zero: the
+    # slab-by-slab check, its sources summed per slab, gives the band-wide
+    # check's residual to the bit
+    prob, grid, initial = _march_case(name)
+    term = qp_solve(prob, grid, initial=initial)
+    assert _layer_residual(prob, term, grid) == layer_residual_reference(prob, term, grid)
 
 
 def test_truncation_leftover_scales_one_curvature():

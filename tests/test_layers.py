@@ -1,11 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from starwaves.errors import GraphConfigError
 from starwaves.grid import (TIME_SLAB, LayerGrid, SeparableSpline, Term, one_sided_diff, slabs,
                             time_slabs)
-from starwaves.layers import (BAND_PAD, QuarterPlaneProblem, _source_matrix, qp_solve,
-                              sample_physical)
+from starwaves.layers import (BAND_PAD, QuarterPlaneProblem, qp_solve, sample_physical,
+                              source_slabs)
 
 from .helpers import (dense, qp_march_reference, qp_oracle_below_characteristic, same_bits,
                       sampled, spline_oracle, zero_padded)
@@ -119,11 +121,45 @@ def _march_case(name):
         rho = Term(near, grid.xi_nodes(), t)
         return QuarterPlaneProblem(-1.5, np.sin(t) ** 2,
                                    sources=((0.75, 1, rho),)), grid, None
+    if name == "zero-sum-sources":
+        # two sources whose blocks are nonzero only at xi = 0, where xi^r
+        # makes them zero: they sum to exactly 0, so the march adds none.
+        # Under a stiff theta, a trace of subnormal steps leaves -0.0 inside,
+        # which an added +0.0 would turn into +0.0
+        at_vertex = np.zeros((3, grid.steps + 1))
+        at_vertex[0, 1:] = np.sin(t[1:])
+        rho = Term(at_vertex, grid.xi_nodes(), t)
+        tiny = -5e-324 * np.abs(np.random.default_rng(1).standard_normal(grid.steps + 1))
+        tiny[0] = 0.0
+        return QuarterPlaneProblem(1e4, tiny, sources=((1.0, 1, rho), (-2.0, 2, rho))), \
+            grid, None
+    if name == "negative-zero-trace":
+        return QuarterPlaneProblem(1.0, np.where(t > 0.5, -np.sin(t - 0.5) ** 2, -0.0)), \
+            grid, None
+    if name in ("one-column-slab", "short"):
+        # steps a multiple of TIME_SLAB, so the last slab is one column wide;
+        # or fewer steps than one slab
+        grid = wave_grid(0.02, 0.02 * (2 * TIME_SLAB if name == "one-column-slab" else 40))
+        return QuarterPlaneProblem(2.0, np.sin(grid.times()) ** 2), grid, None
+    if name in ("initial-one-column-slab", "initial-negative-zeros"):
+        # initial data spanning the grid, over two slabs and a column; or
+        # -0.0 past xi = 1, so the start levels hold -0.0 past the march's
+        # first reach, which the later levels written into their rows must
+        # not.  Slab 0 keeps none of that -0.0: its block stops at its last
+        # nonzero row, and below a block reads +0.0
+        grid = wave_grid(0.02, 0.02 * 2 * TIME_SLAB)
+        xi = grid.xi_nodes()
+        alpha, beta = np.sin(xi), np.cos(xi)
+        if name == "initial-negative-zeros":
+            alpha, beta = np.where(xi < 1.0, alpha, -0.0), np.where(xi < 1.0, beta, -0.0)
+        return QuarterPlaneProblem(4.0, zero_trace(grid)), grid, (alpha, beta)
     raise ValueError(name)
 
 
 MARCH_CASES = ["trace", "negative-theta", "taylor-sources", "global-source", "initial",
-               "source-ahead", "narrow-source", "odd-band", "late-trace", "late-source"]
+               "source-ahead", "narrow-source", "odd-band", "late-trace", "late-source",
+               "zero-sum-sources", "negative-zero-trace", "one-column-slab", "short",
+               "initial-one-column-slab"]
 
 
 @pytest.mark.parametrize("name", MARCH_CASES)
@@ -133,7 +169,7 @@ def test_march_matches_full_width_reference(name):
     # zero-padded to the grid
     prob, grid, initial = _march_case(name)
     fld = qp_solve(prob, grid, initial=initial)
-    if name in ("global-source", "initial", "source-ahead"):
+    if name in ("global-source", "initial", "source-ahead", "initial-one-column-slab"):
         # data nonzero across the grid, or a source far ahead of the front
         # whose own front then runs on: the band is the whole grid
         assert fld.values.shape[0] == grid.n_xi + 1
@@ -150,10 +186,11 @@ def test_march_matches_full_width_reference(name):
     assert np.any(want != 0.0)
 
 
-@pytest.mark.parametrize("name", MARCH_CASES)
+@pytest.mark.parametrize("name", [*MARCH_CASES, "initial-negative-zeros"])
 def test_blocks_stop_at_each_slab_last_nonzero_row(name):
     # one block per time slab, as tall as the slab's last nonzero row + 1
-    # of the full-width march, and what the blocks hold is what is counted
+    # of the full-width march, holding its rows to the bit; what the blocks
+    # hold is what is counted
     prob, grid, initial = _march_case(name)
     fld = qp_solve(prob, grid, initial=initial)
     want = qp_march_reference(prob, grid, initial=initial)
@@ -164,7 +201,7 @@ def test_blocks_stop_at_each_slab_last_nonzero_row(name):
         nonzero = np.flatnonzero(want[:, cols].any(axis=1))
         heights.append(len(b))
         assert len(b) == (nonzero[-1] + 1 if len(nonzero) else 0), cols
-        assert b.shape[1] == cols.stop - cols.start
+        assert same_bits(b, want[:len(b), cols]), cols
     assert fld.values.shape == (fld.values.rows, grid.steps + 1)
     assert fld.values.nbytes == 8 * fld.values.size == 8 * sum(heights[k] * (c.stop - c.start)
                                                               for k, (c, _) in enumerate(pairs))
@@ -190,15 +227,40 @@ def test_empty_and_short_blocks_read_as_their_rectangle():
     want = np.zeros((grid.steps + 1, len(rect)))
     for c, r, _ in src.sources:
         want += (c * xi ** r) * rect.T
-    assert same_bits(_source_matrix(src, grid), want)
+    got = np.zeros_like(want)
+    sums = list(source_slabs(src, grid))
+    assert [len(S[0]) for S in sums[:3]] == [0, 2, len(slabs(fld.values)[2][1])]
+    for cols, S in zip(time_slabs(grid.steps), sums, strict=True):
+        got[cols, :S.shape[1]] = S
+    assert same_bits(got, want)
     # a layer with no rows in any slab
     zero = qp_solve(QuarterPlaneProblem(1.0, zero_trace(grid)), grid)
     assert all(len(b) == 0 for _, b in slabs(zero.values))
     assert zero.is_zero and zero.values.nbytes == 0 and zero.values.shape[0] > 5
     for stride in (1, 2):
         assert same_bits(zero.flux(stride), one_sided_diff(dense(zero.values), grid.dt, stride))
-    assert _source_matrix(QuarterPlaneProblem(0.0, zero_trace(grid), ((1.0, 1, zero),)),
-                          grid) is None
+    assert source_slabs(QuarterPlaneProblem(0.0, zero_trace(grid), ((1.0, 1, zero),)),
+                        grid) is None
+
+
+def test_march_holds_one_slab_buffer_beyond_its_blocks():
+    # initial data across the grid make the band the whole grid; the march
+    # allocates nothing band-wide, so its tracemalloc peak is the blocks it
+    # returns plus about one buffer of TIME_SLAB + 2 time levels (1.06
+    # buffers measured; a band-wide march array alone is 4.7 buffers here)
+    grid = wave_grid(1.0 / 800.0, 0.375, pad=3.5)
+    xi = grid.xi_nodes()
+    initial = (np.sin(xi), 0.5 * np.cos(xi))
+    buffer = 8 * (TIME_SLAB + 2) * (grid.n_xi + 1)
+    tracemalloc.start()
+    try:
+        fld = qp_solve(QuarterPlaneProblem(4.0, zero_trace(grid)), grid, initial=initial)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fld.values.shape == (grid.n_xi + 1, grid.steps + 1)
+    assert fld.values.nbytes >= 0.99 * 8 * (grid.n_xi + 1) * (grid.steps + 1)
+    assert peak - fld.values.nbytes <= 2 * buffer
 
 
 def test_source_validation():
