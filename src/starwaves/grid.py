@@ -26,9 +26,12 @@ without a copy.
 A grid one of whose arrays could not fit in physical memory is refused
 when it is made (make_direct_grid, make_expansion_grids).
 
-scipy is imported only inside SeparableSpline's methods.  A command that
-samples no term onto another grid (check, expand, solve) runs on numpy
-alone and never loads it.
+The spline's cubic B-splines are computed here in numpy (_cubic_basis),
+with the bits of scipy's BSpline, whose module is never imported.  scipy
+is imported only where a spline is built or sampled, and only its LAPACK
+band routines (scipy.linalg) and its sparse product (scipy.sparse).  A
+command that samples no term onto another grid (check, expand, solve)
+runs on numpy alone and never loads scipy.
 """
 
 from __future__ import annotations
@@ -37,15 +40,12 @@ import math
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
 from .errors import GraphConfigError, StabilityError
 from .graph import ProblemSpec, b_eps
-
-if TYPE_CHECKING:
-    from scipy.interpolate import BSpline
 
 __all__ = [
     "Grid",
@@ -268,32 +268,24 @@ class SeparableSpline:
     BAND_PAD rows past the last row of values nonzero in its slab; below
     that the coefficients are taken as zero.  At t_nodes a slab's
     coefficients are its block; at other times they come from t_factor,
-    the t factor applied to the coefficients (see at).  FITPACK with s=0
-    uses the same knots, so this is the 2-D interpolating spline up to
-    roundoff.
+    the same LU path in t applied to the coefficients (see at).  FITPACK
+    with s=0 uses the same knots, so this is the 2-D interpolating spline
+    up to roundoff.
 
-    Each method imports the scipy it uses where it runs: BSpline and the
-    LAPACK band routines in __init__, make_interp_spline in t_factor and
-    BSpline's design matrix in at.
+    Every B-spline value, in the collocation matrices and at the points
+    sampled, comes from _cubic_basis, de Boor's recurrence in numpy with
+    the bits of scipy's BSpline, whose module is never loaded.
+    The LAPACK band routines (scipy.linalg) and the sparse product
+    (scipy.sparse) are imported where they run.
     """
 
     def __init__(self, x_nodes: np.ndarray, t_nodes: np.ndarray,
                  values: np.ndarray | SlabBlocks):
-        from scipy.interpolate import BSpline
-        from scipy.linalg.lapack import dgbtrf, dgbtrs
+        from scipy.linalg.lapack import dgbtrs
 
         self.t_nodes = t_nodes
         n = len(x_nodes)
-        self.knots = np.r_[(x_nodes[0],) * 4, x_nodes[2:-2], (x_nodes[-1],) * 4]
-        # band storage of the collocation matrix: row kl + ku + i - j holds
-        # A[i, j], kl = ku = 3
-        A = BSpline.design_matrix(x_nodes, self.knots, 3)
-        i = np.repeat(np.arange(n), np.diff(A.indptr))
-        ab = np.zeros((10, n), order="F")
-        ab[6 + i - A.indices, A.indices] = A.data
-        lu, piv, info = dgbtrf(ab, 3, 3, overwrite_ab=True)
-        if info > 0:
-            raise np.linalg.LinAlgError("collocation matrix is singular")
+        self.knots, lu, piv = _collocation(x_nodes)
         self.blocks = []
         for _, b in slabs(values):
             # the slab zero-padded to the spline's height, Fortran-ordered:
@@ -306,11 +298,22 @@ class SeparableSpline:
             self.blocks.append(np.ascontiguousarray(c[:height]))
 
     @cached_property
-    def t_factor(self) -> BSpline:
-        """x coefficients as a spline in t: t_factor(t)[:, j] belong to t[j]."""
-        from scipy.interpolate import make_interp_spline
+    def t_factor(self) -> Callable[[np.ndarray], np.ndarray]:
+        """x coefficients as a spline in t: t_factor(t)[:, j] belong to t[j].
 
-        return make_interp_spline(self.t_nodes, _side_by_side(self.blocks), k=3, axis=1)
+        The blocks side by side are fitted in t as make_interp_spline(
+        t_nodes, ..., k=3, axis=1) fits them, one dgbtrs against the LU of
+        the collocation matrix in t, and evaluated at t by the product that
+        at uses in x: the bits of that spline at t.
+        """
+        from scipy.linalg.lapack import dgbtrs
+
+        knots, lu, piv = _collocation(self.t_nodes)
+        # time-major, Fortran-ordered: the right-hand side make_interp_spline solves
+        rhs = np.asfortranarray(_side_by_side(self.blocks).T)
+        c, _ = dgbtrs(lu, 3, 3, rhs, piv, overwrite_b=True)
+        c = np.ascontiguousarray(c)
+        return lambda t: _basis_product(t, knots)(c).T
 
     def at(self, x: np.ndarray, t: np.ndarray) -> Callable[[slice], np.ndarray]:
         """columns(cols): the values at (x[i], t[cols][j]), shape
@@ -325,13 +328,8 @@ class SeparableSpline:
         times asked for, so a slab of times gives the columns of the whole
         evaluation, bit for bit.
         """
-        from scipy.interpolate import BSpline
-
-        basis = BSpline.design_matrix(x, self.knots, 3, extrapolate=True).tocsc()
+        product = _basis_product(x, self.knots)
         own = np.array_equal(t, self.t_nodes)
-
-        def product(c: np.ndarray) -> np.ndarray:
-            return basis[:, :len(c)] @ c
 
         def columns(cols: slice) -> np.ndarray:
             j0, j1, step = cols.indices(len(t))
@@ -344,6 +342,79 @@ class SeparableSpline:
             out = run[0] if len(run) == 1 else np.concatenate(run, axis=1)
             return out[:, j0 - k0 * TIME_SLAB:j1 - k0 * TIME_SLAB]
         return columns
+
+
+def _cubic_basis(x: np.ndarray, knots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 4 cubic B-splines on knots nonzero at each x, (len(x), 4), and
+    the index of the first of them, (len(x),).
+
+    knots are a not-a-knot vector: 4 copies of each end around strictly
+    increasing interior knots.  x lies in the interval knots[l] <= x <
+    knots[l+1] with 3 <= l < len(knots) - 4, the end intervals taking any
+    x beyond them (scipy's extrapolation), and its B-splines l-3..l come
+    from de Boor's recurrence (C. de Boor, A Practical Guide to Splines,
+    1978) in scipy's operation order, so every value has the bits of
+    BSpline.design_matrix(x, knots, 3, extrapolate=True).  No interval of
+    the recurrence is empty: the knots it divides by are distinct.
+    """
+    x = np.asarray(x, dtype=float)
+    ell = np.clip(np.searchsorted(knots, x, side="right") - 1, 3, len(knots) - 5)
+    t = {d: knots[ell + d] for d in range(-2, 4)}  # t[d] = knots[l + d] at each x
+    h = np.zeros((4, len(x)))
+    h[0] = 1.0
+    for j in range(1, 4):
+        prev = h[:j].copy()
+        h[0] = 0.0
+        for m in range(1, j + 1):
+            w = prev[m - 1] / (t[m] - t[m - j])
+            h[m - 1] += w * (t[m] - x)
+            h[m] = w * (x - t[m - j])
+    return h.T, ell - 3
+
+
+def _collocation(nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The not-a-knot knots on nodes, and the LU (LAPACK dgbtrf) and pivots
+    of the collocation matrix, the cubic B-splines at the nodes: the system
+    make_interp_spline(nodes, ..., k=3) solves."""
+    from scipy.linalg.lapack import dgbtrf
+
+    n = len(nodes)
+    knots = np.r_[(nodes[0],) * 4, nodes[2:-2], (nodes[-1],) * 4]
+    values, first = _cubic_basis(nodes, knots)
+    # band storage: row kl + ku + i - j holds A[i, j], kl = ku = 3
+    j = first[:, None] + np.arange(4)
+    ab = np.zeros((10, n), order="F")
+    ab[6 + np.arange(n)[:, None] - j, j] = values
+    lu, piv, info = dgbtrf(ab, 3, 3, overwrite_ab=True)
+    if info > 0:
+        raise np.linalg.LinAlgError("collocation matrix is singular")
+    return knots, lu, piv
+
+
+def _basis_product(x: np.ndarray, knots: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """product(c): the cubic spline on knots with coefficient rows c at
+    every x, (len(x), c.shape[1]), the B-splines past len(c) taken as zero.
+
+    The basis at x is one CSC matrix, its rows ascending in each column as
+    BSpline.design_matrix(...).tocsc() holds them; the product reads the
+    columns below len(c) as a prefix of its arrays, and adds each row's 4
+    terms in column order, as the CSR product does.
+    """
+    from scipy.sparse import csc_array
+
+    values, first = _cubic_basis(x, knots)
+    col = (first[:, None] + np.arange(4)).ravel()
+    order = np.argsort(col, kind="stable")
+    data = values.ravel()[order]
+    index = np.int32 if len(data) < np.iinfo(np.int32).max else np.int64  # as scipy picks
+    rows = (order // 4).astype(index)
+    indptr = np.searchsorted(col[order], np.arange(len(knots) - 3)).astype(index)
+
+    def product(c: np.ndarray) -> np.ndarray:
+        m = len(c)
+        p = indptr[m]
+        return csc_array((data[:p], rows[:p], indptr[:m + 1]), shape=(len(x), m)) @ c
+    return product
 
 
 def _side_by_side(blocks: list[np.ndarray]) -> np.ndarray:

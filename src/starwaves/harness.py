@@ -742,18 +742,29 @@ def write_grid_csv(path: str | Path, header: str, x: np.ndarray,
 
     The bytes are those of np.savetxt(fmt="%.17g", delimiter=",") on the
     stacked columns.  Each t is formatted once into a row template whose
-    value slots are filled by one %-operation per x row.  u must be
-    (len(x), len(t)): a banded term is zero-padded by the caller.
+    value slots are filled by one %-operation per x row, and once into a
+    template with the value 0: a row's leading run of +0.0 values (a
+    layer ahead of its front) is written from those, without formatting.
+    The run is found from the sign bits too, so a -0.0 still prints -0.
+    u must be (len(x), len(t)): a banded term is zero-padded by the caller.
     """
     if u.shape != (len(x), len(t)):
         raise ValueError(f"values of shape {u.shape} do not match "
                          f"{len(x)} x nodes and {len(t)} times")
-    cells = [("%.17g," % v) + "%.17g\n" for v in t.tolist()]
+    stamps = ["%.17g," % v for v in t.tolist()]
+    cells = [s + "%.17g\n" for s in stamps]
+    zeros = [s + "0\n" for s in stamps]
+    nonzero = (u != 0.0) | np.signbit(u)
+    lead = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), len(t)).tolist()
+    del nonzero
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
-        for xv, row in zip(x.tolist(), u.tolist()):
+        for xv, row, k in zip(x.tolist(), u.tolist(), lead):
             xs = "%.17g," % xv
-            fh.write((xs + xs.join(cells)) % tuple(row))
+            head = xs + xs.join(zeros[:k]) if k else ""
+            if k < len(t):
+                head += (xs + xs.join(cells[k:])) % tuple(row[k:])
+            fh.write(head)
 
 
 def write_field_csvs(outdir: str | Path, fld: Field) -> list[Path]:

@@ -141,6 +141,28 @@ def full_height_spline(x_nodes, t_nodes, values, x, t):
     return BSpline.design_matrix(x, knots, 3, extrapolate=True) @ coef
 
 
+def design_matrix_basis(x, knots):
+    """BSpline.design_matrix(x, knots, 3, extrapolate=True) as grid's
+    _cubic_basis gives it: each row's 4 values, (len(x), 4), and its first
+    column: the bit-for-bit reference for that basis."""
+    A = BSpline.design_matrix(x, knots, 3, extrapolate=True)
+    return A.data.reshape(-1, 4), A.indices.reshape(-1, 4)[:, 0]
+
+
+def make_interp_spline_at(sp, x, t):
+    """columns(cols) of sp.at(x, t) at times other than sp.t_nodes, as
+    scipy.interpolate evaluates them: make_interp_spline in t of the blocks
+    side by side, then the x design matrix in CSC, its columns up to the
+    coefficients' height.  The bit-for-bit reference for the t path."""
+    rows = max(len(b) for b in sp.blocks)
+    coef = np.zeros((rows, len(sp.t_nodes)))
+    for cols, b in zip(time_slabs(len(sp.t_nodes) - 1), sp.blocks):
+        coef[:len(b), cols] = b
+    in_t = make_interp_spline(sp.t_nodes, coef, k=3, axis=1)
+    basis = BSpline.design_matrix(x, sp.knots, 3, extrapolate=True).tocsc()
+    return lambda cols: basis[:, :rows] @ in_t(t[cols])
+
+
 def dense(values):
     """A term's stored values as one array, values.shape: the blocks of
     SlabBlocks side by side, each zero-padded to the stored rows."""

@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
-from scipy.interpolate import BSpline
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import BSpline, make_interp_spline
 from scipy.linalg import LinAlgError
 
 from starwaves import grid as grid_module
 from starwaves.errors import GraphConfigError, StabilityError
+from starwaves.expansion import build_expansion, partial_sum_columns
 from starwaves.grid import (BAND_PAD, TIME_SLAB, LayerGrid, SeparableSpline, SlabBlocks, Term,
                             check_cfl, coarsen, make_direct_grid, make_expansion_grids,
                             physical_memory, slabs, time_slabs)
+from starwaves.harness import load_config, validate_config
 
-from .helpers import (full_height_spline, same_bits, single_edge_spec,
+from .helpers import (REFERENCE_CONFIG, design_matrix_basis, full_height_spline,
+                      make_interp_spline_at, same_bits, single_edge_spec,
                       spline_blocks_reference, spline_oracle, star_spec)
 
 
@@ -221,6 +226,84 @@ def test_spline_off_node_slabs_match_whole_and_fitpack():
         assert np.array_equal(got, whole[:, cols])
         assert np.array_equal(np.signbit(got), np.signbit(whole[:, cols]))
     assert np.max(np.abs(whole - spline_oracle(x_nodes, t_nodes, values, x, t))) <= 1e-12
+
+
+def _not_a_knot(nodes):
+    return np.r_[(nodes[0],) * 4, nodes[2:-2], (nodes[-1],) * 4]
+
+
+def _basis_is_the_design_matrix(x, knots):
+    values, first = grid_module._cubic_basis(x, knots)
+    want_values, want_first = design_matrix_basis(x, knots)
+    return same_bits(values, want_values) and np.array_equal(first, want_first)
+
+
+def test_cubic_basis_is_the_design_matrix_on_the_series_grids(monkeypatch):
+    # every node set and every sampling point of a reference p=1 build,
+    # from eps 0.4 down to 0.02: what the spline is handed, recorded
+    run = validate_config(load_config(REFERENCE_CONFIG))
+    es = build_expansion(run.spec, 1, make_expansion_grids(run.spec, run.n_per_edge, run.cfl))
+    basis, seen = grid_module._cubic_basis, []
+
+    def recorded(x, knots):
+        seen.append((np.array(x), knots))
+        return basis(x, knots)
+    monkeypatch.setattr(grid_module, "_cubic_basis", recorded)
+    for eps in (0.4, 0.2, 0.1, 0.05, 0.03, 0.02):
+        partial_sum_columns(es, eps, make_direct_grid(run.spec, eps, run.n_per_edge, run.cfl))
+    monkeypatch.undo()
+    grids = es.grids
+    node_sets = [grids.layer.xi_nodes(), *grids.u_nodes.values(),
+                 *(grids.g0.x_nodes(k) for k in range(len(grids.g0_edge_ids)))]
+    fitted = [x for x, knots in seen if np.array_equal(knots, _not_a_knot(x))]
+    for nodes in node_sets:  # each fitted on a prefix of its nodes
+        assert any(np.array_equal(x, nodes[:len(x)]) for x in fitted)
+    assert any(np.any(np.diff(x) < 0.0) for x, _ in seen)  # folded layers
+    assert len(seen) > 100
+    bad = [i for i, (x, knots) in enumerate(seen) if not _basis_is_the_design_matrix(x, knots)]
+    assert bad == []
+
+
+@pytest.mark.parametrize("n", [4, 5, 41])
+def test_cubic_basis_on_knots_at_the_ends_and_past_them(n):
+    # the sampler lets a coordinate fall 1e-9 of a step past either end
+    nodes = np.linspace(0.0, 1.0, n) ** 1.5
+    knots = _not_a_knot(nodes)
+    tol = 1e-9 * nodes[1]
+    x = np.r_[knots, nodes, nodes[::-1], -tol, -tol / 7.0, -0.0, 1.0 + tol,
+              np.nextafter(1.0, 2.0), np.nextafter(0.0, -1.0), 1.0, 0.0]
+    assert _basis_is_the_design_matrix(x, knots)
+    values, first = grid_module._cubic_basis(np.zeros(0), knots)
+    assert values.shape == (0, 4) and first.shape == (0,)
+    assert _basis_is_the_design_matrix(np.zeros(0), knots)
+
+
+@settings(max_examples=60, deadline=None)
+@given(steps=st.lists(st.floats(1e-3, 10.0), min_size=3, max_size=60),
+       start=st.floats(-10.0, 10.0),
+       where=st.lists(st.floats(-1e-9, 1.0 + 1e-9), max_size=80))
+def test_cubic_basis_is_the_design_matrix_on_random_grids(steps, start, where):
+    nodes = start + np.cumsum(np.r_[0.0, steps])
+    assume(np.all(np.diff(nodes) > 0.0))  # no step lost to roundoff
+    knots = _not_a_knot(nodes)
+    x = nodes[0] + np.array(where) * (nodes[-1] - nodes[0])
+    assert _basis_is_the_design_matrix(np.r_[x, nodes], knots)
+
+
+def test_spline_at_other_times_is_make_interp_spline_in_t():
+    # the t path, bit for bit: make_interp_spline in t of the blocks side
+    # by side, then the x design matrix, at times off the nodes and within
+    # the sampler's tolerance past [0, T]
+    front = _front_case(321)
+    for sp, _, t_nodes, _, x in [_spline_case(),
+                                 (SeparableSpline(*front), *front, np.linspace(0.0, 1.0, 501))]:
+        tol = 1e-9 * t_nodes[1]
+        t = np.r_[-tol, np.linspace(0.0, t_nodes[-1], 150)[1:-1], t_nodes[-1] + tol]
+        columns, want = sp.at(x, t), make_interp_spline_at(sp, x, t)
+        for cols in time_slabs(len(t) - 1) + [slice(None), slice(3, 70)]:
+            assert same_bits(columns(cols), want(cols))
+        side_by_side = grid_module._side_by_side(sp.blocks)
+        assert same_bits(sp.t_factor(t), make_interp_spline(t_nodes, side_by_side, k=3, axis=1)(t))
 
 
 @pytest.mark.parametrize("steps", [2, 3, 20, TIME_SLAB - 1, TIME_SLAB, TIME_SLAB + 1,

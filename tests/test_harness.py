@@ -688,6 +688,33 @@ def test_grid_csv_matches_savetxt_bytes(tmp_path):
                                   special)
 
 
+@pytest.mark.parametrize("case", ["zero prefix", "-0 in the prefix", "all zero",
+                                  "no zeros", "one time"])
+def test_grid_csv_zero_runs_match_savetxt_bytes(tmp_path, case):
+    # a row's leading +0.0 run comes from a template; the bytes are savetxt's
+    x = np.linspace(0.0, 1.0, 4)
+    t = np.linspace(0.0, 0.3, 1 if case == "one time" else 7)
+    u = np.arange(1.0, 1.0 + len(x) * len(t)).reshape(len(x), len(t)) / 3.0
+    if case == "zero prefix":
+        u[0, :3] = u[1, :1] = u[2, :6] = 0.0
+        u[3, 2:4] = 0.0  # zeros after a value are formatted
+    elif case == "-0 in the prefix":
+        u[:, :5] = 0.0
+        u[1, 2] = u[2, 0] = u[3, 4] = -0.0
+    elif case == "all zero":
+        u[1:3] = 0.0
+        u[3, -1] = -0.0
+    elif case == "one time":
+        u[1:3] = 0.0
+        u[2, 0] = -0.0
+    write_grid_csv(tmp_path / "new.csv", "x,t,u", x, t, u)
+    savetxt_grid_csv(tmp_path / "old.csv", "x,t,u", x, t, u)
+    got = (tmp_path / "new.csv").read_bytes()
+    assert got == (tmp_path / "old.csv").read_bytes()
+    if case == "-0 in the prefix":
+        assert got.count(b",-0\n") == 3
+
+
 def test_field_csv_matches_savetxt_bytes(tmp_path):
     # a full direct-solve field, as solve writes it
     spec = two_edge_g0_spec(q="1", phi="cos(pi*x/2)")

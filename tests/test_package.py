@@ -1,5 +1,5 @@
-"""The package surface: module exports, a bare root, the commands that load
-scipy, and the traced names."""
+"""The package surface: module exports, a bare root, the scipy modules each
+command loads, and the traced names."""
 
 import importlib
 import json
@@ -8,9 +8,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import starwaves
+from starwaves.grid import make_direct_grid, make_expansion_grids
+from starwaves.harness import load_config, validate_config
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "benchmark"
 MODULES = sorted(m.name for m in pkgutil.iter_modules(starwaves.__path__))
@@ -68,11 +71,29 @@ def test_scipy_loads_only_when_a_term_is_sampled(tmp_path):
                  ["solve", config, "--eps", "0.2", "--out", out]):
         rc, loaded, _ = _run_cli(*argv)
         assert (rc, loaded) == (0, []), argv
-    # the sweep samples every term; the smoke grids' times differ from the
-    # series', so it builds each spline's t factor too
-    rc, loaded, lines = _run_cli("verify", config, "--out", out)
-    assert rc == 1 and "scipy.interpolate" in loaded
-    assert any(line.startswith("inconclusive") for line in lines)
+
+
+@pytest.mark.parametrize("times", ["other", "own"])
+def test_sweep_loads_no_scipy_interpolate(tmp_path, times):
+    # the sweep samples every term through the numpy B-spline basis: it
+    # loads LAPACK's band routines and the sparse product, and no module
+    # of scipy.interpolate.  The smoke grids' times differ from the
+    # series', so each spline's t factor runs too; at 200 cells per edge
+    # they are the series' own, as on the reference config
+    cfg = json.loads((BENCHMARK / "smoke_config.json").read_text())
+    if times == "own":
+        cfg["grid"]["n_per_edge"] = 200
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg))
+    run = validate_config(load_config(config))
+    series = make_expansion_grids(run.spec, run.n_per_edge, run.cfl).times
+    same = [np.array_equal(make_direct_grid(run.spec, eps, run.n_per_edge, run.cfl).times(),
+                           series) for eps in run.epsilons]
+    assert same == [times == "own"] * len(run.epsilons)
+    rc, loaded, lines = _run_cli("verify", str(config), "--out", str(tmp_path / "out"))
+    assert rc == 1 and any(line.startswith("inconclusive") for line in lines)
+    assert {"scipy.linalg", "scipy.sparse"} <= set(loaded)
+    assert [m for m in loaded if m.startswith("scipy.interpolate")] == []
 
 
 def test_traced_names_are_the_home_functions(monkeypatch):
