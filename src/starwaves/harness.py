@@ -6,11 +6,11 @@ second derivatives are only locally bounded for weak solutions, so the
 report header states the surrogate explicitly.
 
 expansion builds the series and samples it; this module measures it.
-Once per sweep it measures what the recursion leaves: each term's
+Once per sweep it measures what the recursion leaves: each u_s term's
 residual in its own equation, on its own grid (term_residuals), and the
 truncation leftover on the degenerate edges, whose eps-dependence is a
-power (truncation_leftover).  For each eps the direct field is solved on
-a second thread, in eps order, and kept whole (a solve cache, keyed by
+power (truncation_leftover).  For each eps the direct field is solved
+just before it is measured, and kept whole (a solve cache, keyed by
 direct_solve's arguments, may share it); the sweep streams the series
 against it: one loop over time slabs assembles the partial sum on a
 slab's columns and adds the slab's share to the norm sums (_EdgeNorms).
@@ -24,7 +24,6 @@ import ctypes
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,15 +33,13 @@ from .direct import Field, direct_solve
 from .errors import ExprSyntaxError, GraphConfigError, NonFiniteError
 from .expr import Expr, parse
 from .graph import Edge, ProblemSpec, StarGraph
-from .grid import (TIME_SLAB, Grid, LayerGrid, SlabBlocks, Term, _u_nodes, coarsen,
-                   make_direct_grid, make_expansion_grids, slabs, time_slabs,
-                   trapezoid_weights)
+from .grid import (TIME_SLAB, Grid, Term, _u_nodes, coarsen, make_direct_grid,
+                   make_expansion_grids, time_slabs, trapezoid_weights)
 from .expansion import (MAX_ORDER, ExpansionSet, build_expansion,
                         partial_sum_columns, residuals)
 # not called here: benchmark/tracing.py wraps this name in this namespace
 from .expansion import assemble_partial_sum  # noqa: F401
 from .kernels import _HYP_ARG_MAX
-from .layers import QuarterPlaneProblem, source_slabs
 from .limit import _dxx
 
 __all__ = [
@@ -172,91 +169,18 @@ def _series_errors(es: ExpansionSet, eps: float, ref: Field) -> NormTriple:
 
 @dataclass(frozen=True)
 class TermResidual:
-    """Sup of a term's residual in its own equation, and of the term itself.
+    """Sup of a u_s term's residual in its own equation, and of the term.
 
-    key is the term's build_log key.  U terms and layers are checked
-    against their march's own update, which the stored values satisfy up
-    to roundoff; u_s against d_t^2 u_s + q u_s = its source, where the
-    three-point d_t^2 leaves O(dt^2).  Residuals are in the equation's
-    units (the update's miss divided by dt^2).  Every check and sup reads
-    a term's stored slabs (grid.slabs), so a term held as SlabBlocks is
-    never made whole.
+    key is the term's build_log key.  u_s is checked against
+    d_t^2 u_s + q u_s = its source, where the three-point d_t^2 leaves
+    O(dt^2).  U terms and layers have no row: the stored values are their
+    march's own update, which the tests check once against whole-array
+    oracles, not on every run.
     """
 
     key: tuple
     residual: float
     scale: float
-
-
-def _time_major(values: np.ndarray | SlabBlocks, width: int):
-    """(cols, W) for each time slab of values: W is time-major, row i the
-    time cols.start - 2 + i, its block zero-padded to width nodes after the
-    two time levels before the slab, carried from the slab before (zero
-    before t = 0).  i0 is the first row a step m -> m + 1, m >= 1, reaches."""
-    before = np.zeros((2, width))
-    for cols, b in slabs(values):
-        W = np.zeros((cols.stop - cols.start + 2, width))
-        W[:2] = before
-        W[2:, :len(b)] = b.T
-        before = W[-2:]
-        yield cols, W, max(2, 4 - cols.start)
-
-
-def _march_residual(values: np.ndarray | SlabBlocks, grid: Grid, e: int, q: np.ndarray,
-                    f: Expr | None) -> float:
-    """The unit-stiffness leapfrog of direct._march on edge e's interior.
-
-    values is x-major.  Each step's update is recomputed with the march's
-    arithmetic, slab by slab (_time_major).  f is evaluated in the march's
-    blocks, one slab of TIME_SLAB time rows at a time; a slab's first step
-    reads the last row of the block before.
-    """
-    dt, h = grid.dt, grid.h(e)
-    x, times = grid.x_nodes(e), grid.times()
-    worst = []
-    F = np.zeros((1, len(x)))
-    for cols, W, i0 in _time_major(values, len(x)):
-        if f is not None:  # row j: the time cols.start - 1 + j
-            F = np.concatenate([F[-1:], f.evaluate(x[None, :], times[cols, None])])
-        un = W[i0 - 1:-1]
-        lap = (un[:, 2:] - 2.0 * un[:, 1:-1] + un[:, :-2]) / h ** 2
-        step = 2.0 * un[:, 1:-1] - W[i0 - 2:-2, 1:-1] + dt * dt * (
-            lap - q[1:-1] * un[:, 1:-1] + (0.0 if f is None else F[i0 - 2:-1, 1:-1]))
-        worst.append(np.max(np.abs(W[i0:, 1:-1] - step)))
-    return float(np.max(worst)) / (dt * dt)
-
-
-def _layer_residual(prob: QuarterPlaneProblem, term: Term, grid: LayerGrid) -> float:
-    """The leapfrog of layers.qp_solve on the stored band's interior.
-
-    Each step's update is recomputed with the march's arithmetic; past a
-    step's reach the update reads zeros and must give the zero stored.  The
-    steps run slab by slab (_time_major), against the sources summed a
-    slab at a time (layers.source_slabs); a slab's first step reads the
-    last source row of the slab before.  Sources that sum to zero add only
-    zeros, which move no sup.
-    """
-    width = term.values.shape[0]
-    dt = grid.dt
-    th_m = min(prob.theta, 0.0)
-    a = 0.5 * dt * dt * max(prob.theta, 0.0)
-    sources = source_slabs(prob, grid)
-    worst = []
-    S = np.zeros((1, 0))
-    for cols, W, i0 in _time_major(term.values, width):
-        m, prev = slice(i0 - 1, -1), slice(i0 - 2, -2)
-        rhs = W[m, 2:] + W[m, :-2] - (1.0 + a) * W[prev, 1:-1] \
-            - dt * dt * th_m * W[m, 1:-1]
-        if sources is not None:
-            # row j: the source at the time cols.start - 1 + j on the band,
-            # zero past its rows; row 0 is the last of the slab before
-            last, S = S[-1], next(sources)
-            src = np.zeros((len(W) - 1, width))
-            src[0, :min(len(last), width)] = last[:width]
-            src[1:, :min(S.shape[1], width)] = S[:, :width]
-            rhs = rhs + dt * dt * src[i0 - 2:-1, 1:-1]
-        worst.append(np.max(np.abs(W[i0:, 1:-1] - rhs / (1.0 + a))))
-    return float(np.max(worst)) * (1.0 + a) / (dt * dt)
 
 
 def _ode_residual(term: Term, q: Expr, src: np.ndarray) -> float:
@@ -268,40 +192,25 @@ def _ode_residual(term: Term, q: Expr, src: np.ndarray) -> float:
     return float(np.max(np.abs(utt + Q * u[:, 1:-1] - src[:, 1:-1])))
 
 
-def _sup(values: np.ndarray | SlabBlocks) -> float:
-    """max |values|, read slab by slab; 0.0 when no row is stored."""
-    return max((float(np.max(np.abs(b))) for _, b in slabs(values) if b.size), default=0.0)
-
-
 def term_residuals(es: ExpansionSet) -> tuple[TermResidual, ...]:
-    """Every term's residual in its own equation, in build_log order."""
-    spec, grids = es.spec, es.grids
-    times = grids.times
-    g0 = grids.g0
+    """Each u_s term's residual in its own equation, in build_log order."""
+    spec, times = es.spec, es.grids.times
     out = []
     for key, _ in es.build_log:
         family, k, i = key
+        if family != "u":
+            continue
         term = es.term(key)
-        if family == "U":
-            res = max(_march_residual(term.edges[loc], g0, loc,
-                                      spec.q[e].evaluate(g0.x_nodes(loc), 0.0),
-                                      spec.f[e] if k == 0 else None)
-                      for loc, e in enumerate(grids.g0_edge_ids))
-            scale = max(_sup(u) for u in term.edges)
-        elif family == "u":
-            if not term.values.size:
-                # a zero term stores no rows: u_1, which solves the
-                # homogeneous equation, or a term above a zero one, whose
-                # source d_x^2 is zero too
-                res = 0.0
-            else:
-                src = (spec.f[i].evaluate(term.x_nodes[:, None], times[None, :]) if k == 0
-                       else _dxx(es.edge_terms[(k - 2, i)].values, term.x_nodes[1]))
-                res = _ode_residual(term, spec.q[i], src)
-            scale = _sup(term.values)
+        if not term.values.size:
+            # a zero term stores no rows: u_1, which solves the homogeneous
+            # equation, or a term above a zero one, whose source d_x^2 is
+            # zero too
+            res = scale = 0.0
         else:
-            res = _layer_residual(es.layer_problems[key], term, grids.layer)
-            scale = _sup(term.values)
+            src = (spec.f[i].evaluate(term.x_nodes[:, None], times[None, :]) if k == 0
+                   else _dxx(es.edge_terms[(k - 2, i)].values, term.x_nodes[1]))
+            res = _ode_residual(term, spec.q[i], src)
+            scale = float(np.max(np.abs(term.values)))
         out.append(TermResidual(key, res, scale))
     return tuple(out)
 
@@ -408,12 +317,20 @@ except (AttributeError, OSError, TypeError):
 def _trim_heap() -> None:
     """Give the heap's free pages back to the system, where glibc allows it.
 
-    Otherwise the freed series stays resident, and whether the coarse field
-    fits into it depends on how the two threads' allocations interleaved:
-    the sweep's peak RSS then differs by that field from one run to the next.
+    Otherwise the freed series stays resident under the coarse field, and
+    the sweep's peak RSS carries both.
     """
     if _malloc_trim is not None:
         _malloc_trim(0)
+
+
+def _solve(cache: dict, key: tuple) -> Field:
+    """cache[key], solved by direct_solve(*key) and stored if it is missing;
+    cache.get is asked once."""
+    ref = cache.get(key)
+    if ref is None:
+        ref = cache[key] = direct_solve(*key)
+    return ref
 
 
 def convergence_sweep(spec: ProblemSpec, p: int, epsilons: tuple[float, ...],
@@ -427,19 +344,17 @@ def convergence_sweep(spec: ProblemSpec, p: int, epsilons: tuple[float, ...],
     smallest asymptotic error, the sweep is declared inconclusive and the
     pass flag stays false regardless of the fitted order.  Its coarse grid
     is built first, so an n_per_edge too small for it fails before any
-    solve.  Each term's own-equation residual and the truncation leftover's
-    d_x^2 are measured once; each eps's series is streamed against the
-    direct field one time slab at a time (_series_errors).  A non-finite
-    error or remainder at any eps raises NonFiniteError.
+    solve.  Each u_s term's own-equation residual and the truncation
+    leftover's d_x^2 are measured once; each eps's series is streamed
+    against the direct field one time slab at a time (_series_errors).  A
+    non-finite error or remainder at any eps raises NonFiniteError.
 
     The cache is a memo: cache[(spec, eps, grid)] = direct_solve(spec,
     eps, grid), for each eps's grid and the coarse grid at the smallest.
-    The fine-grid solves it lacks run on one worker thread, in eps order,
-    while this thread builds the series and measures it; the coarse solve
-    runs here, after the series is released.  An error in either thread
-    drops the pending solves, waits for a running one and is raised as it
-    is: no thread outlives the call.  A passed-in expansion of another
-    spec, order or grids raises GraphConfigError before any solve starts.
+    Each solve it lacks runs just before its eps is measured, in eps order;
+    the coarse solve runs last, after the series is released.  A passed-in
+    expansion of another spec, order or grids raises GraphConfigError
+    before any solve.
     """
     eps_list = tuple(float(x) for x in epsilons)
     if len(eps_list) < 3:
@@ -472,31 +387,19 @@ def convergence_sweep(spec: ProblemSpec, p: int, epsilons: tuple[float, ...],
             raise GraphConfigError(
                 f"expansion: built on other grids than n_per_edge={n_per_edge}, "
                 f"cfl={cfl} give")
-    cached = [cache.get(key) for key in keys]
-
-    # the direct solves run on a second thread, in eps order, while the
-    # series is built and measured here; the cache is touched only here
-    pool = ThreadPoolExecutor(max_workers=1)
-    try:
-        solving = [pool.submit(direct_solve, *key) if ref is None else None
-                   for key, ref in zip(keys, cached)]
-        if expansion is None:
-            expansion = build_expansion(spec, p, grids)
-        measured = term_residuals(expansion)
-        sup_trunc = truncation_leftover(expansion, eps_list)
-        triples: list[NormTriple] = []
-        res_reports: list[ResidualReport] = []
-        for eps, key, ref, fut, trunc in zip(eps_list, keys, cached, solving, sup_trunc):
-            if ref is None:
-                ref = cache[key] = fut.result()
-            triple = _series_errors(expansion, eps, ref)
-            rep = ResidualReport(eps, p, *residuals(expansion, eps), trunc)
-            _require_finite(eps, triple, rep)
-            triples.append(triple)
-            res_reports.append(rep)
-    finally:
-        # on an error, pending solves are dropped and a running one is waited for
-        pool.shutdown(cancel_futures=True)
+    else:
+        expansion = build_expansion(spec, p, grids)
+    measured = term_residuals(expansion)
+    sup_trunc = truncation_leftover(expansion, eps_list)
+    triples: list[NormTriple] = []
+    res_reports: list[ResidualReport] = []
+    for eps, key, trunc in zip(eps_list, keys, sup_trunc):
+        ref = _solve(cache, key)
+        triple = _series_errors(expansion, eps, ref)
+        rep = ResidualReport(eps, p, *residuals(expansion, eps), trunc)
+        _require_finite(eps, triple, rep)
+        triples.append(triple)
+        res_reports.append(rep)
 
     # nothing below reads the series: unless the caller holds it, its terms
     # and splines are freed before the coarse solve, the sweep's last peak,
@@ -504,10 +407,7 @@ def convergence_sweep(spec: ProblemSpec, p: int, epsilons: tuple[float, ...],
     del expansion
     _trim_heap()
     ref_f = ref  # the last eps's, eps_min's
-    key = (spec, eps_min, grid_c)
-    ref_c = cache.get(key)
-    if ref_c is None:
-        ref_c = cache[key] = direct_solve(*key)
+    ref_c = _solve(cache, (spec, eps_min, grid_c))
     sub = Field(grid_c, [u[::2, ::2] for u in ref_f.edges], ref_f.sigma[::2])
     refine_est = norms(sub, ref_c).l2 / 3.0
     l2 = tuple(t.l2 for t in triples)

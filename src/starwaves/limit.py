@@ -14,7 +14,6 @@ one-block loop (see _convolve_sn).
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -101,6 +100,10 @@ def _convolve_sn(src: np.ndarray, SN: np.ndarray, dt: float) -> np.ndarray:
     bit the one-block loop's.  No thread outlives the call, and an error in
     any block is raised here.
     """
+    # imported here, where the pool runs: importing the package does not
+    # load concurrent.futures and the logging it pulls in
+    from concurrent.futures import ThreadPoolExecutor
+
     nx, nt = src.shape
     out = np.zeros((nx, nt))
     # the CPUs this process may use, where the OS says (Linux); else all

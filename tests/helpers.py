@@ -337,9 +337,9 @@ def qp_march_reference(prob, grid, initial=None):
 
 def march_residual_reference(u, grid, e, q, f):
     """The residual of direct._march's unit-stiffness update on edge e's
-    interior, over a whole time-major array u: the reference for the
-    slab-by-slab harness._march_residual.  f is evaluated in blocks of
-    TIME_SLAB time rows, as the march evaluates it."""
+    interior, over a whole time-major array u, in the equation's units (the
+    update's miss over dt^2).  f is evaluated in blocks of TIME_SLAB time
+    rows, as the march evaluates it."""
     M, dt, h = grid.steps, grid.dt, grid.h(e)
     x, times = grid.x_nodes(e), grid.times()
     worst = []
@@ -356,10 +356,10 @@ def march_residual_reference(u, grid, e, q, f):
 
 
 def layer_residual_reference(prob, term, grid):
-    """The band-wide residual check: the reference for the slab-by-slab
-    harness._layer_residual.  The leapfrog of layers.qp_solve, recomputed
-    over the layer's zero-padded band in slabs of the steps m -> m + 1,
-    against the whole grid's source matrix cut to the band."""
+    """The band-wide residual check, in the equation's units.  The leapfrog
+    of layers.qp_solve, recomputed over the layer's zero-padded band in
+    slabs of the steps m -> m + 1, against the whole grid's source matrix
+    cut to the band."""
     W = dense(term.values).T
     width = W.shape[1]
     dt = grid.dt
@@ -378,6 +378,35 @@ def layer_residual_reference(prob, term, grid):
         nxt = slice(prev.start + 2, prev.stop + 2)
         worst.append(np.max(np.abs(W[nxt, 1:-1] - rhs / (1.0 + a))))
     return float(np.max(worst)) * (1.0 + a) / (dt * dt)
+
+
+def stored_march_residuals(es):
+    """(key, residual, scale) for each U term and layer of es, in build_log
+    order: the residual of the march that stored it, recomputed over whole
+    arrays (march_residual_reference over every edge of a U term,
+    layer_residual_reference), and the sup of the term.  A layer that
+    stores no rows reads 0 and 0."""
+    spec, grids = es.spec, es.grids
+    g0 = grids.g0
+    out = []
+    for key, _ in es.build_log:
+        family, k, _ = key
+        if family == "u":
+            continue
+        term = es.term(key)
+        if family == "U":
+            res = max(march_residual_reference(
+                dense(u).T, g0, loc, spec.q[e].evaluate(g0.x_nodes(loc), 0.0),
+                spec.f[e] if k == 0 else None)
+                for loc, (e, u) in enumerate(zip(grids.g0_edge_ids, term.edges)))
+            scale = max(float(np.max(np.abs(dense(u)))) for u in term.edges)
+        elif term.values.size:
+            res = layer_residual_reference(es.layer_problems[key], term, grids.layer)
+            scale = float(np.max(np.abs(dense(term.values))))
+        else:
+            res = scale = 0.0
+        out.append((key, res, scale))
+    return out
 
 
 # The oracle of the layer solves (acceptance gates 4 and 8): the Bessel

@@ -20,7 +20,7 @@ from starwaves.kernels import cs, sn
 from starwaves.layers import QuarterPlaneProblem, qp_solve
 
 from .helpers import (REFERENCE_CONFIG, dense, phi_entire, qp_oracle_below_characteristic,
-                      star_spec, zero_padded)
+                      star_spec, stored_march_residuals, zero_padded)
 from .test_direct import (_eigenmode_error, _manufactured_error,
                           manufactured_spec)
 from .test_kernels import phi_series_decimal
@@ -81,16 +81,19 @@ def test_criterion_2_flux_remainder_rate(reference_run, announce):
 
 def test_reference_term_residuals_and_truncation_order(reference_run):
     # not an acceptance line: what the recursion leaves on the reference.
-    # U terms and layers meet their march's own update (they read 0 here);
-    # the truncation leftover is eps^2 d_x^2 u_0 on the m = 1 edge at both
-    # orders, since u_1 = 0, so it fits order 2 (measured 2.0000)
+    # The report has a row for each u term; U terms and layers meet their
+    # march's own update (they read 0 here); the truncation leftover is
+    # eps^2 d_x^2 u_0 on the m = 1 edge at both orders, since u_1 = 0, so
+    # it fits order 2 (measured 2.0000)
     _, reports, expansions, _, _ = reference_run
     for p in (0, 1):
         rep = reports[p]
-        assert [r.key for r in rep.term_residuals] == [k for k, _ in expansions[p].build_log]
-        for r in rep.term_residuals:
-            if r.key[0] != "u":
-                assert r.residual <= 1e-10 * r.scale, r
+        log = [k for k, _ in expansions[p].build_log]
+        assert [r.key for r in rep.term_residuals] == [k for k in log if k[0] == "u"]
+        marched = stored_march_residuals(expansions[p])
+        assert [m[0] for m in marched] == [k for k in log if k[0] != "u"]
+        for key, res, scale in marched:
+            assert res <= 1e-10 * scale, key
         assert abs(rep.trunc_fitted_order - 2.0) <= 0.1
         assert all(r.sup_trunc > 0.0 for r in rep.residual_reports)
 

@@ -412,10 +412,9 @@ def test_verify_exits_3_on_a_nan_error(tmp_path, monkeypatch, capsys):
     assert "numerical failure: L-infinity error at eps=0.45 is nan" in err
 
 
-def test_verify_exits_3_on_a_solve_failing_on_the_worker_thread(tmp_path, monkeypatch,
-                                                                capsys):
-    # the sweep's solves run on a second thread; the error comes back with
-    # its own type, and the thread is gone
+def test_verify_exits_3_on_a_failing_solve(tmp_path, monkeypatch, capsys):
+    # a solve of the sweep fails: the error comes back with its own type,
+    # and no thread is left behind
     solve = harness.direct_solve
 
     def failing_solve(spec, eps, grid):

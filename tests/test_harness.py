@@ -16,20 +16,18 @@ from starwaves.expansion import build_expansion
 from starwaves.grid import (TIME_SLAB, Grid, coarsen, make_direct_grid,
                             make_expansion_grids)
 from starwaves.harness import (NORM_NOTE, ConvergenceReport, NormTriple,
-                               ResidualReport, TermResidual, _layer_residual,
+                               ResidualReport, TermResidual,
                                _require_finite, _series_errors, convergence_sweep, fit_order,
                                load_config, norms, term_residuals,
                                truncation_leftover, validate_config,
                                write_field_csvs, write_grid_csv, write_plot_csv,
                                write_report_csv, write_residuals_csv,
                                write_term_residuals_csv, write_trace_csv)
-from starwaves.layers import qp_solve
 
-from .helpers import (REFERENCE_CONFIG, REPO, SLAB_CASES, assemble_reference, dense,
-                      flux_sum_reference, layer_residual_reference,
-                      march_residual_reference, norms_reference,
-                      savetxt_grid_csv, slab_case_field, star_spec, two_edge_g0_spec)
-from .test_layers import MARCH_CASES, _march_case
+from .helpers import (REFERENCE_CONFIG, REPO, SLAB_CASES, assemble_reference,
+                      flux_sum_reference, norms_reference, savetxt_grid_csv,
+                      slab_case_field, star_spec, stored_march_residuals,
+                      two_edge_g0_spec)
 
 
 def flat_field(lengths, n, dt, steps, value=0.0):
@@ -233,8 +231,7 @@ def test_foreign_cache_entries_are_misses(foreign):
 
 
 def test_prefetched_sweep_equals_the_sweep_on_a_filled_cache():
-    # solved on the worker thread, or on this one before the sweep: the
-    # same report, bit for bit
+    # solved by the sweep, or before it: the same report, bit for bit
     filled = {key: direct_solve(*key) for key in map(small_key, SMALL_EPS)}
     fresh: dict = {}
     assert repr(small_sweep(fresh)) == repr(small_sweep(filled))
@@ -262,10 +259,10 @@ def test_sweep_trims_the_heap_once_before_the_coarse_solve(monkeypatch):
     assert repr(small_sweep()) == repr(rep)
 
 
-@pytest.mark.parametrize("where", ["worker", "here"])
+@pytest.mark.parametrize("where", ["solve", "here"])
 def test_sweep_error_surfaces_with_its_type_and_leaves_no_thread(monkeypatch, where):
-    # a solve failing at the second eps on the worker thread, or the build
-    # failing on this one while the worker solves
+    # a solve failing at the second eps ("solve"), or the build failing
+    # here, before any solve; the cache holds only what was solved before
     solve = harness.direct_solve
 
     def failing_solve(spec, eps, grid):
@@ -275,7 +272,7 @@ def test_sweep_error_surfaces_with_its_type_and_leaves_no_thread(monkeypatch, wh
 
     def failing_build(*args, **kwargs):
         raise NonFiniteError("build failed")
-    if where == "worker":
+    if where == "solve":
         monkeypatch.setattr(harness, "direct_solve", failing_solve)
         want = (StabilityError, "solve failed at eps=0.45")
     else:
@@ -287,6 +284,23 @@ def test_sweep_error_surfaces_with_its_type_and_leaves_no_thread(monkeypatch, wh
         small_sweep(cache)
     assert threading.active_count() == before
     assert set(cache) <= {small_key(0.6)}
+
+
+def test_sweep_solves_on_the_calling_thread(monkeypatch):
+    # every solve, fine and coarse, runs inline in eps order, then the
+    # coarse one last
+    calls = []
+    solve = harness.direct_solve
+
+    def recording_solve(spec, eps, grid):
+        calls.append((threading.current_thread(), eps, grid))
+        return solve(spec, eps, grid)
+    monkeypatch.setattr(harness, "direct_solve", recording_solve)
+    small_sweep()
+    fine = [small_key(eps)[1:] for eps in SMALL_EPS]
+    coarse = (SMALL_EPS[-1], coarsen(fine[-1][1]))
+    assert [c[1:] for c in calls] == [*fine, coarse]
+    assert all(c[0] is threading.current_thread() for c in calls)
 
 
 def test_sweep_rejects_expansion_of_another_problem():
@@ -342,78 +356,61 @@ def test_term_residual_orders_in_dt():
     # three-point d_t^2 error, O(dt^2).  u_0 carries f through the Simpson
     # convolution, whose first interval is a trapezoid: its O(dt^3) error,
     # over dt^2, leaves O(dt) at the first interior times (measured order
-    # 1.00).  U terms and layers meet their march's update up to roundoff.
+    # 1.00).  term_residuals has a row for each u term only; U terms and
+    # layers meet their march's update up to roundoff
     spec = star_spec()
     got = {}
     for n in (200, 400):
         es = build_expansion(spec, 2, make_expansion_grids(spec, n, 0.9))
         got[n] = {r.key: r for r in term_residuals(es)}
-        assert [r.key for r in got[n].values()] == [k for k, _ in es.build_log]
+        assert list(got[n]) == [k for k, _ in es.build_log if k[0] == "u"]
     for key, r in got[200].items():
         fine = got[400][key]
-        if key[0] == "u" and key[1] % 2 == 0:
+        if key[1] % 2 == 0:
             order = np.log2(r.residual / fine.residual)
             assert (order >= 1.8) if key[1] >= 2 else (0.9 <= order <= 1.1), key
             assert fine.residual <= 2e-3 * fine.scale, key
-        elif key[0] == "u":
-            assert r.residual == fine.residual == 0.0 == r.scale
         else:
-            assert fine.residual <= 1e-10 * fine.scale, key
-            assert fine.scale > 0.0
+            assert r.residual == fine.residual == 0.0 == r.scale
+    marched = stored_march_residuals(es)
+    assert [m[0] for m in marched] == [k for k, _ in es.build_log if k[0] != "u"]
+    for key, res, scale in marched:
+        assert res <= 1e-10 * scale, key
+        assert scale > 0.0
 
 
 @pytest.mark.parametrize("q", ["1 + x", "2"])
 def test_layer_residuals_from_blocks_match_the_band_wide_check(q):
-    # the slab-by-slab check over a layer's blocks gives the band-wide
-    # check's residual to the bit, and its scale; with q = 2 the odd w_s
-    # store no rows, and read 0 and 0
+    # every layer's stored blocks meet the leapfrog of layers.qp_solve,
+    # recomputed over its zero-padded band, up to roundoff; with q = 2 the
+    # odd w_s store no rows, and read 0 and 0
     spec = star_spec(q=q)
     es = build_expansion(spec, 3, make_expansion_grids(spec, 64, 0.9))
-    layers = [r for r in term_residuals(es) if r.key[0] in "vw"]
+    layers = [m for m in stored_march_residuals(es) if m[0][0] in "vw"]
     assert len(layers) == len(es.layer_problems)
-    for r in layers:
-        term = es.term(r.key)
-        assert r.residual == layer_residual_reference(es.layer_problems[r.key], term,
-                                                      es.grids.layer), r.key
-        assert r.scale == float(np.max(np.abs(dense(term.values)))), r.key
-    empty = [r for r in layers if es.term(r.key).values.nbytes == 0]
+    for key, res, scale in layers:
+        assert res <= 1e-10 * scale, key
+        assert (scale > 0.0) == (es.term(key).values.nbytes > 0), key
+    empty = [key for key, _, _ in layers if es.term(key).values.nbytes == 0]
     assert (len(empty) > 0) == (q == "2")
-    assert all(r.residual == r.scale == 0.0 for r in empty)
 
 
 @pytest.mark.parametrize("n_per_edge", [64, 230])
 def test_march_residuals_from_blocks_match_the_whole_array_check(n_per_edge):
-    # U_0 is one array per edge, the corrections are SlabBlocks; over either
-    # the slab-by-slab check gives the whole-array check's residual to the
-    # bit, f read in the march's blocks, and the sup of the term.  At 230
-    # cells the steps are a multiple of TIME_SLAB: the last slab is one
+    # U_0 is one array per edge, the corrections are SlabBlocks; each meets
+    # the unit-stiffness leapfrog of direct._march, recomputed over the
+    # whole array with f read in the march's blocks, up to roundoff.  At
+    # 230 cells the steps are a multiple of TIME_SLAB: the last slab is one
     # column wide
     spec = star_spec()
     grids = make_expansion_grids(spec, n_per_edge, 0.9)
     assert (grids.g0.steps % TIME_SLAB == 0) == (n_per_edge == 230)
     es = build_expansion(spec, 2, grids)
-    g0 = grids.g0
-    rows = [r for r in term_residuals(es) if r.key[0] == "U"]
+    rows = [m for m in stored_march_residuals(es) if m[0][0] == "U"]
     assert len(rows) == 1 + len(es.g0_corr) == 5
-    for r in rows:
-        fld = es.term(r.key)
-        want = max(march_residual_reference(
-            dense(u).T, g0, loc, spec.q[e].evaluate(g0.x_nodes(loc), 0.0),
-            spec.f[e] if r.key[1] == 0 else None)
-            for loc, (e, u) in enumerate(zip(grids.g0_edge_ids, fld.edges)))
-        assert r.residual == want, r.key
-        assert r.scale == max(float(np.max(np.abs(dense(u)))) for u in fld.edges) > 0.0
-
-
-@pytest.mark.parametrize("name", MARCH_CASES)
-def test_layer_residual_matches_the_band_wide_check_on_march_cases(name):
-    # sources nonzero inside from the first step on (global-source), far
-    # ahead of the front, narrower than the band, or summing to zero: the
-    # slab-by-slab check, its sources summed per slab, gives the band-wide
-    # check's residual to the bit
-    prob, grid, initial = _march_case(name)
-    term = qp_solve(prob, grid, initial=initial)
-    assert _layer_residual(prob, term, grid) == layer_residual_reference(prob, term, grid)
+    for key, res, scale in rows:
+        assert res <= 1e-10 * scale, key
+        assert scale > 0.0, key
 
 
 def test_truncation_leftover_scales_one_curvature():

@@ -15,6 +15,8 @@ import starwaves
 from starwaves.grid import make_direct_grid, make_expansion_grids
 from starwaves.harness import load_config, validate_config
 
+from .helpers import REFERENCE_CONFIG
+
 BENCHMARK = Path(__file__).resolve().parent.parent / "benchmark"
 MODULES = sorted(m.name for m in pkgutil.iter_modules(starwaves.__path__))
 
@@ -47,6 +49,18 @@ def test_package_ships_no_test_oracle():
     r = subprocess.run([sys.executable, "-c", code], capture_output=True,
                        text=True, check=True)
     assert r.stdout.splitlines() == ["False", "['cs', 'sn']", "[]"]
+
+
+def test_config_check_loads_no_thread_pool():
+    # concurrent.futures (and the logging it pulls in) is imported where the
+    # convolution's pool runs, not by importing the package and reading a
+    # config
+    code = ("import sys; from starwaves.harness import load_config, validate_config; "
+            f"validate_config(load_config({str(REFERENCE_CONFIG)!r})); "
+            "print(sorted(m for m in sys.modules if m.startswith('concurrent')))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, check=True)
+    assert r.stdout.split() == ["[]"]
 
 
 # cli.main on argv in a fresh interpreter; its last line of output is the
