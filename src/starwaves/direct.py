@@ -19,9 +19,9 @@ import numpy as np
 
 from .errors import GraphConfigError
 from .graph import ProblemSpec, b_eps, require_compatibility_C1
-from .grid import TIME_SLAB, Grid, check_cfl, one_sided_diff, trapezoid_weights
+from .grid import TIME_SLAB, Grid, check_cfl
 
-__all__ = ["Field", "direct_solve", "energy"]
+__all__ = ["Field", "direct_solve"]
 
 
 @dataclass
@@ -147,31 +147,3 @@ def direct_solve(spec: ProblemSpec, eps: float, grid: Grid) -> Field:
     b = np.array([b_eps(spec, eps, e) for e in range(spec.graph.n_edges)])
     return _march(spec, grid, b, None)
 
-
-def energy(fld: Field, spec: ProblemSpec, eps: float, n: int) -> float:
-    """Discrete energy 1/2 sum_e int (u_t^2 + b u_x^2 + q u^2) at step n.
-
-    Trapezoid weights in space; derivatives are centered second order with
-    one-sided ends (np.gradient with edge_order=2).
-    """
-    grid = fld.grid
-    M = grid.steps
-    if not (0 <= n <= M):
-        raise ValueError(f"time index {n} outside 0..{M}")
-    total = 0.0
-    for e in range(len(fld.edges)):
-        u = fld.edges[e]
-        h = grid.h(e)
-        x = grid.x_nodes(e)
-        b = b_eps(spec, eps, e)
-        q = spec.q[e].evaluate(x, 0.0)
-        if n == 0:
-            ut = one_sided_diff(u, grid.dt, axis=1)
-        elif n == M:
-            ut = -one_sided_diff(u[:, ::-1], grid.dt, axis=1)
-        else:
-            ut = (u[:, n + 1] - u[:, n - 1]) / (2.0 * grid.dt)
-        ux = np.gradient(u[:, n], h, edge_order=2)
-        dens = ut * ut + b * ux * ux + q * u[:, n] ** 2
-        total += float(trapezoid_weights(grid.n_cells[e], h) @ dens)
-    return 0.5 * total

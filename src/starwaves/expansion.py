@@ -82,7 +82,6 @@ class ExpansionSet:
     edge_terms: dict[tuple[int, int], Term]
     vertex_layers: dict[tuple[int, int], Term]
     boundary_layers: dict[tuple[int, int], Term]
-    powers: tuple[int, ...]
     build_log: tuple[tuple, ...]
     # each layer's problem, keyed by its build_log key
     layer_problems: dict[tuple, QuarterPlaneProblem]
@@ -271,8 +270,7 @@ def build_expansion(spec: ProblemSpec, p: int, grids: ExpansionGrids) -> Expansi
 
     verify_schedule(tuple(log))
     U0 = U.pop((0, 0))
-    return ExpansionSet(spec, p, grids, U0, powers=p_plus, build_log=tuple(log),
-                        layer_problems=problems,
+    return ExpansionSet(spec, p, grids, U0, build_log=tuple(log), layer_problems=problems,
                         **{_STORE[family]: store for family, store in stores.items()})
 
 

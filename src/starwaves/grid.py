@@ -96,10 +96,6 @@ class Grid:
         if self.dt <= 0 or self.steps < 2:
             raise GraphConfigError("need a positive dt and at least 2 steps")
 
-    @property
-    def T(self) -> float:
-        return self.dt * self.steps
-
     def h(self, e: int) -> float:
         return self.lengths[e] / self.n_cells[e]
 
@@ -243,17 +239,11 @@ def make_expansion_grids(spec: ProblemSpec, n_per_edge: int, cfl: float) -> Expa
     _require_fits((steps + 1) * (n0 + 1) * len(g0_ids), "the unit-speed field of the series")
     _require_fits((steps + 1) * (n_xi + 1), "a layer's band rectangle")
     g0_grid = Grid(lengths, (n0,) * len(g0_ids), dt, steps)
-    layer = LayerGrid(n_xi, dt, steps)
-    return ExpansionGrids(g0_grid, g0_ids, _u_nodes(spec, n_per_edge), layer,
-                          dt * np.arange(steps + 1))
-
-
-def _u_nodes(spec: ProblemSpec, n_per_edge: int) -> dict[int, np.ndarray]:
-    """ExpansionGrids.u_nodes, half as fine as the unit-speed edges: they
-    need no time axis."""
+    # the degenerate edges' u nodes are half as fine: they need no time axis
     n_star = max(MIN_EXPANSION_CELLS, -(-n_per_edge // 2))
-    g = spec.graph
-    return {e: np.linspace(0.0, g.edges[e].length, n_star + 1) for e in g.gstar_edges()}
+    u_nodes = {e: np.linspace(0.0, g.edges[e].length, n_star + 1) for e in g.gstar_edges()}
+    return ExpansionGrids(g0_grid, g0_ids, u_nodes, LayerGrid(n_xi, dt, steps),
+                          dt * np.arange(steps + 1))
 
 
 class SeparableSpline:
@@ -427,11 +417,10 @@ def _side_by_side(blocks: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def one_sided_diff(u: np.ndarray, h: float, stride: int = 1,
-                   axis: int = 0) -> np.ndarray:
-    """One-sided (-3 u_0 + 4 u_s - u_2s) / (2 s h) along axis, s = stride."""
-    v = np.moveaxis(u, axis, 0)
-    return (-3.0 * v[0] + 4.0 * v[stride] - v[2 * stride]) / (2.0 * h * stride)
+def one_sided_diff(u: np.ndarray, h: float, stride: int = 1) -> np.ndarray:
+    """One-sided (-3 u_0 + 4 u_s - u_2s) / (2 s h) along the first axis,
+    s = stride."""
+    return (-3.0 * u[0] + 4.0 * u[stride] - u[2 * stride]) / (2.0 * h * stride)
 
 
 @dataclass(frozen=True, eq=False)

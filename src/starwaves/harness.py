@@ -33,7 +33,7 @@ from .direct import Field, direct_solve
 from .errors import ExprSyntaxError, GraphConfigError, NonFiniteError
 from .expr import Expr, parse
 from .graph import Edge, ProblemSpec, StarGraph
-from .grid import (TIME_SLAB, Grid, Term, _u_nodes, coarsen, make_direct_grid,
+from .grid import (TIME_SLAB, Grid, Term, coarsen, make_direct_grid,
                    make_expansion_grids, time_slabs, trapezoid_weights)
 from .expansion import (MAX_ORDER, ExpansionSet, build_expansion,
                         partial_sum_columns, residuals)
@@ -597,8 +597,9 @@ def validate_config(cfg: dict) -> RunConfig:
     except GraphConfigError as exc:
         raise GraphConfigError(str(exc)) from exc
     # the degenerate edges' kernels cs(q, t) and sn(q, t) run cosh and sinh
-    # up to sqrt(-q) T, at the nodes of their u terms
-    for e, x in _u_nodes(spec, n_per_edge).items():
+    # up to sqrt(-q) T, at the nodes of their u terms; the series grids are
+    # sized (and refused, if too large) before any node array is made
+    for e, x in make_expansion_grids(spec, n_per_edge, cfl).u_nodes.items():
         reach = float(np.max(np.sqrt(np.maximum(-q[e].evaluate(x, 0.0), 0.0)))) * T
         if reach > _HYP_ARG_MAX:
             raise GraphConfigError(

@@ -103,8 +103,7 @@ def _last_nonzero(rows: np.ndarray) -> np.ndarray:
     return np.where(nz.any(axis=1), last, 0)
 
 
-def qp_solve(prob: QuarterPlaneProblem, grid: LayerGrid,
-             initial: tuple[np.ndarray, np.ndarray] | None = None) -> Term:
+def qp_solve(prob: QuarterPlaneProblem, grid: LayerGrid) -> Term:
     """Leapfrog at unit Courant number with Dirichlet trace at xi = 0.
 
     The far boundary carries homogeneous Dirichlet data; the true solution
@@ -132,9 +131,6 @@ def qp_solve(prob: QuarterPlaneProblem, grid: LayerGrid,
     march adds none, as adding +0.0 would turn a -0.0 into +0.0.  That is
     known only once every slab is summed, so such a problem is marched
     again without them.
-
-    initial is a test-only mode: rows (v(., 0), v_t(., 0)) for comparison
-    against the tests' integral-representation oracle.
     """
     if grid.L + 1e-9 < grid.steps * grid.dt + LAYER_MARGIN:
         raise GraphConfigError("layer grid too short: support could reach the far end")
@@ -145,15 +141,14 @@ def qp_solve(prob: QuarterPlaneProblem, grid: LayerGrid,
         raise GraphConfigError(
             f"layer trace {prob.label or '?'} does not vanish at t=0: {g[0]:.3e}")
     sources = source_slabs(prob, grid)
-    blocks, widest, sourced = _march(prob.theta, g, grid, initial, sources)
+    blocks, widest, sourced = _march(prob.theta, g, grid, sources)
     if sources is not None and not sourced:
-        blocks, widest, _ = _march(prob.theta, g, grid, initial, None)
+        blocks, widest, _ = _march(prob.theta, g, grid, None)
     band = min(grid.n_xi, widest + 1 + BAND_PAD)
     return Term(SlabBlocks(tuple(blocks), band + 1), grid.xi_nodes(), grid.times())
 
 
 def _march(theta: float, g: np.ndarray, grid: LayerGrid,
-           initial: tuple[np.ndarray, np.ndarray] | None,
            sources: Iterator[np.ndarray] | None) -> tuple[list[np.ndarray], int, bool]:
     """qp_solve's march: each slab's block, the widest reach, and whether
     any source was nonzero."""
@@ -177,26 +172,19 @@ def _march(theta: float, g: np.ndarray, grid: LayerGrid,
             sourced = sourced or bool(S.any())
             S_reach = _last_nonzero(S)
         if cols.start == 0:
-            s0 = np.zeros(n + 1)
             if S is not None:
-                s0[:S.shape[1]] = S[0]
-            if initial is not None:
-                alpha, beta = (np.asarray(r, dtype=float) for r in initial)
-                W[2] = alpha
-                lap = np.zeros_like(alpha)
-                lap[1:-1] = (alpha[2:] - 2.0 * alpha[1:-1] + alpha[:-2]) / (dt * dt)
-                W[3, 1:-1] = (alpha + dt * beta + 0.5 * dt * dt * (
-                    lap - theta * alpha + s0))[1:-1]
-            elif S is not None:
-                W[3, 1:-1] = 0.5 * dt * dt * s0[1:-1]
+                k = min(S.shape[1], n)  # past the source, W[3] holds its +0.0
+                W[3, 1:k] = 0.5 * dt * dt * S[0, 1:k]
             W[2:4, 0] = g[:2]
             reach = widest = int(_last_nonzero(W[2:4]).max())
             first = 2  # the first time the slab's steps reach
         else:
             W[:2] = W[width:width + 2]
             if cols.start == TIME_SLAB:
-                # the start levels' rows may hold data past every reach, which
-                # the rows of the later steps must not
+                # the start level at t_1, 0.5 dt^2 S[0], may hold a -0.0 past
+                # every reach: the product of a negative subnormal source
+                # underflows to it.  The rows of the later steps must hold
+                # +0.0 there, as the full-width march does
                 W[2:4] = 0.0
             first = cols.start
         for m in range(first - 1, cols.stop - 1):

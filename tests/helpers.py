@@ -13,7 +13,7 @@ from scipy.interpolate import BSpline, RectBivariateSpline, make_interp_spline
 from starwaves.direct import Field
 from starwaves.expr import (Add, Call, Const, Div, Mul, Neg, Pow, Sub, Var, add, call, div,
                             mul, neg, parse, pow_int, sub)
-from starwaves.graph import Edge, ProblemSpec, StarGraph
+from starwaves.graph import Edge, ProblemSpec, StarGraph, b_eps
 from starwaves.harness import NormTriple
 from starwaves.grid import (TIME_SLAB, Grid, SeparableSpline, one_sided_diff, slabs,
                             time_slabs, trapezoid_weights)
@@ -305,7 +305,9 @@ def qp_march_reference(prob, grid, initial=None):
     Same scheme and the same floating-point expressions, node for node, but
     every step updates every interior node of a (n_xi + 1, steps + 1)
     array, and reads its source layers zero-padded to the grid.  Input
-    checks are left to qp_solve.
+    checks are left to qp_solve.  initial, rows (v(., 0), v_t(., 0)),
+    starts it from those data rather than from rest, for the comparisons
+    against the integral-representation oracle: qp_solve has no such mode.
     """
     n, M, dt = grid.n_xi, grid.steps, grid.dt
     S = source_matrix_reference(prob, grid)
@@ -567,6 +569,35 @@ def direct_march_reference(spec, grid, b, nu):
                 b[e] * lap - Q[e][1:-1] * u[1:-1, n] + F[e][1:-1, n]))
             u[0, n + 1] = sigma[n + 1]
     return Field(grid, U, sigma)
+
+
+def energy(fld: Field, spec: ProblemSpec, eps: float, n: int) -> float:
+    """Discrete energy 1/2 sum_e int (u_t^2 + b u_x^2 + q u^2) at step n.
+
+    Trapezoid weights in space; derivatives are centered second order with
+    one-sided ends (np.gradient with edge_order=2).
+    """
+    grid = fld.grid
+    M = grid.steps
+    if not (0 <= n <= M):
+        raise ValueError(f"time index {n} outside 0..{M}")
+    total = 0.0
+    for e in range(len(fld.edges)):
+        u = fld.edges[e]
+        h = grid.h(e)
+        x = grid.x_nodes(e)
+        b = b_eps(spec, eps, e)
+        q = spec.q[e].evaluate(x, 0.0)
+        if n == 0:
+            ut = one_sided_diff(u.T, grid.dt)
+        elif n == M:
+            ut = -one_sided_diff(u[:, ::-1].T, grid.dt)
+        else:
+            ut = (u[:, n + 1] - u[:, n - 1]) / (2.0 * grid.dt)
+        ux = np.gradient(u[:, n], h, edge_order=2)
+        dens = ut * ut + b * ux * ux + q * u[:, n] ** 2
+        total += float(trapezoid_weights(grid.n_cells[e], h) @ dens)
+    return 0.5 * total
 
 
 # (n_cells, steps, nan) of fields that meet the slab partition's edge cases;

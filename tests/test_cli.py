@@ -333,15 +333,16 @@ def test_kernel_overflow_is_a_config_error(tmp_path, cmd):
 
 
 @pytest.mark.parametrize("over,field,refused", [
-    ({"T": 1e308}, "T", {"solve", "expand", "verify"}),
+    # every subcommand sizes the series grids as it validates the config
+    ({"T": 1e308}, "T", {"check", "solve", "expand", "verify"}),
     # eps^(2m) is 0 at every eps of the sweep and at the solve's
     ({"graph": {"edges": [{"length": 1.0, "subgraph": 0}, {"length": 1.0, "subgraph": 1}],
                 "exponents": [0, 1000]}}, "graph.exponents[1]", {"solve", "verify"}),
 ], ids=["T", "exponent"])
 @pytest.mark.parametrize("cmd", SUBCOMMANDS, ids=lambda c: c[0])
 def test_grid_count_not_finite_exit_code(tmp_path, cmd, over, field, refused):
-    # a subcommand that builds the grid refuses it, naming the field; the
-    # others build no such grid and pass
+    # a subcommand that sizes the grid refuses it, naming the field; the
+    # others size no such grid and pass
     r = run_subcommand(tmp_path, cmd, write_cfg(tmp_path, small_cfg(**over)))
     assert "Traceback" not in r.stderr
     if cmd[0] in refused:
@@ -353,19 +354,31 @@ def test_grid_count_not_finite_exit_code(tmp_path, cmd, over, field, refused):
 
 @pytest.mark.parametrize("cmd", SUBCOMMANDS, ids=lambda c: c[0])
 def test_grid_past_physical_memory_exit_code(tmp_path, monkeypatch, capsys, cmd):
-    # with the memory probe patched to 1000 bytes, every subcommand that
-    # builds a grid refuses the config, naming the field, before it makes
-    # an array; check builds none and passes
+    # with the memory probe patched to 1000 bytes, every subcommand refuses
+    # the config as it validates it, naming the field, before it makes an
+    # array: validation sizes the series grids
     monkeypatch.setattr(grid_module, "physical_memory", lambda: 1000)
     out = [] if cmd[0] == "check" else ["--out", str(tmp_path / "out")]
     rc = cli.main([cmd[0], write_cfg(tmp_path, small_cfg()), *cmd[1:], *out])
     err = capsys.readouterr().err
-    if cmd[0] == "check":
-        assert rc == 0, err
-    else:
-        assert rc == cli.EXIT_CONFIG == 2
-        assert err.startswith("config error: grid.n_per_edge: ")
-        assert "GiB of physical memory" in err
+    assert rc == cli.EXIT_CONFIG == 2
+    assert err.startswith("config error: grid.n_per_edge: ")
+    assert "GiB of physical memory" in err
+
+
+@pytest.mark.parametrize("n_per_edge", [10 ** 12, 10 ** 20], ids=["1e12", "1e20"])
+@pytest.mark.parametrize("cmd", SUBCOMMANDS, ids=lambda c: c[0])
+def test_huge_n_per_edge_exit_code(tmp_path, cmd, n_per_edge):
+    # the series grids are sized before any node array is made, so a
+    # resolution past memory is one config error in every subcommand
+    cfg = json.loads(REFERENCE_CONFIG.read_text())
+    cfg["grid"]["n_per_edge"] = n_per_edge
+    r = run_subcommand(tmp_path, cmd, write_cfg(tmp_path, cfg))
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+    [line] = r.stderr.splitlines()
+    assert line.startswith("config error: grid.n_per_edge: "
+                           "the unit-speed field of the series has ")
 
 
 @pytest.mark.parametrize("cmd", SUBCOMMANDS, ids=lambda c: c[0])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from starwaves.direct import _march, direct_solve, energy
+from starwaves.direct import _march, direct_solve
 from starwaves.errors import GraphConfigError, StabilityError
 from starwaves.expr import Expr, parse
 from starwaves.graph import Edge, ProblemSpec, StarGraph, b_eps
@@ -11,7 +11,7 @@ from starwaves.grid import TIME_SLAB, Grid, make_direct_grid
 from starwaves.harness import load_config, validate_config
 from starwaves.limit import solve_g0
 
-from .helpers import (REFERENCE_CONFIG, direct_march_reference,
+from .helpers import (REFERENCE_CONFIG, direct_march_reference, energy,
                       single_edge_spec, star_spec, two_edge_g0_spec)
 
 

@@ -51,14 +51,12 @@ def test_term_inventory_p0_and_p1():
     spec = star_spec()
     grids = make_expansion_grids(spec, 64, 0.9)
     es0 = build_expansion(spec, 0, grids)
-    assert es0.powers == ()
     assert set(es0.edge_terms) == {(0, 1), (0, 2)}
     assert es0.g0_corr == {}
     assert set(es0.vertex_layers) == {(0, 1), (0, 2)}
     assert set(es0.boundary_layers) == {(0, 1), (0, 2)}
 
     es1 = build_expansion(spec, 1, grids)
-    assert es1.powers == (1, 2)
     assert set(es1.edge_terms) == {(s, e) for s in (0, 1) for e in (1, 2)}
     assert set(es1.g0_corr) == {(1, 1), (1, 2)}
     assert set(es1.vertex_layers) == {(P, e) for P in (0, 1, 2) for e in (1, 2)}
@@ -247,7 +245,6 @@ def test_manual_chain_two_edge_single_exponent():
     spec = star_spec(exponents=(0, 2), subgraphs=(0, 1), lengths=(1.0, 1.0))
     grids = make_expansion_grids(spec, 64, 0.9)
     es = build_expansion(spec, 1, grids)
-    assert es.powers == (2,)
     assert set(es.vertex_layers) == {(0, 1), (2, 1)}
 
     spec0 = restrict_to_g0(spec)
@@ -427,7 +424,7 @@ def test_all_unit_speed_graph_expansion():
     spec = two_edge_g0_spec(q="1", f="sin(t)*(1 + x)", phi="cos(pi*x/2)")
     grids = make_expansion_grids(spec, 64, 0.9)
     es = build_expansion(spec, 0, grids)
-    assert es.powers == () and es.vertex_layers == {}
+    assert es.g0_corr == {} and es.vertex_layers == {}
     grid = make_direct_grid(spec, 0.5, 64, 0.9)
     a = assemble_partial_sum(es, 0.3, grid)
     b = assemble_partial_sum(es, 0.6, grid)

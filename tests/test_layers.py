@@ -65,9 +65,9 @@ def _march_case(name):
     t, xi = grid.times(), grid.xi_nodes()
     g = np.sin(t) ** 2
     if name == "trace":
-        return QuarterPlaneProblem(3.0, g), grid, None
+        return QuarterPlaneProblem(3.0, g), grid
     if name == "negative-theta":
-        return QuarterPlaneProblem(-2.5, -g), grid, None
+        return QuarterPlaneProblem(-2.5, -g), grid
     if name == "taylor-sources":
         # solved lower-order layers as Taylor sources, chained the way
         # build_expansion chains them
@@ -76,28 +76,28 @@ def _march_case(name):
                                           sources=((-0.5, 1, v0),)), grid)
         prob = QuarterPlaneProblem(1.0, zero_trace(grid),
                                    sources=((-1.0, 1, v1), (0.25, 2, v0), (0.0, 3, v0)))
-        return prob, grid, None
+        return prob, grid
     if name == "global-source":
         ones = Term(np.ones((grid.n_xi + 1, grid.steps + 1)), grid.xi_nodes(), grid.times())
         prob = QuarterPlaneProblem(0.0, zero_trace(grid), sources=((1.0, 1, ones),))
-        return prob, grid, None
-    if name == "initial":
-        return (QuarterPlaneProblem(4.0, zero_trace(grid)), grid,
-                (np.sin(xi), 0.5 * np.cos(xi)))
+        return prob, grid
+    if name == "stiff-trace":
+        # the largest theta acceptance gate 4 probes, driven by a trace
+        return QuarterPlaneProblem(4.0, np.sin(2.0 * t) ** 2), grid
     if name == "source-ahead":
         # nonzero far ahead of the front, and only for the first steps: the
         # updated width has to jump out to it and must not shrink back
         far = np.zeros((grid.n_xi + 1, grid.steps + 1))
         far[(xi > 2.0) & (xi < 2.5), 1:6] = -1.0
         rho = Term(far, grid.xi_nodes(), grid.times())
-        return QuarterPlaneProblem(-1.0, g, sources=((1.0, 1, rho),)), grid, None
+        return QuarterPlaneProblem(-1.0, g, sources=((1.0, 1, rho),)), grid
     if name == "narrow-source":
         # a source stored on 11 xi-nodes only: the front of the trace runs
         # past its stored band, and the source must read as zero there
         near = np.zeros((11, grid.steps + 1))
         near[1:10, 1:] = np.cos(t[1:])
         rho = Term(near, grid.xi_nodes(), grid.times())
-        return QuarterPlaneProblem(1.0, g, sources=((0.5, 1, rho),)), grid, None
+        return QuarterPlaneProblem(1.0, g, sources=((0.5, 1, rho),)), grid
     if name in ("late-trace", "late-source"):
         # a trace that starts at step 2 * TIME_SLAB - 2: the layer stores no
         # rows in slab 0 and two rows in slab 1, fewer than a flux stencil
@@ -107,10 +107,10 @@ def _march_case(name):
         t0 = t[2 * TIME_SLAB - 3]
         late = QuarterPlaneProblem(1.0, np.where(t > t0, np.sin(t - t0) ** 2, 0.0))
         if name == "late-trace":
-            return late, grid, None
+            return late, grid
         rho = qp_solve(late, grid)
         return QuarterPlaneProblem(-1.0, zero_trace(grid),
-                                   sources=((0.5, 1, rho), (-0.25, 2, rho))), grid, None
+                                   sources=((0.5, 1, rho), (-0.25, 2, rho))), grid
     if name == "odd-band":
         # odd steps and odd n_xi, and a source stored on 7 xi-nodes under a
         # trace with a negative theta: every term of the update, odd widths
@@ -120,7 +120,7 @@ def _march_case(name):
         near[1:6, 1:] = np.sin(3.0 * t[1:])
         rho = Term(near, grid.xi_nodes(), t)
         return QuarterPlaneProblem(-1.5, np.sin(t) ** 2,
-                                   sources=((0.75, 1, rho),)), grid, None
+                                   sources=((0.75, 1, rho),)), grid
     if name == "zero-sum-sources":
         # two sources whose blocks are nonzero only at xi = 0, where xi^r
         # makes them zero: they sum to exactly 0, so the march adds none.
@@ -131,35 +131,32 @@ def _march_case(name):
         rho = Term(at_vertex, grid.xi_nodes(), t)
         tiny = -5e-324 * np.abs(np.random.default_rng(1).standard_normal(grid.steps + 1))
         tiny[0] = 0.0
-        return QuarterPlaneProblem(1e4, tiny, sources=((1.0, 1, rho), (-2.0, 2, rho))), \
-            grid, None
+        return QuarterPlaneProblem(1e4, tiny, sources=((1.0, 1, rho), (-2.0, 2, rho))), grid
     if name == "negative-zero-trace":
-        return QuarterPlaneProblem(1.0, np.where(t > 0.5, -np.sin(t - 0.5) ** 2, -0.0)), \
-            grid, None
+        return QuarterPlaneProblem(1.0, np.where(t > 0.5, -np.sin(t - 0.5) ** 2, -0.0)), grid
     if name in ("one-column-slab", "short"):
         # steps a multiple of TIME_SLAB, so the last slab is one column wide;
         # or fewer steps than one slab
         grid = wave_grid(0.02, 0.02 * (2 * TIME_SLAB if name == "one-column-slab" else 40))
-        return QuarterPlaneProblem(2.0, np.sin(grid.times()) ** 2), grid, None
-    if name in ("initial-one-column-slab", "initial-negative-zeros"):
-        # initial data spanning the grid, over two slabs and a column; or
-        # -0.0 past xi = 1, so the start levels hold -0.0 past the march's
-        # first reach, which the later levels written into their rows must
-        # not.  Slab 0 keeps none of that -0.0: its block stops at its last
-        # nonzero row, and below a block reads +0.0
-        grid = wave_grid(0.02, 0.02 * 2 * TIME_SLAB)
-        xi = grid.xi_nodes()
-        alpha, beta = np.sin(xi), np.cos(xi)
-        if name == "initial-negative-zeros":
-            alpha, beta = np.where(xi < 1.0, alpha, -0.0), np.where(xi < 1.0, beta, -0.0)
-        return QuarterPlaneProblem(4.0, zero_trace(grid)), grid, (alpha, beta)
+        return QuarterPlaneProblem(2.0, np.sin(grid.times()) ** 2), grid
+    if name == "subnormal-source":
+        # a source that is one negative subnormal, at xi = 3 and t = 0: the
+        # start level at t_1, 0.5 dt^2 S[0], holds -0.0 there, past the
+        # march's first reach, which the later levels written into its row
+        # must not.  Slab 0 keeps none of that -0.0: its block stops at its
+        # last nonzero row, and below a block reads +0.0
+        grid = wave_grid(0.02, 4.0)
+        t = grid.times()
+        tiny = np.zeros((grid.n_xi + 1, grid.steps + 1))
+        tiny[150, 0] = -5e-324
+        rho = Term(tiny, grid.xi_nodes(), t)
+        return QuarterPlaneProblem(1.0, np.sin(t) ** 2, sources=((1.0, 1, rho),)), grid
     raise ValueError(name)
 
 
-MARCH_CASES = ["trace", "negative-theta", "taylor-sources", "global-source", "initial",
+MARCH_CASES = ["trace", "negative-theta", "taylor-sources", "global-source", "stiff-trace",
                "source-ahead", "narrow-source", "odd-band", "late-trace", "late-source",
-               "zero-sum-sources", "negative-zero-trace", "one-column-slab", "short",
-               "initial-one-column-slab"]
+               "zero-sum-sources", "negative-zero-trace", "one-column-slab", "short"]
 
 
 @pytest.mark.parametrize("name", MARCH_CASES)
@@ -167,9 +164,9 @@ def test_march_matches_full_width_reference(name):
     # the support-bounded, time-major march gives the full-width x-major
     # march to the bit, signs of zeros included, once its blocks are
     # zero-padded to the grid
-    prob, grid, initial = _march_case(name)
-    fld = qp_solve(prob, grid, initial=initial)
-    if name in ("global-source", "initial", "source-ahead", "initial-one-column-slab"):
+    prob, grid = _march_case(name)
+    fld = qp_solve(prob, grid)
+    if name in ("global-source", "source-ahead"):
         # data nonzero across the grid, or a source far ahead of the front
         # whose own front then runs on: the band is the whole grid
         assert fld.values.shape[0] == grid.n_xi + 1
@@ -178,7 +175,7 @@ def test_march_matches_full_width_reference(name):
     else:
         assert fld.values.shape[0] <= grid.steps + BAND_PAD + 2 < grid.n_xi + 1
     got = zero_padded(fld)
-    want = qp_march_reference(prob, grid, initial=initial)
+    want = qp_march_reference(prob, grid)
     assert got.shape == want.shape == (grid.n_xi + 1, grid.steps + 1)
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
@@ -186,14 +183,14 @@ def test_march_matches_full_width_reference(name):
     assert np.any(want != 0.0)
 
 
-@pytest.mark.parametrize("name", [*MARCH_CASES, "initial-negative-zeros"])
+@pytest.mark.parametrize("name", [*MARCH_CASES, "subnormal-source"])
 def test_blocks_stop_at_each_slab_last_nonzero_row(name):
     # one block per time slab, as tall as the slab's last nonzero row + 1
     # of the full-width march, holding its rows to the bit; what the blocks
     # hold is what is counted
-    prob, grid, initial = _march_case(name)
-    fld = qp_solve(prob, grid, initial=initial)
-    want = qp_march_reference(prob, grid, initial=initial)
+    prob, grid = _march_case(name)
+    fld = qp_solve(prob, grid)
+    want = qp_march_reference(prob, grid)
     pairs = slabs(fld.values)
     assert [cols for cols, _ in pairs] == time_slabs(grid.steps)
     heights = []
@@ -215,7 +212,7 @@ def test_empty_and_short_blocks_read_as_their_rectangle():
     # the late trace's layer: no rows in slab 0 and two in slab 1, short of
     # the 3 and 5 rows of the flux stencils.  Its flux, is_zero and source
     # sum are those of its zero-padded rectangle, to the bit
-    prob, grid, _ = _march_case("late-trace")
+    prob, grid = _march_case("late-trace")
     fld = qp_solve(prob, grid)
     rect = dense(fld.values)
     assert [len(b) for _, b in slabs(fld.values)][:2] == [0, 2]
@@ -244,22 +241,22 @@ def test_empty_and_short_blocks_read_as_their_rectangle():
 
 
 def test_march_holds_one_slab_buffer_beyond_its_blocks():
-    # initial data across the grid make the band the whole grid; the march
-    # allocates nothing band-wide, so its tracemalloc peak is the blocks it
-    # returns plus about one buffer of TIME_SLAB + 2 time levels (1.06
-    # buffers measured; a band-wide march array alone is 4.7 buffers here)
-    grid = wave_grid(1.0 / 800.0, 0.375, pad=3.5)
-    xi = grid.xi_nodes()
-    initial = (np.sin(xi), 0.5 * np.cos(xi))
+    # a trace-driven layer whose band is 8.2 buffers of TIME_SLAB + 2 time
+    # levels; the march allocates nothing band-wide, so its tracemalloc
+    # peak is the blocks it returns plus about one buffer (1.03 buffers
+    # measured).  A global source would add its per-slab sums
+    grid = wave_grid(1.0 / 800.0, 1.5)
     buffer = 8 * (TIME_SLAB + 2) * (grid.n_xi + 1)
+    trace = np.sin(3.0 * grid.times()) ** 2
     tracemalloc.start()
     try:
-        fld = qp_solve(QuarterPlaneProblem(4.0, zero_trace(grid)), grid, initial=initial)
+        fld = qp_solve(QuarterPlaneProblem(4.0, trace), grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert fld.values.shape == (grid.n_xi + 1, grid.steps + 1)
-    assert fld.values.nbytes >= 0.99 * 8 * (grid.n_xi + 1) * (grid.steps + 1)
+    rows, cols = fld.values.shape
+    assert cols == grid.steps + 1 and rows < grid.n_xi + 1
+    assert 8 * rows * cols >= 4 * buffer
     assert peak - fld.values.nbytes <= 2 * buffer
 
 
@@ -356,11 +353,12 @@ def test_oracle_closed_forms():
 def test_scheme_matches_oracle_initial_mode():
     theta = 4.0
     dt = 1.0 / 1600.0
-    # probe points go out to s = 3, so pad well past the qp_solve minimum
+    # probe points go out to s = 3, so pad well past the layer grid's minimum
     grid = wave_grid(dt, 0.5, pad=3.5)
     xi = grid.xi_nodes()
-    fld = qp_solve(QuarterPlaneProblem(theta, zero_trace(grid)), grid,
-                   initial=(np.sin(xi), 0.5 * np.cos(xi)))
+    fld = Term(qp_march_reference(QuarterPlaneProblem(theta, zero_trace(grid)), grid,
+                                  initial=(np.sin(xi), 0.5 * np.cos(xi))),
+               xi, grid.times())
     for s, t in [(1.0, 0.25), (2.0, 0.5), (3.0, 0.4)]:
         want = qp_oracle_below_characteristic(
             theta, np.sin, lambda y: 0.5 * np.cos(y), s, t)
