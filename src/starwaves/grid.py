@@ -18,10 +18,11 @@ zero ahead of a front stores SlabBlocks, one block per slab cut at the
 slab's last nonzero row: a layer, a U correction's edge, and a zero term,
 which stores no rows.  U_0's edges and the nonzero u terms are one array
 each.  slabs(values) reads either, slab by slab, and every reader that may
-be handed SlabBlocks goes through it.  A spline keeps its x coefficients
-as one C-contiguous block per slab, cut BAND_PAD rows past the slab's
-last nonzero row, so a slab of a term's own times is one block, read
-without a copy.
+be handed SlabBlocks goes through it.  A spline's x coefficients are one
+C-contiguous block per slab, cut BAND_PAD rows past the slab's last
+nonzero row, so a slab of a term's own times is one block, read without
+a copy; the spline solves a block when it is asked for and keeps only
+the last one.
 
 A grid one of whose arrays could not fit in physical memory is refused
 when it is made (make_direct_grid, make_expansion_grids).
@@ -252,15 +253,17 @@ class SeparableSpline:
     The x factor is one LU of the not-a-knot collocation matrix (LAPACK
     dgbtrf), against which each slab of values (slabs), zero-padded to
     len(x_nodes) rows, is solved (dgbtrs): block for block the bits of
-    make_interp_spline.  Its coefficients are held
-    as blocks of TIME_SLAB columns: blocks[k] belongs to
-    t_nodes[k * TIME_SLAB:][:TIME_SLAB], is C-contiguous, and stops
-    BAND_PAD rows past the last row of values nonzero in its slab; below
-    that the coefficients are taken as zero.  At t_nodes a slab's
-    coefficients are its block; at other times they come from t_factor,
-    the same LU path in t applied to the coefficients (see at).  FITPACK
-    with s=0 uses the same knots, so this is the 2-D interpolating spline
-    up to roundoff.
+    make_interp_spline.  Its coefficients come in blocks of TIME_SLAB
+    columns: block(k) belongs to t_nodes[k * TIME_SLAB:][:TIME_SLAB], is
+    C-contiguous, and stops BAND_PAD rows past the last row of values
+    nonzero in its slab; below that the coefficients are taken as zero.
+    The spline keeps the LU and the values' slabs, not the blocks: a block
+    is solved alone when it is asked for (block), and only the last one
+    made is kept, so a caller that walks the slabs in order (the sweep,
+    one slab for every eps) solves each once and holds one.  At t_nodes a slab's coefficients are its block; at other times
+    they come from t_factor, the same LU path in t applied to the
+    coefficients (see at).  FITPACK with s=0 uses the same knots, so this
+    is the 2-D interpolating spline up to roundoff.
 
     Every B-spline value, in the collocation matrices and at the points
     sampled, comes from _cubic_basis, de Boor's recurrence in numpy with
@@ -271,21 +274,35 @@ class SeparableSpline:
 
     def __init__(self, x_nodes: np.ndarray, t_nodes: np.ndarray,
                  values: np.ndarray | SlabBlocks):
+        self.t_nodes = t_nodes
+        self.knots, self._lu, self._piv = _collocation(x_nodes)
+        self._slabs = [b for _, b in slabs(values)]
+        self._last: tuple[int, np.ndarray] | None = None
+
+    def block(self, k: int) -> np.ndarray:
+        """The coefficients of slab k, solved now unless k was the last asked for."""
+        if self._last is None or self._last[0] != k:
+            self._last = None  # the old block goes before the new one is made
+            self._last = k, self._solve(self._slabs[k])
+        return self._last[1]
+
+    def _solve(self, b: np.ndarray) -> np.ndarray:
         from scipy.linalg.lapack import dgbtrs
 
-        self.t_nodes = t_nodes
-        n = len(x_nodes)
-        self.knots, lu, piv = _collocation(x_nodes)
-        self.blocks = []
-        for _, b in slabs(values):
-            # the slab zero-padded to the spline's height, Fortran-ordered:
-            # the solve overwrites its right-hand side
-            rhs = np.zeros((n, b.shape[1]), order="F")
-            rhs[:len(b)] = b
-            nonzero = np.flatnonzero(b.any(axis=1))
-            height = min(n, (nonzero[-1] if len(nonzero) else 0) + 1 + BAND_PAD)
-            c, _ = dgbtrs(lu, 3, 3, rhs, piv, overwrite_b=True)
-            self.blocks.append(np.ascontiguousarray(c[:height]))
+        n = len(self._piv)
+        # the slab zero-padded to the spline's height, Fortran-ordered: the
+        # solve overwrites its right-hand side
+        rhs = np.zeros((n, b.shape[1]), order="F")
+        rhs[:len(b)] = b
+        nonzero = np.flatnonzero(b.any(axis=1))
+        height = min(n, (nonzero[-1] if len(nonzero) else 0) + 1 + BAND_PAD)
+        c, _ = dgbtrs(self._lu, 3, 3, rhs, self._piv, overwrite_b=True)
+        return np.ascontiguousarray(c[:height])
+
+    @property
+    def blocks(self) -> list[np.ndarray]:
+        """Every slab's coefficient block, each solved anew."""
+        return [self._solve(b) for b in self._slabs]
 
     @cached_property
     def t_factor(self) -> Callable[[np.ndarray], np.ndarray]:
@@ -294,7 +311,8 @@ class SeparableSpline:
         The blocks side by side are fitted in t as make_interp_spline(
         t_nodes, ..., k=3, axis=1) fits them, one dgbtrs against the LU of
         the collocation matrix in t, and evaluated at t by the product that
-        at uses in x: the bits of that spline at t.
+        at uses in x: the bits of that spline at t.  Only these t
+        coefficients are kept, not the blocks.
         """
         from scipy.linalg.lapack import dgbtrs
 
@@ -328,7 +346,7 @@ class SeparableSpline:
             if not own:
                 return product(self.t_factor(t[j0:j1]))
             k0 = j0 // TIME_SLAB
-            run = [product(c) for c in self.blocks[k0:max(-(-j1 // TIME_SLAB), k0 + 1)]]
+            run = [product(self.block(k)) for k in range(k0, max(-(-j1 // TIME_SLAB), k0 + 1))]
             out = run[0] if len(run) == 1 else np.concatenate(run, axis=1)
             return out[:, j0 - k0 * TIME_SLAB:j1 - k0 * TIME_SLAB]
         return columns

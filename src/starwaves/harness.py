@@ -9,13 +9,14 @@ expansion builds the series and samples it; this module measures it.
 Once per sweep it measures what the recursion leaves: each u_s term's
 residual in its own equation, on its own grid (term_residuals), and the
 truncation leftover on the degenerate edges, whose eps-dependence is a
-power (truncation_leftover).  For each eps the direct field is solved
-just before it is measured, and kept whole (a solve cache, keyed by
-direct_solve's arguments, may share it); the sweep streams the series
-against it: one loop over time slabs assembles the partial sum on a
-slab's columns and adds the slab's share to the norm sums (_EdgeNorms).
-The assembled field never exists whole; norms() runs the same slab loop
-(_slab_norms) over two whole fields.
+power (truncation_leftover).  The direct field of every eps is solved
+first and kept whole (a solve cache, keyed by direct_solve's arguments,
+may share it); the sweep then streams the series against all of them in
+one loop over time slabs (_slab_norms): for each slab, each eps, each
+edge, it assembles the partial sum on the slab's columns and adds the
+slab's share to the norm sums (_EdgeNorms).  The assembled field never
+exists whole, and a term's spline needs its coefficients for one slab
+at a time; norms() runs the same slab loop over two whole fields.
 """
 
 from __future__ import annotations
@@ -92,24 +93,26 @@ class _EdgeNorms:
     """Trapezoid-weighted norm sums of a difference on one edge of a grid.
 
     It is fed the difference at the columns of every slab of
-    time_slabs(grid.steps), so it counts each column once.  The maximum is
-    reduced with np.max, a nan included; the L2 and H1 sums are per-slab
-    products wx @ d^2 @ wt added up.  The x-gradient goes to a buffer
-    reused by every slab, and the difference is squared in place.
+    time_slabs(grid.steps), in order, so it counts each column once.  The
+    maximum is reduced with np.max, a nan included; the L2 and H1 sums are
+    per-slab products wx @ d^2 @ wt added up.  The x-gradient goes to grad,
+    a buffer of TIME_SLAB columns and at least as many rows as the edge has
+    nodes, which the sums of other edges may share; the difference is
+    squared in place.
     """
 
-    def __init__(self, grid: Grid, e: int):
+    def __init__(self, grid: Grid, e: int, grad: np.ndarray):
         self.h = grid.h(e)
         self.wx = trapezoid_weights(grid.n_cells[e], self.h)
         self.wt = trapezoid_weights(grid.steps, grid.dt)
-        self.grad = np.empty((grid.n_cells[e] + 1, TIME_SLAB))
+        self.grad = grad
         self.linf: list = []
         self.l2sq = 0.0
         self.h1sq = 0.0
 
     def add(self, d: np.ndarray, cols: slice) -> None:
         """d is the difference at columns cols; it is overwritten."""
-        g = self.grad[:, :d.shape[1]]
+        g = self.grad[:len(d), :d.shape[1]]
         _gradient(d, self.h, g)
         wt = self.wt[cols]
         np.abs(d, out=d)
@@ -120,23 +123,41 @@ class _EdgeNorms:
         self.h1sq += float(self.wx @ g @ wt)
 
 
-def _slab_norms(grid: Grid, diffs) -> NormTriple:
-    """The norms of a difference handed over one time slab at a time.
+def _slab_buffer(grids) -> np.ndarray:
+    """A buffer of TIME_SLAB columns as tall as the tallest edge of grids."""
+    return np.empty((max(n for g in grids for n in g.n_cells) + 1, TIME_SLAB))
 
-    diffs yields, for each edge e in turn, diff(cols): the difference on e
-    at the columns cols of a slab of time_slabs(grid.steps), in an array
-    the sums may overwrite.
+
+def _slab_norms(measures: list) -> list[NormTriple]:
+    """The norms of differences handed over one time slab at a time.
+
+    measures holds, for each difference, its grid and, for each edge e in
+    turn, diff(cols): the difference on e at the columns cols of a slab of
+    time_slabs(grid.steps), in an array the sums may overwrite.  The loop
+    is slab-major: for each slab k, each difference in order, each edge.
+    Every edge's sums still get their slabs in ascending order, as a loop
+    over one difference at a time feeds them, so each sum is built in the
+    same order, to the bit; a grid with fewer slabs skips the slabs it
+    lacks.  The sums use each diff before the next is asked for, so one
+    gradient buffer serves them all.
     """
-    parts = []
-    for e, diff in enumerate(diffs):
-        acc = _EdgeNorms(grid, e)
-        for cols in time_slabs(grid.steps):
-            acc.add(diff(cols), cols)
-        parts.append(acc)
-    linf = float(np.max([np.max(p.linf) for p in parts]))
-    l2sq = sum(p.l2sq for p in parts)
-    h1sq = sum(p.h1sq for p in parts)
-    return NormTriple(linf, math.sqrt(l2sq), math.sqrt(l2sq + h1sq))
+    grad = _slab_buffer(grid for grid, _ in measures)
+    runs = [(time_slabs(grid.steps),
+             [(diff, _EdgeNorms(grid, e, grad)) for e, diff in enumerate(diffs)])
+            for grid, diffs in measures]
+    for k in range(max(len(slabs) for slabs, _ in runs)):
+        for slabs, edges in runs:
+            if k < len(slabs):
+                for diff, acc in edges:
+                    acc.add(diff(slabs[k]), slabs[k])
+    out = []
+    for _, edges in runs:
+        parts = [acc for _, acc in edges]
+        linf = float(np.max([np.max(p.linf) for p in parts]))
+        l2sq = sum(p.l2sq for p in parts)
+        h1sq = sum(p.h1sq for p in parts)
+        out.append(NormTriple(linf, math.sqrt(l2sq), math.sqrt(l2sq + h1sq)))
+    return out
 
 
 def norms(f1: Field, f2: Field) -> NormTriple:
@@ -145,24 +166,32 @@ def norms(f1: Field, f2: Field) -> NormTriple:
     if (g1.lengths != g2.lengths or g1.n_cells != g2.n_cells
             or g1.dt != g2.dt or g1.steps != g2.steps):
         raise ValueError("fields live on different grids")
+    d = _slab_buffer([g1])
 
     def diff(u1: np.ndarray, u2: np.ndarray):
-        d = np.empty((len(u1), TIME_SLAB))
         return lambda cols: np.subtract(u1[:, cols], u2[:, cols],
-                                        out=d[:, :cols.stop - cols.start])
-    return _slab_norms(g1, map(diff, f1.edges, f2.edges))
+                                        out=d[:len(u1), :cols.stop - cols.start])
+    return _slab_norms([(g1, list(map(diff, f1.edges, f2.edges)))])[0]
 
 
-def _series_errors(es: ExpansionSet, eps: float, ref: Field) -> NormTriple:
-    """The norms of ref minus the series, the series assembled on ref's
-    grid one edge's time slab at a time, in place of the slab's sum."""
+def _series_errors(es: ExpansionSet, epsilons: tuple[float, ...], refs: list[Field]
+                   ) -> list[NormTriple]:
+    """The norms of each ref minus the series at its eps, the series
+    assembled on ref's grid one edge's time slab at a time, in place of
+    the slab's sum.
+
+    The slabs are walked slab-major (_slab_norms), so every eps reads a
+    spline's coefficient block of slab k before the next block is made.
+    Each eps's terms are sampled (partial_sum_columns) in eps order, first.
+    """
     def diff(u: np.ndarray, columns):
         def at(cols: slice) -> np.ndarray:
             V = columns(cols)
             return np.subtract(u[:, cols], V, out=V)
         return at
-    return _slab_norms(ref.grid, map(diff, ref.edges,
-                                     partial_sum_columns(es, eps, ref.grid)))
+    return _slab_norms([(ref.grid, list(map(diff, ref.edges,
+                                            partial_sum_columns(es, eps, ref.grid))))
+                        for eps, ref in zip(epsilons, refs)])
 
 
 # -- what the recursion leaves, once per sweep --------------------------------
@@ -345,14 +374,18 @@ def convergence_sweep(spec: ProblemSpec, p: int, epsilons: tuple[float, ...],
     pass flag stays false regardless of the fitted order.  Its coarse grid
     is built first, so an n_per_edge too small for it fails before any
     solve.  Each u_s term's own-equation residual and the truncation
-    leftover's d_x^2 are measured once; each eps's series is streamed
-    against the direct field one time slab at a time (_series_errors).  A
-    non-finite error or remainder at any eps raises NonFiniteError.
+    leftover's d_x^2 are measured once.  Then every fine solve runs, and
+    every eps is measured in one loop over time slabs (_series_errors):
+    for each slab, each eps in order, each edge, the series is assembled
+    on the slab and measured against the direct field, so each spline
+    solves and holds one coefficient block at a time.  The flux remainder
+    follows, eps by eps; a non-finite error or remainder raises
+    NonFiniteError naming the first such eps.
 
     The cache is a memo: cache[(spec, eps, grid)] = direct_solve(spec,
     eps, grid), for each eps's grid and the coarse grid at the smallest.
-    Each solve it lacks runs just before its eps is measured, in eps order;
-    the coarse solve runs last, after the series is released.  A passed-in
+    The solves it lacks run before any eps is measured, in eps order; the
+    coarse solve runs last, after the series is released.  A passed-in
     expansion of another spec, order or grids raises GraphConfigError
     before any solve.
     """
@@ -391,14 +424,12 @@ def convergence_sweep(spec: ProblemSpec, p: int, epsilons: tuple[float, ...],
         expansion = build_expansion(spec, p, grids)
     measured = term_residuals(expansion)
     sup_trunc = truncation_leftover(expansion, eps_list)
-    triples: list[NormTriple] = []
+    refs = [_solve(cache, key) for key in keys]
+    triples = _series_errors(expansion, eps_list, refs)
     res_reports: list[ResidualReport] = []
-    for eps, key, trunc in zip(eps_list, keys, sup_trunc):
-        ref = _solve(cache, key)
-        triple = _series_errors(expansion, eps, ref)
+    for eps, triple, trunc in zip(eps_list, triples, sup_trunc):
         rep = ResidualReport(eps, p, *residuals(expansion, eps), trunc)
         _require_finite(eps, triple, rep)
-        triples.append(triple)
         res_reports.append(rep)
 
     # nothing below reads the series: unless the caller holds it, its terms
@@ -406,7 +437,7 @@ def convergence_sweep(spec: ProblemSpec, p: int, epsilons: tuple[float, ...],
     # and the heap's free pages go back to the system
     del expansion
     _trim_heap()
-    ref_f = ref  # the last eps's, eps_min's
+    ref_f = refs[-1]  # eps_min's
     ref_c = _solve(cache, (spec, eps_min, grid_c))
     sub = Field(grid_c, [u[::2, ::2] for u in ref_f.edges], ref_f.sigma[::2])
     refine_est = norms(sub, ref_c).l2 / 3.0
@@ -494,9 +525,14 @@ def _int(d: dict, key: str, path: str, required: bool = True, default=None):
         if required:
             raise GraphConfigError(f"{path}{key}: missing")
         return default
-    v = d[key]
+    return _integer(d[key], f"{path}{key}")
+
+
+def _integer(v, name: str) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
-        raise GraphConfigError(f"{path}{key}: expected an integer")
+        raise GraphConfigError(f"{name}: expected an integer")
+    if not abs(v) <= sys.float_info.max:  # every count and exponent meets floats
+        raise GraphConfigError(f"{name}: expected a finite number")
     return v
 
 
@@ -545,11 +581,7 @@ def validate_config(cfg: dict) -> RunConfig:
         edges.append(Edge(length, sub))
     if "exponents" not in gd or not isinstance(gd["exponents"], list):
         raise GraphConfigError("graph.exponents: expected a list of integers")
-    expo = []
-    for i, m in enumerate(gd["exponents"]):
-        if isinstance(m, bool) or not isinstance(m, int):
-            raise GraphConfigError(f"graph.exponents[{i}]: expected an integer")
-        expo.append(m)
+    expo = [_integer(m, f"graph.exponents[{i}]") for i, m in enumerate(gd["exponents"])]
     try:
         graph = StarGraph(tuple(edges), tuple(expo))
     except GraphConfigError as exc:
@@ -574,6 +606,12 @@ def validate_config(cfg: dict) -> RunConfig:
         if not (0.0 < x < 1.0):
             raise GraphConfigError(f"epsilons[{i}]: must lie in (0,1)")
         eps.append(x)
+    # the stiffness eps^(2m) divides every direct solve's step bound
+    # (make_direct_grid); 2.0 * m is inf for an m past half the float range
+    for i, m in enumerate(expo):
+        if min(eps) ** (2.0 * m) == 0.0:
+            raise GraphConfigError(
+                f"graph.exponents[{i}]: eps^(2m) underflows to 0 at eps={min(eps):g}")
 
     p = _int(cfg, "p", "", required=False, default=1)
     if not (0 <= p <= MAX_ORDER):

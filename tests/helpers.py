@@ -14,7 +14,8 @@ from starwaves.direct import Field
 from starwaves.expr import (Add, Call, Const, Div, Mul, Neg, Pow, Sub, Var, add, call, div,
                             mul, neg, parse, pow_int, sub)
 from starwaves.graph import Edge, ProblemSpec, StarGraph, b_eps
-from starwaves.harness import NormTriple
+from starwaves.expansion import partial_sum_columns
+from starwaves.harness import NormTriple, _EdgeNorms
 from starwaves.grid import (TIME_SLAB, Grid, SeparableSpline, one_sided_diff, slabs,
                             time_slabs, trapezoid_weights)
 from starwaves.kernels import _as_array
@@ -643,6 +644,25 @@ def norms_reference(f1, f2):
         dx = np.gradient(d, h, axis=0, edge_order=2)
         h1sq += float(np.einsum("x,t,xt->", wx, wt, dx * dx))
     return NormTriple(float(np.max(maxima)), math.sqrt(l2sq), math.sqrt(l2sq + h1sq))
+
+
+def series_errors_eps_major(es, eps, ref):
+    """The norms of ref minus the series at eps, measured eps-major: each
+    edge's slabs in turn, the partial sum assembled on a slab's columns,
+    each edge with its own gradient buffer.  The bit-for-bit oracle of the
+    sweep's slab-major loop over every eps (harness._series_errors)."""
+    grid = ref.grid
+    parts = []
+    for e, (u, columns) in enumerate(zip(ref.edges, partial_sum_columns(es, eps, grid))):
+        acc = _EdgeNorms(grid, e, np.empty((grid.n_cells[e] + 1, TIME_SLAB)))
+        for cols in time_slabs(grid.steps):
+            V = columns(cols)
+            acc.add(np.subtract(u[:, cols], V, out=V), cols)
+        parts.append(acc)
+    l2sq = sum(p.l2sq for p in parts)
+    h1sq = sum(p.h1sq for p in parts)
+    return NormTriple(float(np.max([np.max(p.linf) for p in parts])),
+                      math.sqrt(l2sq), math.sqrt(l2sq + h1sq))
 
 
 def savetxt_grid_csv(path, header, x, t, u):

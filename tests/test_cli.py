@@ -335,9 +335,10 @@ def test_kernel_overflow_is_a_config_error(tmp_path, cmd):
 @pytest.mark.parametrize("over,field,refused", [
     # every subcommand sizes the series grids as it validates the config
     ({"T": 1e308}, "T", {"check", "solve", "expand", "verify"}),
-    # eps^(2m) is 0 at every eps of the sweep and at the solve's
+    # eps^(2m) is 0 at the smallest eps of the config: validation refuses it
     ({"graph": {"edges": [{"length": 1.0, "subgraph": 0}, {"length": 1.0, "subgraph": 1}],
-                "exponents": [0, 1000]}}, "graph.exponents[1]", {"solve", "verify"}),
+                "exponents": [0, 1000]}}, "graph.exponents[1]",
+     {"check", "solve", "expand", "verify"}),
 ], ids=["T", "exponent"])
 @pytest.mark.parametrize("cmd", SUBCOMMANDS, ids=lambda c: c[0])
 def test_grid_count_not_finite_exit_code(tmp_path, cmd, over, field, refused):
@@ -350,6 +351,23 @@ def test_grid_count_not_finite_exit_code(tmp_path, cmd, over, field, refused):
         assert r.stderr.startswith(f"config error: {field}: ")
     else:
         assert r.returncode == 0, r.stderr
+
+
+@pytest.mark.parametrize("m,why", [
+    (10 ** 400, "expected a finite number"),
+    (10 ** 6, "eps^(2m) underflows to 0 at eps=0.05"),
+], ids=["1e400", "1e6"])
+@pytest.mark.parametrize("cmd", SUBCOMMANDS, ids=lambda c: c[0])
+def test_huge_exponent_exit_code(tmp_path, cmd, m, why):
+    # one config error in every subcommand, before any term or grid is
+    # made: past the float range, 2m meets a float in eps^(2m), and past
+    # about 120 the stiffness at eps=0.05 is 0
+    cfg = json.loads(REFERENCE_CONFIG.read_text())
+    cfg["graph"]["exponents"] = [0, 1, m]
+    r = run_subcommand(tmp_path, cmd, write_cfg(tmp_path, cfg))
+    assert "Traceback" not in r.stderr
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.splitlines() == [f"config error: graph.exponents[2]: {why}"]
 
 
 @pytest.mark.parametrize("cmd", SUBCOMMANDS, ids=lambda c: c[0])

@@ -351,6 +351,21 @@ def test_spline_blocks_are_make_interp_spline_cut_per_slab(n_x):
     assert cut == (n_x > TIME_SLAB - 1 + BAND_PAD)
 
 
+def test_spline_block_asked_out_of_order_is_the_reference():
+    # a block is solved when it is asked for, alone: in any order it has
+    # the bits of make_interp_spline on its slab, cut at its height, and
+    # the spline keeps only the last one asked for
+    x_nodes, t_nodes, values = _front_case(321)
+    sp = SeparableSpline(x_nodes, t_nodes, values)
+    refs = spline_blocks_reference(x_nodes, values)
+    for k in (1, 2, 1, 0, 3, 3):
+        block = sp.block(k)
+        assert block.flags.c_contiguous
+        assert same_bits(block, refs[k][:len(block)])
+        assert sp.block(k) is block
+    assert all(same_bits(a, b) for a, b in zip(sp.blocks, [sp.block(k) for k in range(4)]))
+
+
 def test_spline_leaves_a_layers_values_unchanged():
     # a layer's values[:, cols] is already Fortran-ordered, and the solve
     # overwrites its right-hand side

@@ -13,8 +13,8 @@ from starwaves import expansion, harness
 from starwaves.direct import Field, direct_solve
 from starwaves.errors import GraphConfigError, NonFiniteError, StabilityError
 from starwaves.expansion import build_expansion
-from starwaves.grid import (TIME_SLAB, Grid, coarsen, make_direct_grid,
-                            make_expansion_grids)
+from starwaves.grid import (TIME_SLAB, Grid, SeparableSpline, coarsen, make_direct_grid,
+                            make_expansion_grids, slabs as grid_slabs)
 from starwaves.harness import (NORM_NOTE, ConvergenceReport, NormTriple,
                                ResidualReport, TermResidual,
                                _require_finite, _series_errors, convergence_sweep, fit_order,
@@ -26,8 +26,8 @@ from starwaves.harness import (NORM_NOTE, ConvergenceReport, NormTriple,
 
 from .helpers import (REFERENCE_CONFIG, REPO, SLAB_CASES, assemble_reference,
                       flux_sum_reference, norms_reference, savetxt_grid_csv,
-                      slab_case_field, star_spec, stored_march_residuals,
-                      two_edge_g0_spec)
+                      series_errors_eps_major, slab_case_field, star_spec,
+                      stored_march_residuals, two_edge_g0_spec)
 
 
 def flat_field(lengths, n, dt, steps, value=0.0):
@@ -490,6 +490,10 @@ def test_streamed_sweep_matches_whole_field_oracles_on_other_times():
     assert rep.conclusive
 
 
+def _bits(triple):
+    return tuple(float(v).hex() for v in (triple.linf, triple.l2, triple.h1x))
+
+
 @pytest.fixture(scope="module")
 def series_64():
     spec = star_spec()
@@ -503,7 +507,7 @@ def test_streamed_errors_match_whole_field_oracles_on_slab_cases(series_64, n_ce
     # expansion's; the reference is random, with a nan in one case
     es, eps = series_64, 0.6
     ref = slab_case_field(n_cells, steps, nan)
-    triple = _series_errors(es, eps, ref)
+    [triple] = _series_errors(es, (eps,), [ref])
     edges, sigma = assemble_reference(es, eps, ref.grid)
     asm = Field(ref.grid, edges, sigma)
     assert_norms_match(triple, norms_reference(ref, asm))
@@ -515,6 +519,77 @@ def test_streamed_errors_match_whole_field_oracles_on_slab_cases(series_64, n_ce
             _require_finite(eps, triple, rep)
     else:
         _require_finite(eps, triple, rep)
+
+
+@pytest.mark.parametrize("config", ["reference", "smoke"])
+def test_slab_major_sweep_matches_the_eps_major_oracle(config):
+    # the acceptance fixture's p=0 then p=1 with a shared cache, every eps
+    # measured slab by slab: each error has the bits of one eps measured
+    # alone, edge by edge.  The smoke grids' times differ from the
+    # series', so there every spline's t factor runs
+    path = REFERENCE_CONFIG if config == "reference" else REPO / "benchmark" / "smoke_config.json"
+    run = validate_config(load_config(path))
+    cache: dict = {}
+    for p in (0, 1):
+        es = build_expansion(run.spec, p,
+                             make_expansion_grids(run.spec, run.n_per_edge, run.cfl))
+        rep = convergence_sweep(run.spec, p, run.epsilons, run.n_per_edge, run.cfl,
+                                run.margin, cache=cache, expansion=es)
+        for eps, triple in zip(rep.epsilons, rep.errors):
+            grid = make_direct_grid(run.spec, eps, run.n_per_edge, run.cfl)
+            assert np.array_equal(grid.times(), es.grids.times) == (config == "reference")
+            want = series_errors_eps_major(es, eps, cache[(run.spec, eps, grid)])
+            assert _bits(triple) == _bits(want)
+
+
+def _coefficient_arrays(obj, values) -> list:
+    """The 2-D arrays of at most TIME_SLAB columns that obj's attributes
+    hold, in lists, tuples and dicts too, other than values' own memory:
+    a spline's coefficient blocks."""
+    found, todo = [], list(vars(obj).values())
+    while todo:
+        v = todo.pop()
+        if isinstance(v, (list, tuple)):
+            todo += v
+        elif isinstance(v, dict):
+            todo += v.values()
+        elif (isinstance(v, np.ndarray) and v.ndim == 2 and v.shape[1] <= TIME_SLAB
+              and not any(np.shares_memory(v, b) for b in values)):
+            found.append(v)
+    return found
+
+
+@pytest.mark.parametrize("n_per_edge", [200, 48], ids=["own-times", "other-times"])
+def test_sweep_leaves_each_spline_at_most_one_block(monkeypatch, n_per_edge):
+    # the sweep walks the slabs once for every eps, so each spline solves
+    # each slab's block once, and keeps no more than the last one
+    solved = []
+    solve = SeparableSpline._solve
+
+    def counting(sp, b):
+        solved.append((id(sp), id(b)))
+        return solve(sp, b)
+    monkeypatch.setattr(SeparableSpline, "_solve", counting)
+    spec = small_spec()
+    es = build_expansion(spec, 0, make_expansion_grids(spec, n_per_edge, 0.9))
+    small_sweep(n_per_edge=n_per_edge, expansion=es)
+    splines = [(t.interp, t.values) for terms in es.series.values()
+               for *_, t in terms if "interp" in vars(t)]
+    assert len(splines) == sum(map(len, es.series.values()))
+    assert len(set(solved)) == len(solved) > len(splines)
+    for sp, values in splines:
+        held = _coefficient_arrays(sp, [b for _, b in grid_slabs(values)])
+        assert len(held) <= 1
+
+
+def test_slab_major_errors_skip_the_slabs_a_grid_lacks(series_64):
+    # every slab case in one slab-major loop: grids of one to three slabs,
+    # whose times differ from the series', each with the bits of its own
+    # eps-major measurement
+    refs = [slab_case_field(*case) for case in SLAB_CASES]
+    got = _series_errors(series_64, (0.6,) * len(refs), refs)
+    assert [_bits(t) for t in got] == [_bits(series_errors_eps_major(series_64, 0.6, ref))
+                                       for ref in refs]
 
 
 def synthetic_report() -> ConvergenceReport:
@@ -795,6 +870,14 @@ def test_validate_config_rejections(base_cfg):
         (lambda c: c.__setitem__("p", 1.5), "p: expected an integer"),
         (lambda c: c["grid"].__setitem__("n_per_edge", 4),
          r"n_per_edge: must be >= 8"),
+        (lambda c: c["grid"].__setitem__("n_per_edge", 10 ** 400),
+         r"^grid\.n_per_edge: expected a finite number$"),
+        (lambda c: c["graph"].__setitem__("exponents", [0, 1, 10 ** 400]),
+         r"^graph\.exponents\[2\]: expected a finite number$"),
+        (lambda c: c["graph"].__setitem__("exponents", [0, 1, 10 ** 6]),
+         r"^graph\.exponents\[2\]: eps\^\(2m\) underflows to 0 at eps=0\.05$"),
+        (lambda c: c["graph"].__setitem__("exponents", [0, 1, 2 ** 1023]),
+         r"^graph\.exponents\[2\]: eps\^\(2m\) underflows to 0 at eps=0\.05$"),
         (lambda c: c["grid"].__setitem__("cfl", 1.5), r"cfl: must lie in \(0,1\]"),
         (lambda c: c.__setitem__("margin", -0.1), "margin: must be >= 0"),
         (lambda c: c.__setitem__("f", ["0", True, "0"]),
@@ -827,7 +910,7 @@ _NOT_A_VALUE = st.one_of(st.none(), st.booleans(), st.text(max_size=4),
 BROKEN_VALUES = {
     "number": st.one_of(_NOT_A_VALUE, st.sampled_from([math.nan, math.inf, -math.inf,
                                                        10 ** 400])),
-    "integer": st.one_of(_NOT_A_VALUE, st.floats()),
+    "integer": st.one_of(_NOT_A_VALUE, st.floats(), st.just(10 ** 400)),
     "expr": st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
                       st.lists(st.text(max_size=2), max_size=2),
                       st.sampled_from(["", "1 +", "(x", "sin(", "x $ 2", "2 * * x"])),
