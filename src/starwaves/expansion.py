@@ -45,6 +45,7 @@ __all__ = [
     "lambda_set",
     "ExpansionSet",
     "build_expansion",
+    "require_layer_room",
     "partial_sum_columns",
     "assemble_partial_sum",
     "residuals",
@@ -83,8 +84,6 @@ class ExpansionSet:
     vertex_layers: dict[tuple[int, int], Term]
     boundary_layers: dict[tuple[int, int], Term]
     build_log: tuple[tuple, ...]
-    # each layer's problem, keyed by its build_log key
-    layer_problems: dict[tuple, QuarterPlaneProblem]
 
     def term(self, key: tuple) -> Field | Term:
         """The term a build_log key names: a Field for U, else a Term."""
@@ -178,7 +177,6 @@ def build_expansion(spec: ProblemSpec, p: int, grids: ExpansionGrids) -> Expansi
     stores: dict[str, dict] = {family: {} for family in _STORE}
     U, u, v = stores["U"], stores["u"], stores["v"]
     log: list[tuple] = []
-    problems: dict[tuple, QuarterPlaneProblem] = {}
 
     def record(key: tuple, deps: list, term: Field | Term) -> None:
         """Store a term under its build_log key and log it; stop at a non-finite one."""
@@ -202,7 +200,6 @@ def build_expansion(spec: ProblemSpec, p: int, grids: ExpansionGrids) -> Expansi
             folded=family == "w")
         prob = QuarterPlaneProblem(spec.q[e].evaluate(x0, 0.0), trace, sources,
                                    f"{family}[{'P' if family == 'v' else 's'}={k},e={e}]")
-        problems[key] = prob
         record(key, deps + sdeps, qp_solve(prob, grids.layer))
 
     spec_g0 = restrict_to_g0(spec)
@@ -270,22 +267,36 @@ def build_expansion(spec: ProblemSpec, p: int, grids: ExpansionGrids) -> Expansi
 
     verify_schedule(tuple(log))
     U0 = U.pop((0, 0))
-    return ExpansionSet(spec, p, grids, U0, build_log=tuple(log), layer_problems=problems,
+    return ExpansionSet(spec, p, grids, U0, build_log=tuple(log),
                         **{_STORE[family]: store for family, store in stores.items()})
 
 
+def require_layer_room(spec: ProblemSpec, eps: float, field: str) -> None:
+    """Refuse, naming field, an eps at which the layers at the two ends of
+    a degenerate edge meet before T: the series needs L_e / eps^m > T."""
+    g = spec.graph
+    for e in g.gstar_edges():
+        # L <= T eps^m, not L / eps^m <= T: eps^m may underflow to 0
+        L, scale = g.edges[e].length, eps ** g.m(e)
+        if L <= spec.T * scale:
+            raise GraphConfigError(
+                f"{field}: {eps:g} is too large, layers overlap across edge {e} "
+                f"(L/eps^m = {L / scale:.6g} <= T = {spec.T:g})")
+
+
 def partial_sum_columns(es: ExpansionSet, eps: float, grid: Grid
-                        ) -> list[Callable[[slice], np.ndarray]]:
+                        ) -> list[Callable[[slice, np.ndarray], np.ndarray]]:
     """The truncated series on an evaluation grid, one function per edge.
 
-    columns(cols) is edge e's partial sum at (grid.x_nodes(e),
-    grid.times()[cols]).  Each term is sampled once here (sample_physical
-    does its checks, rows and x basis) and a call only adds the terms'
-    column products, every term on the rows it reaches; the spline
-    interpolates in x, and in t only when grid.times() is not the
-    expansion's time array.  The sum is written into one buffer that the
-    next call of the same columns function reuses, so a caller walking
-    the slabs allocates no slab-sized sum.
+    columns(cols, out) is edge e's partial sum at (grid.x_nodes(e),
+    grid.times()[cols]), written into the top left corner of out, which
+    must have at least that many rows and columns, and returned as that
+    view of it.  Each term is sampled once here (sample_physical does its
+    checks, rows and x basis) and a call only adds the terms' column
+    products, every term on the rows it reaches; the spline interpolates
+    in x, and in t only when grid.times() is not the expansion's time
+    array.  A caller walking the slabs hands every call the same buffer,
+    so no slab-sized sum is allocated.
     """
     spec = es.spec
     g = spec.graph
@@ -298,28 +309,20 @@ def partial_sum_columns(es: ExpansionSet, eps: float, grid: Grid
         if grid.h(e) > eps ** m / 8.0 * (1.0 + 1e-12):
             raise GraphConfigError(
                 f"grid too coarse on edge {e}: h={grid.h(e):.3e} > eps^{m}/8")
-        if g.edges[e].length / eps ** m <= spec.T:
-            raise GraphConfigError(
-                f"eps={eps} too large: layers overlap across edge {e}")
+    require_layer_room(spec, eps, "eps")
     t_eval = grid.times()
     return [_edge_columns(es, eps, e, grid.x_nodes(e), t_eval)
             for e in range(g.n_edges)]
 
 
 def _edge_columns(es: ExpansionSet, eps: float, e: int, x: np.ndarray,
-                  t_eval: np.ndarray) -> Callable[[slice], np.ndarray]:
+                  t_eval: np.ndarray) -> Callable[[slice, np.ndarray], np.ndarray]:
     L = es.spec.graph.edges[e].length
     parts = [(*sample_physical(term, eps, k, L, x, t_eval, folded), eps ** P)
              for P, k, folded, term in es.series[e]]
 
-    buf = np.empty((len(x), 0))
-
-    def columns(cols: slice) -> np.ndarray:
-        nonlocal buf
-        n = len(t_eval[cols])
-        if buf.shape[1] < n:
-            buf = np.empty((len(x), n))
-        V = buf[:, :n]
+    def columns(cols: slice, out: np.ndarray) -> np.ndarray:
+        V = out[:len(x), :len(t_eval[cols])]
         V.fill(0.0)
         for rows, at, scale in parts:
             vals = at(cols)
@@ -337,10 +340,11 @@ def assemble_partial_sum(es: ExpansionSet, eps: float, grid: Grid) -> Field:
     grid nodes to roundoff by construction; this is a node contract, not a
     continuum one.
     """
-    every = slice(None)
-    edges = [columns(every) for columns in partial_sum_columns(es, eps, grid)]
+    every, nt = slice(None), grid.steps + 1
+    edges = [columns(every, np.empty((n + 1, nt)))
+             for n, columns in zip(grid.n_cells, partial_sum_columns(es, eps, grid))]
     vertex = _edge_columns(es, eps, es.grids.g0_edge_ids[0], np.array([0.0]), grid.times())
-    return Field(grid, edges, vertex(every)[0])
+    return Field(grid, edges, vertex(every, np.empty((1, nt)))[0])
 
 
 def residuals(es: ExpansionSet, eps: float) -> tuple[np.ndarray, float, float]:

@@ -44,25 +44,27 @@ class StarGraph:
 
     def __post_init__(self) -> None:
         if not self.edges:
-            raise GraphConfigError("graph needs at least one edge")
+            raise GraphConfigError("graph.edges: needs at least one edge")
         k = len(self.exponents) - 1
         if k < 0 or self.exponents[0] != 0:
-            raise GraphConfigError("exponents must start with 0 (the unit-speed subgraph)")
+            raise GraphConfigError("graph.exponents[0]: must be 0 (the unit-speed subgraph)")
         for i in range(1, k + 1):
             m = self.exponents[i]
             if not isinstance(m, int) or m < 1:
-                raise GraphConfigError(f"exponent {m!r} at position {i} must be an integer >= 1")
+                raise GraphConfigError(f"graph.exponents[{i}]: must be an integer >= 1")
             if m <= self.exponents[i - 1]:
-                raise GraphConfigError("exponents must be strictly increasing")
+                raise GraphConfigError(f"graph.exponents[{i}]: must be greater than "
+                                       f"graph.exponents[{i - 1}]")
+        for j, e in enumerate(self.edges):
+            if not (e.length > 0):
+                raise GraphConfigError(f"graph.edges[{j}].length: must be positive")
+            if e.subgraph not in range(k + 1):
+                raise GraphConfigError(
+                    f"graph.edges[{j}].subgraph: must lie in 0..{k}, got {e.subgraph!r}")
         used = {e.subgraph for e in self.edges}
         for i in range(k + 1):
             if i not in used:
-                raise GraphConfigError(f"subgraph {i} has no edges")
-        for j, e in enumerate(self.edges):
-            if not (e.length > 0):
-                raise GraphConfigError(f"edge {j} has nonpositive length {e.length}")
-            if e.subgraph not in range(k + 1):
-                raise GraphConfigError(f"edge {j} references unknown subgraph {e.subgraph}")
+                raise GraphConfigError(f"graph.exponents[{i}]: subgraph {i} has no edges")
 
     @property
     def k(self) -> int:
@@ -95,7 +97,9 @@ def b_eps(spec: "ProblemSpec", eps: float, e: int) -> float:
     m = spec.graph.m(e)
     if m == 0:
         return 1.0
-    return eps ** (2 * m)
+    # 2.0 * m is inf past the float range, and the power 0: the int 2 * m
+    # would overflow converting to float
+    return eps ** (2.0 * m)
 
 
 @dataclass(frozen=True)
@@ -119,9 +123,9 @@ class ProblemSpec:
         for name, seq in (("q", self.q), ("f", self.f), ("phi", self.phi),
                           ("psi", self.psi), ("mu", self.mu)):
             if len(seq) != n:
-                raise GraphConfigError(f"{name} needs one expression per edge ({n}), got {len(seq)}")
+                raise GraphConfigError(f"{name}: needs one expression per edge ({n}), got {len(seq)}")
         if not (self.T > 0):
-            raise GraphConfigError(f"horizon T must be positive, got {self.T}")
+            raise GraphConfigError("T: must be positive")
         for name, seq in (("phi", self.phi), ("psi", self.psi)):
             vals = [seq[e].evaluate(0.0, 0.0) for e in range(n)]
             spread = max(vals) - min(vals)

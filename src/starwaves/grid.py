@@ -164,6 +164,12 @@ def _require_fits(nodes: int, what: str) -> None:
             f"more than the {mem / 2 ** 30:.4g} GiB of physical memory")
 
 
+def _require_cfl(cfl: float) -> None:
+    """The Courant number every grid is sized with lies in (0, 1]."""
+    if not (0 < cfl <= 1):
+        raise GraphConfigError("grid.cfl: must lie in (0,1]")
+
+
 def make_direct_grid(spec: ProblemSpec, eps: float, n_per_edge: int, cfl: float) -> Grid:
     """Grid for a reference solve at fixed eps.
 
@@ -172,8 +178,7 @@ def make_direct_grid(spec: ProblemSpec, eps: float, n_per_edge: int, cfl: float)
     even so a 2x-coarse companion grid shares every other node.  A grid
     whose field could not fit in physical memory is refused.
     """
-    if not (0 < cfl <= 1):
-        raise GraphConfigError(f"cfl must lie in (0, 1], got {cfl}")
+    _require_cfl(cfl)
     g = spec.graph
     n_cells = []
     for e in range(g.n_edges):
@@ -224,12 +229,9 @@ class ExpansionGrids:
 
 
 def make_expansion_grids(spec: ProblemSpec, n_per_edge: int, cfl: float) -> ExpansionGrids:
-    if not (0 < cfl <= 1):
-        raise GraphConfigError(f"cfl must lie in (0, 1], got {cfl}")
+    _require_cfl(cfl)
     g = spec.graph
-    g0_ids = g.g0_edges()
-    if not g0_ids:
-        raise GraphConfigError("the expansion needs at least one unit-speed edge")
+    g0_ids = g.g0_edges()  # never empty: StarGraph gives subgraph 0 an edge
     n0 = max(n_per_edge, MIN_EXPANSION_CELLS)
     n0 += n0 % 2
     lengths = tuple(g.edges[e].length for e in g0_ids)

@@ -17,6 +17,9 @@ edge, it assembles the partial sum on the slab's columns and adds the
 slab's share to the norm sums (_EdgeNorms).  The assembled field never
 exists whole, and a term's spline needs its coefficients for one slab
 at a time; norms() runs the same slab loop over two whole fields.
+
+validate_config reads each field, then runs every other rule where it is
+defined, before any field or term is made: all subcommands refuse alike.
 """
 
 from __future__ import annotations
@@ -37,10 +40,10 @@ from .graph import Edge, ProblemSpec, StarGraph
 from .grid import (TIME_SLAB, Grid, Term, coarsen, make_direct_grid,
                    make_expansion_grids, time_slabs, trapezoid_weights)
 from .expansion import (MAX_ORDER, ExpansionSet, build_expansion,
-                        partial_sum_columns, residuals)
+                        partial_sum_columns, require_layer_room, residuals)
 # not called here: benchmark/tracing.py wraps this name in this namespace
 from .expansion import assemble_partial_sum  # noqa: F401
-from .kernels import _HYP_ARG_MAX
+from .kernels import require_in_range
 from .limit import _dxx
 
 __all__ = [
@@ -123,25 +126,21 @@ class _EdgeNorms:
         self.h1sq += float(self.wx @ g @ wt)
 
 
-def _slab_buffer(grids) -> np.ndarray:
-    """A buffer of TIME_SLAB columns as tall as the tallest edge of grids."""
-    return np.empty((max(n for g in grids for n in g.n_cells) + 1, TIME_SLAB))
-
-
 def _slab_norms(measures: list) -> list[NormTriple]:
     """The norms of differences handed over one time slab at a time.
 
     measures holds, for each difference, its grid and, for each edge e in
-    turn, diff(cols): the difference on e at the columns cols of a slab of
-    time_slabs(grid.steps), in an array the sums may overwrite.  The loop
-    is slab-major: for each slab k, each difference in order, each edge.
-    Every edge's sums still get their slabs in ascending order, as a loop
-    over one difference at a time feeds them, so each sum is built in the
-    same order, to the bit; a grid with fewer slabs skips the slabs it
-    lacks.  The sums use each diff before the next is asked for, so one
-    gradient buffer serves them all.
+    turn, diff(cols, out): the difference on e at the columns cols of a
+    slab of time_slabs(grid.steps), written into the corner of out.  The
+    loop is slab-major: for each slab k, each difference in order, each
+    edge.  Every edge's sums still get their slabs in ascending order, as
+    a loop over one difference at a time feeds them, so each sum is built
+    in the same order, to the bit; a grid with fewer slabs skips the slabs
+    it lacks.  The sums use each diff before the next is asked for, so one
+    difference and one gradient buffer, as tall as the tallest edge, serve.
     """
-    grad = _slab_buffer(grid for grid, _ in measures)
+    shape = (max(n for grid, _ in measures for n in grid.n_cells) + 1, TIME_SLAB)
+    buf, grad = np.empty(shape), np.empty(shape)
     runs = [(time_slabs(grid.steps),
              [(diff, _EdgeNorms(grid, e, grad)) for e, diff in enumerate(diffs)])
             for grid, diffs in measures]
@@ -149,7 +148,7 @@ def _slab_norms(measures: list) -> list[NormTriple]:
         for slabs, edges in runs:
             if k < len(slabs):
                 for diff, acc in edges:
-                    acc.add(diff(slabs[k]), slabs[k])
+                    acc.add(diff(slabs[k], buf), slabs[k])
     out = []
     for _, edges in runs:
         parts = [acc for _, acc in edges]
@@ -166,11 +165,10 @@ def norms(f1: Field, f2: Field) -> NormTriple:
     if (g1.lengths != g2.lengths or g1.n_cells != g2.n_cells
             or g1.dt != g2.dt or g1.steps != g2.steps):
         raise ValueError("fields live on different grids")
-    d = _slab_buffer([g1])
 
     def diff(u1: np.ndarray, u2: np.ndarray):
-        return lambda cols: np.subtract(u1[:, cols], u2[:, cols],
-                                        out=d[:len(u1), :cols.stop - cols.start])
+        return lambda cols, out: np.subtract(u1[:, cols], u2[:, cols],
+                                             out=out[:len(u1), :cols.stop - cols.start])
     return _slab_norms([(g1, list(map(diff, f1.edges, f2.edges)))])[0]
 
 
@@ -185,8 +183,8 @@ def _series_errors(es: ExpansionSet, epsilons: tuple[float, ...], refs: list[Fie
     Each eps's terms are sampled (partial_sum_columns) in eps order, first.
     """
     def diff(u: np.ndarray, columns):
-        def at(cols: slice) -> np.ndarray:
-            V = columns(cols)
+        def at(cols: slice, out: np.ndarray) -> np.ndarray:
+            V = columns(cols, out)
             return np.subtract(u[:, cols], V, out=V)
         return at
     return _slab_norms([(ref.grid, list(map(diff, ref.edges,
@@ -362,19 +360,33 @@ def _solve(cache: dict, key: tuple) -> Field:
     return ref
 
 
+def _require_sweep_epsilons(spec: ProblemSpec, epsilons: tuple[float, ...]) -> None:
+    """The rules of a sweep's eps list, each naming the entry that breaks
+    it: at least 3 values for the order fit, strictly decreasing, and each
+    leaving the layers room (require_layer_room)."""
+    if len(epsilons) < 3:
+        raise GraphConfigError("epsilons: need at least 3 values for a sweep")
+    for i, eps in enumerate(epsilons):
+        if i and not eps < epsilons[i - 1]:
+            raise GraphConfigError(f"epsilons[{i}]: values must be strictly decreasing")
+        require_layer_room(spec, eps, f"epsilons[{i}]")
+
+
 def convergence_sweep(spec: ProblemSpec, p: int, epsilons: tuple[float, ...],
                       n_per_edge: int = 640, cfl: float = 0.9,
                       margin: float = 0.3, cache: dict | None = None,
                       expansion: ExpansionSet | None = None) -> ConvergenceReport:
     """Direct solve vs assembled series for each eps, with an order fit.
 
-    A nested-grid refinement estimate at the smallest eps guards the
-    measurement: if the direct solver's own error is not well below the
-    smallest asymptotic error, the sweep is declared inconclusive and the
-    pass flag stays false regardless of the fitted order.  Its coarse grid
-    is built first, so an n_per_edge too small for it fails before any
-    solve.  Each u_s term's own-equation residual and the truncation
-    leftover's d_x^2 are measured once.  Then every fine solve runs, and
+    The eps list is checked first (_require_sweep_epsilons), before any
+    grid is made, term built or field solved.  A nested-grid refinement
+    estimate at the smallest eps guards the measurement: if the direct
+    solver's own error is not well below the smallest asymptotic error,
+    the sweep is declared inconclusive and the pass flag stays false
+    regardless of the fitted order.  Its coarse grid is built first, so
+    an n_per_edge too small for it fails before any solve.  Each u_s
+    term's own-equation residual and the truncation leftover's d_x^2 are
+    measured once.  Then every fine solve runs, and
     every eps is measured in one loop over time slabs (_series_errors):
     for each slab, each eps in order, each edge, the series is assembled
     on the slab and measured against the direct field, so each spline
@@ -390,10 +402,7 @@ def convergence_sweep(spec: ProblemSpec, p: int, epsilons: tuple[float, ...],
     before any solve.
     """
     eps_list = tuple(float(x) for x in epsilons)
-    if len(eps_list) < 3:
-        raise GraphConfigError("epsilons: need at least 3 values for a sweep")
-    if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
-        raise GraphConfigError("epsilons: values must be strictly decreasing")
+    _require_sweep_epsilons(spec, eps_list)
     if len(spec.graph.exponents) < 2:
         raise GraphConfigError(
             "graph has no degenerate subgraph: there is no rate to verify")
@@ -504,12 +513,17 @@ def _reject_unknown(d: dict, allowed: set, path: str) -> None:
             raise GraphConfigError(f"{path}{k}: unknown key")
 
 
-def _num(d: dict, key: str, path: str, required: bool = True, default=None):
+_REQUIRED = object()
+
+
+def _field(d: dict, key: str, path: str, read, *args, default=_REQUIRED):
+    """read(d[key], its path, *args), or default where key is absent; a
+    field with no default is required."""
     if key not in d:
-        if required:
+        if default is _REQUIRED:
             raise GraphConfigError(f"{path}{key}: missing")
         return default
-    return _finite(d[key], f"{path}{key}")
+    return read(d[key], f"{path}{key}", *args)
 
 
 def _finite(v, name: str) -> float:
@@ -520,40 +534,26 @@ def _finite(v, name: str) -> float:
     return float(v)
 
 
-def _int(d: dict, key: str, path: str, required: bool = True, default=None):
-    if key not in d:
-        if required:
-            raise GraphConfigError(f"{path}{key}: missing")
-        return default
-    return _integer(d[key], f"{path}{key}")
-
-
 def _integer(v, name: str) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
         raise GraphConfigError(f"{name}: expected an integer")
-    if not abs(v) <= sys.float_info.max:  # every count and exponent meets floats
-        raise GraphConfigError(f"{name}: expected a finite number")
+    _finite(v, name)  # every count and exponent meets floats
     return v
 
 
-def _expr_list(cfg: dict, key: str, n: int, path: str,
-               forbid: str | None = None) -> tuple[Expr, ...]:
-    if key not in cfg:
-        raise GraphConfigError(f"{path}{key}: missing")
-    v = cfg[key]
-    if not isinstance(v, list) or len(v) != n:
-        raise GraphConfigError(f"{path}{key}: expected a list of {n} strings")
+def _exprs(v, name: str, forbid: str | None = None) -> tuple[Expr, ...]:
+    if not isinstance(v, list):
+        raise GraphConfigError(f"{name}: expected a list of strings")
     out = []
     for i, s in enumerate(v):
         if not isinstance(s, str):
-            raise GraphConfigError(f"{path}{key}[{i}]: expected a string")
+            raise GraphConfigError(f"{name}[{i}]: expected a string")
         try:
             ast = parse(s)
         except ExprSyntaxError as exc:
-            raise GraphConfigError(f"{path}{key}[{i}]: {exc}") from exc
+            raise GraphConfigError(f"{name}[{i}]: {exc}") from exc
         if forbid in ast.free_vars():
-            raise GraphConfigError(
-                f"{path}{key}[{i}]: must not depend on {forbid}")
+            raise GraphConfigError(f"{name}[{i}]: must not depend on {forbid}")
         out.append(ast)
     return tuple(out)
 
@@ -565,84 +565,60 @@ def validate_config(cfg: dict) -> RunConfig:
         raise GraphConfigError("graph: missing or not an object")
     gd = cfg["graph"]
     _reject_unknown(gd, _GRAPH_KEYS, "graph.")
-    if "edges" not in gd or not isinstance(gd["edges"], list) or not gd["edges"]:
-        raise GraphConfigError("graph.edges: expected a non-empty list")
+    if not isinstance(gd.get("edges"), list):
+        raise GraphConfigError("graph.edges: expected a list of objects")
     edges = []
     for i, ed in enumerate(gd["edges"]):
         if not isinstance(ed, dict):
             raise GraphConfigError(f"graph.edges[{i}]: expected an object")
         _reject_unknown(ed, _EDGE_KEYS, f"graph.edges[{i}].")
-        length = _num(ed, "length", f"graph.edges[{i}].")
-        sub = _int(ed, "subgraph", f"graph.edges[{i}].")
-        if length <= 0:
-            raise GraphConfigError(f"graph.edges[{i}].length: must be positive")
-        if sub < 0:
-            raise GraphConfigError(f"graph.edges[{i}].subgraph: must be >= 0")
-        edges.append(Edge(length, sub))
-    if "exponents" not in gd or not isinstance(gd["exponents"], list):
+        edges.append(Edge(_field(ed, "length", f"graph.edges[{i}].", _finite),
+                          _field(ed, "subgraph", f"graph.edges[{i}].", _integer)))
+    if not isinstance(gd.get("exponents"), list):
         raise GraphConfigError("graph.exponents: expected a list of integers")
     expo = [_integer(m, f"graph.exponents[{i}]") for i, m in enumerate(gd["exponents"])]
-    try:
-        graph = StarGraph(tuple(edges), tuple(expo))
-    except GraphConfigError as exc:
-        raise GraphConfigError(f"graph: {exc}") from exc
+    graph = StarGraph(tuple(edges), tuple(expo))
 
-    n = graph.n_edges
-    q = _expr_list(cfg, "q", n, "", forbid="t")
-    f = _expr_list(cfg, "f", n, "")
-    phi = _expr_list(cfg, "phi", n, "", forbid="t")
-    psi = _expr_list(cfg, "psi", n, "", forbid="t")
-    mu = _expr_list(cfg, "mu", n, "", forbid="x")
-    T = _num(cfg, "T", "")
-    if T <= 0:
-        raise GraphConfigError("T: must be positive")
+    q = _field(cfg, "q", "", _exprs, "t")
+    f = _field(cfg, "f", "", _exprs)
+    phi = _field(cfg, "phi", "", _exprs, "t")
+    psi = _field(cfg, "psi", "", _exprs, "t")
+    mu = _field(cfg, "mu", "", _exprs, "x")
+    T = _field(cfg, "T", "", _finite)
+    spec = ProblemSpec(graph, q, f, phi, psi, mu, T)
 
     eps_raw = cfg.get("epsilons", [0.4, 0.2, 0.1, 0.05])
-    if not isinstance(eps_raw, list) or not eps_raw:
-        raise GraphConfigError("epsilons: expected a non-empty list")
+    if not isinstance(eps_raw, list):
+        raise GraphConfigError("epsilons: expected a list of numbers")
     eps = []
     for i, x in enumerate(eps_raw):
         x = _finite(x, f"epsilons[{i}]")
         if not (0.0 < x < 1.0):
             raise GraphConfigError(f"epsilons[{i}]: must lie in (0,1)")
         eps.append(x)
-    # the stiffness eps^(2m) divides every direct solve's step bound
-    # (make_direct_grid); 2.0 * m is inf for an m past half the float range
-    for i, m in enumerate(expo):
-        if min(eps) ** (2.0 * m) == 0.0:
-            raise GraphConfigError(
-                f"graph.exponents[{i}]: eps^(2m) underflows to 0 at eps={min(eps):g}")
 
-    p = _int(cfg, "p", "", required=False, default=1)
+    p = _field(cfg, "p", "", _integer, default=1)
     if not (0 <= p <= MAX_ORDER):
         raise GraphConfigError(f"p: must be >= 0 and <= {MAX_ORDER}")
     grid_d = cfg.get("grid", {})
     if not isinstance(grid_d, dict):
         raise GraphConfigError("grid: expected an object")
     _reject_unknown(grid_d, _GRID_KEYS, "grid.")
-    n_per_edge = _int(grid_d, "n_per_edge", "grid.", required=False, default=640)
+    n_per_edge = _field(grid_d, "n_per_edge", "grid.", _integer, default=640)
     if n_per_edge < 8:
         raise GraphConfigError("grid.n_per_edge: must be >= 8")
-    cfl = _num(grid_d, "cfl", "grid.", required=False, default=0.9)
-    if not (0.0 < cfl <= 1.0):
-        raise GraphConfigError("grid.cfl: must lie in (0,1]")
-    margin = _num(cfg, "margin", "", required=False, default=0.3)
+    cfl = _field(grid_d, "cfl", "grid.", _finite, default=0.9)
+    margin = _field(cfg, "margin", "", _finite, default=0.3)
     if margin < 0:
         raise GraphConfigError("margin: must be >= 0")
 
-    try:
-        spec = ProblemSpec(graph, q, f, phi, psi, mu, T)
-    except GraphConfigError as exc:
-        raise GraphConfigError(str(exc)) from exc
-    # the degenerate edges' kernels cs(q, t) and sn(q, t) run cosh and sinh
-    # up to sqrt(-q) T, at the nodes of their u terms; the series grids are
-    # sized (and refused, if too large) before any node array is made
+    # the degenerate edges' kernels run up to T at the nodes of their u terms
     for e, x in make_expansion_grids(spec, n_per_edge, cfl).u_nodes.items():
-        reach = float(np.max(np.sqrt(np.maximum(-q[e].evaluate(x, 0.0), 0.0)))) * T
-        if reach > _HYP_ARG_MAX:
-            raise GraphConfigError(
-                f"q[{e}]: sqrt(-q) T reaches {reach:.6g}, past {_HYP_ARG_MAX:.6g}, "
-                f"where cosh and sinh overflow")
+        require_in_range(q[e].evaluate(x, 0.0), T, f"q[{e}]")
+    # last, the rules at each eps: the sweep's, and its direct grid's
+    _require_sweep_epsilons(spec, tuple(eps))
+    for x in eps:
+        make_direct_grid(spec, x, n_per_edge, cfl)
     return RunConfig(spec, tuple(eps), p, n_per_edge, cfl, margin)
 
 

@@ -11,12 +11,24 @@ import sys
 
 import numpy as np
 
-__all__ = ["cs", "sn"]
+from .errors import GraphConfigError
+
+__all__ = ["cs", "sn", "require_in_range"]
 
 _SMALL_W = 1.0e-5
 # the largest r with cosh(r) and sinh(r) finite, ln(2 max): about 710.48;
 # cs and sn with theta t^2 below -_HYP_ARG_MAX^2 overflow
 _HYP_ARG_MAX = math.log(2.0) + math.log(sys.float_info.max)
+
+
+def require_in_range(q: np.ndarray, t: float, field: str) -> None:
+    """Refuse, naming the config field, values q at which cs(q, s) and
+    sn(q, s) overflow for some s <= t: where sqrt(-q) t passes _HYP_ARG_MAX."""
+    reach = float(np.max(np.sqrt(np.maximum(-q, 0.0)))) * t
+    if reach > _HYP_ARG_MAX:
+        raise GraphConfigError(
+            f"{field}: sqrt(-q) T reaches {reach:.6g}, past {_HYP_ARG_MAX:.6g}, "
+            f"where cosh and sinh overflow")
 
 
 def _as_array(v):

@@ -6,6 +6,7 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
+import pytest
 from scipy import special
 from scipy.integrate import quad
 from scipy.interpolate import BSpline, RectBivariateSpline, make_interp_spline
@@ -14,7 +15,8 @@ from starwaves.direct import Field
 from starwaves.expr import (Add, Call, Const, Div, Mul, Neg, Pow, Sub, Var, add, call, div,
                             mul, neg, parse, pow_int, sub)
 from starwaves.graph import Edge, ProblemSpec, StarGraph, b_eps
-from starwaves.expansion import partial_sum_columns
+from starwaves import expansion
+from starwaves.expansion import build_expansion, partial_sum_columns
 from starwaves.harness import NormTriple, _EdgeNorms
 from starwaves.grid import (TIME_SLAB, Grid, SeparableSpline, one_sided_diff, slabs,
                             time_slabs, trapezoid_weights)
@@ -383,12 +385,30 @@ def layer_residual_reference(prob, term, grid):
     return float(np.max(worst)) * (1.0 + a) / (dt * dt)
 
 
-def stored_march_residuals(es):
+def build_with_layer_problems(spec, p, grids):
+    """build_expansion(spec, p, grids), and each layer's QuarterPlaneProblem
+    keyed by its build_log key, recorded by wrapping expansion.qp_solve:
+    the build records each layer as soon as it is solved, so the layers
+    are solved in build_log order."""
+    problems = []
+
+    def recording_qp_solve(prob, grid, solve=expansion.qp_solve):
+        problems.append(prob)
+        return solve(prob, grid)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(expansion, "qp_solve", recording_qp_solve)
+        es = build_expansion(spec, p, grids)
+    keys = [key for key, _ in es.build_log if key[0] in "vw"]
+    return es, dict(zip(keys, problems, strict=True))
+
+
+def stored_march_residuals(es, problems):
     """(key, residual, scale) for each U term and layer of es, in build_log
     order: the residual of the march that stored it, recomputed over whole
     arrays (march_residual_reference over every edge of a U term,
-    layer_residual_reference), and the sup of the term.  A layer that
-    stores no rows reads 0 and 0."""
+    layer_residual_reference of the layer's problem, problems[key], as
+    build_with_layer_problems records it), and the sup of the term.  A
+    layer that stores no rows reads 0 and 0."""
     spec, grids = es.spec, es.grids
     g0 = grids.g0
     out = []
@@ -404,7 +424,7 @@ def stored_march_residuals(es):
                 for loc, (e, u) in enumerate(zip(grids.g0_edge_ids, term.edges)))
             scale = max(float(np.max(np.abs(dense(u)))) for u in term.edges)
         elif term.values.size:
-            res = layer_residual_reference(es.layer_problems[key], term, grids.layer)
+            res = layer_residual_reference(problems[key], term, grids.layer)
             scale = float(np.max(np.abs(dense(term.values))))
         else:
             res = scale = 0.0
@@ -649,14 +669,16 @@ def norms_reference(f1, f2):
 def series_errors_eps_major(es, eps, ref):
     """The norms of ref minus the series at eps, measured eps-major: each
     edge's slabs in turn, the partial sum assembled on a slab's columns,
-    each edge with its own gradient buffer.  The bit-for-bit oracle of the
-    sweep's slab-major loop over every eps (harness._series_errors)."""
+    each edge with its own sum and gradient buffers.  The bit-for-bit
+    oracle of the sweep's slab-major loop over every eps
+    (harness._series_errors)."""
     grid = ref.grid
     parts = []
     for e, (u, columns) in enumerate(zip(ref.edges, partial_sum_columns(es, eps, grid))):
         acc = _EdgeNorms(grid, e, np.empty((grid.n_cells[e] + 1, TIME_SLAB)))
+        out = np.empty((grid.n_cells[e] + 1, TIME_SLAB))
         for cols in time_slabs(grid.steps):
-            V = columns(cols)
+            V = columns(cols, out)
             acc.add(np.subtract(u[:, cols], V, out=V), cols)
         parts.append(acc)
     l2sq = sum(p.l2sq for p in parts)

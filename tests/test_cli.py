@@ -335,7 +335,7 @@ def test_kernel_overflow_is_a_config_error(tmp_path, cmd):
 @pytest.mark.parametrize("over,field,refused", [
     # every subcommand sizes the series grids as it validates the config
     ({"T": 1e308}, "T", {"check", "solve", "expand", "verify"}),
-    # eps^(2m) is 0 at the smallest eps of the config: validation refuses it
+    # eps^(2m) is 0 at the config's eps: validation refuses it
     ({"graph": {"edges": [{"length": 1.0, "subgraph": 0}, {"length": 1.0, "subgraph": 1}],
                 "exponents": [0, 1000]}}, "graph.exponents[1]",
      {"check", "solve", "expand", "verify"}),
@@ -355,19 +355,82 @@ def test_grid_count_not_finite_exit_code(tmp_path, cmd, over, field, refused):
 
 @pytest.mark.parametrize("m,why", [
     (10 ** 400, "expected a finite number"),
-    (10 ** 6, "eps^(2m) underflows to 0 at eps=0.05"),
+    (10 ** 6, "eps^(2m) underflows to 0 at eps=0.4"),
 ], ids=["1e400", "1e6"])
 @pytest.mark.parametrize("cmd", SUBCOMMANDS, ids=lambda c: c[0])
 def test_huge_exponent_exit_code(tmp_path, cmd, m, why):
     # one config error in every subcommand, before any term or grid is
     # made: past the float range, 2m meets a float in eps^(2m), and past
-    # about 120 the stiffness at eps=0.05 is 0
+    # about 410 the stiffness at the first eps, 0.4, is 0
     cfg = json.loads(REFERENCE_CONFIG.read_text())
     cfg["graph"]["exponents"] = [0, 1, m]
     r = run_subcommand(tmp_path, cmd, write_cfg(tmp_path, cfg))
     assert "Traceback" not in r.stderr
     assert r.returncode == 2, r.stderr
     assert r.stderr.splitlines() == [f"config error: graph.exponents[2]: {why}"]
+
+
+def _set(*path_value):
+    """A mutation of the reference config: the field at path set to value."""
+    *path, key, value = path_value
+
+    def mutate(cfg):
+        for k in path:
+            cfg = cfg[k]
+        cfg[key] = value
+    return mutate
+
+
+# one case per config rule that is checked in one place: each subcommand
+# must refuse it with exit 2 and this one stderr line, before any work
+ONE_RULE_CASES = {
+    "two-eps": (_set("epsilons", [0.4, 0.2]),
+                "epsilons: need at least 3 values for a sweep"),
+    "increasing-eps": (_set("epsilons", [0.05, 0.1, 0.2, 0.4]),
+                       "epsilons[1]: values must be strictly decreasing"),
+    # 1 / 0.9 <= T = 1.5 on edge 1: its two layers meet before T
+    "eps-0.9": (_set("epsilons", [0.9, 0.4, 0.2, 0.1]),
+                "epsilons[0]: 0.9 is too large, layers overlap across edge 1 "
+                "(L/eps^m = 1.11111 <= T = 1.5)"),
+    "length-0": (_set("graph", "edges", 0, "length", 0),
+                 "graph.edges[0].length: must be positive"),
+    "subgraph-5": (_set("graph", "edges", 0, "subgraph", 5),
+                   "graph.edges[0].subgraph: must lie in 0..2, got 5"),
+    "T-0": (_set("T", 0), "T: must be positive"),
+    "cfl-2": (_set("grid", "cfl", 2), "grid.cfl: must lie in (0,1]"),
+    "exponent-1e6": (_set("graph", "exponents", [0, 1, 10 ** 6]),
+                     "graph.exponents[2]: eps^(2m) underflows to 0 at eps=0.4"),
+}
+
+
+@pytest.mark.parametrize("case", ONE_RULE_CASES)
+def test_each_rule_refuses_a_config_alike_in_every_subcommand(tmp_path, capsys, case):
+    mutate, line = ONE_RULE_CASES[case]
+    cfg = json.loads(REFERENCE_CONFIG.read_text())
+    mutate(cfg)
+    path = write_cfg(tmp_path, cfg)
+    for cmd in SUBCOMMANDS:
+        out = [] if cmd[0] == "check" else ["--out", str(tmp_path / "out")]
+        assert cli.main([cmd[0], path, *cmd[1:], *out]) == cli.EXIT_CONFIG, cmd
+        assert capsys.readouterr().err.splitlines() == [f"config error: {line}"], cmd
+    assert not (tmp_path / "out").exists()
+
+
+def test_direct_grid_past_memory_is_refused_in_every_subcommand(tmp_path, monkeypatch,
+                                                                 capsys):
+    # the reference's series grids need about 21 MB a field, its direct
+    # grid at eps=0.05 about 38 MB: with 30 MB of memory, every subcommand
+    # refuses the config as it validates it, solve at eps=0.1 too
+    monkeypatch.setattr(grid_module, "physical_memory", lambda: 30 * 10 ** 6)
+    path = str(REFERENCE_CONFIG)
+    lines = []
+    for cmd in SUBCOMMANDS:
+        out = [] if cmd[0] == "check" else ["--out", str(tmp_path / "out")]
+        assert cli.main([cmd[0], path, *cmd[1:], *out]) == cli.EXIT_CONFIG, cmd
+        lines += capsys.readouterr().err.splitlines()
+    assert len(lines) == 4 and len(set(lines)) == 1
+    assert lines[0].startswith("config error: grid.n_per_edge: a field of the direct grid "
+                               "at eps=0.05 has ")
 
 
 @pytest.mark.parametrize("cmd", SUBCOMMANDS, ids=lambda c: c[0])

@@ -17,9 +17,9 @@ from starwaves.harness import (DEFECT_NOTE, convergence_sweep, load_config,
                                truncation_leftover, validate_config)
 from starwaves.limit import solve_degenerate_edge, solve_g0
 
-from .helpers import (REFERENCE_CONFIG, assemble_reference, dense, flux_sum_reference,
-                      qp_march_reference, same_bits, spline_oracle, star_spec,
-                      two_edge_g0_spec, zero_padded)
+from .helpers import (REFERENCE_CONFIG, assemble_reference, build_with_layer_problems,
+                      dense, flux_sum_reference, qp_march_reference, same_bits,
+                      spline_oracle, star_spec, two_edge_g0_spec, zero_padded)
 
 
 def test_lambda_set_examples():
@@ -127,7 +127,7 @@ def test_build_records_layers_that_store_no_rows():
     cfg["grid"]["n_per_edge"] = 64
     rc = validate_config(cfg)
     grids = make_expansion_grids(rc.spec, rc.n_per_edge, rc.cfl)
-    es = build_expansion(rc.spec, 2, grids)
+    es, problems = build_with_layer_problems(rc.spec, 2, grids)
     for e in (1, 2):
         w1 = es.boundary_layers[(1, e)]
         assert w1.values.shape[0] > 5
@@ -137,7 +137,7 @@ def test_build_records_layers_that_store_no_rows():
             assert same_bits(w1.flux(stride),
                              one_sided_diff(dense(w1.values), grids.layer.dt, stride))
         assert all(term is not w1 for *_, term in es.series[e])
-    for key, prob in es.layer_problems.items():
+    for key, prob in problems.items():
         assert np.array_equal(zero_padded(es.term(key)), qp_march_reference(prob, grids.layer))
 
 
@@ -185,7 +185,8 @@ def test_reference_p4_terms_store_only_their_slabs(monkeypatch):
 
     monkeypatch.setattr(expansion, "solve_g0", recording_solve_g0)
     rc = validate_config(load_config(REFERENCE_CONFIG))
-    es = build_expansion(rc.spec, 4, make_expansion_grids(rc.spec, rc.n_per_edge, rc.cfl))
+    es, problems = build_with_layer_problems(
+        rc.spec, 4, make_expansion_grids(rc.spec, rc.n_per_edge, rc.cfl))
     U_keys = [k for k, _ in es.build_log if k[0] == "U"]
     assert len(solved) == len(U_keys) == 1 + len(es.g0_corr) == 9
     assert solved[0] is es.g0_base
@@ -200,7 +201,7 @@ def test_reference_p4_terms_store_only_their_slabs(monkeypatch):
         if s % 2:
             assert u.values.nbytes == 0 and u.values.shape == (len(u.x_nodes), len(t))
             assert same_bits(dense(u.values), np.zeros(u.values.shape))
-            assert same_bits(es.layer_problems[("w", s, e)].trace, np.full(len(t), -0.0))
+            assert same_bits(problems[("w", s, e)].trace, np.full(len(t), -0.0))
     stored = sum(v.nbytes for fld in (es.g0_base, *es.g0_corr.values())
                  for v in (*fld.edges, fld.sigma))
     stored += sum(term.values.nbytes for family in (es.edge_terms, es.vertex_layers,

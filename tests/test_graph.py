@@ -11,19 +11,24 @@ from .helpers import single_edge_spec, star_spec
 
 
 def test_star_graph_validation():
+    # each rule names the config field it reads; an edge's subgraph index
+    # is checked before a subgraph's edges are counted
     StarGraph((Edge(1.0, 0), Edge(2.0, 1)), (0, 2))
-    with pytest.raises(GraphConfigError):
-        StarGraph((Edge(1.0, 0),), (1,))  # exponents must start at 0
-    with pytest.raises(GraphConfigError):
-        StarGraph((Edge(1.0, 0),), (0, 2, 2))  # strictly increasing
-    with pytest.raises(GraphConfigError):
-        StarGraph((Edge(1.0, 0),), (0, 1))  # subgraph 1 empty
-    with pytest.raises(GraphConfigError):
-        StarGraph((Edge(1.0, 0), Edge(1.0, 3)), (0, 1))  # bad subgraph id
-    with pytest.raises(GraphConfigError):
-        StarGraph((Edge(-1.0, 0),), (0,))
-    with pytest.raises(GraphConfigError):
-        StarGraph((Edge(1.0, 1),), (0, 1))  # subgraph 0 empty
+    cases = [
+        (((), (0,)), r"^graph\.edges: needs at least one edge$"),
+        (((Edge(1.0, 0),), (1,)), r"^graph\.exponents\[0\]: must be 0 "),
+        (((Edge(1.0, 0),), ()), r"^graph\.exponents\[0\]: must be 0 "),
+        (((Edge(1.0, 0),), (0, 2, 2)),
+         r"^graph\.exponents\[2\]: must be greater than graph\.exponents\[1\]$"),
+        (((Edge(1.0, 0),), (0, 1)), r"^graph\.exponents\[1\]: subgraph 1 has no edges$"),
+        (((Edge(1.0, 0), Edge(1.0, 3)), (0, 1)),
+         r"^graph\.edges\[1\]\.subgraph: must lie in 0\.\.1, got 3$"),
+        (((Edge(-1.0, 0),), (0,)), r"^graph\.edges\[0\]\.length: must be positive$"),
+        (((Edge(1.0, 1),), (0, 1)), r"^graph\.exponents\[0\]: subgraph 0 has no edges$"),
+    ]
+    for (edges, exponents), pattern in cases:
+        with pytest.raises(GraphConfigError, match=pattern):
+            StarGraph(edges, exponents)
 
 
 def test_star_graph_queries():
@@ -57,7 +62,7 @@ def test_problem_spec_validation():
     z = parse("0")
     with pytest.raises(GraphConfigError):
         ProblemSpec(g, (z,), (z,) * 2, (z,) * 2, (z,) * 2, (z,) * 2, 1.0)
-    with pytest.raises(GraphConfigError):
+    with pytest.raises(GraphConfigError, match=r"^T: must be positive$"):
         ProblemSpec(g, (z,) * 2, (z,) * 2, (z,) * 2, (z,) * 2, (z,) * 2, 0.0)
     # initial data must agree at the center vertex
     phi_bad = (parse("1 + x"), parse("2 + x"))

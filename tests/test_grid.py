@@ -27,6 +27,12 @@ def test_direct_grid_even_and_cfl():
     bounds = [grid.h(e) / s for e, s in zip(range(3), (1.0, 0.2, 0.04))]
     assert grid.dt <= 0.9 * min(bounds) * (1 + 1e-12)
     assert grid.dt * grid.steps == pytest.approx(spec.T, rel=1e-15)
+    # both grid builders refuse a Courant number outside (0, 1] alike
+    for cfl in (0.0, 1.5, float("nan")):
+        for build in (lambda: make_direct_grid(spec, 0.2, 100, cfl),
+                      lambda: make_expansion_grids(spec, 100, cfl)):
+            with pytest.raises(GraphConfigError, match=r"^grid\.cfl: must lie in \(0,1\]$"):
+                build()
 
 
 @pytest.mark.parametrize("stride", [1, 2])

@@ -25,9 +25,9 @@ from starwaves.harness import (NORM_NOTE, ConvergenceReport, NormTriple,
                                write_term_residuals_csv, write_trace_csv)
 
 from .helpers import (REFERENCE_CONFIG, REPO, SLAB_CASES, assemble_reference,
-                      flux_sum_reference, norms_reference, savetxt_grid_csv,
-                      series_errors_eps_major, slab_case_field, star_spec,
-                      stored_march_residuals, two_edge_g0_spec)
+                      build_with_layer_problems, flux_sum_reference, norms_reference,
+                      savetxt_grid_csv, series_errors_eps_major, slab_case_field,
+                      star_spec, stored_march_residuals, two_edge_g0_spec)
 
 
 def flat_field(lengths, n, dt, steps, value=0.0):
@@ -154,6 +154,19 @@ def test_sweep_input_validation():
     flat = two_edge_g0_spec()
     with pytest.raises(GraphConfigError, match="no degenerate subgraph"):
         convergence_sweep(flat, 0, (0.4, 0.2, 0.1))
+
+
+def test_sweep_refuses_its_eps_list_before_any_build_or_solve(monkeypatch):
+    # 1 / 0.9 <= T = 1.5 on edge 1: the layers at its two ends meet before
+    # T, and the sweep says so before it builds or solves anything
+    calls = []
+    for name in ("build_expansion", "direct_solve"):
+        monkeypatch.setattr(harness, name, lambda *a, name=name, **k: calls.append(name))
+    spec = validate_config(load_config(REFERENCE_CONFIG)).spec
+    with pytest.raises(GraphConfigError, match=r"^epsilons\[0\]: 0\.9 is too large, "
+                                               r"layers overlap across edge 1 "):
+        convergence_sweep(spec, 1, (0.9, 0.4, 0.2, 0.1))
+    assert calls == []
 
 
 SMALL_EPS = (0.6, 0.45, 0.3)
@@ -361,7 +374,7 @@ def test_term_residual_orders_in_dt():
     spec = star_spec()
     got = {}
     for n in (200, 400):
-        es = build_expansion(spec, 2, make_expansion_grids(spec, n, 0.9))
+        es, problems = build_with_layer_problems(spec, 2, make_expansion_grids(spec, n, 0.9))
         got[n] = {r.key: r for r in term_residuals(es)}
         assert list(got[n]) == [k for k, _ in es.build_log if k[0] == "u"]
     for key, r in got[200].items():
@@ -372,7 +385,7 @@ def test_term_residual_orders_in_dt():
             assert fine.residual <= 2e-3 * fine.scale, key
         else:
             assert r.residual == fine.residual == 0.0 == r.scale
-    marched = stored_march_residuals(es)
+    marched = stored_march_residuals(es, problems)
     assert [m[0] for m in marched] == [k for k, _ in es.build_log if k[0] != "u"]
     for key, res, scale in marched:
         assert res <= 1e-10 * scale, key
@@ -385,9 +398,9 @@ def test_layer_residuals_from_blocks_match_the_band_wide_check(q):
     # recomputed over its zero-padded band, up to roundoff; with q = 2 the
     # odd w_s store no rows, and read 0 and 0
     spec = star_spec(q=q)
-    es = build_expansion(spec, 3, make_expansion_grids(spec, 64, 0.9))
-    layers = [m for m in stored_march_residuals(es) if m[0][0] in "vw"]
-    assert len(layers) == len(es.layer_problems)
+    es, problems = build_with_layer_problems(spec, 3, make_expansion_grids(spec, 64, 0.9))
+    layers = [m for m in stored_march_residuals(es, problems) if m[0][0] in "vw"]
+    assert len(layers) == len(problems)
     for key, res, scale in layers:
         assert res <= 1e-10 * scale, key
         assert (scale > 0.0) == (es.term(key).values.nbytes > 0), key
@@ -405,8 +418,8 @@ def test_march_residuals_from_blocks_match_the_whole_array_check(n_per_edge):
     spec = star_spec()
     grids = make_expansion_grids(spec, n_per_edge, 0.9)
     assert (grids.g0.steps % TIME_SLAB == 0) == (n_per_edge == 230)
-    es = build_expansion(spec, 2, grids)
-    rows = [m for m in stored_march_residuals(es) if m[0][0] == "U"]
+    es, problems = build_with_layer_problems(spec, 2, grids)
+    rows = [m for m in stored_march_residuals(es, problems) if m[0][0] == "U"]
     assert len(rows) == 1 + len(es.g0_corr) == 5
     for key, res, scale in rows:
         assert res <= 1e-10 * scale, key
@@ -840,16 +853,18 @@ def test_validate_config_rejections(base_cfg):
         (lambda c: c["graph"]["edges"][0].__setitem__("length", -1),
          r"length: must be positive"),
         (lambda c: c["graph"]["edges"][1].__setitem__("subgraph", -2),
-         r"subgraph: must be >= 0"),
+         r"^graph\.edges\[1\]\.subgraph: must lie in 0\.\.2, got -2$"),
         (lambda c: c["graph"].__setitem__("exponents", [0, 1, True]),
          r"exponents\[2\]: expected an integer"),
-        (lambda c: c["graph"].__setitem__("exponents", [1, 2, 3]), "^graph: "),
+        (lambda c: c["graph"].__setitem__("exponents", [1, 2, 3]),
+         r"^graph\.exponents\[0\]: must be 0 "),
         (lambda c: c["q"].__setitem__(1, "1 +"), r"q\[1\]:"),
         (lambda c: c["q"].__setitem__(0, "1 + t"), r"q\[0\]: must not depend on t"),
         (lambda c: c["phi"].__setitem__(0, "sin(t)"),
          r"phi\[0\]: must not depend on t"),
         (lambda c: c["mu"].__setitem__(2, "x"), r"mu\[2\]: must not depend on x"),
-        (lambda c: c.__setitem__("mu", ["0", "0"]), r"mu: expected a list of 3"),
+        (lambda c: c.__setitem__("mu", ["0", "0"]),
+         r"^mu: needs one expression per edge \(3\), got 2$"),
         (lambda c: c.__setitem__("T", -1.0), "T: must be positive"),
         (lambda c: c.__setitem__("T", math.inf), "T: expected a finite number"),
         (lambda c: c.__setitem__("T", 10 ** 400), "T: expected a finite number"),
@@ -875,9 +890,9 @@ def test_validate_config_rejections(base_cfg):
         (lambda c: c["graph"].__setitem__("exponents", [0, 1, 10 ** 400]),
          r"^graph\.exponents\[2\]: expected a finite number$"),
         (lambda c: c["graph"].__setitem__("exponents", [0, 1, 10 ** 6]),
-         r"^graph\.exponents\[2\]: eps\^\(2m\) underflows to 0 at eps=0\.05$"),
+         r"^graph\.exponents\[2\]: eps\^\(2m\) underflows to 0 at eps=0\.4$"),
         (lambda c: c["graph"].__setitem__("exponents", [0, 1, 2 ** 1023]),
-         r"^graph\.exponents\[2\]: eps\^\(2m\) underflows to 0 at eps=0\.05$"),
+         r"^graph\.exponents\[2\]: eps\^\(2m\) underflows to 0 at eps=0\.4$"),
         (lambda c: c["grid"].__setitem__("cfl", 1.5), r"cfl: must lie in \(0,1\]"),
         (lambda c: c.__setitem__("margin", -0.1), "margin: must be >= 0"),
         (lambda c: c.__setitem__("f", ["0", True, "0"]),

@@ -4,7 +4,8 @@ from decimal import Decimal, getcontext
 import numpy as np
 import pytest
 
-from starwaves.kernels import _HYP_ARG_MAX, cs, sn
+from starwaves.errors import GraphConfigError
+from starwaves.kernels import _HYP_ARG_MAX, cs, require_in_range, sn
 
 from .helpers import dt_kernel, phi_entire, phi_entire_deriv
 
@@ -166,7 +167,7 @@ def test_dt_kernel_broadcasts():
 
 
 def test_hyperbolic_range_is_the_last_finite_argument():
-    # validate_config bounds sqrt(-q) T by it: cs and sn are finite up to
+    # require_in_range bounds sqrt(-q) T by it: cs and sn are finite up to
     # it and overflow just past it
     top = _HYP_ARG_MAX
     assert 710.47 < top < 710.48
@@ -175,3 +176,11 @@ def test_hyperbolic_range_is_the_last_finite_argument():
     with np.errstate(over="ignore"):
         past = -np.nextafter(top, np.inf) ** 2
         assert np.isinf(cs(past, 1.0)) and np.isinf(sn(past, 1.0))
+
+
+def test_require_in_range_names_the_field():
+    # sqrt(-q) t at the most negative q counts; q >= 0 never overflows
+    require_in_range(np.array([1.0e6, -700.0 ** 2, 0.0]), 1.0, "q[1]")
+    with pytest.raises(GraphConfigError, match=r"^q\[1\]: sqrt\(-q\) T reaches 720, past "
+                                               r"710\.476, where cosh and sinh overflow$"):
+        require_in_range(np.array([1.0, -360.0 ** 2]), 2.0, "q[1]")

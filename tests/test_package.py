@@ -40,7 +40,8 @@ def test_root_import_loads_no_submodule():
 
 def test_package_ships_no_test_oracle():
     # the Bessel kernels and the quadrature of the layer oracle live in the
-    # tests, so the CLI does not import scipy.integrate
+    # tests, so the CLI does not import scipy.integrate; kernels exports
+    # the two kernels and the config rule that bounds their range
     code = ("import sys, starwaves.cli, starwaves.errors, starwaves.kernels; "
             "print('scipy.integrate' in sys.modules); "
             "print(starwaves.kernels.__all__); "
@@ -48,7 +49,7 @@ def test_package_ships_no_test_oracle():
             "if hasattr(starwaves.errors, n)])")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True,
                        text=True, check=True)
-    assert r.stdout.splitlines() == ["False", "['cs', 'sn']", "[]"]
+    assert r.stdout.splitlines() == ["False", "['cs', 'sn', 'require_in_range']", "[]"]
 
 
 def test_config_check_loads_no_thread_pool():
